@@ -28,10 +28,10 @@ from .magma import (
 )
 from .operad import LinComb, partial_compose, partial_compose_lin
 from .ratfct import (
-    IntervalProduct, interval_map, rf_image, rf_is_zero, verify_rf_laws,
-    verify_rf_morphism,
+    IntervalProduct, interval_map, kernel_examples, rf_image, rf_is_zero,
+    verify_rf_laws, verify_rf_morphism,
 )
-from .variants import variant, verify_ideal, verify_inclusions
+from .variants import QUOTIENT_SPECS, variant, verify_ideal, verify_inclusions
 from .verify import (
     is_associative_element, verify_basic_set_operad, verify_cyclic,
     verify_operad_axioms, verify_symmetries,
@@ -230,18 +230,8 @@ def criterion_09_rational_functions():
     morphism = verify_rf_morphism(labels=(-1, 0, 1), max_arity=3)
     assert morphism.ok, morphism.counterexample
     assert morphism.checked == 1697194
-    first = (
-        LinComb.of(Clique.triangle(_Z, 1, 0, 0))
-        - LinComb.of(Clique.triangle(_Z, 0, 1, 0))
-        - LinComb.of(Clique.triangle(_Z, 0, 0, 1))
-    )
-    second = (
-        LinComb.of(Clique.from_arcs(_Z, 3, {(2, 3): -1, (3, 4): -1}))
-        - LinComb.of(Clique.from_arcs(_Z, 3, {(2, 4): -1, (3, 4): -1}))
-        - LinComb.of(Clique.from_arcs(_Z, 3, {(2, 3): -1, (2, 4): -1}))
-    )
-    assert rf_is_zero(rf_image(first, _RANK))
-    assert rf_is_zero(rf_image(second, _RANK))
+    for example in kernel_examples():
+        assert rf_is_zero(rf_image(example, _RANK))
     laws = verify_rf_laws(max_arity=4, samples=500, seed=0)
     assert laws.ok, laws.counterexample
     big = Clique.from_arcs(
@@ -330,19 +320,15 @@ def criterion_10_known_operads():
 
 
 def criterion_11_ideals_and_inclusions():
-    quotients = (
-        "cro:0", "bub", "deg:0", "deg:1", "deg:2", "nes", "acy",
-        "wnc", "pat", "for", "mot", "dis", "luc",
-    )
     total = 0
-    for spec in quotients:
+    for spec in QUOTIENT_SPECS:
         result = verify_ideal(variant(spec, _D0), _D0, 4)
         assert result.ok, (spec, result.counterexample)
         total += result.checked
     inclusions = verify_inclusions(_D0, 5)
     assert inclusions.ok, inclusions.counterexample
-    return (f"ideal absorption on {total} instances over 13 quotient "
-            f"variants; {inclusions.checked} inclusion-diagram checks")
+    return (f"ideal absorption on {total} instances over {len(QUOTIENT_SPECS)} "
+            f"quotient variants; {inclusions.checked} inclusion-diagram checks")
 
 
 ALL_CRITERIA = [

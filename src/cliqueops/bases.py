@@ -3,7 +3,9 @@
 One order erases solid edge/base labels, the other erases solid diagonal
 labels.  Summing a clique's down-set (unsigned for the first order,
 signed by Hamming distance for the second) gives two triangular bases;
-Moebius inversion gives the inverse conversions.  Closed composition
+Moebius inversion gives the inverse conversions; all four conversions
+are one down-set sum accumulated through operad.py's combination core.
+Closed composition
 formulas in both bases are implemented from their case analyses and are
 cross-checked against conversion through the fundamental basis.
 """
@@ -15,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .clique import Clique, CliqueError, arc_class, arcs_of, hamming
-from .operad import LinComb, partial_compose
+from .operad import LinComb, _accumulate, partial_compose, partial_compose_lin
 
 H_BASIS = "H"
 K_BASIS = "K"
@@ -69,44 +71,34 @@ def d_edge(clique, i):
     return clique.with_label(i, i + 1, clique.magma.unit)
 
 
+def _downset_sum(f, mode, signed):
+    """Replace each term by its down-set for the order `mode`, each element
+    signed by the parity of its Hamming distance when `signed`."""
+    return LinComb._unsafe((f.magma, f.arity), _accumulate(
+        (q, -coeff if signed and hamming(q, clique) % 2 else coeff)
+        for clique, coeff in f.terms.items()
+        for q in _erasure_downset(clique, mode)
+    ))
+
+
 def from_H(f):
     """Expand an H-tagged combination into the fundamental basis (unsigned down-sets)."""
-    out = LinComb.zero(f.magma, f.arity)
-    for clique, coeff in f.terms.items():
-        out = out + LinComb(f.magma, f.arity, [(q, coeff) for q in below_be(clique)])
-    return out
+    return _downset_sum(f, _BOUNDARY, signed=False)
 
 
 def to_H(f):
     """Write a fundamental combination in the H basis via the signed Moebius sum."""
-    out = LinComb.zero(f.magma, f.arity)
-    for clique, coeff in f.terms.items():
-        terms = [
-            (q, coeff * (-1) ** hamming(q, clique))
-            for q in below_be(clique)
-        ]
-        out = out + LinComb(f.magma, f.arity, terms)
-    return out
+    return _downset_sum(f, _BOUNDARY, signed=True)
 
 
 def from_K(f):
     """Expand a K-tagged combination into the fundamental basis (signed down-sets)."""
-    out = LinComb.zero(f.magma, f.arity)
-    for clique, coeff in f.terms.items():
-        terms = [
-            (q, coeff * (-1) ** hamming(q, clique))
-            for q in below_d(clique)
-        ]
-        out = out + LinComb(f.magma, f.arity, terms)
-    return out
+    return _downset_sum(f, _DIAGONAL, signed=True)
 
 
 def to_K(f):
     """Write a fundamental combination in the K basis (unsigned Moebius sum)."""
-    out = LinComb.zero(f.magma, f.arity)
-    for clique, coeff in f.terms.items():
-        out = out + LinComb(f.magma, f.arity, [(q, coeff) for q in below_d(clique)])
-    return out
+    return _downset_sum(f, _DIAGONAL, signed=False)
 
 
 def _reject_unit(p, q):
@@ -144,12 +136,11 @@ def compose_K(p, q, i):
 def compose_in_basis(f, g, i, basis):
     """Compose two combinations read in the given basis, returning the same basis."""
     if basis == FUNDAMENTAL:
-        from .operad import partial_compose_lin
-
         return partial_compose_lin(f, g, i)
     rule = compose_H if basis == H_BASIS else compose_K
-    out = LinComb.zero(f.magma, f.arity + g.arity - 1)
-    for p, a in f.terms.items():
-        for q, b in g.terms.items():
-            out = out + (a * b) * rule(p, q, i)
-    return out
+    return LinComb._unsafe((f.magma, f.arity + g.arity - 1), _accumulate(
+        (r, a * b * c)
+        for p, a in f.terms.items()
+        for q, b in g.terms.items()
+        for r, c in rule(p, q, i).terms.items()
+    ))

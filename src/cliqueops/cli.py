@@ -11,13 +11,14 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import bases, enumeration, knownops, ratfct, variants, verify
 from .clique import (
     CliqueError, clique_from_json, clique_to_json, format_clique,
 )
 from .magma import (
-    MagmaError, UnitaryMagma, has_nontrivial_unit_divisors,
+    MagmaError, RankFunction, has_nontrivial_unit_divisors,
     is_right_cancelable, parse_magma_spec,
 )
 from .operad import LinComb
@@ -34,10 +35,18 @@ def _load_lincomb(path, magma):
     if isinstance(data, dict):
         clique = clique_from_json(data, magma=magma)
         return LinComb.of(clique)
+    if not isinstance(data, list):
+        raise UsageError("a combination file holds one clique or a list of terms")
     terms = []
     for entry in data:
-        clique = clique_from_json(entry["clique"], magma=magma)
-        terms.append((clique, entry["coefficient"]))
+        try:
+            clique_data, coeff = entry["clique"], Fraction(entry["coefficient"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(
+                f"combination term {entry!r} needs a clique and a rational "
+                f"coefficient ({type(exc).__name__}: {exc})"
+            ) from None
+        terms.append((clique_from_json(clique_data, magma=magma), coeff))
     if not terms:
         raise UsageError("empty combination file needs an arity; give one term")
     return LinComb(terms[0][0].magma, terms[0][0].arity, terms)
@@ -200,7 +209,9 @@ def _parse_colored_word(magma, text):
         pos += 1
         i += 1
         if i < len(text) and text[i] == "[":
-            close = text.index("]", i)
+            close = text.find("]", i)
+            if close < 0:
+                raise UsageError(f"unclosed '[' at position {i} in word")
             colors[pos] = magma.elem(text[i + 1:close])
             i = close + 1
     return enumeration.ColoredDyckWord(magma, tuple(letters), colors)
@@ -229,10 +240,7 @@ def _verify_reports(args):
             report.counterexample and "not basic: " + report.counterexample,
         ))
     if what in ("ideal", "all"):
-        specs = [args.variant] if args.variant else [
-            "cro:0", "bub", "deg:0", "deg:1", "deg:2", "nes", "acy",
-            "wnc", "pat", "for", "mot", "dis", "luc",
-        ]
+        specs = [args.variant] if args.variant else variants.QUOTIENT_SPECS
         for spec in specs:
             try:
                 var = variants.variant(spec, magma)
@@ -354,24 +362,10 @@ def cmd_ratfct_check(args):
 
 
 def _kernel_examples_zero():
-    from .clique import Clique
-    from .magma import RankFunction
-    from .operad import LinComb
-
-    z = UnitaryMagma.integers()
     rank = RankFunction.identity()
-    first = (
-        LinComb.of(Clique.triangle(z, 1, 0, 0))
-        - LinComb.of(Clique.triangle(z, 0, 1, 0))
-        - LinComb.of(Clique.triangle(z, 0, 0, 1))
-    )
-    second = (
-        LinComb.of(Clique.from_arcs(z, 3, {(2, 3): -1, (3, 4): -1}))
-        - LinComb.of(Clique.from_arcs(z, 3, {(2, 4): -1, (3, 4): -1}))
-        - LinComb.of(Clique.from_arcs(z, 3, {(2, 3): -1, (2, 4): -1}))
-    )
     return all(
-        ratfct.rf_is_zero(ratfct.rf_image(comb, rank)) for comb in (first, second)
+        ratfct.rf_is_zero(ratfct.rf_image(comb, rank))
+        for comb in ratfct.kernel_examples()
     )
 
 
@@ -490,7 +484,7 @@ def main(argv=None):
         return args.fn(args)
     except (UsageError, MagmaError, CliqueError, variants.VariantError,
             enumeration.BudgetError, knownops.KnownOperadError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

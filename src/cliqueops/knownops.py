@@ -10,6 +10,7 @@ two-element zero-product magma's cliques.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from .clique import Clique, arcs_of
@@ -203,6 +204,30 @@ def phi_dmt_inverse(clique):
 # -- gravity ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _boundary(arity):
+    """The edges and the base of the polygon of an arity."""
+    return frozenset((x, x + 1) for x in range(1, arity + 1)) | {(1, arity + 1)}
+
+
+def is_gravity_arcset(arity, marked):
+    """The gravity condition on a set of marked arcs: nothing marked at
+    arity 1; otherwise every edge and the base marked, and crossing marked
+    diagonals (x,y), (x',y') with x < x' leave the arc (x', y) unmarked."""
+    marked = frozenset(marked)
+    if arity == 1:
+        return not marked
+    boundary = _boundary(arity)
+    if not boundary <= marked:
+        return False
+    diags = [arc for arc in marked if arc not in boundary]
+    for x, y in diags:
+        for xp, yp in diags:
+            if x < xp < y < yp and (xp, y) in marked:
+                return False
+    return True
+
+
 class ChordDiagram:
     """A gravity chord diagram: all edges and the base marked, plus a set of
     diagonals such that crossing diagonals (x,y), (x',y') with x < x' leave
@@ -216,18 +241,15 @@ class ChordDiagram:
         diagonals = frozenset((int(x), int(y)) for x, y in diagonals)
         if arity == 1 and diagonals:
             raise KnownOperadError("the arity-1 diagram has no diagonals")
-        boundary = {(x, x + 1) for x in range(1, arity + 1)} | {(1, arity + 1)}
+        boundary = _boundary(arity)
         for x, y in diagonals:
             if not (1 <= x < y <= arity + 1) or (x, y) in boundary:
                 raise KnownOperadError(f"({x},{y}) is not a diagonal at arity {arity}")
-        marked = diagonals | (boundary if arity >= 2 else frozenset())
-        for d in diagonals:
-            for e in diagonals:
-                (x, y), (xp, yp) = d, e
-                if x < xp < y < yp and (xp, y) in marked:
-                    raise KnownOperadError(
-                        f"diagonals {d} and {e} cross but ({xp},{y}) is marked"
-                    )
+        if arity > 1 and not is_gravity_arcset(arity, diagonals | boundary):
+            raise KnownOperadError(
+                f"diagonals {sorted(diagonals)} break the gravity condition: "
+                "a crossing pair (x,y), (x',y') with x < x' has (x',y) marked"
+            )
         self.arity = arity
         self.diagonals = diagonals
 
@@ -267,8 +289,7 @@ def chord_compose(c, d, i):
     for (x, y) in d.diagonals:
         out.add((x + i - 1, y + i - 1))
     glued = (i, i + m)
-    boundary = {(x, x + 1) for x in range(1, n + m)} | {(1, n + m)}
-    if glued not in boundary:
+    if glued not in _boundary(n + m - 1):
         out.add(glued)
     return ChordDiagram(n + m - 1, out)
 
@@ -277,9 +298,7 @@ def phi_grav(diagram):
     """The zero-product-magma clique with every marked arc solid."""
     if diagram.arity == 1:
         return Clique.unit(_D0)
-    boundary = {(x, x + 1) for x in range(1, diagram.arity + 1)}
-    boundary.add((1, diagram.arity + 1))
-    marked = boundary | set(diagram.diagonals)
+    marked = _boundary(diagram.arity) | diagram.diagonals
     labels = tuple(
         1 if (x, y) in marked else 0 for (x, y) in arcs_of(diagram.arity)
     )
@@ -290,20 +309,7 @@ def grav_check(clique):
     """The gravity condition over an arbitrary magma: the unit clique, or all
     edges and the base solid with crossing solid diagonals (x,y), (x',y'),
     x < x', forcing a non-solid (x', y)."""
-    unit = clique.magma.unit
-    n = clique.arity
-    if n == 1:
-        return True
-    if clique.base_label == unit:
-        return False
-    if any(clique.edge_label(i) == unit for i in range(1, n + 1)):
-        return False
-    diags = clique.solid_diagonals()
-    for (x, y) in diags:
-        for (xp, yp) in diags:
-            if x < xp < y < yp and clique.label(xp, y) != unit:
-                return False
-    return True
+    return is_gravity_arcset(clique.arity, clique.solid_arcs())
 
 
 def grav_compose(p, q, i):

@@ -181,9 +181,10 @@ class UnitaryMagma:
         return self.names[value]
 
     def contains(self, value):
-        if self.kind == "int":
-            return isinstance(value, int)
-        return isinstance(value, int) and 0 <= value < len(self.names)
+        # bool subclasses int, but True and False are not labels
+        if isinstance(value, bool) or not isinstance(value, int):
+            return False
+        return self.kind == "int" or 0 <= value < len(self.names)
 
     def is_monoid(self):
         """Diagnostic associativity check; never gates any operation."""

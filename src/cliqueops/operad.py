@@ -4,12 +4,17 @@ The composition p o_i q glues the base of q onto the i-th edge of p,
 labels the glued arc by p_i * q_0, and fills every new diagonal with the
 unit.  Linear combinations carry exact rational coefficients; mixed-arity
 sums are rejected so index bugs surface early.
+
+`_Combination` is the exact free-module core shared by `LinComb` here
+and `RatElem` in ratfct.py: every sum, bilinear extension and basis
+conversion feeds its (element, coefficient) pairs to `_accumulate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .clique import Clique, CliqueError, arc_index, arcs_of
 from .magma import pair_value, unpair_value
@@ -64,77 +69,122 @@ def partial_compose(p, q, i):
     return Clique._unsafe(magma, n + m - 1, labels)
 
 
-class LinComb:
-    """A finite rational combination of same-arity cliques over one magma.
+def _accumulate(pairs):
+    """Sum (key, value) pairs into one dict and drop the keys whose sum is zero."""
+    acc = {}
+    for key, value in pairs:
+        if key in acc:
+            acc[key] += value
+        else:
+            acc[key] = value
+    return {key: value for key, value in acc.items() if value}
 
-    Zero coefficients are never stored; iteration order is the canonical
-    clique order, so equal combinations print identically.
+
+class _Combination:
+    """A finite combination with exact coefficients: an element of the free
+    module over the rationals on some basis.
+
+    `terms` maps basis elements to nonzero `Fraction`s.  A subclass names
+    in `_SPACE` the attributes that fix its space, which every basis
+    element must share; it raises `_ERROR` on mixing spaces and gives the
+    print order of its basis elements in `_order`.
     """
 
-    __slots__ = ("magma", "arity", "terms")
+    __slots__ = ("terms",)
+    _SPACE = ()
+    _ERROR = ValueError
 
-    def __init__(self, magma, arity, terms=()):
-        self.magma = magma
-        self.arity = arity
-        acc = {}
+    def _validated(self, terms):
+        space = self._space
         items = terms.items() if isinstance(terms, dict) else terms
-        for clique, coeff in items:
-            if clique.arity != arity:
-                raise CliqueError(
-                    f"mixed arities in combination: {clique.arity} vs {arity}"
+        pairs = []
+        for key, coeff in items:
+            found = tuple(getattr(key, name) for name in self._SPACE)
+            if found != space:
+                raise self._ERROR(
+                    f"mixed {'/'.join(self._SPACE)} in combination: {found} vs {space}"
                 )
-            if clique.magma != magma:
-                raise CliqueError("mixed magmas in combination")
-            coeff = Fraction(coeff)
-            if coeff:
-                acc[clique] = acc.get(clique, Fraction(0)) + coeff
-        self.terms = {c: v for c, v in acc.items() if v}
+            pairs.append((key, Fraction(coeff)))
+        return _accumulate(pairs)
 
-    @staticmethod
-    def of(clique, coeff=1):
-        return LinComb(clique.magma, clique.arity, [(clique, Fraction(coeff))])
+    @classmethod
+    def _unsafe(cls, space, terms):
+        # trusted fast path: `terms` is zero-free and every key lies in `space`
+        self = object.__new__(cls)
+        for name, value in zip(cls._SPACE, space):
+            setattr(self, name, value)
+        self.terms = terms
+        return self
 
-    @staticmethod
-    def zero(magma, arity):
-        return LinComb(magma, arity)
+    @property
+    def _space(self):
+        return tuple(getattr(self, name) for name in self._SPACE)
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].labels)
+        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
 
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, clique):
-        return self.terms.get(clique, Fraction(0))
+    def coefficient(self, key):
+        return self.terms.get(key, Fraction(0))
 
     def __add__(self, other):
-        if self.arity != other.arity or self.magma != other.magma:
-            raise CliqueError("cannot add combinations of different arities or magmas")
-        merged = dict(self.terms)
-        for clique, coeff in other.terms.items():
-            merged[clique] = merged.get(clique, Fraction(0)) + coeff
-        return LinComb(self.magma, self.arity, merged)
+        if type(other) is not type(self) or other._space != self._space:
+            raise self._ERROR(
+                f"cannot add combinations over different spaces: {self._space} "
+                f"and {getattr(other, '_space', type(other).__name__)}"
+            )
+        return self._unsafe(
+            self._space, _accumulate(chain(self.terms.items(), other.terms.items()))
+        )
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
-        return LinComb(
-            self.magma, self.arity,
-            {c: scalar * v for c, v in self.terms.items()},
-        )
+        terms = {k: scalar * v for k, v in self.terms.items()} if scalar else {}
+        return self._unsafe(self._space, terms)
 
     def __eq__(self, other):
         return (
-            isinstance(other, LinComb)
-            and self.magma == other.magma
-            and self.arity == other.arity
+            type(other) is type(self)
+            and self._space == other._space
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.magma, self.arity, frozenset(self.terms.items())))
+        return hash((self._space, frozenset(self.terms.items())))
+
+
+class LinComb(_Combination):
+    """A finite rational combination of same-arity cliques over one magma.
+
+    Zero coefficients are never stored; iteration order is the canonical
+    clique order, so equal combinations print identically.
+    """
+
+    __slots__ = ("magma", "arity")
+    _SPACE = ("magma", "arity")
+    _ERROR = CliqueError
+
+    def __init__(self, magma, arity, terms=()):
+        self.magma = magma
+        self.arity = arity
+        self.terms = self._validated(terms)
+
+    @staticmethod
+    def _order(clique):
+        return clique.labels
+
+    @staticmethod
+    def of(clique, coeff=1):
+        return LinComb(clique.magma, clique.arity, [(clique, coeff)])
+
+    @staticmethod
+    def zero(magma, arity):
+        return LinComb(magma, arity)
 
     def __repr__(self):
         if not self.terms:
@@ -148,12 +198,10 @@ def partial_compose_lin(f, g, i):
         raise CliqueError("cannot compose combinations over different magmas")
     if not 1 <= i <= f.arity:
         raise CliqueError(f"index {i} out of range for arity {f.arity}")
-    out = {}
-    for p, a in f.terms.items():
-        for q, b in g.terms.items():
-            composed = partial_compose(p, q, i)
-            out[composed] = out.get(composed, Fraction(0)) + a * b
-    return LinComb(f.magma, f.arity + g.arity - 1, out)
+    return LinComb._unsafe((f.magma, f.arity + g.arity - 1), _accumulate(
+        (partial_compose(p, q, i), a * b)
+        for p, a in f.terms.items() for q, b in g.terms.items()
+    ))
 
 
 def star_product(f, g):
@@ -170,12 +218,10 @@ def star_product(f, g):
         g = LinComb.of(g)
     if f.arity != g.arity or f.magma != g.magma:
         raise CliqueError("arcwise product needs equal arities and magmas")
-    out = {}
-    for p, a in f.terms.items():
-        for q, b in g.terms.items():
-            prod = star_product(p, q)
-            out[prod] = out.get(prod, Fraction(0)) + a * b
-    return LinComb(f.magma, f.arity, out)
+    return LinComb._unsafe((f.magma, f.arity), _accumulate(
+        (star_product(p, q), a * b)
+        for p, a in f.terms.items() for q, b in g.terms.items()
+    ))
 
 
 def zip_cliques(product_magma, p1, p2):

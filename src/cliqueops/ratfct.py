@@ -1,7 +1,8 @@
 """Exact arithmetic in the interval-power fragment of rational functions.
 
 Elements are rational combinations of products of interval sums
-(u_x + ... + u_{y-1}) raised to integer exponents.  The fragment is
+(u_x + ... + u_{y-1}) raised to integer exponents; `RatElem` shares the
+exact combination core of operad.py with `LinComb`.  The fragment is
 closed under the substitution-based partial composition, carries the
 clique morphism built from a rank function, and admits an exact zero
 test by clearing denominators and expanding numerators as multivariate
@@ -12,9 +13,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain, product as iproduct
 
-from .clique import arcs_of
-from .magma import MagmaError
+from .clique import Clique, arcs_of, relabel
+from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
+from .operad import (
+    LinComb, _accumulate, _Combination, partial_compose, star_product,
+)
+from .report import VerifyReport
 
 
 class RatFctError(ValueError):
@@ -66,10 +72,7 @@ class IntervalProduct:
     def multiply(self, other):
         if self.arity != other.arity:
             raise RatFctError("cannot multiply products of different arities")
-        merged = dict(self.powers)
-        for iv, e in other.powers:
-            merged[iv] = merged.get(iv, 0) + e
-        return IntervalProduct(self.arity, merged)
+        return IntervalProduct(self.arity, _accumulate(chain(self.powers, other.powers)))
 
     def inverse(self):
         return IntervalProduct(self.arity, {iv: -e for iv, e in self.powers})
@@ -90,68 +93,36 @@ class IntervalProduct:
         return f"IntervalProduct({self.arity}, {self.powers})"
 
 
-class RatElem:
+class RatElem(_Combination):
     """A finite rational combination of interval products, one arity."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
+    _SPACE = ("arity",)
+    _ERROR = RatFctError
 
     def __init__(self, arity, terms=()):
         self.arity = arity
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for prod, coeff in items:
-            if prod.arity != arity:
-                raise RatFctError("mixed arities in a rational element")
-            coeff = Fraction(coeff)
-            if coeff:
-                acc[prod] = acc.get(prod, Fraction(0)) + coeff
-        self.terms = {p: c for p, c in acc.items() if c}
+        self.terms = self._validated(terms)
+
+    @staticmethod
+    def _order(prod):
+        return prod.powers
 
     @staticmethod
     def one(arity):
-        return RatElem(arity, [(IntervalProduct.one(arity), Fraction(1))])
+        return RatElem(arity, [(IntervalProduct.one(arity), 1)])
 
     @staticmethod
     def of(prod, coeff=1):
-        return RatElem(prod.arity, [(prod, Fraction(coeff))])
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].powers)
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise RatFctError("cannot add rational elements of different arities")
-        merged = dict(self.terms)
-        for prod, coeff in other.terms.items():
-            merged[prod] = merged.get(prod, Fraction(0)) + coeff
-        return RatElem(self.arity, merged)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return RatElem(self.arity, {p: scalar * c for p, c in self.terms.items()})
+        return RatElem(prod.arity, [(prod, coeff)])
 
     def __mul__(self, other):
         if self.arity != other.arity:
             raise RatFctError("cannot multiply rational elements of different arities")
-        out = {}
-        for p, a in self.terms.items():
-            for q, b in other.terms.items():
-                prod = p.multiply(q)
-                out[prod] = out.get(prod, Fraction(0)) + a * b
-        return RatElem(self.arity, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatElem)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return RatElem._unsafe((self.arity,), _accumulate(
+            (p.multiply(q), a * b)
+            for p, a in self.terms.items() for q, b in other.terms.items()
+        ))
 
     def __repr__(self):
         return format_rat_elem(self)
@@ -182,12 +153,10 @@ def rf_compose(f, g, i):
     """Partial composition: substitute the sum block for slot i and multiply."""
     if not 1 <= i <= f.arity:
         raise RatFctError(f"index {i} out of range for arity {f.arity}")
-    out = {}
-    for p, a in f.terms.items():
-        for q, b in g.terms.items():
-            prod = _compose_product(p, q, i)
-            out[prod] = out.get(prod, Fraction(0)) + a * b
-    return RatElem(f.arity + g.arity - 1, out)
+    return RatElem._unsafe((f.arity + g.arity - 1,), _accumulate(
+        (_compose_product(p, q, i), a * b)
+        for p, a in f.terms.items() for q, b in g.terms.items()
+    ))
 
 
 def interval_map(clique, rank):
@@ -204,14 +173,28 @@ def interval_map(clique, rank):
 
 def rf_image(f, rank):
     """Linear extension of the clique-to-rational-function morphism."""
-    from .operad import LinComb
-
     if isinstance(f, LinComb):
-        out = RatElem(f.arity)
-        for clique, coeff in f.terms.items():
-            out = out + RatElem.of(interval_map(clique, rank), coeff)
-        return out
+        return RatElem._unsafe((f.arity,), _accumulate(
+            (interval_map(clique, rank), coeff) for clique, coeff in f.terms.items()
+        ))
     return RatElem.of(interval_map(f, rank))
+
+
+def kernel_examples():
+    """Two integer-clique combinations whose images under the identity rank
+    are zero: a triangle relation and an arity-3 relation."""
+    z = UnitaryMagma.integers()
+    triangle = (
+        LinComb.of(Clique.triangle(z, 1, 0, 0))
+        - LinComb.of(Clique.triangle(z, 0, 1, 0))
+        - LinComb.of(Clique.triangle(z, 0, 0, 1))
+    )
+    arity3 = (
+        LinComb.of(Clique.from_arcs(z, 3, {(2, 3): -1, (3, 4): -1}))
+        - LinComb.of(Clique.from_arcs(z, 3, {(2, 4): -1, (3, 4): -1}))
+        - LinComb.of(Clique.from_arcs(z, 3, {(2, 3): -1, (2, 4): -1}))
+    )
+    return triangle, arity3
 
 
 # -- exact zero test -----------------------------------------------------------
@@ -229,16 +212,10 @@ def _interval_poly(interval, arity):
 
 
 def _poly_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            val = out.get(key, Fraction(0)) + ca * cb
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
+    return _accumulate(
+        (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+        for ea, ca in p.items() for eb, cb in q.items()
+    )
 
 
 def _poly_pow(base, exponent, arity):
@@ -256,24 +233,15 @@ def rf_expand_cleared(f):
             if e < 0:
                 need[iv] = max(need.get(iv, 0), -e)
     arity = f.arity
-    total = {}
+    pairs = []
     for prod, coeff in f.terms.items():
-        exponents = dict(need)
-        for iv, e in prod.powers:
-            exponents[iv] = exponents.get(iv, 0) + e
         poly = {(0,) * arity: coeff}
-        for iv, e in sorted(exponents.items()):
+        for iv, e in sorted(_accumulate(chain(need.items(), prod.powers)).items()):
             if e < 0:
                 raise AssertionError("denominator clearing left a negative power")
-            if e:
-                poly = _poly_mul(poly, _poly_pow(_interval_poly(iv, arity), e, arity))
-        for key, val in poly.items():
-            acc = total.get(key, Fraction(0)) + val
-            if acc:
-                total[key] = acc
-            elif key in total:
-                del total[key]
-    return total
+            poly = _poly_mul(poly, _poly_pow(_interval_poly(iv, arity), e, arity))
+        pairs.extend(poly.items())
+    return _accumulate(pairs)
 
 
 def rf_evaluate(f, point):
@@ -326,13 +294,6 @@ def compose_product(prod, other, i):
 def verify_rf_morphism(labels=(-1, 0, 1), max_arity=3):
     """Exhaustively check image(p o_i q) = image(p) o_i image(q) on integer
     cliques with the given labels, all arities up to the bound, all i."""
-    from itertools import product as iproduct
-
-    from .clique import Clique, arcs_of as arcs
-    from .magma import RankFunction, UnitaryMagma
-    from .operad import partial_compose
-    from .report import VerifyReport
-
     z = UnitaryMagma.integers()
     rank = RankFunction.identity()
 
@@ -341,7 +302,7 @@ def verify_rf_morphism(labels=(-1, 0, 1), max_arity=3):
             return [Clique.unit(z)]
         return [
             Clique._unsafe(z, arity, labs)
-            for labs in iproduct(labels, repeat=len(arcs(arity)))
+            for labs in iproduct(labels, repeat=len(arcs_of(arity)))
         ]
 
     checked = 0
@@ -376,11 +337,6 @@ def verify_rf_laws(max_arity=4, samples=500, seed=0):
     (b) negating every label inverts the image;
     (c) every Laurent monomial is the image of an explicit bubble.
     """
-    from .clique import Clique, arcs_of as arcs
-    from .magma import MagmaMorphism, RankFunction, UnitaryMagma
-    from .operad import star_product
-    from .report import VerifyReport
-
     z = UnitaryMagma.integers()
     identity_rank = RankFunction.identity()
     negate = MagmaMorphism.negation()
@@ -390,10 +346,8 @@ def verify_rf_laws(max_arity=4, samples=500, seed=0):
     def random_clique(arity):
         if arity == 1:
             return Clique.unit(z)
-        labels = tuple(rng.randint(-2, 2) for _ in range(len(arcs(arity))))
+        labels = tuple(rng.randint(-2, 2) for _ in range(len(arcs_of(arity))))
         return Clique._unsafe(z, arity, labels)
-
-    from .clique import relabel
 
     for _ in range(samples):
         arity = rng.randint(1, max_arity)

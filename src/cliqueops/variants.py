@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 
 from .clique import arc_class, arcs_of, crossing, nested_in
+from .knownops import is_gravity_arcset
 from .magma import has_nontrivial_unit_divisors
 from .operad import LinComb, partial_compose_lin
 
@@ -76,21 +77,6 @@ def _bubble(arity, arcset):
     return all(arc_class(arity, x, y) != "diagonal" for x, y in arcset)
 
 
-def _gravity_skeleton(arity, arcset):
-    # needs every edge and the base solid, so it is not erasure-closed
-    if arity == 1:
-        return not arcset
-    boundary = {(x, x + 1) for x in range(1, arity + 1)} | {(1, arity + 1)}
-    if not boundary <= set(arcset):
-        return False
-    diags = [a for a in arcset if arc_class(arity, *a) == "diagonal"]
-    for (x, y) in diags:
-        for (xp, yp) in diags:
-            if x < xp < y < yp and (xp, y) in arcset:
-                return False
-    return True
-
-
 class VariantPredicate:
     """A clique subfamily with its status relative to the ambient operad."""
 
@@ -137,12 +123,11 @@ class VariantPredicate:
 class _SkeletonVariant(VariantPredicate):
     """Variant whose membership depends only on the set of solid arcs."""
 
-    __slots__ = ("_skel", "_skel_ambient")
+    __slots__ = ("_skel",)
 
     def __init__(self, spec, magma, status, skel, skel_ambient=None,
                  erasure_closed=True):
         self._skel = skel
-        self._skel_ambient = skel_ambient
         super().__init__(
             spec, magma, status,
             member=lambda p: skel(p.arity, p.solid_arcs()),
@@ -154,11 +139,6 @@ class _SkeletonVariant(VariantPredicate):
 
     def _member_skeleton(self, arity, arcset):
         return self._skel(arity, arcset)
-
-    def ambient_skeleton_ok(self, arity, arcset):
-        if self._skel_ambient is None:
-            return True
-        return self._skel_ambient(arity, arcset)
 
 
 NO_UNIT_DIVISOR_VARIANTS = ("deg", "nes", "acy", "pat", "for", "mot", "dis", "luc")
@@ -217,6 +197,13 @@ def make_lab(magma, base_set, edge_set, diag_set, unchecked=False):
     return var
 
 
+def _int_arg(spec, arg):
+    try:
+        return int(arg)
+    except ValueError:
+        raise VariantError(f"variant spec {spec!r} needs an integer after ':'") from None
+
+
 def variant(spec, magma, unchecked=False):
     """Build a variant from its spec string over the given magma.
 
@@ -230,13 +217,13 @@ def variant(spec, magma, unchecked=False):
         _require_no_unit_divisors(kind, magma)
 
     if kind == "cro":
-        k = int(arg)
+        k = _int_arg(spec, arg)
         return _SkeletonVariant(
             spec, magma, "both",
             lambda n, a, k=k: _crossing_ok(n, a, k),
         )
     if kind == "deg":
-        k = int(arg)
+        k = _int_arg(spec, arg)
         return _SkeletonVariant(
             spec, magma, "quotient",
             lambda n, a, k=k: _max_degree(a) <= k,
@@ -287,8 +274,9 @@ def variant(spec, magma, unchecked=False):
             lambda n, a: _bubble(n, a) and _max_degree(a) <= 1,
         )
     if kind == "grav":
+        # needs every edge and the base solid, so it is not erasure-closed
         return _SkeletonVariant(
-            spec, magma, "suboperad", _gravity_skeleton, erasure_closed=False,
+            spec, magma, "suboperad", is_gravity_arcset, erasure_closed=False,
         )
     if kind == "lab":
         parts = arg.split(";")
@@ -307,6 +295,12 @@ VARIANT_SPECS = (
     "whi", "wnc", "pat", "for", "mot", "dis", "luc", "grav",
 )
 
+# The variants with a quotient structure, whose non-members form an ideal.
+QUOTIENT_SPECS = (
+    "cro:0", "bub", "deg:0", "deg:1", "deg:2", "nes", "acy",
+    "wnc", "pat", "for", "mot", "dis", "luc",
+)
+
 
 def variant_compose(var, f, g, i):
     """Compose inside the variant: project for quotients, assert closure otherwise."""
@@ -319,7 +313,7 @@ def variant_compose(var, f, g, i):
     raw = partial_compose_lin(f, g, i)
     if var.status in ("quotient", "both"):
         kept = {c: v for c, v in raw.terms.items() if var.member(c)}
-        projected = LinComb(raw.magma, raw.arity, kept)
+        projected = LinComb._unsafe((raw.magma, raw.arity), kept)
         if var.status == "both" and len(kept) != len(raw.terms):
             raise RuntimeError(
                 f"variant {var.spec} is flagged suboperad-and-quotient but "

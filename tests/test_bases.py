@@ -57,6 +57,15 @@ def test_round_trips_random(d0):
         assert from_K(to_K(f)) == f
 
 
+def test_round_trips_large(d0):
+    # 300 terms at arity 4: each conversion accumulates into one dict
+    rng = random.Random(11)
+    cliques = rng.sample(list(generate_cliques(d0, 4)), 300)
+    f = LinComb(d0, 4, [(c, rng.choice([-2, -1, 1, 3])) for c in cliques])
+    assert to_H(from_H(f)) == f
+    assert to_K(from_K(f)) == f
+
+
 def test_unitriangularity(d0):
     for p in generate_cliques(d0, 3):
         h = from_H(LinComb.of(p))

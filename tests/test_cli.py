@@ -194,3 +194,39 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sequence", "--variant", "deg:1"])
     assert exc.value.code == 2
+
+
+_CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
+
+
+@pytest.mark.parametrize("payload, argv", [
+    (["x"], None),
+    ([{"clique": _CLIQUE, "coefficient": "abc"}], None),
+    ([{"clique": _CLIQUE}], None),
+    ([{"coefficient": "1"}], None),
+    (None, ["enumerate", "--magma", "D:0", "--arity", "2", "--variant", "deg:x"]),
+    (None, ["dyck", "--magma", "D:0", "--decode", "aa[0"]),
+], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
+        "variant-argument", "unclosed-color"])
+def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
+    if argv is None:
+        lhs = tmp_path / "lhs.json"
+        lhs.write_text(json.dumps(payload))
+        rhs = tmp_path / "rhs.json"
+        rhs.write_text(json.dumps(_CLIQUE))
+        argv = ["compose", "--magma", "Z", "--lhs", str(lhs), "--rhs", str(rhs),
+                "--index", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    from cliqueops import cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_magma_check", broken)
+    with pytest.raises(KeyError):
+        main(["magma-check", "--magma", "D:0"])

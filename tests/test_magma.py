@@ -3,9 +3,9 @@ import json
 import pytest
 
 from cliqueops import (
-    MagmaElem, MagmaError, MagmaMorphism, RankFunction, UnitaryMagma,
-    automorphisms, has_nontrivial_unit_divisors, is_right_cancelable,
-    magma_product, op, parse_magma_spec,
+    Clique, CliqueError, MagmaElem, MagmaError, MagmaMorphism, RankFunction,
+    UnitaryMagma, automorphisms, has_nontrivial_unit_divisors,
+    is_right_cancelable, magma_product, op, parse_magma_spec,
 )
 
 
@@ -147,3 +147,11 @@ def test_structural_equality_and_rendering():
     d1 = parse_magma_spec("D:1")
     assert d1.elem_name(d1.elem("d_1")) == "d_1"
     assert d1.elem_name(d1.unit) == "\U0001d7d9"
+
+
+def test_bool_is_not_a_label(z, d0):
+    for magma in (z, d0):
+        assert magma.contains(0)
+        assert not magma.contains(True) and not magma.contains(False)
+        with pytest.raises(CliqueError):
+            Clique(magma, 2, [True, 0, 0])

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cliqueops import (
-    Clique, CliqueError, LinComb, UnitaryMagma, generate_cliques,
-    is_associative_element, partial_compose, partial_compose_lin,
-    star_product, unzip_clique, verify_product_iso, zip_cliques,
+    Clique, CliqueError, IntervalProduct, LinComb, RatElem, RatFctError,
+    UnitaryMagma, generate_cliques, is_associative_element, partial_compose,
+    partial_compose_lin, star_product, unzip_clique, verify_product_iso,
+    zip_cliques,
 )
 
 Z = UnitaryMagma.integers()
@@ -103,6 +105,51 @@ def test_lincomb_canonicalization(d0):
     assert (f - f).is_zero()
     with pytest.raises(CliqueError):
         LinComb(d0, 2, [(Clique.unit(d0), 1)])
+
+
+_D2 = UnitaryMagma.zero_product(2)
+# per combination class: constructor on (arity, terms), basis at an arity, error
+_SPACES = {
+    "LinComb": (
+        lambda arity, terms: LinComb(_D2, arity, terms),
+        lambda arity: list(generate_cliques(_D2, arity)),
+        CliqueError,
+    ),
+    "RatElem": (
+        RatElem,
+        lambda arity: [IntervalProduct(arity, {(1, arity + 1): e, (1, 2): d})
+                       for e in range(-4, 5) for d in range(-2, 3)],
+        RatFctError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPACES))
+def test_free_module_laws(kind):
+    make, basis_at, error = _SPACES[kind]
+    rng = random.Random(5)
+    basis = basis_at(3)
+
+    def rand():
+        return make(3, [
+            (rng.choice(basis), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for _ in range(12)
+        ])
+
+    f, g, h = rand(), rand(), rand()
+    assert f + g == g + f and hash(f + g) == hash(g + f)
+    assert (f + g) + h == f + (g + h)
+    assert Fraction(5, 2) * (f + g) == Fraction(5, 2) * f + Fraction(5, 2) * g
+    assert 3 * f == 2 * f + 1 * f
+    zero = make(3, ())
+    assert f - f == zero and (f - f).is_zero() and 0 * f == zero
+    x, y = basis[0], basis[1]
+    assert make(3, [(x, 2), (y, 0), (x, -2)]).terms == {}
+    assert make(3, {x: 1, y: 0}).terms == {x: 1}
+    assert (make(3, [(x, 1)]) - make(3, [(x, 1), (y, 1)])).terms == {y: -1}
+    with pytest.raises(error):
+        f + make(2, [(basis_at(2)[0], 1)])
+    assert LinComb.zero(Z, 1) != RatElem(1)
 
 
 def test_bilinearity(d0):
