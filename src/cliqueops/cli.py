@@ -31,7 +31,8 @@ class UsageError(Exception):
 
 def _load_lincomb(path, magma):
     with open(path) as handle:
-        data = json.load(handle)
+        # JSON decimals are read exactly: a coefficient 0.1 is 1/10
+        data = json.load(handle, parse_float=Fraction)
     if isinstance(data, dict):
         clique = clique_from_json(data, magma=magma)
         return LinComb.of(clique)
@@ -259,53 +260,10 @@ def _verify_reports(args):
             max_arity=min(args.max_arity, 4), samples=args.samples, seed=args.seed,
         ))
     if what in ("known-ops", "all"):
-        reports.append(_known_ops_report(min(args.max_arity, 4)))
+        reports.append(knownops.verify_known_ops(min(args.max_arity, 4)))
     if not reports:
         raise UsageError(f"nothing to verify for {what!r} over {args.magma}")
     return reports
-
-
-def _known_ops_report(max_arity):
-    checked = 0
-    for n in range(1, max_arity + 1):
-        for m in range(1, max_arity + 1):
-            if n + m - 1 > max_arity:
-                continue
-            for s in knownops.all_multitildes(n):
-                if s == knownops.MultiTilde(1, {(1, 1)}):
-                    continue
-                for t in knownops.all_multitildes(m):
-                    if t == knownops.MultiTilde(1, {(1, 1)}):
-                        continue
-                    for i in range(1, n + 1):
-                        checked += 1
-                        lhs = knownops.phi_mt(knownops.mt_compose(s, t, i))
-                        rhs = knownops.partial_compose(
-                            knownops.phi_mt(s), knownops.phi_mt(t), i
-                        )
-                        if lhs != rhs:
-                            return VerifyReport(
-                                "known-ops", False, checked,
-                                f"multi-tilde morphism fails on {s!r} o_{i} {t!r}",
-                            )
-    for n in range(1, max_arity + 1):
-        for m in range(1, max_arity + 1):
-            if n + m - 1 > max_arity:
-                continue
-            for c in knownops.gravity_diagrams(n):
-                for d in knownops.gravity_diagrams(m):
-                    for i in range(1, n + 1):
-                        checked += 1
-                        lhs = knownops.phi_grav(knownops.chord_compose(c, d, i))
-                        rhs = knownops.grav_compose(
-                            knownops.phi_grav(c), knownops.phi_grav(d), i
-                        )
-                        if lhs != rhs:
-                            return VerifyReport(
-                                "known-ops", False, checked,
-                                f"gravity morphism fails on {c!r} o_{i} {d!r}",
-                            )
-    return VerifyReport("known-ops", True, checked, None)
 
 
 def cmd_verify(args):
@@ -322,7 +280,7 @@ def cmd_verify(args):
             print(report.describe())
             return 0 if report.ok else 1
         if args.what == "known-ops":
-            report = _known_ops_report(min(args.max_arity, 4))
+            report = knownops.verify_known_ops(min(args.max_arity, 4))
             print(report.describe())
             return 0 if report.ok else 1
         raise UsageError(f"verify {args.what} needs --magma")
@@ -370,7 +328,7 @@ def _kernel_examples_zero():
 
 
 def cmd_known_ops_check(args):
-    report = _known_ops_report(args.max_arity)
+    report = knownops.verify_known_ops(args.max_arity)
     if args.json:
         print(json.dumps({
             "ok": report.ok, "checked": report.checked,

@@ -4,6 +4,11 @@ An arity-n clique labels every arc (x, y), 1 <= x < y <= n + 1, by an
 element of its magma.  Arcs labeled by the unit count as missing; the
 statistics (degree, crossing, nesting, acyclicity) are those of the
 underlying configuration of solid arcs.
+
+Every reindexing of arcs (composition, reflection, rotation, splitting
+along a diagonal) is an index plan: a tuple whose k-th entry says which
+entry of a source tuple the k-th arc of the result reads.  Plans are
+built once per shape under `lru_cache` and run by `gather`.
 """
 
 from __future__ import annotations
@@ -186,6 +191,12 @@ class Clique:
         return f"Clique[{self.magma.name}|{self.arity}|{solid or 'all-unit'}]"
 
 
+def gather(magma, arity, source, plan):
+    """The clique whose k-th arc label is source[plan[k]] (trusted: the plan
+    fits the arity and every source entry is a label of the magma)."""
+    return Clique._unsafe(magma, arity, tuple(map(source.__getitem__, plan)))
+
+
 # -- statistics -----------------------------------------------------------
 
 
@@ -298,25 +309,31 @@ def hamming(p, q):
 # -- symmetries -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _reflect_plan(arity):
+    index = arc_index(arity)
+    return tuple(index[(arity - y + 2, arity - x + 2)] for (x, y) in arcs_of(arity))
+
+
+@lru_cache(maxsize=None)
+def _rotate_plan(arity):
+    index = arc_index(arity)
+    return tuple(
+        index[(x + 1, y + 1)] if y <= arity else index[(1, x + 1)]
+        for (x, y) in arcs_of(arity)
+    )
+
+
 def reflect(clique):
     """Reflection through the vertical line through the base: (x, y) reads (n-y+2, n-x+2)."""
     n = clique.arity
-    src = arc_index(n)
-    labels = tuple(
-        clique.labels[src[(n - y + 2, n - x + 2)]] for (x, y) in arcs_of(n)
-    )
-    return Clique._unsafe(clique.magma, n, labels)
+    return gather(clique.magma, n, clique.labels, _reflect_plan(n))
 
 
 def rotate(clique):
     """One counterclockwise rotation step: (x, y) reads (x+1, y+1), wrapping through the base."""
     n = clique.arity
-    src = arc_index(n)
-    labels = tuple(
-        clique.labels[src[(x + 1, y + 1)]] if y <= n else clique.labels[src[(1, x + 1)]]
-        for (x, y) in arcs_of(n)
-    )
-    return Clique._unsafe(clique.magma, n, labels)
+    return gather(clique.magma, n, clique.labels, _rotate_plan(n))
 
 
 def relabel(clique, morphism):
@@ -330,6 +347,31 @@ def relabel(clique, morphism):
 # -- factorization ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _split_plan(arity, x, y):
+    """Outer and inner arities and plans into `labels + (unit,)` for splitting
+    along the diagonal (x, y), and the indices of the diagonals crossing it."""
+    index = arc_index(arity)
+    shift = y - x - 1
+    outer_arity = arity + x - y + 1
+    outer = tuple(
+        index[(z, t)] if t <= x
+        else index[(z, t + shift)] if z <= x
+        else index[(z + shift, t + shift)]
+        for (z, t) in arcs_of(outer_arity)
+    )
+    inner_arity = y - x
+    unit = len(index)
+    inner = tuple(
+        unit if (z, t) == (1, inner_arity + 1) else index[(z + x - 1, t + x - 1)]
+        for (z, t) in arcs_of(inner_arity)
+    )
+    crossers = tuple(
+        index[d] for d in diagonals_of(arity) if crossing((x, y), d)
+    )
+    return outer_arity, outer, inner_arity, inner, crossers
+
+
 def split_along_diagonal(clique, diag):
     """Factor p = q o_x r along an uncrossed diagonal (x, y).
 
@@ -341,42 +383,19 @@ def split_along_diagonal(clique, diag):
     n = clique.arity
     if arc_class(n, x, y) != "diagonal":
         raise CliqueError(f"({x},{y}) is not a diagonal at arity {n}")
-    if clique.is_solid(x, y):
-        for other in clique.solid_diagonals():
-            if crossing((x, y), other):
-                raise CliqueError(
-                    f"diagonal ({x},{y}) is crossed by solid {other}; no factorization"
-                )
-    elif any(crossing((x, y), other) for other in clique.solid_diagonals()):
-        raise CliqueError(
-            f"diagonal ({x},{y}) is crossed by a solid diagonal; no factorization"
-        )
-    shift = y - x - 1
-    outer_arity = n + x - y + 1
-
-    def outer_label(z, t):
-        if t <= x:
-            return clique.label(z, t)
-        if z <= x:
-            return clique.label(z, t + shift)
-        return clique.label(z + shift, t + shift)
-
-    outer = Clique._unsafe(
-        clique.magma, outer_arity,
-        tuple(outer_label(z, t) for (z, t) in arcs_of(outer_arity)),
+    outer_arity, outer, inner_arity, inner, crossers = _split_plan(n, x, y)
+    magma = clique.magma
+    source = clique.labels + (magma.unit,)
+    for k in crossers:
+        if source[k] != magma.unit:
+            raise CliqueError(
+                f"diagonal ({x},{y}) is crossed by solid {arcs_of(n)[k]}; "
+                "no factorization"
+            )
+    return (
+        gather(magma, outer_arity, source, outer),
+        gather(magma, inner_arity, source, inner),
     )
-    inner_arity = y - x
-
-    def inner_label(z, t):
-        if (z, t) == (1, inner_arity + 1):
-            return clique.magma.unit
-        return clique.label(z + x - 1, t + x - 1)
-
-    inner = Clique._unsafe(
-        clique.magma, inner_arity,
-        tuple(inner_label(z, t) for (z, t) in arcs_of(inner_arity)),
-    )
-    return outer, inner
 
 
 # -- serialization ------------------------------------------------------------
@@ -400,6 +419,8 @@ def clique_to_json(clique):
 
 def clique_from_json(data, magma=None):
     """Read the JSON clique format; arcs omitted from `labels` default to the unit."""
+    if not isinstance(data, dict):
+        raise CliqueError(f"clique JSON must be an object, got {type(data).__name__}")
     if magma is None:
         field = data.get("magma")
         if isinstance(field, str):
@@ -412,8 +433,11 @@ def clique_from_json(data, magma=None):
         arity = int(data["arity"])
     except (KeyError, TypeError, ValueError):
         raise CliqueError("clique JSON needs an integer arity")
+    labels = data.get("labels", {})
+    if not isinstance(labels, dict):
+        raise CliqueError(f"clique JSON labels must be an object, got {type(labels).__name__}")
     arc_labels = {}
-    for key, name in data.get("labels", {}).items():
+    for key, name in labels.items():
         try:
             x, y = (int(part) for part in key.split(","))
         except ValueError:

@@ -15,7 +15,8 @@ from itertools import combinations, product as iproduct
 
 from .clique import Clique, arcs_of
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
-from .operad import partial_compose
+from .operad import composable_pairs, partial_compose
+from .report import VerifyReport
 
 
 class KnownOperadError(ValueError):
@@ -365,6 +366,42 @@ def lie_maximal(arity):
     diagrams = gravity_diagrams(arity)
     best = max(len(d.diagonals) for d in diagrams)
     return [phi_grav(d) for d in diagrams if len(d.diagonals) == best]
+
+
+def verify_known_ops(max_arity):
+    """The multi-tilde and gravity embeddings commute with composition on
+    every composable pair up to composite arity `max_arity` (the nontrivial
+    arity-1 multi-tilde, which has no clique, excluded); gravity closure is
+    asserted by `grav_compose` throughout."""
+    checked = 0
+    for n, m in composable_pairs(max_arity):
+        right = [t for t in all_multitildes(m) if t != _EXCLUDED_MT]
+        for s in all_multitildes(n):
+            if s == _EXCLUDED_MT:
+                continue
+            for t in right:
+                for i in range(1, n + 1):
+                    checked += 1
+                    if phi_mt(mt_compose(s, t, i)) != partial_compose(
+                        phi_mt(s), phi_mt(t), i
+                    ):
+                        return VerifyReport(
+                            "known-ops", False, checked,
+                            f"multi-tilde morphism fails on {s!r} o_{i} {t!r}",
+                        )
+    for n, m in composable_pairs(max_arity):
+        for c in gravity_diagrams(n):
+            for d in gravity_diagrams(m):
+                for i in range(1, n + 1):
+                    checked += 1
+                    if phi_grav(chord_compose(c, d, i)) != grav_compose(
+                        phi_grav(c), phi_grav(d), i
+                    ):
+                        return VerifyReport(
+                            "known-ops", False, checked,
+                            f"gravity morphism fails on {c!r} o_{i} {d!r}",
+                        )
+    return VerifyReport("known-ops", True, checked, None)
 
 
 def multitilde_to_json(tilde):

@@ -28,7 +28,8 @@ class UnitaryMagma:
     the same spec compare equal.
     """
 
-    __slots__ = ("kind", "name", "names", "table", "unit", "factors", "spec", "_index", "_hash")
+    __slots__ = ("kind", "name", "names", "table", "unit", "factors", "spec",
+                 "_index", "_key", "_hash")
 
     def __init__(self, kind, name, names=None, table=None, factors=None, spec=None):
         self.kind = kind  # "table" | "int"
@@ -39,9 +40,11 @@ class UnitaryMagma:
         self.spec = spec
         self.unit = 0
         self._index = {nm: i for i, nm in enumerate(self.names)} if self.names else None
-        self._hash = None
         if kind == "table":
             self._check_unit_axioms()
+        # equality and hashing read only this key: name, spec and factors do not count
+        self._key = ("int",) if kind == "int" else ("table", self.names, self.table)
+        self._hash = hash(self._key)
 
     # -- construction ---------------------------------------------------
 
@@ -160,10 +163,16 @@ class UnitaryMagma:
     def elem(self, name):
         """Parse an element from its display name (or an int for the integer magma)."""
         if self.kind == "int":
-            try:
-                return int(name)
-            except (TypeError, ValueError):
-                raise MagmaError(f"{name!r} is not an integer label")
+            # an int (True and False are not labels) or an integer string;
+            # a float such as 1.5 is refused, never truncated
+            if isinstance(name, int) and not isinstance(name, bool):
+                return name
+            if isinstance(name, str):
+                try:
+                    return int(name)
+                except ValueError:
+                    pass
+            raise MagmaError(f"{name!r} is not an integer label")
         if isinstance(name, str):
             if name in self._index:
                 return self._index[name]
@@ -206,17 +215,12 @@ class UnitaryMagma:
             "table": [self.names[self.table[i][j]] for i in range(self.size) for j in range(self.size)],
         }
 
-    def _key(self):
-        if self.kind == "int":
-            return ("int",)
-        return ("table", self.names, self.table)
-
     def __eq__(self, other):
-        return isinstance(other, UnitaryMagma) and self._key() == other._key()
+        return self is other or (
+            isinstance(other, UnitaryMagma) and self._key == other._key
+        )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
         return self._hash
 
     def __repr__(self):

@@ -2,8 +2,11 @@
 
 The composition p o_i q glues the base of q onto the i-th edge of p,
 labels the glued arc by p_i * q_0, and fills every new diagonal with the
-unit.  Linear combinations carry exact rational coefficients; mixed-arity
-sums are rejected so index bugs surface early.
+unit.  Each arc of the result reads its label through the index plan
+`composition_plan(|p|, |q|, i)` from the source tuple
+`p.labels + q.labels + (glue, unit)`.  Linear combinations carry exact
+rational coefficients; mixed-arity sums are rejected so index bugs
+surface early.
 
 `_Combination` is the exact free-module core shared by `LinComb` here
 and `RatElem` in ratfct.py: every sum, bilinear extension and basis
@@ -16,57 +19,63 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .clique import Clique, CliqueError, arc_index, arcs_of
+from .clique import Clique, CliqueError, arc_index, arcs_of, gather
 from .magma import pair_value, unpair_value
-
-COPY_P, COPY_Q, GLUE, FRESH = 0, 1, 2, 3
 
 
 @lru_cache(maxsize=None)
 def composition_plan(n, m, i):
-    """For each result arc of |p|=n o_i |q|=m: where its label comes from.
+    """For each result arc of |p|=n o_i |q|=m: the index of its label in
+    p.labels + q.labels + (glue, unit).
 
-    Entries are (COPY_P, src), (COPY_Q, src), (GLUE, None) for the arc
-    (i, i+m) labeled p_i * q_0, or (FRESH, None) for new unit diagonals.
+    With P and Q the label counts of p and q, index P + Q is the glued
+    arc (i, i+m) and P + Q + 1 the unit of every new diagonal.
     """
     if not 1 <= i <= n:
         raise CliqueError(f"index {i} out of range for arity {n}")
     src_p, src_q = arc_index(n), arc_index(m)
+    P, Q = len(src_p), len(src_q)
     plan = []
     for (x, y) in arcs_of(n + m - 1):
-        if y <= i:
-            plan.append((COPY_P, src_p[(x, y)]))
-        elif x <= i and i + m <= y and (x, y) != (i, i + m):
-            plan.append((COPY_P, src_p[(x, y - m + 1)]))
+        if (x, y) == (i, i + m):
+            plan.append(P + Q)
+        elif y <= i:
+            plan.append(src_p[(x, y)])
+        elif x <= i and i + m <= y:
+            plan.append(src_p[(x, y - m + 1)])
         elif i + m <= x:
-            plan.append((COPY_P, src_p[(x - m + 1, y - m + 1)]))
-        elif i <= x and y <= i + m and (x, y) != (i, i + m):
-            plan.append((COPY_Q, src_q[(x - i + 1, y - i + 1)]))
-        elif (x, y) == (i, i + m):
-            plan.append((GLUE, None))
+            plan.append(src_p[(x - m + 1, y - m + 1)])
+        elif i <= x and y <= i + m:
+            plan.append(P + src_q[(x - i + 1, y - i + 1)])
         else:
-            plan.append((FRESH, None))
+            plan.append(P + Q + 1)
     return tuple(plan)
+
+
+def composable_pairs(max_arity):
+    """Arity pairs (n, m), n-major, whose composite arity n + m - 1 stays within the bound."""
+    return [
+        (n, m)
+        for n in range(1, max_arity + 1)
+        for m in range(1, max_arity + 2 - n)
+    ]
 
 
 def partial_compose(p, q, i):
     """The clique p o_i q of arity |p| + |q| - 1."""
     if p.magma != q.magma:
         raise CliqueError("cannot compose cliques over different magmas")
+    return compose_glued(p, q, i, p.magma.op(p.edge_label(i), q.base_label))
+
+
+def compose_glued(p, q, i, glue):
+    """p o_i q with the glued arc labeled `glue`: p_i * q_0 in `partial_compose`,
+    other labels in mutation tests (trusted: p, q and `glue` share a magma)."""
     n, m = p.arity, q.arity
-    plan = composition_plan(n, m, i)
-    magma = p.magma
-    unit = magma.unit
-    pl, ql = p.labels, q.labels
-    glue = magma.op(p.edge_label(i), q.base_label)
-    labels = tuple(
-        pl[src] if tag == COPY_P
-        else ql[src] if tag == COPY_Q
-        else glue if tag == GLUE
-        else unit
-        for tag, src in plan
+    return gather(
+        p.magma, n + m - 1, p.labels + q.labels + (glue, p.magma.unit),
+        composition_plan(n, m, i),
     )
-    return Clique._unsafe(magma, n + m - 1, labels)
 
 
 def _accumulate(pairs):

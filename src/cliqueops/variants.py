@@ -15,7 +15,7 @@ import warnings
 from .clique import arc_class, arcs_of, crossing, nested_in
 from .knownops import is_gravity_arcset
 from .magma import has_nontrivial_unit_divisors
-from .operad import LinComb, partial_compose_lin
+from .operad import LinComb, composable_pairs, partial_compose, partial_compose_lin
 
 
 class VariantError(ValueError):
@@ -332,35 +332,31 @@ def variant_compose(var, f, g, i):
 def verify_ideal(var, magma, max_arity):
     """Exhaustively check that non-members absorb composition on both sides."""
     from .enumeration import generate_cliques
-    from .operad import partial_compose
     from .report import VerifyReport
 
     checked = 0
-    for a in range(1, max_arity + 1):
-        for b in range(1, max_arity + 1):
-            if a + b - 1 > max_arity:
-                continue
-            outside = [
-                p for p in generate_cliques(magma, a)
-                if var.in_ambient(p) and not var.member(p)
-            ]
-            ambient = [q for q in generate_cliques(magma, b) if var.in_ambient(q)]
-            for p in outside:
-                for q in ambient:
-                    for i in range(1, a + 1):
-                        checked += 1
-                        if var.member(partial_compose(p, q, i)):
-                            return VerifyReport(
-                                f"ideal:{var.spec}", False, checked,
-                                f"non-member {p!r} o_{i} {q!r} re-entered {var.spec}",
-                            )
-                    for i in range(1, b + 1):
-                        checked += 1
-                        if var.member(partial_compose(q, p, i)):
-                            return VerifyReport(
-                                f"ideal:{var.spec}", False, checked,
-                                f"{q!r} o_{i} non-member {p!r} re-entered {var.spec}",
-                            )
+    for a, b in composable_pairs(max_arity):
+        outside = [
+            p for p in generate_cliques(magma, a)
+            if var.in_ambient(p) and not var.member(p)
+        ]
+        ambient = [q for q in generate_cliques(magma, b) if var.in_ambient(q)]
+        for p in outside:
+            for q in ambient:
+                for i in range(1, a + 1):
+                    checked += 1
+                    if var.member(partial_compose(p, q, i)):
+                        return VerifyReport(
+                            f"ideal:{var.spec}", False, checked,
+                            f"non-member {p!r} o_{i} {q!r} re-entered {var.spec}",
+                        )
+                for i in range(1, b + 1):
+                    checked += 1
+                    if var.member(partial_compose(q, p, i)):
+                        return VerifyReport(
+                            f"ideal:{var.spec}", False, checked,
+                            f"{q!r} o_{i} non-member {p!r} re-entered {var.spec}",
+                        )
     return VerifyReport(f"ideal:{var.spec}", True, checked, None)
 
 

@@ -21,8 +21,8 @@ from .clique import Clique, arc_index, arcs_of, reflect, relabel, rotate
 from .enumeration import clique_space_size, generate_cliques
 from .magma import UnitaryMagma, automorphisms, is_right_cancelable
 from .operad import (
-    COPY_P, COPY_Q, GLUE,
-    composition_plan, partial_compose, partial_compose_lin,
+    composable_pairs, compose_glued, composition_plan, partial_compose,
+    partial_compose_lin,
 )
 from .report import VerifyReport
 
@@ -36,17 +36,7 @@ VECTOR_CHUNK = 1 << 22  # result cells per numpy slab
 
 def _compose_corrupt(p, q, i):
     # deliberately wrong rule: the glued arc forgets q's base label
-    plan = composition_plan(p.arity, q.arity, i)
-    unit = p.magma.unit
-    glue = p.edge_label(i)
-    labels = tuple(
-        p.labels[src] if tag == COPY_P
-        else q.labels[src] if tag == COPY_Q
-        else glue if tag == GLUE
-        else unit
-        for tag, src in plan
-    )
-    return Clique._unsafe(p.magma, p.arity + q.arity - 1, labels)
+    return compose_glued(p, q, i, p.edge_label(i))
 
 
 def _axiom_configs(max_arity):
@@ -58,6 +48,11 @@ def _axiom_configs(max_arity):
                 if n + m + k - 2 <= max_arity:
                     configs.append((n, m, k))
     return configs
+
+
+def _first_moved_arc(arcs, plan, expected):
+    """The first arc whose plan entry differs from the expected one, or None."""
+    return next((arc for arc, a, b in zip(arcs, plan, expected) if a != b), None)
 
 
 def _unit_law_report(magma, max_arity, compose):
@@ -85,28 +80,31 @@ def _unit_law_report(magma, max_arity, compose):
             # the glued label is x_i * unit (resp. unit * x_0), so identity of
             # the plan plus the unit axiom of the magma (checked exhaustively
             # at construction) give the law for every clique of this arity
-            src = arc_index(n)
+            arcs = arcs_of(n)
+            width = len(arcs)
             for i in range(1, n + 1):
                 checked += 1
-                plan = composition_plan(n, 1, i)
-                for (x, y), (tag, idx) in zip(arcs_of(n), plan):
-                    expected = (GLUE, None) if (x, y) == (i, i + 1) else (COPY_P, src[(x, y)])
-                    if (tag, idx) != expected:
-                        return VerifyReport(
-                            "unit-law", False, checked,
-                            f"plan for arity {n} o_{i} unit moves arc ({x},{y})",
-                        ), checked
-            checked += 1
-            left_plan = composition_plan(1, n, 1)
-            for (x, y), (tag, idx) in zip(arcs_of(n), left_plan):
-                expected = (
-                    (GLUE, None) if (x, y) == (1, n + 1) else (COPY_Q, src[(x, y)])
+                # sources: x's labels, then unit's one label, then the glue
+                expected = tuple(
+                    width + 1 if arc == (i, i + 1) else k for k, arc in enumerate(arcs)
                 )
-                if (tag, idx) != expected:
+                moved = _first_moved_arc(arcs, composition_plan(n, 1, i), expected)
+                if moved is not None:
                     return VerifyReport(
                         "unit-law", False, checked,
-                        f"plan for unit o_1 arity {n} moves arc ({x},{y})",
+                        f"plan for arity {n} o_{i} unit moves arc ({moved[0]},{moved[1]})",
                     ), checked
+            checked += 1
+            # sources: unit's one label, then x's labels, then the glue
+            expected = tuple(
+                1 + width if arc == (1, n + 1) else 1 + k for k, arc in enumerate(arcs)
+            )
+            moved = _first_moved_arc(arcs, composition_plan(1, n, 1), expected)
+            if moved is not None:
+                return VerifyReport(
+                    "unit-law", False, checked,
+                    f"plan for unit o_1 arity {n} moves arc ({moved[0]},{moved[1]})",
+                ), checked
     return None, checked
 
 
@@ -167,18 +165,19 @@ def _compose_block(X, nx, Y, ny, i, star):
     """All pairwise compositions of two label blocks; rows ordered (x, y)."""
     plan = composition_plan(nx, ny, i)
     Nx, Ny = X.shape[0], Y.shape[0]
-    out = np.empty((Nx, Ny, len(plan)), dtype=np.uint8)
+    P, Q = X.shape[1], Y.shape[1]
+    out = np.zeros((Nx, Ny, len(plan)), dtype=np.uint8)
     ei = arc_index(nx)[(i, i + 1)] if nx >= 2 else 0
     b0 = arc_index(ny)[(1, ny + 1)]
-    for r, (tag, src) in enumerate(plan):
-        if tag == COPY_P:
+    # plan entries below P read X, below P + Q read Y, P + Q is the glued
+    # arc; the unit entry P + Q + 1 is the 0 already in place
+    for r, src in enumerate(plan):
+        if src < P:
             out[:, :, r] = X[:, src][:, None]
-        elif tag == COPY_Q:
-            out[:, :, r] = Y[:, src][None, :]
-        elif tag == GLUE:
+        elif src < P + Q:
+            out[:, :, r] = Y[:, src - P][None, :]
+        elif src == P + Q:
             out[:, :, r] = star[X[:, ei][:, None], Y[:, b0][None, :]]
-        else:
-            out[:, :, r] = 0
     return out.reshape(Nx * Ny, len(plan))
 
 
@@ -282,21 +281,12 @@ def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=F
 # -- symmetry, rotation, basic-basis checks -------------------------------------
 
 
-def _composable_pairs(max_arity):
-    pairs = []
-    for n in range(1, max_arity + 1):
-        for m in range(1, max_arity + 1):
-            if n + m - 1 <= max_arity:
-                pairs.append((n, m))
-    return pairs
-
-
 def verify_symmetries(magma, max_arity, samples=1000, seed=0):
     """Reflection is an antiautomorphism; magma automorphisms relabel functorially."""
     checked = 0
     if magma.is_finite:
         autos = automorphisms(magma)
-        for (n, m) in _composable_pairs(max_arity):
+        for (n, m) in composable_pairs(max_arity):
             ps = list(generate_cliques(magma, n))
             qs = list(generate_cliques(magma, m))
             for p in ps:
@@ -365,7 +355,7 @@ def verify_cyclic(magma, max_arity, budget=None):
                 return VerifyReport(
                     "cyclic", False, checked, f"rotation order exceeds {n + 1} on {p!r}"
                 )
-    for (n, m) in _composable_pairs(max_arity):
+    for (n, m) in composable_pairs(max_arity):
         for p in generate_cliques(magma, n):
             for q in generate_cliques(magma, m):
                 for i in range(1, n + 1):
@@ -391,7 +381,7 @@ def verify_basic_set_operad(magma, max_arity):
     """
     checked = 0
     witness = None
-    for (n, m) in _composable_pairs(max_arity):
+    for (n, m) in composable_pairs(max_arity):
         ps = list(generate_cliques(magma, n))
         for q in generate_cliques(magma, m):
             for i in range(1, n + 1):
@@ -489,7 +479,7 @@ def verify_product_iso(product_magma, max_arity):
 
     m1, m2 = product_magma.factors
     checked = 0
-    for (n, m) in _composable_pairs(max_arity):
+    for (n, m) in composable_pairs(max_arity):
         for p in generate_cliques(product_magma, n):
             p1, p2 = unzip_clique(p)
             if zip_cliques(product_magma, p1, p2) != p:

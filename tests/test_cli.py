@@ -204,10 +204,15 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     ([{"clique": _CLIQUE, "coefficient": "abc"}], None),
     ([{"clique": _CLIQUE}], None),
     ([{"coefficient": "1"}], None),
+    ({"magma": "Z", "arity": 2, "labels": 5}, None),
+    ([{"clique": 5, "coefficient": "1"}], None),
+    ({"magma": "Z", "arity": 2, "labels": {"1,3": 1.5}}, None),
+    ({"magma": "Z", "arity": 2, "labels": {"1,3": True}}, None),
     (None, ["enumerate", "--magma", "D:0", "--arity", "2", "--variant", "deg:x"]),
     (None, ["dyck", "--magma", "D:0", "--decode", "aa[0"]),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
-        "variant-argument", "unclosed-color"])
+        "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
+        "bool-Z-label", "variant-argument", "unclosed-color"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"
@@ -219,6 +224,18 @@ def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_decimal_coefficients_are_exact(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('[{"coefficient": 0.1, "clique": '
+                    '{"magma": "Z", "arity": 1, "labels": {}}}]')
+    code, out, _ = run(
+        capsys, "compose", "--magma", "Z", "--lhs", str(path), "--rhs", str(path),
+        "--index", "1", "--json",
+    )
+    assert code == 0
+    assert [t["coefficient"] for t in json.loads(out)["terms"]] == ["1/100"]
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):

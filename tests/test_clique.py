@@ -93,6 +93,22 @@ def test_reflect_rotate_preserve_statistics(p):
         assert crossing_number(image) == crossing_number(p)
 
 
+def test_reflect_rotate_plans_are_permutations():
+    from cliqueops.clique import _reflect_plan, _rotate_plan
+
+    for n in range(1, 11):
+        identity = tuple(range(len(arcs_of(n))))
+        reflection, rotation = _reflect_plan(n), _rotate_plan(n)
+        assert sorted(reflection) == sorted(rotation) == list(identity)
+        assert tuple(reflection[k] for k in reflection) == identity
+        powers = [identity]
+        for _ in range(n + 1):
+            powers.append(tuple(powers[-1][k] for k in rotation))
+        assert powers[n + 1] == identity
+        if n > 1:  # at arity 1 the only arc is the base
+            assert identity not in powers[1:n + 1]
+
+
 def test_reflect_rotate_displayed_examples(z):
     p = Clique.from_arcs(z, 5, {(1, 2): 1, (1, 5): -2, (2, 3): -2, (3, 5): 1})
     assert reflect(p) == Clique.from_arcs(

@@ -218,3 +218,32 @@ def test_multitilde_json_round_trip():
     assert multitilde_from_json(multitilde_to_json(s)) == s
     data = multitilde_to_json(s)
     assert data == {"arity": 4, "pairs": [[1, 4], [2, 2]]}
+
+
+def _reflected_phi_mt(tilde):
+    from cliqueops import reflect
+
+    return reflect(phi_mt(tilde))
+
+
+def _diagonal_free_phi_grav(diagram):
+    if diagram.arity < 3:
+        return phi_grav(diagram)
+    return phi_grav(ChordDiagram(diagram.arity, ()))
+
+
+@pytest.mark.parametrize("name, broken, family", [
+    ("phi_mt", _reflected_phi_mt, "multi-tilde"),
+    ("phi_grav", _diagonal_free_phi_grav, "gravity"),
+])
+def test_known_ops_verifier_catches_a_broken_morphism(
+    monkeypatch, name, broken, family
+):
+    from cliqueops import knownops
+
+    assert knownops.verify_known_ops(3).ok
+    monkeypatch.setattr(knownops, name, broken)
+    report = knownops.verify_known_ops(3)
+    assert not report.ok
+    assert report.counterexample.startswith(f"{family} morphism fails")
+    assert report.checked > 0

@@ -141,9 +141,18 @@ def test_automorphism_search(d2, n3):
     assert len(automorphisms(n3)) == 2  # identity and negation mod 3
 
 
-def test_structural_equality_and_rendering():
+def test_structural_equality_and_rendering(tmp_path):
     assert parse_magma_spec("D:1") == parse_magma_spec("D:1")
     assert parse_magma_spec("D:1") != parse_magma_spec("E:2")
+    # a table file with D:0's table: equal to D:0, yet a separate object
+    # that keeps its own spec for serialization
+    path = tmp_path / "d0.json"
+    path.write_text(json.dumps(UnitaryMagma.zero_product(0).table_data()))
+    first, second = (parse_magma_spec(f"table:{path}") for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+    assert first is not second
+    assert first == parse_magma_spec("D:0") and first.spec == f"table:{path}"
+    assert first != parse_magma_spec("D:1") and first != UnitaryMagma.integers()
     d1 = parse_magma_spec("D:1")
     assert d1.elem_name(d1.elem("d_1")) == "d_1"
     assert d1.elem_name(d1.unit) == "\U0001d7d9"

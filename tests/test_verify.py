@@ -52,21 +52,17 @@ def test_flipped_glue_is_not_a_counterexample():
     magma = UnitaryMagma.from_table_data(table)
     assert magma.op(1, 2) != magma.op(2, 1)
 
-    from cliqueops.operad import composition_plan, COPY_P, COPY_Q, GLUE
+    from cliqueops.operad import compose_glued
 
     def compose_flip(p, q, i):
-        plan = composition_plan(p.arity, q.arity, i)
-        glue = magma.op(q.base_label, p.edge_label(i))
-        labels = tuple(
-            p.labels[src] if tag == COPY_P
-            else q.labels[src] if tag == COPY_Q
-            else glue if tag == GLUE
-            else magma.unit
-            for tag, src in plan
-        )
-        return Clique._unsafe(magma, p.arity + q.arity - 1, labels)
+        return compose_glued(p, q, i, magma.op(q.base_label, p.edge_label(i)))
 
     pool = {n: list(generate_cliques(magma, n)) for n in (1, 2)}
+    # the flipped rule really is a different rule on this carrier
+    assert any(
+        compose_flip(x, y, 1) != partial_compose(x, y, 1)
+        for x in pool[2] for y in pool[2]
+    )
     for x in pool[2]:
         for y in pool[2]:
             for z in pool[2]:
