@@ -18,8 +18,8 @@ from .enumeration import (
     count_white_prime, dim_formula, generate_cliques, narayana,
 )
 from .knownops import (
-    ChordDiagram, DoubleMultiTilde, MultiTilde, all_double_multitildes,
-    chord_compose, dmt_compose, mt_compose, phi_dmt, verify_known_ops,
+    ChordDiagram, DoubleMultiTilde, MultiTilde, chord_compose, dmt_compose,
+    mt_compose, verify_double_multitildes, verify_known_ops,
 )
 from .magma import (
     RankFunction, UnitaryMagma, is_right_cancelable, magma_product,
@@ -268,24 +268,13 @@ def criterion_10_known_operads():
     # double multi-tildes: every composite-arity-4 pair except the two
     # involving the million-element arity-4 space against the unit, whose
     # instances reduce to the unit law checked componentwise above
-    dmt_checked = 0
-    for n, m in composable_pairs(4):
-        if max(n, m) == 4:
-            continue
-        for x in all_double_multitildes(n):
-            if x.arity == 1 and (x.pairs1 or x.pairs2):
-                continue
-            for y in all_double_multitildes(m):
-                if y.arity == 1 and (y.pairs1 or y.pairs2):
-                    continue
-                for i in range(1, n + 1):
-                    dmt_checked += 1
-                    assert phi_dmt(dmt_compose(x, y, i)) == partial_compose(
-                        phi_dmt(x), phi_dmt(y), i
-                    )
+    double = verify_double_multitildes(
+        [(n, m) for n, m in composable_pairs(4) if max(n, m) < 4]
+    )
+    assert double.ok and double.checked > 0, double.counterexample
     return (f"displayed compositions reproduce; morphisms commute on "
             f"{known.checked} multi-tilde and gravity instances and "
-            f"{dmt_checked} double multi-tilde instances (composite arity "
+            f"{double.checked} double multi-tilde instances (composite arity "
             "<= 4); gravity closure asserted throughout")
 
 

@@ -429,10 +429,9 @@ def clique_from_json(data, magma=None):
             magma = UnitaryMagma.from_table_data(field)
         else:
             raise CliqueError("clique JSON needs a magma spec or table object")
-    try:
-        arity = int(data["arity"])
-    except (KeyError, TypeError, ValueError):
-        raise CliqueError("clique JSON needs an integer arity")
+    arity = data.get("arity")
+    if not isinstance(arity, int) or isinstance(arity, bool):
+        raise CliqueError(f"clique JSON needs an integer arity, got {arity!r}")
     labels = data.get("labels", {})
     if not isinstance(labels, dict):
         raise CliqueError(f"clique JSON labels must be an object, got {type(labels).__name__}")

@@ -1,19 +1,34 @@
 """Multi-tildes, double multi-tildes, gravity chord diagrams, and their
 embeddings into clique operads.
 
-The composition of multi-tildes is implemented directly from the index
-shift rules (not by transporting through cliques), so the morphism
-checks really compare two independent computations.  Gravity chord
-diagrams likewise compose by their own gluing rule and embed into the
+A multi-tilde of arity n is a set of pairs (x, y), 1 <= x <= y <= n.
+These pairs are in one-to-one correspondence with the arcs (x, y + 1) of
+the arity-n polygon, so a multi-tilde is stored as an int bitmask: bit k
+is set when the pair (x, y - 1) of arc k of `arcs_of(n)` belongs to it.
+A double multi-tilde is two such masks.  `pairs`, `pairs1` and `pairs2`
+decode the masks into frozensets on demand.
+
+The composition of multi-tildes still comes from the index shift rules
+(`_shift`), not from transporting through cliques: the rules are applied
+to every bit once per (n, m, i), cached as bit-remap tables, and a
+composition remaps the masks through them.  The morphism checks
+therefore compare two independent computations.  Gravity chord diagrams
+likewise compose by their own gluing rule and embed into the
 two-element zero-product magma's cliques.
+
+Public constructors validate their input: arities and coordinates must
+be `int`s (bools, floats and strings are refused) and pairs must have two
+entries.  Enumeration and composition build results on trusted `_unsafe`
+paths.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product as iproduct
+from operator import add
 
-from .clique import Clique, arcs_of
+from .clique import Clique, arc_index, arcs_of, diagonals_of
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
 from .operad import composable_pairs, partial_compose
 from .report import VerifyReport
@@ -25,6 +40,8 @@ class KnownOperadError(ValueError):
 
 _D0 = UnitaryMagma.zero_product(0)
 _D0_SQUARED = magma_product(_D0, _D0)
+_SOLID = 1  # the non-unit label of the two-element zero-product magma
+_FIRST, _SECOND = pair_value(_D0_SQUARED, 1, 0), pair_value(_D0_SQUARED, 0, 1)
 
 
 def clique_magma_for_multitildes():
@@ -35,38 +52,152 @@ def clique_magma_for_double_multitildes():
     return _D0_SQUARED
 
 
+# -- input boundary --------------------------------------------------------
+
+
+def _arity(value, what):
+    # `type(value) is int` refuses bools, floats and strings alike
+    if type(value) is not int:
+        raise KnownOperadError(f"{what} arity must be an integer, got {value!r}")
+    if value < 1:
+        raise KnownOperadError(f"{what} arity must be positive")
+    return value
+
+
+def _coordinates(pairs):
+    """The entries of `pairs` as (int, int) tuples."""
+    try:
+        entries = list(pairs)
+    except TypeError:
+        raise KnownOperadError(f"expected a collection of pairs, got {pairs!r}") from None
+    for pair in entries:
+        if (not isinstance(pair, (tuple, list)) or len(pair) != 2
+                or type(pair[0]) is not int or type(pair[1]) is not int):
+            raise KnownOperadError(f"{pair!r} is not a pair of integers")
+    return [tuple(pair) for pair in entries]
+
+
+# -- bitmask encoding ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _pair_of(arity):
+    """The pair (x, y - 1) of each arc (x, y), in arc order: bit k's pair."""
+    return tuple((x, y - 1) for x, y in arcs_of(arity))
+
+
+def _mask(arity, pairs):
+    index = arc_index(arity)
+    mask = 0
+    for x, y in _coordinates(pairs):
+        if (x, y + 1) not in index:
+            raise KnownOperadError(f"pair ({x},{y}) outside arity {arity}")
+        mask |= 1 << index[(x, y + 1)]
+    return mask
+
+
+def _pairs(arity, mask):
+    pairs = _pair_of(arity)
+    return frozenset(pairs[k] for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _format_pairs(pairs):
+    return ", ".join(f"({x},{y})" for x, y in sorted(pairs))
+
+
+def _chunk_tables(images):
+    """For each 8-bit chunk of a source mask, the OR of the image bits of
+    every byte value (bit k of the source goes to `images[k]`)."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        chunk = images[lo:lo + 8]
+        table = [0] * (1 << len(chunk))
+        for value in range(1, len(table)):
+            low = (value & -value).bit_length() - 1
+            table[value] = table[value & (value - 1)] | chunk[low]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _remap(mask, tables):
+    out = 0
+    for table in tables:
+        out |= table[mask & 0xFF]
+        mask >>= 8
+    return out
+
+
+@lru_cache(maxsize=None)
+def _flag_tables(width, value):
+    """For each 8-bit chunk of a width-bit mask, the labels of every byte
+    value, low bit first: `value` where the bit is set, 0 where it is not."""
+    tables = []
+    for lo in range(0, width, 8):
+        size = min(8, width - lo)
+        tables.append(tuple(
+            tuple(value if byte >> b & 1 else 0 for b in range(size))
+            for byte in range(1 << size)
+        ))
+    return tuple(tables)
+
+
+def _flags(mask, width, value):
+    out = ()
+    for table in _flag_tables(width, value):
+        out += table[mask & 0xFF]
+        mask >>= 8
+    return out
+
+
+def _masks(arity):
+    """Every mask of an arity by size, then in lexicographic order of the
+    chosen pairs: the order of `combinations` over the pair universe."""
+    width = len(arcs_of(arity))
+    for size in range(width + 1):
+        for chosen in combinations(range(width), size):
+            yield sum(1 << k for k in chosen)
+
+
+# -- multi-tildes ----------------------------------------------------------
+
+
 class MultiTilde:
     """A pair (arity, set of index intervals (x, y) with 1 <= x <= y <= arity)."""
 
-    __slots__ = ("arity", "pairs")
+    __slots__ = ("arity", "mask")
 
     def __init__(self, arity, pairs):
-        if arity < 1:
-            raise KnownOperadError("multi-tilde arity must be positive")
-        pairs = frozenset((int(x), int(y)) for x, y in pairs)
-        for x, y in pairs:
-            if not 1 <= x <= y <= arity:
-                raise KnownOperadError(f"pair ({x},{y}) outside arity {arity}")
+        self.arity = _arity(arity, "multi-tilde")
+        self.mask = _mask(self.arity, pairs)
+
+    @classmethod
+    def _unsafe(cls, arity, mask):
+        # trusted fast path: mask already within the arity's pair universe
+        self = object.__new__(cls)
         self.arity = arity
-        self.pairs = pairs
+        self.mask = mask
+        return self
 
     @staticmethod
     def unit():
-        return MultiTilde(1, ())
+        return MultiTilde._unsafe(1, 0)
+
+    @property
+    def pairs(self):
+        return _pairs(self.arity, self.mask)
 
     def __eq__(self, other):
         return (
             isinstance(other, MultiTilde)
             and self.arity == other.arity
-            and self.pairs == other.pairs
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.arity, self.pairs))
+        return hash((self.arity, self.mask))
 
     def __repr__(self):
-        body = ", ".join(f"({x},{y})" for x, y in sorted(self.pairs))
-        return f"MultiTilde({self.arity}, {{{body}}})"
+        return f"MultiTilde({self.arity}, {{{_format_pairs(self.pairs)}}})"
 
 
 def _shift(pair, pivot, block):
@@ -79,127 +210,154 @@ def _shift(pair, pivot, block):
     return (x + block - 1, y + block - 1)
 
 
+@lru_cache(maxsize=None)
+def _compose_tables(n, m, i):
+    """Bit-remap tables of s o_i t for arities n, m: s's pairs move by the
+    shift rule, t's pairs move right by i - 1."""
+    index = arc_index(n + m - 1)
+
+    def bit(pair):
+        return 1 << index[(pair[0], pair[1] + 1)]
+
+    outer = [bit(_shift(pair, i, m)) for pair in _pair_of(n)]
+    inner = [bit((x + i - 1, y + i - 1)) for x, y in _pair_of(m)]
+    return _chunk_tables(outer), _chunk_tables(inner)
+
+
+def _check_index(arity, i):
+    if not 1 <= i <= arity:
+        raise KnownOperadError(f"index {i} out of range for arity {arity}")
+
+
 def mt_compose(s, t, i):
     """Partial composition of multi-tildes via the two shift rules."""
-    if not 1 <= i <= s.arity:
-        raise KnownOperadError(f"index {i} out of range for arity {s.arity}")
-    m = t.arity
-    shifted = {_shift(pair, i, m) for pair in s.pairs}
-    shifted |= {(x + i - 1, y + i - 1) for x, y in t.pairs}
-    return MultiTilde(s.arity + m - 1, shifted)
+    _check_index(s.arity, i)
+    outer, inner = _compose_tables(s.arity, t.arity, i)
+    return MultiTilde._unsafe(
+        s.arity + t.arity - 1, _remap(s.mask, outer) | _remap(t.mask, inner)
+    )
 
 
 def all_multitildes(arity):
     """Every multi-tilde of the given arity (2^(n(n+1)/2) of them)."""
-    universe = [(x, y) for x in range(1, arity + 1) for y in range(x, arity + 1)]
-    for size in range(len(universe) + 1):
-        for chosen in combinations(universe, size):
-            yield MultiTilde(arity, chosen)
-
-
-_EXCLUDED_MT = MultiTilde(1, {(1, 1)})
+    for mask in _masks(arity):
+        yield MultiTilde._unsafe(arity, mask)
 
 
 def phi_mt(tilde):
     """The clique picture of a multi-tilde: arc (x, y) solid iff (x, y-1) is a pair."""
-    if tilde == _EXCLUDED_MT:
+    if tilde.arity == 1 and tilde.mask:
         raise KnownOperadError(
             "the nontrivial arity-1 multi-tilde has no clique counterpart"
         )
-    solid = 1  # the non-unit label of the two-element zero-product magma
-    labels = tuple(
-        solid if (x, y - 1) in tilde.pairs else 0
-        for (x, y) in arcs_of(tilde.arity)
-    )
-    return Clique._unsafe(_D0, tilde.arity, labels)
+    width = len(arcs_of(tilde.arity))
+    return Clique._unsafe(_D0, tilde.arity, _flags(tilde.mask, width, _SOLID))
 
 
 def phi_mt_inverse(clique):
     if clique.magma != _D0:
         raise KnownOperadError("expected a clique over the two-element zero-product magma")
-    pairs = {(x, y - 1) for (x, y) in clique.solid_arcs()}
-    return MultiTilde(clique.arity, pairs)
+    unit = _D0.unit
+    return MultiTilde._unsafe(clique.arity, sum(
+        1 << k for k, lab in enumerate(clique.labels) if lab != unit
+    ))
+
+
+# -- double multi-tildes ---------------------------------------------------
 
 
 class DoubleMultiTilde:
     """Two pair-sets over one arity, composing componentwise."""
 
-    __slots__ = ("arity", "pairs1", "pairs2")
+    __slots__ = ("arity", "mask1", "mask2")
 
     def __init__(self, arity, pairs1, pairs2):
-        first = MultiTilde(arity, pairs1)
-        second = MultiTilde(arity, pairs2)
+        self.arity = _arity(arity, "multi-tilde")
+        self.mask1 = _mask(self.arity, pairs1)
+        self.mask2 = _mask(self.arity, pairs2)
+
+    @classmethod
+    def _unsafe(cls, arity, mask1, mask2):
+        self = object.__new__(cls)
         self.arity = arity
-        self.pairs1 = first.pairs
-        self.pairs2 = second.pairs
+        self.mask1 = mask1
+        self.mask2 = mask2
+        return self
 
     @staticmethod
     def unit():
-        return DoubleMultiTilde(1, (), ())
+        return DoubleMultiTilde._unsafe(1, 0, 0)
+
+    @property
+    def pairs1(self):
+        return _pairs(self.arity, self.mask1)
+
+    @property
+    def pairs2(self):
+        return _pairs(self.arity, self.mask2)
 
     def components(self):
-        return MultiTilde(self.arity, self.pairs1), MultiTilde(self.arity, self.pairs2)
+        return (
+            MultiTilde._unsafe(self.arity, self.mask1),
+            MultiTilde._unsafe(self.arity, self.mask2),
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, DoubleMultiTilde)
             and self.arity == other.arity
-            and self.pairs1 == other.pairs1
-            and self.pairs2 == other.pairs2
+            and self.mask1 == other.mask1
+            and self.mask2 == other.mask2
         )
 
     def __hash__(self):
-        return hash((self.arity, self.pairs1, self.pairs2))
+        return hash((self.arity, self.mask1, self.mask2))
 
     def __repr__(self):
-        one = ", ".join(f"({x},{y})" for x, y in sorted(self.pairs1))
-        two = ", ".join(f"({x},{y})" for x, y in sorted(self.pairs2))
-        return f"DoubleMultiTilde({self.arity}, {{{one}}}, {{{two}}})"
+        return (f"DoubleMultiTilde({self.arity}, {{{_format_pairs(self.pairs1)}}}, "
+                f"{{{_format_pairs(self.pairs2)}}})")
 
 
 def dmt_compose(s, t, i):
-    first_s, second_s = s.components()
-    first_t, second_t = t.components()
-    first = mt_compose(first_s, first_t, i)
-    second = mt_compose(second_s, second_t, i)
-    return DoubleMultiTilde(first.arity, first.pairs, second.pairs)
+    """Componentwise composition of double multi-tildes."""
+    _check_index(s.arity, i)
+    outer, inner = _compose_tables(s.arity, t.arity, i)
+    return DoubleMultiTilde._unsafe(
+        s.arity + t.arity - 1,
+        _remap(s.mask1, outer) | _remap(t.mask1, inner),
+        _remap(s.mask2, outer) | _remap(t.mask2, inner),
+    )
 
 
 def all_double_multitildes(arity):
-    universe = [(x, y) for x in range(1, arity + 1) for y in range(x, arity + 1)]
-    subsets = []
-    for size in range(len(universe) + 1):
-        subsets.extend(combinations(universe, size))
-    for pairs1 in subsets:
-        for pairs2 in subsets:
-            yield DoubleMultiTilde(arity, pairs1, pairs2)
+    masks = list(_masks(arity))
+    for mask1 in masks:
+        for mask2 in masks:
+            yield DoubleMultiTilde._unsafe(arity, mask1, mask2)
 
 
 def phi_dmt(dmt):
     """The pair-magma clique of a double multi-tilde (four-case labeling)."""
-    if dmt.arity == 1 and (dmt.pairs1 or dmt.pairs2):
+    if dmt.arity == 1 and (dmt.mask1 or dmt.mask2):
         raise KnownOperadError(
             "the three nontrivial arity-1 double multi-tildes have no clique counterpart"
         )
-    labels = []
-    for (x, y) in arcs_of(dmt.arity):
-        a = 1 if (x, y - 1) in dmt.pairs1 else 0
-        b = 1 if (x, y - 1) in dmt.pairs2 else 0
-        labels.append(pair_value(_D0_SQUARED, a, b))
-    return Clique._unsafe(_D0_SQUARED, dmt.arity, tuple(labels))
+    width = len(arcs_of(dmt.arity))
+    labels = tuple(map(
+        add, _flags(dmt.mask1, width, _FIRST), _flags(dmt.mask2, width, _SECOND),
+    ))
+    return Clique._unsafe(_D0_SQUARED, dmt.arity, labels)
 
 
 def phi_dmt_inverse(clique):
     if clique.magma != _D0_SQUARED:
         raise KnownOperadError("expected a clique over the squared zero-product magma")
-    pairs1, pairs2 = set(), set()
-    for (x, y), lab in zip(arcs_of(clique.arity), clique.labels):
+    mask1 = mask2 = 0
+    for k, lab in enumerate(clique.labels):
         a, b = unpair_value(_D0_SQUARED, lab)
-        if a:
-            pairs1.add((x, y - 1))
-        if b:
-            pairs2.add((x, y - 1))
-    return DoubleMultiTilde(clique.arity, pairs1, pairs2)
+        mask1 |= a << k
+        mask2 |= b << k
+    return DoubleMultiTilde._unsafe(clique.arity, mask1, mask2)
 
 
 # -- gravity ---------------------------------------------------------------
@@ -237,9 +395,8 @@ class ChordDiagram:
     __slots__ = ("arity", "diagonals")
 
     def __init__(self, arity, diagonals):
-        if arity < 1:
-            raise KnownOperadError("diagram arity must be positive")
-        diagonals = frozenset((int(x), int(y)) for x, y in diagonals)
+        arity = _arity(arity, "diagram")
+        diagonals = frozenset(_coordinates(diagonals))
         if arity == 1 and diagonals:
             raise KnownOperadError("the arity-1 diagram has no diagonals")
         boundary = _boundary(arity)
@@ -254,9 +411,17 @@ class ChordDiagram:
         self.arity = arity
         self.diagonals = diagonals
 
+    @classmethod
+    def _unsafe(cls, arity, diagonals):
+        # trusted fast path: a frozenset of diagonals meeting the gravity condition
+        self = object.__new__(cls)
+        self.arity = arity
+        self.diagonals = diagonals
+        return self
+
     @staticmethod
     def unit():
-        return ChordDiagram(1, ())
+        return ChordDiagram._unsafe(1, frozenset())
 
     def __eq__(self, other):
         return (
@@ -269,16 +434,16 @@ class ChordDiagram:
         return hash((self.arity, self.diagonals))
 
     def __repr__(self):
-        body = ", ".join(f"({x},{y})" for x, y in sorted(self.diagonals))
-        return f"ChordDiagram({self.arity}, {{{body}}})"
+        return f"ChordDiagram({self.arity}, {{{_format_pairs(self.diagonals)}}})"
 
 
 def chord_compose(c, d, i):
-    """Glue d's base onto c's i-th edge; the glued arc stays marked."""
-    if not 1 <= i <= c.arity:
-        raise KnownOperadError(f"index {i} out of range for arity {c.arity}")
+    """Glue d's base onto c's i-th edge; the glued arc stays marked.
+    Closure (the result meets the gravity condition) is asserted."""
+    _check_index(c.arity, i)
     m = d.arity
     n = c.arity
+    boundary = _boundary(n + m - 1)
     out = set()
     for (x, y) in c.diagonals:
         if y <= i:
@@ -290,9 +455,15 @@ def chord_compose(c, d, i):
     for (x, y) in d.diagonals:
         out.add((x + i - 1, y + i - 1))
     glued = (i, i + m)
-    if glued not in _boundary(n + m - 1):
+    if glued not in boundary:
         out.add(glued)
-    return ChordDiagram(n + m - 1, out)
+    out = frozenset(out)
+    if n + m > 2 and not is_gravity_arcset(n + m - 1, out | boundary):
+        raise RuntimeError(
+            "internal failure: composing chord diagrams left the family, "
+            f"on {c!r} o_{i} {d!r}"
+        )
+    return ChordDiagram._unsafe(n + m - 1, out)
 
 
 def phi_grav(diagram):
@@ -327,21 +498,31 @@ def grav_compose(p, q, i):
 
 
 def gravity_diagrams(arity):
-    """All gravity chord diagrams of an arity, by scanning diagonal sets."""
+    """All gravity chord diagrams of an arity, by number of diagonals and
+    then in lexicographic order of the chosen diagonals.
+
+    The gravity condition survives removing a diagonal, so a depth-first
+    search that adds diagonals in arc order stops at the first violation.
+    """
     if arity == 1:
         return [ChordDiagram.unit()]
-    diagonals = [
-        (x, y) for (x, y) in arcs_of(arity)
-        if y != x + 1 and (x, y) != (1, arity + 1)
-    ]
+    diagonals = diagonals_of(arity)
+    boundary = _boundary(arity)
     found = []
-    for size in range(len(diagonals) + 1):
-        for chosen in combinations(diagonals, size):
-            try:
-                found.append(ChordDiagram(arity, chosen))
-            except KnownOperadError:
-                continue
-    return found
+
+    def grow(chosen, marked):
+        found.append(chosen)
+        for k in range(chosen[-1] + 1 if chosen else 0, len(diagonals)):
+            wider = marked | {diagonals[k]}
+            if is_gravity_arcset(arity, wider):
+                grow(chosen + (k,), wider)
+
+    grow((), boundary)
+    found.sort(key=lambda chosen: (len(chosen), chosen))
+    return [
+        ChordDiagram._unsafe(arity, frozenset(diagonals[k] for k in chosen))
+        for chosen in found
+    ]
 
 
 def gravity_cliques(magma, arity):
@@ -368,40 +549,83 @@ def lie_maximal(arity):
     return [phi_grav(d) for d in diagrams if len(d.diagonals) == best]
 
 
+# -- morphism checks -------------------------------------------------------
+
+
+def _morphism_report(family, arity_pairs, pool, phi, compose, image_compose):
+    """Count the instances phi(a o_i b) == phi(a) o_i phi(b) over every pair
+    (a, b) from the pools of the given arity pairs and every i, stopping at
+    the first failure.  Each arity's pool and images are built once."""
+    arities = {n for pair in arity_pairs for n in pair}
+    pools = {n: list(pool(n)) for n in arities}
+    images = {n: [phi(a) for a in pools[n]] for n in arities}
+    checked = 0
+    for n, m in arity_pairs:
+        right = list(zip(pools[m], images[m]))
+        for a, image_a in zip(pools[n], images[n]):
+            for b, image_b in right:
+                for i in range(1, n + 1):
+                    checked += 1
+                    if phi(compose(a, b, i)) != image_compose(image_a, image_b, i):
+                        return VerifyReport(
+                            "known-ops", False, checked,
+                            f"{family} morphism fails on {a!r} o_{i} {b!r}",
+                        )
+    return VerifyReport("known-ops", True, checked, None)
+
+
+def _clique_multitildes(arity):
+    """Multi-tildes with a clique picture: all but the nontrivial arity-1 one."""
+    return (s for s in all_multitildes(arity) if arity > 1 or not s.mask)
+
+
+def _clique_double_multitildes(arity):
+    return (s for s in all_double_multitildes(arity)
+            if arity > 1 or not (s.mask1 or s.mask2))
+
+
 def verify_known_ops(max_arity):
     """The multi-tilde and gravity embeddings commute with composition on
     every composable pair up to composite arity `max_arity` (the nontrivial
     arity-1 multi-tilde, which has no clique, excluded); gravity closure is
-    asserted by `grav_compose` throughout."""
-    checked = 0
-    for n, m in composable_pairs(max_arity):
-        right = [t for t in all_multitildes(m) if t != _EXCLUDED_MT]
-        for s in all_multitildes(n):
-            if s == _EXCLUDED_MT:
-                continue
-            for t in right:
-                for i in range(1, n + 1):
-                    checked += 1
-                    if phi_mt(mt_compose(s, t, i)) != partial_compose(
-                        phi_mt(s), phi_mt(t), i
-                    ):
-                        return VerifyReport(
-                            "known-ops", False, checked,
-                            f"multi-tilde morphism fails on {s!r} o_{i} {t!r}",
-                        )
-    for n, m in composable_pairs(max_arity):
-        for c in gravity_diagrams(n):
-            for d in gravity_diagrams(m):
-                for i in range(1, n + 1):
-                    checked += 1
-                    if phi_grav(chord_compose(c, d, i)) != grav_compose(
-                        phi_grav(c), phi_grav(d), i
-                    ):
-                        return VerifyReport(
-                            "known-ops", False, checked,
-                            f"gravity morphism fails on {c!r} o_{i} {d!r}",
-                        )
-    return VerifyReport("known-ops", True, checked, None)
+    asserted by `chord_compose` and `grav_compose` throughout."""
+    arity_pairs = composable_pairs(max_arity)
+    tildes = _morphism_report(
+        "multi-tilde", arity_pairs, _clique_multitildes, phi_mt, mt_compose,
+        partial_compose,
+    )
+    if not tildes.ok:
+        return tildes
+    gravity = _morphism_report(
+        "gravity", arity_pairs, gravity_diagrams, phi_grav, chord_compose,
+        grav_compose,
+    )
+    return VerifyReport(
+        "known-ops", gravity.ok, tildes.checked + gravity.checked,
+        gravity.counterexample,
+    )
+
+
+def verify_double_multitildes(arity_pairs):
+    """The double multi-tilde embedding commutes with composition on every
+    pair of the given (n, m) arities and every i (the three nontrivial
+    arity-1 double multi-tildes, which have no clique, excluded)."""
+    return _morphism_report(
+        "double multi-tilde", arity_pairs, _clique_double_multitildes, phi_dmt,
+        dmt_compose, partial_compose,
+    )
+
+
+# -- JSON ------------------------------------------------------------------
+
+
+def _json_fields(data, kind, fields):
+    if not isinstance(data, dict):
+        raise KnownOperadError(f"{kind} JSON must be an object, got {type(data).__name__}")
+    missing = [field for field in fields if field not in data]
+    if missing:
+        raise KnownOperadError(f"bad {kind} JSON: missing {', '.join(missing)}")
+    return [data[field] for field in fields]
 
 
 def multitilde_to_json(tilde):
@@ -409,10 +633,7 @@ def multitilde_to_json(tilde):
 
 
 def multitilde_from_json(data):
-    try:
-        return MultiTilde(int(data["arity"]), [tuple(p) for p in data["pairs"]])
-    except (KeyError, TypeError) as exc:
-        raise KnownOperadError(f"bad multi-tilde JSON: {exc}")
+    return MultiTilde(*_json_fields(data, "multi-tilde", ("arity", "pairs")))
 
 
 def double_multitilde_to_json(dmt):
@@ -424,11 +645,6 @@ def double_multitilde_to_json(dmt):
 
 
 def double_multitilde_from_json(data):
-    try:
-        return DoubleMultiTilde(
-            int(data["arity"]),
-            [tuple(p) for p in data["pairs1"]],
-            [tuple(p) for p in data["pairs2"]],
-        )
-    except (KeyError, TypeError) as exc:
-        raise KnownOperadError(f"bad double multi-tilde JSON: {exc}")
+    return DoubleMultiTilde(
+        *_json_fields(data, "double multi-tilde", ("arity", "pairs1", "pairs2"))
+    )

@@ -408,6 +408,12 @@ class RankFunction:
             return value
         return self.values[value]
 
+    def of_labels(self, labels):
+        """The ranks of a tuple of labels, as a tuple."""
+        if self.values is None:
+            return labels
+        return tuple(map(self.values.__getitem__, labels))
+
 
 class MagmaMorphism:
     """A unit-preserving multiplicative map between unitary magmas."""

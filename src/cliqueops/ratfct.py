@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, product as iproduct
+from functools import lru_cache
+from itertools import chain, compress, product as iproduct
 
 from .clique import Clique, arcs_of, relabel
 from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
@@ -128,24 +129,35 @@ class RatElem(_Combination):
         return format_rat_elem(self)
 
 
+@lru_cache(maxsize=None)
+def _reindex(n, m, i):
+    """Where substituting an arity-m block into slot i of arity n sends the
+    intervals of the outer product and those of the inner one."""
+    outer = {}
+    for x, y in arcs_of(n):
+        if y - 1 < i:
+            outer[(x, y)] = (x, y)
+        elif x > i:
+            outer[(x, y)] = (x + m - 1, y + m - 1)
+        else:
+            outer[(x, y)] = (x, y + m - 1)
+    inner = {(x, y): (x + i - 1, y + i - 1) for x, y in arcs_of(m)}
+    return outer, inner
+
+
 def _compose_product(prod, other, i):
     """Substitute `other` (arity m) into slot i of `prod`, reindexing intervals."""
-    m = other.arity
-    powers = {}
-    for (x, y), e in prod.powers:
-        if y - 1 < i:
-            key = (x, y)
-        elif x > i:
-            key = (x + m - 1, y + m - 1)
-        else:
-            key = (x, y + m - 1)
+    outer, inner = _reindex(prod.arity, other.arity, i)
+    # both reindexings are injective, so only an outer and an inner
+    # interval can meet (on the glued interval)
+    powers = {outer[iv]: e for iv, e in prod.powers}
+    for iv, e in other.powers:
+        key = inner[iv]
         powers[key] = powers.get(key, 0) + e
-    for (x, y), e in other.powers:
-        key = (x + i - 1, y + i - 1)
-        powers[key] = powers.get(key, 0) + e
+    if 0 in powers.values():
+        powers = {iv: e for iv, e in powers.items() if e}
     return IntervalProduct._unsafe(
-        prod.arity + m - 1,
-        tuple(sorted((iv, e) for iv, e in powers.items() if e)),
+        prod.arity + other.arity - 1, tuple(sorted(powers.items())),
     )
 
 
@@ -163,12 +175,10 @@ def interval_map(clique, rank):
     """The map taking a clique to its single interval product under a rank function."""
     if rank.magma != clique.magma:
         raise MagmaError("rank function does not belong to the clique's magma")
-    powers = []
-    for arc, lab in zip(arcs_of(clique.arity), clique.labels):
-        exponent = rank(lab)
-        if exponent:
-            powers.append((arc, exponent))
-    return IntervalProduct._unsafe(clique.arity, tuple(powers))
+    exponents = rank.of_labels(clique.labels)
+    return IntervalProduct._unsafe(
+        clique.arity, tuple(compress(zip(arcs_of(clique.arity), exponents), exponents)),
+    )
 
 
 def rf_image(f, rank):

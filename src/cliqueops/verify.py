@@ -147,13 +147,19 @@ def _scalar_axioms(magma, max_arity, budget, compose):
 # -- numpy block engine ---------------------------------------------------------
 
 
+def _label_dtype(magma):
+    """The smallest unsigned dtype that holds every label of the magma."""
+    return np.min_scalar_type(magma.size - 1)
+
+
 def _label_block(magma, arity):
+    dtype = _label_dtype(magma)
     if arity == 1:
-        return np.zeros((1, 1), dtype=np.uint8)
+        return np.zeros((1, 1), dtype=dtype)
     width = len(arcs_of(arity))
     m = magma.size
     count = m ** width
-    out = np.empty((count, width), dtype=np.uint8)
+    out = np.empty((count, width), dtype=dtype)
     idx = np.arange(count)
     for col in range(width):
         power = m ** (width - 1 - col)
@@ -166,7 +172,7 @@ def _compose_block(X, nx, Y, ny, i, star):
     plan = composition_plan(nx, ny, i)
     Nx, Ny = X.shape[0], Y.shape[0]
     P, Q = X.shape[1], Y.shape[1]
-    out = np.zeros((Nx, Ny, len(plan)), dtype=np.uint8)
+    out = np.zeros((Nx, Ny, len(plan)), dtype=star.dtype)
     ei = arc_index(nx)[(i, i + 1)] if nx >= 2 else 0
     b0 = arc_index(ny)[(1, ny + 1)]
     # plan entries below P read X, below P + Q read Y, P + Q is the glued
@@ -188,7 +194,7 @@ def _first_mismatch(lhs, rhs, shape):
 
 
 def _vector_axioms(magma, max_arity, budget):
-    star = np.array(magma.table, dtype=np.uint8)
+    star = np.array(magma.table, dtype=_label_dtype(magma))
     needed = {a for config in _axiom_configs(max_arity) for a in config}
     blocks = {n: _label_block(magma, n) for n in needed}
     checked = 0

@@ -208,11 +208,14 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     ([{"clique": 5, "coefficient": "1"}], None),
     ({"magma": "Z", "arity": 2, "labels": {"1,3": 1.5}}, None),
     ({"magma": "Z", "arity": 2, "labels": {"1,3": True}}, None),
+    ({"magma": "Z", "arity": 2.5, "labels": {"1,3": "4"}}, None),
+    ({"magma": "Z", "arity": True, "labels": {}}, None),
     (None, ["enumerate", "--magma", "D:0", "--arity", "2", "--variant", "deg:x"]),
     (None, ["dyck", "--magma", "D:0", "--decode", "aa[0"]),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
-        "bool-Z-label", "variant-argument", "unclosed-color"])
+        "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
+        "unclosed-color"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"

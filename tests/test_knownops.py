@@ -1,3 +1,6 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from cliqueops import (
@@ -6,10 +9,14 @@ from cliqueops import (
     lie_maximal, mt_compose, partial_compose, phi_dmt, phi_grav, phi_mt,
     unzip_clique,
 )
+from cliqueops.clique import arcs_of
 from cliqueops.knownops import (
-    all_double_multitildes, all_multitildes, gravity_diagrams,
-    multitilde_from_json, multitilde_to_json, phi_dmt_inverse, phi_mt_inverse,
+    all_double_multitildes, all_multitildes, double_multitilde_from_json,
+    gravity_diagrams, multitilde_from_json, multitilde_to_json,
+    phi_dmt_inverse, phi_mt_inverse,
 )
+from cliqueops.magma import pair_value
+from cliqueops.operad import composable_pairs
 
 
 def test_displayed_multitilde_compositions():
@@ -179,7 +186,7 @@ def test_gravity_closure_exhaustive(d0):
         for c in gravity_diagrams(n):
             for d in gravity_diagrams(m):
                 for i in range(1, n + 1):
-                    composed = chord_compose(c, d, i)  # constructor re-checks
+                    composed = chord_compose(c, d, i)  # asserts closure
                     assert phi_grav(composed) == grav_compose(
                         phi_grav(c), phi_grav(d), i
                     )
@@ -247,3 +254,141 @@ def test_known_ops_verifier_catches_a_broken_morphism(
     assert not report.ok
     assert report.counterexample.startswith(f"{family} morphism fails")
     assert report.checked > 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiTilde(2.0, ()),
+    lambda: MultiTilde(True, ()),
+    lambda: MultiTilde("2", ()),
+    lambda: MultiTilde(3, [(1.5, 2)]),
+    lambda: MultiTilde(3, [(True, 2)]),
+    lambda: MultiTilde(3, [("x", 2)]),
+    lambda: MultiTilde(3, [(1, 2, 3)]),
+    lambda: MultiTilde(3, [(1,)]),
+    lambda: MultiTilde(3, [5]),
+    lambda: MultiTilde(3, 5),
+    lambda: DoubleMultiTilde(2.5, (), ()),
+    lambda: DoubleMultiTilde(3, [(1, 2)], [(2, 2.0)]),
+    lambda: DoubleMultiTilde(3, [(1, 2, 3)], ()),
+    lambda: ChordDiagram(4.0, ()),
+    lambda: ChordDiagram(False, ()),
+    lambda: ChordDiagram(4, [(1.5, 3)]),
+    lambda: ChordDiagram(4, [(1, "3")]),
+    lambda: ChordDiagram(4, [(1, 3, 5)]),
+    lambda: multitilde_from_json({"arity": 2.5, "pairs": []}),
+    lambda: multitilde_from_json({"arity": True, "pairs": []}),
+    lambda: multitilde_from_json({"arity": "3", "pairs": []}),
+    lambda: multitilde_from_json({"arity": 3, "pairs": [[1.5, 2]]}),
+    lambda: multitilde_from_json({"arity": 3, "pairs": [[1, 2, 3]]}),
+    lambda: multitilde_from_json({"arity": 3, "pairs": "ab"}),
+    lambda: multitilde_from_json({"arity": 3}),
+    lambda: multitilde_from_json([3, []]),
+    lambda: double_multitilde_from_json({"arity": 2.0, "pairs1": [], "pairs2": []}),
+    lambda: double_multitilde_from_json({"arity": 3, "pairs1": [[1, 2]], "pairs2": [[1]]}),
+    lambda: double_multitilde_from_json({"arity": 3, "pairs1": [[1, True]], "pairs2": []}),
+    lambda: double_multitilde_from_json({"arity": 3, "pairs1": []}),
+], ids=[
+    "mt-float-arity", "mt-bool-arity", "mt-string-arity", "mt-float-coordinate",
+    "mt-bool-coordinate", "mt-string-coordinate", "mt-triple", "mt-single",
+    "mt-not-a-pair", "mt-pairs-not-a-collection", "dmt-float-arity",
+    "dmt-float-coordinate", "dmt-triple", "chord-float-arity", "chord-bool-arity",
+    "chord-float-coordinate", "chord-string-coordinate", "chord-triple",
+    "json-float-arity", "json-bool-arity", "json-string-arity",
+    "json-float-coordinate", "json-triple", "json-pairs-string", "json-no-pairs",
+    "json-not-an-object", "dmt-json-float-arity", "dmt-json-single",
+    "dmt-json-bool-coordinate", "dmt-json-no-pairs2",
+])
+def test_known_operad_input_boundary_is_strict(build):
+    with pytest.raises(KnownOperadError):
+        build()
+
+
+# -- frozenset reference of the shift rules ---------------------------------
+
+
+def _ref_shift(pair, pivot, block):
+    x, y = pair
+    if y < pivot:
+        return pair
+    if x <= pivot:
+        return (x, y + block - 1)
+    return (x + block - 1, y + block - 1)
+
+
+def _ref_compose(s, t, i, m):
+    return (frozenset(_ref_shift(pair, i, m) for pair in s)
+            | frozenset((x + i - 1, y + i - 1) for x, y in t))
+
+
+def _ref_all(arity):
+    universe = [(x, y) for x in range(1, arity + 1) for y in range(x, arity + 1)]
+    return [frozenset(chosen) for size in range(len(universe) + 1)
+            for chosen in combinations(universe, size)]
+
+
+def _ref_flags(arity, pairs):
+    return [1 if (x, y - 1) in pairs else 0 for x, y in arcs_of(arity)]
+
+
+def test_encoding_matches_the_frozenset_reference(d0sq):
+    ref = {n: _ref_all(n) for n in (1, 2, 3)}
+    tildes = {n: list(all_multitildes(n)) for n in ref}
+    doubles = {n: list(all_double_multitildes(n)) for n in ref}
+    for n in ref:
+        assert [s.pairs for s in tildes[n]] == ref[n]
+        assert [(d.pairs1, d.pairs2) for d in doubles[n]] == [
+            (a, b) for a in ref[n] for b in ref[n]
+        ]
+        # arity 1 has one clique, the picture of the empty multi-tilde
+        for s in tildes[n][:1] if n == 1 else tildes[n]:
+            assert list(phi_mt(s).labels) == _ref_flags(n, s.pairs)
+        for d in doubles[n][:1] if n == 1 else doubles[n]:
+            first, second = _ref_flags(n, d.pairs1), _ref_flags(n, d.pairs2)
+            assert list(phi_dmt(d).labels) == [
+                pair_value(d0sq, a, b) for a, b in zip(first, second)
+            ]
+    composed = {}
+    for n, m in composable_pairs(3):
+        for i in range(1, n + 1):
+            table = composed[n, m, i] = [
+                [_ref_compose(a, b, i, m) for b in ref[m]] for a in ref[n]
+            ]
+            for s, row in zip(tildes[n], table):
+                for t, want in zip(tildes[m], row):
+                    assert mt_compose(s, t, i).pairs == want
+    # a double multi-tilde sits at position a * len(ref) + b of its pool
+    for (n, m, i), table in composed.items():
+        width = len(ref[m])
+        for k, x in enumerate(doubles[n]):
+            row1, row2 = table[k // len(ref[n])], table[k % len(ref[n])]
+            for l, y in enumerate(doubles[m]):
+                c = dmt_compose(x, y, i)
+                assert c.pairs1 == row1[l // width]
+                assert c.pairs2 == row2[l % width]
+
+
+def _brute_force_gravity(arity):
+    """Every diagonal subset without a crossing pair (x,y), (x',y'),
+    x < x', whose arc (x', y) is marked, in `combinations` order."""
+    diags = [(x, y) for x in range(1, arity + 1) for y in range(x + 2, arity + 2)
+             if (x, y) != (1, arity + 1)]
+    bit = {d: k for k, d in enumerate(diags)}
+    subsets = np.arange(1 << len(diags), dtype=np.int64)
+    ok = np.ones(len(subsets), dtype=bool)
+    for x, y in diags:
+        for xp, yp in diags:
+            if x < xp < y < yp:
+                # (x', y) is a diagonal or an edge, and edges are always marked
+                forbidden = 1 << bit[(x, y)] | 1 << bit[(xp, yp)]
+                forbidden |= 1 << bit[(xp, y)] if (xp, y) in bit else 0
+                ok &= (subsets & forbidden) != forbidden
+    chosen = [tuple(d for k, d in enumerate(diags) if mask >> k & 1)
+              for mask in subsets[ok].tolist()]
+    return sorted(chosen, key=lambda c: (len(c), c))
+
+
+def test_gravity_diagrams_match_the_subset_scan():
+    for n in range(1, 8):
+        assert [tuple(sorted(d.diagonals)) for d in gravity_diagrams(n)] == (
+            _brute_force_gravity(n)
+        )

@@ -155,3 +155,20 @@ def test_verify_rf_laws():
     # determinism: same seed, same traversal
     again = verify_rf_laws(max_arity=3, samples=100, seed=0)
     assert again.checked == report.checked
+
+
+def test_rf_morphism_verifier_catches_an_off_by_one_reindex(monkeypatch):
+    from cliqueops import ratfct
+
+    real = ratfct._compose_product
+
+    def off_by_one(prod, other, i):
+        # substitutes into the slot after the requested one, when there is one
+        return real(prod, other, min(i + 1, prod.arity))
+
+    assert ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2).ok
+    monkeypatch.setattr(ratfct, "_compose_product", off_by_one)
+    report = ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2)
+    assert not report.ok
+    assert report.counterexample.startswith("image of")
+    assert report.checked > 0

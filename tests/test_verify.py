@@ -112,3 +112,27 @@ def test_basic_basis_matches_cancelability(n2, n3, d0, e1, e2):
 def test_axiom_budget_flagging(d0):
     report = verify_operad_axioms(d0, 5, budget=100, engine="scalar")
     assert report.ok and not report.complete
+
+
+def test_vector_engine_labels_do_not_wrap():
+    # a 300-element carrier needs 16-bit labels; a hand-made two-row block
+    # of arity-2 cliques checks the composed labels without a full sweep
+    import numpy as np
+
+    from cliqueops.verify import _compose_block, _label_block, _label_dtype
+
+    magma = UnitaryMagma.cyclic(300)
+    dtype = _label_dtype(magma)
+    assert np.iinfo(dtype).max >= 299
+    assert _label_block(magma, 1).dtype == dtype
+    star = np.array(magma.table, dtype=dtype)
+    rows = [(299, 1, 150), (0, 298, 299)]
+    block = np.array(rows, dtype=dtype)
+    for i in (1, 2):
+        composed = _compose_block(block, 2, block, 2, i, star)
+        expected = [
+            partial_compose(Clique(magma, 2, p), Clique(magma, 2, q), i).labels
+            for p in rows for q in rows
+        ]
+        assert composed.tolist() == [list(labels) for labels in expected]
+        assert composed.max() >= 256
