@@ -8,12 +8,17 @@ scalar engine; larger ones (the four-element product magma at composite
 arity 5 has ~10^8 instances) run a numpy block engine that evaluates one
 (arity-config, i, j) slab at a time.  The two engines are cross-checked
 on the small carriers.
+
+The same label blocks check the operad-morphism laws of ratfct.py and
+knownops.py: `morphism_slabs` compares two computations of a law slab by
+slab, and the vector engine's dense unit law runs through it too.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -55,26 +60,60 @@ def _first_moved_arc(arcs, plan, expected):
     return next((arc for arc, a, b in zip(arcs, plan, expected) if a != b), None)
 
 
-def _unit_law_report(magma, max_arity, compose):
-    """x o_i unit = x and unit o_1 x = x, dense up to the cap, by plan beyond."""
+def _scalar_unit_law(magma, n, compose):
+    """x o_i unit = x and unit o_1 x = x on every clique of arity n, one by one."""
     unit = Clique.unit(magma)
+    checked = 0
+    for x in generate_cliques(magma, n):
+        for i in range(1, n + 1):
+            checked += 1
+            if compose(x, unit, i) != x:
+                return f"{x!r} o_{i} unit differs from {x!r}", checked
+        checked += 1
+        if compose(unit, x, 1) != x:
+            return f"unit o_1 {x!r} differs from {x!r}", checked
+    return None, checked
+
+
+def _vector_unit_law(magma, n):
+    """The dense unit law at arity n on label blocks: every x o_i unit, then
+    every unit o_1 x, against the block of x."""
+    star = np.array(magma.table, dtype=_label_dtype(magma))
+    X, U = _label_block(magma, n), _label_block(magma, 1)
+    pools = {n: X, 1: U}
+
+    def clique(row):
+        return Clique._unsafe(magma, n, tuple(row.tolist()))
+
+    checked, failure = morphism_slabs(
+        [(n, 1)], pools,
+        lambda _n, _m, i, rows: _compose_block(X[rows], n, U, 1, i, star),
+        lambda _n, _m, _i, rows: X[rows],
+    )
+    if failure is not None:
+        x = clique(failure[0])
+        return f"{x!r} o_{failure[1]} unit differs from {x!r}", checked
+    more, failure = morphism_slabs(
+        [(1, n)], pools,
+        lambda *_: _compose_block(U, 1, X, n, 1, star), lambda *_: X,
+    )
+    checked += more
+    if failure is not None:
+        x = clique(failure[2])
+        return f"unit o_1 {x!r} differs from {x!r}", checked
+    return None, checked
+
+
+def _unit_law_report(magma, max_arity, dense):
+    """x o_i unit = x and unit o_1 x = x, dense up to the cap through
+    `dense(magma, n)`, by plan beyond."""
     checked = 0
     for n in range(1, max_arity + 1):
         if clique_space_size(magma, n) <= UNIT_LAW_CAP:
-            for x in generate_cliques(magma, n):
-                for i in range(1, n + 1):
-                    checked += 1
-                    if compose(x, unit, i) != x:
-                        return VerifyReport(
-                            "unit-law", False, checked,
-                            f"{x!r} o_{i} unit differs from {x!r}",
-                        ), checked
-                checked += 1
-                if compose(unit, x, 1) != x:
-                    return VerifyReport(
-                        "unit-law", False, checked,
-                        f"unit o_1 {x!r} differs from {x!r}",
-                    ), checked
+            failure, count = dense(magma, n)
+            checked += count
+            if failure is not None:
+                return VerifyReport("unit-law", False, checked, failure), checked
         else:
             # the composition factors through an index plan; against the unit
             # the glued label is x_i * unit (resp. unit * x_0), so identity of
@@ -193,6 +232,35 @@ def _first_mismatch(lhs, rhs, shape):
     return tuple(int(v) for v in where[0])
 
 
+def morphism_slabs(arity_pairs, pools, lhs, rhs):
+    """The slab engine of the operad-morphism laws: compare two label-block
+    computations of one law on every pair of every arity pair and slot.
+
+    `pools` maps an arity to its sequence of elements.  For each arity pair
+    (n, m), each i in 1..n and each slice `rows` of the arity-n pool,
+    `lhs(n, m, i, rows)` and `rhs(n, m, i, rows)` return one label row per
+    pair (x, y), x in `rows` and y in the whole arity-m pool, rows ordered
+    (x, y).  A slice holds at most VECTOR_CHUNK result cells.
+
+    Returns (checked, None) when the two sides agree everywhere, else
+    (checked, (x, i, y)) for the first disagreeing pair of the first
+    failing slab, which `checked` counts.
+    """
+    checked = 0
+    for n, m in arity_pairs:
+        Nx, Ny = len(pools[n]), len(pools[m])
+        step = max(1, VECTOR_CHUNK // (Ny * len(arcs_of(n + m - 1))))
+        for i in range(1, n + 1):
+            for lo in range(0, Nx, step):
+                rows = slice(lo, min(lo + step, Nx))
+                left, right = lhs(n, m, i, rows), rhs(n, m, i, rows)
+                if not np.array_equal(left, right):
+                    (k,) = _first_mismatch(left, right, (-1,))
+                    return checked + k + 1, (pools[n][lo + k // Ny], i, pools[m][k % Ny])
+                checked += (rows.stop - lo) * Ny
+    return checked, None
+
+
 def _vector_axioms(magma, max_arity, budget):
     star = np.array(magma.table, dtype=_label_dtype(magma))
     needed = {a for config in _axiom_configs(max_arity) for a in config}
@@ -258,23 +326,31 @@ def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=F
     """Exhaustively check both associativity laws and the unit law.
 
     Returns a report with the instance count; the first counterexample,
-    if any, is spelled out.  `corrupt` swaps in a deliberately broken
-    composition rule so tests can watch the verifier catch it.
+    if any, is spelled out.  The vector engine checks the dense unit law
+    on label blocks as well, the scalar engine with `partial_compose`.
+    `corrupt` swaps in a deliberately broken composition rule so tests
+    can watch the verifier catch it.
     """
     if not magma.is_finite:
         raise ValueError("axiom verification enumerates a finite carrier")
     if max_arity < 2:
         raise ValueError("max_arity must be at least 2")
     compose = _compose_corrupt if corrupt else partial_compose
-    failure, unit_checked = _unit_law_report(magma, max_arity, compose)
-    if failure is not None:
-        return failure
     if engine == "auto":
         heavy = any(
             clique_space_size(magma, n) >= 1 << 12 for n in range(2, max_arity)
         )
         engine = "vector" if heavy and not corrupt else "scalar"
-    if engine == "vector":
+    vector = engine == "vector"
+    # the vector blocks know no corrupted rule, so a corrupted unit law
+    # always runs on the scalar loop
+    dense = _vector_unit_law if vector and not corrupt else partial(
+        _scalar_unit_law, compose=compose
+    )
+    failure, unit_checked = _unit_law_report(magma, max_arity, dense)
+    if failure is not None:
+        return failure
+    if vector:
         failure, checked = _vector_axioms(magma, max_arity, budget)
     else:
         failure, checked = _scalar_axioms(magma, max_arity, budget, compose)

@@ -250,3 +250,26 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "cmd_magma_check", broken)
     with pytest.raises(KeyError):
         main(["magma-check", "--magma", "D:0"])
+
+
+def test_verify_all_stdout_is_timing_free(capsys, monkeypatch):
+    from cliqueops import acceptance
+
+    def passing():
+        return "cheap detail"
+
+    def failing():
+        raise AssertionError("stated outcome not met")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [(1, passing), (7, failing)])
+    first = run(capsys, "verify", "all")
+    second = run(capsys, "verify", "all")
+    assert first[0] == second[0] == 1
+    assert first[1] == second[1] == (
+        "criterion  1: PASS: cheap detail\n"
+        "criterion  7: FAIL: stated outcome not met\n"
+    )
+    timings = first[2].splitlines()
+    assert [line.split(":")[0] for line in timings] == ["criterion  1", "criterion  7"]
+    assert all("elapsed_s=" in line and "headroom_s=" in line for line in timings)
+    assert "bound_s=60" in timings[1]

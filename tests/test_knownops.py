@@ -256,6 +256,30 @@ def test_known_ops_verifier_catches_a_broken_morphism(
     assert report.checked > 0
 
 
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+@pytest.mark.parametrize("family", ["multi-tilde", "double multi-tilde"])
+def test_known_ops_engines_catch_a_shifted_inner_table(monkeypatch, engine, family):
+    from cliqueops import knownops
+
+    real = knownops._compose_tables
+
+    def shifted(n, m, i):
+        # the inner remap of the slot after the requested one, when there is one
+        return real(n, m, i)[0], real(n, m, min(i + 1, n))[1]
+
+    def verify():
+        if family == "multi-tilde":
+            return knownops.verify_known_ops(3, engine=engine)
+        return knownops.verify_double_multitildes([(2, 2)], engine=engine)
+
+    assert verify().ok
+    monkeypatch.setattr(knownops, "_compose_tables", shifted)
+    report = verify()
+    assert not report.ok
+    assert report.counterexample.startswith(f"{family} morphism fails")
+    assert report.checked > 0
+
+
 @pytest.mark.parametrize("build", [
     lambda: MultiTilde(2.0, ()),
     lambda: MultiTilde(True, ()),

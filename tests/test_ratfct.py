@@ -166,9 +166,32 @@ def test_rf_morphism_verifier_catches_an_off_by_one_reindex(monkeypatch):
         # substitutes into the slot after the requested one, when there is one
         return real(prod, other, min(i + 1, prod.arity))
 
-    assert ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2).ok
+    # only the scalar engine calls _compose_product
+    assert ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine="scalar").ok
     monkeypatch.setattr(ratfct, "_compose_product", off_by_one)
-    report = ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2)
+    report = ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine="scalar")
+    assert not report.ok
+    assert report.counterexample.startswith("image of")
+    assert report.checked > 0
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_rf_morphism_engines_catch_an_off_by_one_reindex_table(monkeypatch, engine):
+    from cliqueops import ratfct
+
+    real = ratfct._reindex
+
+    def off_by_one(n, m, i):
+        # the reindex table of the slot after the requested one, when there is one
+        return real(n, m, min(i + 1, n))
+
+    assert ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine=engine).ok
+    real.cache_clear()
+    monkeypatch.setattr(ratfct, "_reindex", off_by_one)
+    try:
+        report = ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine=engine)
+    finally:
+        real.cache_clear()
     assert not report.ok
     assert report.counterexample.startswith("image of")
     assert report.checked > 0

@@ -1,3 +1,5 @@
+import pytest
+
 from cliqueops import (
     Clique, UnitaryMagma, generate_cliques, is_right_cancelable,
     partial_compose, verify_basic_set_operad, verify_cyclic,
@@ -136,3 +138,62 @@ def test_vector_engine_labels_do_not_wrap():
         ]
         assert composed.tolist() == [list(labels) for labels in expected]
         assert composed.max() >= 256
+
+
+def test_morphism_engines_agree():
+    from cliqueops import knownops, ratfct
+
+    runs = [
+        lambda engine: ratfct.verify_rf_morphism((-1, 0, 1), 2, engine=engine),
+        lambda engine: knownops.verify_known_ops(3, engine=engine),
+        lambda engine: knownops.verify_double_multitildes(
+            [(1, 2), (2, 1), (2, 2)], engine=engine,
+        ),
+    ]
+    for run in runs:
+        vector, scalar = run("vector"), run("scalar")
+        assert vector.ok and scalar.ok
+        assert vector.checked == scalar.checked > 0
+
+
+def test_vector_unit_law_catches_a_broken_plan(monkeypatch, d0):
+    from cliqueops import verify
+
+    real = verify.composition_plan
+
+    def swapped(n, m, i):
+        plan = real(n, m, i)
+        if m == 1 and n == 3 and i == 2:
+            return (plan[1], plan[0]) + plan[2:]
+        return plan
+
+    assert verify_operad_axioms(d0, 4, engine="vector").ok
+    monkeypatch.setattr(verify, "composition_plan", swapped)
+    report = verify_operad_axioms(d0, 4, engine="vector")
+    assert not report.ok and report.name == "unit-law"
+    assert " o_2 unit differs from " in report.counterexample
+    assert report.checked > 0
+
+
+@pytest.mark.parametrize("name, verifier, message", [
+    ("_rotate_plan", lambda magma: verify_cyclic(magma, 4), "rotation"),
+    ("_reflect_plan", lambda magma: verify_symmetries(magma, 4), "reflection"),
+])
+def test_symmetry_verifiers_catch_a_broken_permutation(
+    monkeypatch, d0, name, verifier, message
+):
+    from cliqueops import clique
+
+    real = getattr(clique, name)
+
+    def swapped(arity):
+        # the first two arcs trade places in every plan past arity 1
+        plan = real(arity)
+        return plan if arity == 1 else (plan[1], plan[0]) + plan[2:]
+
+    assert verifier(d0).ok
+    monkeypatch.setattr(clique, name, swapped)
+    report = verifier(d0)
+    assert not report.ok
+    assert report.counterexample.startswith(message)
+    assert report.checked > 0
