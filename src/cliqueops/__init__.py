@@ -20,6 +20,18 @@ from .bases import (
     below_be, below_d, compose_H, compose_K, compose_in_basis,
     from_H, from_K, to_H, to_K,
 )
+# variants imports verify, which loads numpy: every module still to be
+# compiled after that raises the import's peak memory when no bytecode
+# cache is written, so the modules that do not need verify come first
+from .ratfct import (
+    IntervalProduct, RatElem, RatFctError, compose_product, interval_map,
+    rf_compose, rf_image, rf_is_zero, verify_rf_laws, verify_rf_morphism,
+)
+from .knownops import (
+    ChordDiagram, DoubleMultiTilde, KnownOperadError, MultiTilde,
+    chord_compose, dmt_compose, grav_check, grav_compose, gravity_cliques,
+    lie_maximal, mt_compose, phi_dmt, phi_grav, phi_mt,
+)
 from .variants import (
     VariantError, VariantPredicate, variant, variant_compose,
     verify_ideal, verify_inclusions,
@@ -29,15 +41,6 @@ from .enumeration import (
     count_minimal_prime, count_prime, count_white_prime, dim_formula,
     dyck_decode, dyck_encode, export_sequence, generate_cliques, narayana,
     sequence_for,
-)
-from .ratfct import (
-    IntervalProduct, RatElem, RatFctError, compose_product, interval_map,
-    rf_compose, rf_image, rf_is_zero, verify_rf_laws, verify_rf_morphism,
-)
-from .knownops import (
-    ChordDiagram, DoubleMultiTilde, KnownOperadError, MultiTilde,
-    chord_compose, dmt_compose, grav_check, grav_compose, gravity_cliques,
-    lie_maximal, mt_compose, phi_dmt, phi_grav, phi_mt,
 )
 from .verify import (
     is_associative_element, verify_basic_set_operad, verify_cyclic,

@@ -22,7 +22,7 @@ from .clique import (
     Clique, CliqueError, arcs_of, crossing, diagonals_of, is_nesting_free,
 )
 from .magma import MagmaError, has_nontrivial_unit_divisors
-from .variants import VariantError, variant
+from . import variants  # a module import: variants.py imports this module
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -110,7 +110,7 @@ def dim_formula(spec, m_or_bed, n):
         return dim_all_cliques(m_or_bed, n)
     if kind == "lab":
         if not isinstance(m_or_bed, (tuple, list)) or len(m_or_bed) != 3:
-            raise VariantError("label-restricted dimensions need (b, e, d) sizes")
+            raise variants.VariantError("label-restricted dimensions need (b, e, d) sizes")
         return dim_label_restricted(*m_or_bed, n)
     if kind == "whi":
         return dim_white(m_or_bed, n)
@@ -118,7 +118,7 @@ def dim_formula(spec, m_or_bed, n):
         return dim_bubble(m_or_bed, n)
     if kind == "nes":
         return dim_nesting_free(m_or_bed, n)
-    raise VariantError(f"no closed dimension formula for {spec!r}")
+    raise variants.VariantError(f"no closed dimension formula for {spec!r}")
 
 
 # -- weighted skeleton census -------------------------------------------------
@@ -146,7 +146,7 @@ def _census_skeletons(arity, weight, skeleton_ok):
 
 def _count_stream_chunk(args):
     spec, magma, arity, prefix = args
-    var = variant(spec, magma)
+    var = variants.variant(spec, magma)
     index_count = len(arcs_of(arity))
     rest = index_count - len(prefix)
     count = 0
@@ -183,7 +183,7 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
     Label-blind erasure-closed variants go through the weighted skeleton
     walk; everything else streams the full clique space under the budget.
     """
-    var = variant(spec, magma)
+    var = variants.variant(spec, magma)
     if arity == 1:
         return 1
     if var.label_blind and var.erasure_closed:
@@ -195,7 +195,7 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
             expected = dim_formula("lab", var.label_set_sizes, arity)
         else:
             expected = dim_formula(spec, magma.size, arity)
-    except VariantError:
+    except variants.VariantError:
         expected = None
     if expected is not None and count != expected:
         raise RuntimeError(
@@ -345,7 +345,7 @@ def dyck_encode(clique):
     second letter of a starting vertex carries the arc's label.
     """
     if has_nontrivial_unit_divisors(clique.magma):
-        raise VariantError(
+        raise variants.VariantError(
             "the Dyck correspondence needs a magma without nontrivial unit divisors"
         )
     if not is_nesting_free(clique):
@@ -433,7 +433,7 @@ def sequence_for(spec, magma, max_arity, budget=DEFAULT_BUDGET, threads=1):
         entries.append((n, count))
         try:
             dim_formula(spec, magma.size, n)
-        except VariantError:
+        except variants.VariantError:
             has_formula = False
     return SequenceRecord(
         spec, magma.spec or magma.name, entries,

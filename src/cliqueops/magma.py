@@ -18,6 +18,19 @@ class MagmaError(ValueError):
 
 UNIT_NAME = "\U0001d7d9"  # the symbol used when rendering the unit of a table magma
 
+# The largest operation table a built-in family or a product may have, in
+# entries (a 1024-element carrier).  Specs beyond it are refused before any
+# table is allocated: E:100000 would need 10^10 entries.
+MAX_TABLE_ENTRIES = 1 << 20
+
+
+def _check_table_size(size):
+    if size * size > MAX_TABLE_ENTRIES:
+        raise MagmaError(
+            f"a {size}-element carrier needs a {size * size}-entry table; "
+            f"at most {MAX_TABLE_ENTRIES} entries are supported"
+        )
+
 
 class UnitaryMagma:
     """A unitary magma, either a finite operation table or the integers.
@@ -62,6 +75,7 @@ class UnitaryMagma:
         """Additive group of integers mod `modulus` (written N:<modulus>)."""
         if modulus < 1:
             raise MagmaError("cyclic magma needs modulus >= 1")
+        _check_table_size(modulus)
         names = [str(i) for i in range(modulus)]
         table = [[(i + j) % modulus for j in range(modulus)] for i in range(modulus)]
         return UnitaryMagma("table", f"N_{modulus}", names, table, spec=f"N:{modulus}")
@@ -71,6 +85,7 @@ class UnitaryMagma:
         """Unit, an absorbing 0, and `count` generators whose products are 0 (written D:<count>)."""
         if count < 0:
             raise MagmaError("zero_product magma needs count >= 0")
+        _check_table_size(count + 2)
         names = [UNIT_NAME, "0"] + [f"d_{i}" for i in range(1, count + 1)]
         size = count + 2
         table = [[0] * size for _ in range(size)]
@@ -87,6 +102,7 @@ class UnitaryMagma:
         """Unit and `count` generators whose pairwise products are the unit (written E:<count>)."""
         if count < 0:
             raise MagmaError("unit_product magma needs count >= 0")
+        _check_table_size(count + 1)
         names = [UNIT_NAME] + [f"e_{i}" for i in range(1, count + 1)]
         size = count + 1
         table = [[0] * size for _ in range(size)]
@@ -176,12 +192,12 @@ class UnitaryMagma:
         if isinstance(name, str):
             if name in self._index:
                 return self._index[name]
+            # "1", "e" and "id" name the unit; "dk" and "ek" name d_k and e_k
             alias = {"1": UNIT_NAME, "e": UNIT_NAME, "id": UNIT_NAME}.get(name)
+            if alias is None and name[:1] in ("d", "e") and name[1:].isdigit():
+                alias = f"{name[0]}_{name[1:]}"
             if alias in self._index:
                 return self._index[alias]
-            squashed = name.replace("d", "d_").replace("e", "e_") if "_" not in name else name
-            if squashed in self._index:
-                return self._index[squashed]
         raise MagmaError(f"{name!r} is not an element of {self.name}")
 
     def elem_name(self, value):
@@ -232,6 +248,7 @@ def magma_product(m1, m2):
     if not (m1.is_finite and m2.is_finite):
         raise MagmaError("product requires finite factors")
     s1, s2 = m1.size, m2.size
+    _check_table_size(s1 * s2)
     names = [f"({m1.names[a]},{m2.names[b]})" for a in range(s1) for b in range(s2)]
     table = [
         [m1.table[a1][b1] * s2 + m2.table[a2][b2] for b1 in range(s1) for b2 in range(s2)]

@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import warnings
 
-from .clique import arc_class, arcs_of, crossing, nested_in
+from .clique import Clique, arc_class, arcs_of, crossing, nested_in
+from .enumeration import generate_cliques
 from .knownops import is_gravity_arcset
 from .magma import has_nontrivial_unit_divisors
-from .operad import LinComb, composable_pairs, partial_compose, partial_compose_lin
+from .operad import LinComb, composable_pairs, partial_compose_lin
+from .report import VerifyReport
+from .verify import _compose_block, _label_blocks, _row_clique, _star, morphism_slabs
+
+# numpy after the package modules: imported first, it would be loaded before
+# enumeration.py and verify.py are compiled (see __init__.py)
+import numpy as np  # noqa: E402
 
 
 class VariantError(ValueError):
@@ -82,7 +89,7 @@ class VariantPredicate:
 
     __slots__ = (
         "spec", "magma", "status", "_member", "_ambient",
-        "label_blind", "erasure_closed", "label_set_sizes",
+        "label_blind", "erasure_closed", "label_set_sizes", "_flag_tables",
     )
 
     def __init__(self, spec, magma, status, member, ambient=None,
@@ -95,6 +102,7 @@ class VariantPredicate:
         self.label_blind = label_blind
         self.erasure_closed = erasure_closed
         self.label_set_sizes = None  # (b, e, d) for label-restricted variants
+        self._flag_tables = {}  # arity -> flags by key, filled by _block_flags
 
     def member(self, clique):
         if clique.magma != self.magma:
@@ -115,6 +123,32 @@ class VariantPredicate:
 
     def _member_skeleton(self, arity, arcset):
         raise NotImplementedError
+
+    def _block_flags(self, arity, block):
+        """`member` and `in_ambient` of every row of a label block of this arity.
+
+        A row's key is its solid-arc mask for a label-blind variant and its
+        label row otherwise, read as digits.  Both predicates run once per
+        distinct key, on a clique with that key, and their answers stay in a
+        per-arity table with one entry per possible key, so a warm call
+        evaluates no predicate.
+        """
+        radix = 2 if self.label_blind else self.magma.size
+        digits = block != self.magma.unit if self.label_blind else block
+        width = block.shape[1]
+        keys = digits.astype(np.int64) @ radix ** np.arange(width, dtype=np.int64)
+        table = self._flag_tables.get(arity)
+        if table is None:
+            table = self._flag_tables[arity] = np.full(radix ** width, -1, dtype=np.int8)
+        flags = table[keys]
+        unknown = keys[flags < 0]
+        if unknown.size:
+            for key in dict.fromkeys(unknown.tolist()):
+                labels = tuple(key // radix ** k % radix for k in range(width))
+                clique = Clique._unsafe(self.magma, arity, labels)
+                table[key] = self.member(clique) + 2 * self.in_ambient(clique)
+            flags = table[keys]
+        return (flags & 1).astype(bool), (flags & 2).astype(bool)
 
     def __repr__(self):
         return f"VariantPredicate({self.spec} over {self.magma.name}, {self.status})"
@@ -330,34 +364,57 @@ def variant_compose(var, f, g, i):
 
 
 def verify_ideal(var, magma, max_arity):
-    """Exhaustively check that non-members absorb composition on both sides."""
-    from .enumeration import generate_cliques
-    from .report import VerifyReport
+    """Exhaustively check that non-members absorb composition on both sides:
+    no composite of a non-member with an ambient clique, in either order, is
+    a member.  Runs on label blocks, reading membership from the variant's
+    flag tables."""
+    if magma != var.magma:
+        raise VariantError("clique magma does not match the variant's magma")
+    outside, ambient = {}, {}
+    for n, block in _label_blocks(magma, max_arity).items():
+        member, in_ambient = var._block_flags(n, block)
+        outside[n] = block[in_ambient & ~member]
+        ambient[n] = block[in_ambient]
+    star = _star(magma)
 
+    def absorbed(left, right):
+        # the two sides of the law: member flags of every composite, all false
+        def members(n, m, i, rows):
+            composed = _compose_block(left[n][rows], n, right[m], m, i, star)
+            return var._block_flags(n + m - 1, composed)[0][:, None]
+
+        def none(n, m, i, rows):
+            return np.zeros(((rows.stop - rows.start) * len(right[m]), 1), dtype=bool)
+
+        return members, none
+
+    def clique(row):
+        return _row_clique(magma, row)
+
+    name = f"ideal:{var.spec}"
     checked = 0
     for a, b in composable_pairs(max_arity):
-        outside = [
-            p for p in generate_cliques(magma, a)
-            if var.in_ambient(p) and not var.member(p)
-        ]
-        ambient = [q for q in generate_cliques(magma, b) if var.in_ambient(q)]
-        for p in outside:
-            for q in ambient:
-                for i in range(1, a + 1):
-                    checked += 1
-                    if var.member(partial_compose(p, q, i)):
-                        return VerifyReport(
-                            f"ideal:{var.spec}", False, checked,
-                            f"non-member {p!r} o_{i} {q!r} re-entered {var.spec}",
-                        )
-                for i in range(1, b + 1):
-                    checked += 1
-                    if var.member(partial_compose(q, p, i)):
-                        return VerifyReport(
-                            f"ideal:{var.spec}", False, checked,
-                            f"{q!r} o_{i} non-member {p!r} re-entered {var.spec}",
-                        )
-    return VerifyReport(f"ideal:{var.spec}", True, checked, None)
+        more, failure = morphism_slabs(
+            [(a, b)], outside, *absorbed(outside, ambient), right_pools=ambient,
+        )
+        checked += more
+        if failure is not None:
+            p, i, q = failure
+            return VerifyReport(
+                name, False, checked,
+                f"non-member {clique(p)!r} o_{i} {clique(q)!r} re-entered {var.spec}",
+            )
+        more, failure = morphism_slabs(
+            [(b, a)], ambient, *absorbed(ambient, outside), right_pools=outside,
+        )
+        checked += more
+        if failure is not None:
+            q, i, p = failure
+            return VerifyReport(
+                name, False, checked,
+                f"{clique(q)!r} o_{i} non-member {clique(p)!r} re-entered {var.spec}",
+            )
+    return VerifyReport(name, True, checked, None)
 
 
 # The containments behind the morphism diagrams, written as membership
@@ -398,9 +455,6 @@ INCLUSION_IMPLICATIONS = (
 
 def verify_inclusions(magma, max_arity):
     """Check the lemma containments and diagram implications on all cliques."""
-    from .enumeration import generate_cliques
-    from .report import VerifyReport
-
     if has_nontrivial_unit_divisors(magma):
         raise VariantError(
             "the inclusion diagrams need a magma without nontrivial unit divisors"

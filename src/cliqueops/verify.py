@@ -9,22 +9,29 @@ arity 5 has ~10^8 instances) run a numpy block engine that evaluates one
 (arity-config, i, j) slab at a time.  The two engines are cross-checked
 on the small carriers.
 
-The same label blocks check the operad-morphism laws of ratfct.py and
-knownops.py: `morphism_slabs` compares two computations of a law slab by
-slab, and the vector engine's dense unit law runs through it too.
+The same label blocks check every other composition law exhaustively:
+`morphism_slabs` compares two block computations of a law slab by slab.
+It runs the reflection, automorphism and rotation laws, the product
+isomorphism, the ideal law of variants.py, the operad-morphism laws of
+ratfct.py and knownops.py and the vector engine's dense unit law.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from .clique import Clique, arc_index, arcs_of, reflect, relabel, rotate
+from . import clique as _clique
+from .clique import Clique, CliqueError, arc_index, arcs_of, reflect, rotate
 from .enumeration import clique_space_size, generate_cliques
-from .magma import UnitaryMagma, automorphisms, is_right_cancelable
+from .magma import (
+    MagmaError, UnitaryMagma, automorphisms, is_right_cancelable, pair_value,
+    unpair_value,
+)
 from .operad import (
     composable_pairs, compose_glued, composition_plan, partial_compose,
     partial_compose_lin,
@@ -78,12 +85,9 @@ def _scalar_unit_law(magma, n, compose):
 def _vector_unit_law(magma, n):
     """The dense unit law at arity n on label blocks: every x o_i unit, then
     every unit o_1 x, against the block of x."""
-    star = np.array(magma.table, dtype=_label_dtype(magma))
+    star = _star(magma)
     X, U = _label_block(magma, n), _label_block(magma, 1)
     pools = {n: X, 1: U}
-
-    def clique(row):
-        return Clique._unsafe(magma, n, tuple(row.tolist()))
 
     checked, failure = morphism_slabs(
         [(n, 1)], pools,
@@ -91,7 +95,7 @@ def _vector_unit_law(magma, n):
         lambda _n, _m, _i, rows: X[rows],
     )
     if failure is not None:
-        x = clique(failure[0])
+        x = _row_clique(magma, failure[0])
         return f"{x!r} o_{failure[1]} unit differs from {x!r}", checked
     more, failure = morphism_slabs(
         [(1, n)], pools,
@@ -99,7 +103,7 @@ def _vector_unit_law(magma, n):
     )
     checked += more
     if failure is not None:
-        x = clique(failure[2])
+        x = _row_clique(magma, failure[2])
         return f"unit o_1 {x!r} differs from {x!r}", checked
     return None, checked
 
@@ -191,7 +195,16 @@ def _label_dtype(magma):
     return np.min_scalar_type(magma.size - 1)
 
 
+def _star(magma):
+    """The operation table of a finite magma as a label array."""
+    return np.array(magma.table, dtype=_label_dtype(magma))
+
+
 def _label_block(magma, arity):
+    """Every clique of the arity as one row of labels, in the order of
+    `generate_cliques`."""
+    if not magma.is_finite:
+        raise MagmaError("cannot enumerate cliques over an infinite magma")
     dtype = _label_dtype(magma)
     if arity == 1:
         return np.zeros((1, 1), dtype=dtype)
@@ -226,29 +239,46 @@ def _compose_block(X, nx, Y, ny, i, star):
     return out.reshape(Nx * Ny, len(plan))
 
 
+def _label_blocks(magma, max_arity):
+    """The label block of every arity up to the bound."""
+    return {n: _label_block(magma, n) for n in range(1, max_arity + 1)}
+
+
+def _row_clique(magma, row):
+    """The clique whose labels are one row of a label block."""
+    arity = (math.isqrt(8 * len(row) + 1) - 1) // 2  # len(row) = arity (arity + 1) / 2
+    return Clique._unsafe(magma, arity, tuple(row.tolist()))
+
+
 def _first_mismatch(lhs, rhs, shape):
     diff = (lhs != rhs).any(axis=-1).reshape(shape)
     where = np.argwhere(diff)
     return tuple(int(v) for v in where[0])
 
 
-def morphism_slabs(arity_pairs, pools, lhs, rhs):
-    """The slab engine of the operad-morphism laws: compare two label-block
-    computations of one law on every pair of every arity pair and slot.
+def morphism_slabs(arity_pairs, pools, lhs, rhs, right_pools=None):
+    """The slab engine of the exhaustive composition laws: compare two
+    label-block computations of one law on every pair of every arity pair
+    and slot.
 
-    `pools` maps an arity to its sequence of elements.  For each arity pair
-    (n, m), each i in 1..n and each slice `rows` of the arity-n pool,
-    `lhs(n, m, i, rows)` and `rhs(n, m, i, rows)` return one label row per
-    pair (x, y), x in `rows` and y in the whole arity-m pool, rows ordered
-    (x, y).  A slice holds at most VECTOR_CHUNK result cells.
+    `pools` maps an arity to its sequence of elements; the y side reads
+    `right_pools` instead when given (the ideal law pairs non-members with
+    ambient cliques).  For each arity pair (n, m), each i in 1..n and each
+    slice `rows` of the arity-n pool, `lhs(n, m, i, rows)` and
+    `rhs(n, m, i, rows)` return one label row per pair (x, y), x in `rows`
+    and y in the whole arity-m pool, rows ordered (x, y).  A slice holds at
+    most VECTOR_CHUNK result cells.
 
     Returns (checked, None) when the two sides agree everywhere, else
     (checked, (x, i, y)) for the first disagreeing pair of the first
     failing slab, which `checked` counts.
     """
+    right_pools = pools if right_pools is None else right_pools
     checked = 0
     for n, m in arity_pairs:
-        Nx, Ny = len(pools[n]), len(pools[m])
+        Nx, Ny = len(pools[n]), len(right_pools[m])
+        if not (Nx and Ny):
+            continue
         step = max(1, VECTOR_CHUNK // (Ny * len(arcs_of(n + m - 1))))
         for i in range(1, n + 1):
             for lo in range(0, Nx, step):
@@ -256,13 +286,15 @@ def morphism_slabs(arity_pairs, pools, lhs, rhs):
                 left, right = lhs(n, m, i, rows), rhs(n, m, i, rows)
                 if not np.array_equal(left, right):
                     (k,) = _first_mismatch(left, right, (-1,))
-                    return checked + k + 1, (pools[n][lo + k // Ny], i, pools[m][k % Ny])
+                    return checked + k + 1, (
+                        pools[n][lo + k // Ny], i, right_pools[m][k % Ny],
+                    )
                 checked += (rows.stop - lo) * Ny
     return checked, None
 
 
 def _vector_axioms(magma, max_arity, budget):
-    star = np.array(magma.table, dtype=_label_dtype(magma))
+    star = _star(magma)
     needed = {a for config in _axiom_configs(max_arity) for a in config}
     blocks = {n: _label_block(magma, n) for n in needed}
     checked = 0
@@ -364,34 +396,14 @@ def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=F
 
 
 def verify_symmetries(magma, max_arity, samples=1000, seed=0):
-    """Reflection is an antiautomorphism; magma automorphisms relabel functorially."""
-    checked = 0
+    """Reflection is an antiautomorphism; magma automorphisms relabel functorially.
+
+    Over a finite magma both laws are checked on every composable pair, on
+    label blocks; over the integers reflection is checked on random samples.
+    """
     if magma.is_finite:
-        autos = automorphisms(magma)
-        for (n, m) in composable_pairs(max_arity):
-            ps = list(generate_cliques(magma, n))
-            qs = list(generate_cliques(magma, m))
-            for p in ps:
-                for q in qs:
-                    for i in range(1, n + 1):
-                        checked += 1
-                        lhs = reflect(partial_compose(p, q, i))
-                        rhs = partial_compose(reflect(p), reflect(q), n - i + 1)
-                        if lhs != rhs:
-                            return VerifyReport(
-                                "symmetries", False, checked,
-                                f"reflection fails on {p!r} o_{i} {q!r}",
-                            )
-                        for theta in autos:
-                            checked += 1
-                            lhs = relabel(partial_compose(p, q, i), theta)
-                            rhs = partial_compose(relabel(p, theta), relabel(q, theta), i)
-                            if lhs != rhs:
-                                return VerifyReport(
-                                    "symmetries", False, checked,
-                                    f"automorphism relabeling fails on {p!r} o_{i} {q!r}",
-                                )
-        return VerifyReport("symmetries", True, checked, None)
+        return _block_symmetries(magma, max_arity)
+    checked = 0
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randint(1, max_arity)
@@ -410,6 +422,45 @@ def verify_symmetries(magma, max_arity, samples=1000, seed=0):
     return VerifyReport("symmetries", True, checked, None)
 
 
+def _block_symmetries(magma, max_arity):
+    """reflect(p o_i q) = reflect(p) o_{n-i+1} reflect(q), then
+    theta(p o_i q) = theta(p) o_i theta(q) for each automorphism theta."""
+    pairs = composable_pairs(max_arity)
+    star = _star(magma)
+    X = _label_blocks(magma, max_arity)
+    R = {n: block[:, _clique._reflect_plan(n)] for n, block in X.items()}
+
+    def composed(n, m, i, rows):
+        return _compose_block(X[n][rows], n, X[m], m, i, star)
+
+    def failed(checked, failure, law):
+        p, i, q = failure
+        return VerifyReport(
+            "symmetries", False, checked,
+            f"{law} fails on {_row_clique(magma, p)!r} o_{i} {_row_clique(magma, q)!r}",
+        )
+
+    checked, failure = morphism_slabs(
+        pairs, X,
+        lambda n, m, i, rows: composed(n, m, i, rows)[:, _clique._reflect_plan(n + m - 1)],
+        lambda n, m, i, rows: _compose_block(R[n][rows], n, R[m], m, n - i + 1, star),
+    )
+    if failure is not None:
+        return failed(checked, failure, "reflection")
+    for theta in automorphisms(magma):
+        values = np.array([theta(v) for v in magma.elements()], dtype=star.dtype)
+        T = {n: values[block] for n, block in X.items()}
+        more, failure = morphism_slabs(
+            pairs, X,
+            lambda n, m, i, rows: values[composed(n, m, i, rows)],
+            lambda n, m, i, rows: _compose_block(T[n][rows], n, T[m], m, i, star),
+        )
+        checked += more
+        if failure is not None:
+            return failed(checked, failure, "automorphism relabeling")
+    return VerifyReport("symmetries", True, checked, None)
+
+
 def _random_integer_clique(rng, arity):
     if arity == 1:
         return Clique.unit(_Z)
@@ -420,38 +471,55 @@ def _random_integer_clique(rng, arity):
 
 
 def verify_cyclic(magma, max_arity, budget=None):
-    """The rotation laws: unit fixed, order n+1 at arity n, and the composition rule."""
-    checked = 0
+    """The rotation laws: unit fixed, order n+1 at arity n, and the composition
+    rule, on label blocks.  `budget` skips the order check at arities with
+    more cliques."""
     unit = Clique.unit(magma)
     if rotate(unit) != unit:
         return VerifyReport("cyclic", False, 1, "rotation moves the unit clique")
-    for n in range(1, max_arity + 1):
+    X = _label_blocks(magma, max_arity)
+    turned = {n: block[:, _clique._rotate_plan(n)] for n, block in X.items()}
+    checked = 0
+    for n, block in X.items():
         if budget is not None and clique_space_size(magma, n) > budget:
             continue
-        for p in generate_cliques(magma, n):
-            current = p
-            for _ in range(n + 1):
-                current = rotate(current)
-            checked += 1
-            if current != p:
-                return VerifyReport(
-                    "cyclic", False, checked, f"rotation order exceeds {n + 1} on {p!r}"
-                )
-    for (n, m) in composable_pairs(max_arity):
-        for p in generate_cliques(magma, n):
-            for q in generate_cliques(magma, m):
-                for i in range(1, n + 1):
-                    checked += 1
-                    lhs = rotate(partial_compose(p, q, i))
-                    if i == 1:
-                        rhs = partial_compose(rotate(q), rotate(p), m)
-                    else:
-                        rhs = partial_compose(rotate(p), q, i - 1)
-                    if lhs != rhs:
-                        return VerifyReport(
-                            "cyclic", False, checked,
-                            f"rotation law fails on {p!r} o_{i} {q!r}",
-                        )
+        current = block
+        for _ in range(n + 1):
+            current = current[:, _clique._rotate_plan(n)]
+        moved = np.flatnonzero((current != block).any(axis=1))
+        if moved.size:
+            p = _row_clique(magma, block[moved[0]])
+            return VerifyReport(
+                "cyclic", False, checked + int(moved[0]) + 1,
+                f"rotation order exceeds {n + 1} on {p!r}",
+            )
+        checked += len(block)
+    star = _star(magma)
+
+    def rotated_composite(n, m, i, rows):
+        composed = _compose_block(X[n][rows], n, X[m], m, i, star)
+        return composed[:, _clique._rotate_plan(n + m - 1)]
+
+    def composite_of_rotated(n, m, i, rows):
+        # rotate(p) o_{i-1} q, and for i = 1 rotate(q) o_m rotate(p), whose
+        # rows come out ordered (y, x)
+        if i > 1:
+            return _compose_block(turned[n][rows], n, X[m], m, i - 1, star)
+        yx = _compose_block(turned[m], m, turned[n][rows], n, m, star)
+        width = yx.shape[1]
+        return yx.reshape(len(X[m]), -1, width).transpose(1, 0, 2).reshape(-1, width)
+
+    more, failure = morphism_slabs(
+        composable_pairs(max_arity), X, rotated_composite, composite_of_rotated,
+    )
+    checked += more
+    if failure is not None:
+        p, i, q = failure
+        return VerifyReport(
+            "cyclic", False, checked,
+            f"rotation law fails on {_row_clique(magma, p)!r} o_{i} "
+            f"{_row_clique(magma, q)!r}",
+        )
     return VerifyReport("cyclic", True, checked, None)
 
 
@@ -556,27 +624,52 @@ def is_associative_element(f):
 
 
 def verify_product_iso(product_magma, max_arity):
-    """zip/unzip are mutually inverse and commute with composition."""
-    from .operad import unzip_clique, zip_cliques
-
+    """zip/unzip are mutually inverse and commute with composition, on label
+    blocks: the projections of every product composite against the
+    compositions in the factors."""
+    if product_magma.factors is None:
+        raise CliqueError(f"{product_magma.name} is not a product magma")
     m1, m2 = product_magma.factors
+    halves = [unpair_value(product_magma, v) for v in product_magma.elements()]
+    first = np.array([a for a, _ in halves], dtype=_label_dtype(m1))
+    second = np.array([b for _, b in halves], dtype=_label_dtype(m2))
+    pair = np.array(
+        [[pair_value(product_magma, a, b) for b in m2.elements()] for a in m1.elements()],
+        dtype=_label_dtype(product_magma),
+    )
+    star, star1, star2 = _star(product_magma), _star(m1), _star(m2)
+    X = _label_blocks(product_magma, max_arity)
+    X1 = {n: first[block] for n, block in X.items()}
+    X2 = {n: second[block] for n, block in X.items()}
+
+    def projected(n, m, i, rows):
+        composed = _compose_block(X[n][rows], n, X[m], m, i, star)
+        return np.concatenate([first[composed], second[composed]], axis=1)
+
+    def factorwise(n, m, i, rows):
+        return np.concatenate([
+            _compose_block(X1[n][rows], n, X1[m], m, i, star1),
+            _compose_block(X2[n][rows], n, X2[m], m, i, star2),
+        ], axis=1)
+
     checked = 0
-    for (n, m) in composable_pairs(max_arity):
-        for p in generate_cliques(product_magma, n):
-            p1, p2 = unzip_clique(p)
-            if zip_cliques(product_magma, p1, p2) != p:
-                return VerifyReport(
-                    "product-iso", False, checked, f"unzip/zip round trip fails on {p!r}"
-                )
-            for q in generate_cliques(product_magma, m):
-                q1, q2 = unzip_clique(q)
-                for i in range(1, n + 1):
-                    checked += 1
-                    composed = partial_compose(p, q, i)
-                    c1, c2 = unzip_clique(composed)
-                    if c1 != partial_compose(p1, q1, i) or c2 != partial_compose(p2, q2, i):
-                        return VerifyReport(
-                            "product-iso", False, checked,
-                            f"pairing does not commute with o_{i} on {p!r}, {q!r}",
-                        )
+    pairs = composable_pairs(max_arity)
+    for n, block in X.items():
+        broken = np.flatnonzero((pair[X1[n], X2[n]] != block).any(axis=1))
+        if broken.size:
+            return VerifyReport(
+                "product-iso", False, checked,
+                f"unzip/zip round trip fails on {_row_clique(product_magma, block[broken[0]])!r}",
+            )
+        more, failure = morphism_slabs(
+            [(k, m) for k, m in pairs if k == n], X, projected, factorwise,
+        )
+        checked += more
+        if failure is not None:
+            p, i, q = failure
+            return VerifyReport(
+                "product-iso", False, checked,
+                f"pairing does not commute with o_{i} on "
+                f"{_row_clique(product_magma, p)!r}, {_row_clique(product_magma, q)!r}",
+            )
     return VerifyReport("product-iso", True, checked, None)

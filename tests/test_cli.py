@@ -212,10 +212,11 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     ({"magma": "Z", "arity": True, "labels": {}}, None),
     (None, ["enumerate", "--magma", "D:0", "--arity", "2", "--variant", "deg:x"]),
     (None, ["dyck", "--magma", "D:0", "--decode", "aa[0"]),
+    (None, ["magma-check", "--magma", "E:100000"]),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
-        "unclosed-color"])
+        "unclosed-color", "oversized-magma"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"

@@ -37,6 +37,38 @@ def test_unit_product_is_not_a_monoid(e2):
     assert not e2.is_monoid()
 
 
+def test_compact_generator_names(d2, e2):
+    assert d2.elem("d1") == d2.elem("d_1") and d2.elem("d2") == d2.elem("d_2")
+    assert e2.elem("e2") == e2.elem("e_2")
+    for name in ("d3", "e1", "d_0", "d"):
+        with pytest.raises(MagmaError):
+            d2.elem(name)
+
+
+@pytest.mark.parametrize("spec", [
+    "E:100000", "N:5000", "D:1023", "prod(N:64,N:32)", "prod(D:0,E:100000)",
+])
+def test_oversized_specs_are_refused_before_allocating(spec):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(MagmaError, match="entry table"):
+            parse_magma_spec(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_largest_table_is_accepted():
+    from cliqueops.magma import MAX_TABLE_ENTRIES
+
+    side = int(MAX_TABLE_ENTRIES ** 0.5)
+    assert side * side == MAX_TABLE_ENTRIES
+    assert parse_magma_spec(f"E:{side - 1}").size == side
+
+
 def test_integer_magma_addition(z):
     assert z.op(3, -5) == -2
     assert z.op(0, 7) == 7

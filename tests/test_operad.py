@@ -206,6 +206,27 @@ def test_zip_unzip(d0, d0sq):
     assert report.ok, report.counterexample
 
 
+def test_product_iso_needs_a_product_magma(d0):
+    with pytest.raises(CliqueError, match="is not a product magma"):
+        verify_product_iso(d0, 3)
+
+
+def test_product_iso_catches_a_swapped_pair(monkeypatch, d0sq):
+    from cliqueops import verify
+    from cliqueops.magma import unpair_value
+
+    def swapped(magma, value):
+        # the pair (unit, 0) reads back as (0, unit)
+        a, b = unpair_value(magma, value)
+        return (b, a) if value == 1 else (a, b)
+
+    monkeypatch.setattr(verify, "unpair_value", swapped)
+    report = verify_product_iso(d0sq, 3)
+    assert not report.ok
+    assert report.counterexample.startswith("unzip/zip round trip fails on ")
+    assert report.checked > 0
+
+
 def test_associative_elements_displayed(n2, d0):
     T = Clique.triangle
     one = LinComb.of(T(n2, 1, 1, 1))

@@ -229,6 +229,9 @@ def test_ideal_fails_over_unit_divisors(e1):
     var = variant("deg:1", e1, unchecked=True)
     report = verify_ideal(var, e1, 4)
     assert not report.ok
+    assert report.counterexample.startswith("non-member Clique[E_1|")
+    assert report.counterexample.endswith(" re-entered deg:1")
+    assert report.checked > 0
 
 
 def test_quotient_axioms_inherited(d0):

@@ -1,0 +1,160 @@
+"""Clique-at-a-time reference implementations of the block verifiers.
+
+`verify_symmetries` (finite carriers), `verify_cyclic`, `verify_product_iso`
+and `verify_ideal` run on numpy label blocks.  The loops below are the
+earlier one-clique-at-a-time versions, kept here as the independent
+reference: on success both must report the same verdict and the same
+`checked` total.
+"""
+
+import pytest
+
+from cliqueops import (
+    Clique, VerifyReport, automorphisms, generate_cliques, parse_magma_spec,
+    partial_compose, reflect, relabel, rotate, unzip_clique, variant,
+    verify_cyclic, verify_ideal, verify_product_iso, verify_symmetries,
+    zip_cliques,
+)
+from cliqueops.operad import composable_pairs
+from cliqueops.variants import QUOTIENT_SPECS
+
+
+def reference_symmetries(magma, max_arity):
+    checked = 0
+    autos = automorphisms(magma)
+    for (n, m) in composable_pairs(max_arity):
+        ps = list(generate_cliques(magma, n))
+        qs = list(generate_cliques(magma, m))
+        images = {theta: {c: relabel(c, theta) for c in ps + qs} for theta in autos}
+        for p in ps:
+            for q in qs:
+                for i in range(1, n + 1):
+                    composed = partial_compose(p, q, i)
+                    checked += 1
+                    lhs = reflect(composed)
+                    rhs = partial_compose(reflect(p), reflect(q), n - i + 1)
+                    if lhs != rhs:
+                        return VerifyReport(
+                            "symmetries", False, checked,
+                            f"reflection fails on {p!r} o_{i} {q!r}",
+                        )
+                    for theta, image in images.items():
+                        checked += 1
+                        lhs = relabel(composed, theta)
+                        rhs = partial_compose(image[p], image[q], i)
+                        if lhs != rhs:
+                            return VerifyReport(
+                                "symmetries", False, checked,
+                                f"automorphism relabeling fails on {p!r} o_{i} {q!r}",
+                            )
+    return VerifyReport("symmetries", True, checked, None)
+
+
+def reference_cyclic(magma, max_arity):
+    checked = 0
+    unit = Clique.unit(magma)
+    if rotate(unit) != unit:
+        return VerifyReport("cyclic", False, 1, "rotation moves the unit clique")
+    for n in range(1, max_arity + 1):
+        for p in generate_cliques(magma, n):
+            current = p
+            for _ in range(n + 1):
+                current = rotate(current)
+            checked += 1
+            if current != p:
+                return VerifyReport(
+                    "cyclic", False, checked, f"rotation order exceeds {n + 1} on {p!r}"
+                )
+    for (n, m) in composable_pairs(max_arity):
+        for p in generate_cliques(magma, n):
+            for q in generate_cliques(magma, m):
+                for i in range(1, n + 1):
+                    checked += 1
+                    lhs = rotate(partial_compose(p, q, i))
+                    if i == 1:
+                        rhs = partial_compose(rotate(q), rotate(p), m)
+                    else:
+                        rhs = partial_compose(rotate(p), q, i - 1)
+                    if lhs != rhs:
+                        return VerifyReport(
+                            "cyclic", False, checked,
+                            f"rotation law fails on {p!r} o_{i} {q!r}",
+                        )
+    return VerifyReport("cyclic", True, checked, None)
+
+
+def reference_product_iso(product_magma, max_arity):
+    checked = 0
+    for (n, m) in composable_pairs(max_arity):
+        for p in generate_cliques(product_magma, n):
+            p1, p2 = unzip_clique(p)
+            if zip_cliques(product_magma, p1, p2) != p:
+                return VerifyReport(
+                    "product-iso", False, checked, f"unzip/zip round trip fails on {p!r}"
+                )
+            for q in generate_cliques(product_magma, m):
+                q1, q2 = unzip_clique(q)
+                for i in range(1, n + 1):
+                    checked += 1
+                    composed = partial_compose(p, q, i)
+                    c1, c2 = unzip_clique(composed)
+                    if c1 != partial_compose(p1, q1, i) or c2 != partial_compose(p2, q2, i):
+                        return VerifyReport(
+                            "product-iso", False, checked,
+                            f"pairing does not commute with o_{i} on {p!r}, {q!r}",
+                        )
+    return VerifyReport("product-iso", True, checked, None)
+
+
+def reference_ideal(var, magma, max_arity):
+    checked = 0
+    for a, b in composable_pairs(max_arity):
+        outside = [
+            p for p in generate_cliques(magma, a)
+            if var.in_ambient(p) and not var.member(p)
+        ]
+        ambient = [q for q in generate_cliques(magma, b) if var.in_ambient(q)]
+        for p in outside:
+            for q in ambient:
+                for i in range(1, a + 1):
+                    checked += 1
+                    if var.member(partial_compose(p, q, i)):
+                        return VerifyReport(
+                            f"ideal:{var.spec}", False, checked,
+                            f"non-member {p!r} o_{i} {q!r} re-entered {var.spec}",
+                        )
+                for i in range(1, b + 1):
+                    checked += 1
+                    if var.member(partial_compose(q, p, i)):
+                        return VerifyReport(
+                            f"ideal:{var.spec}", False, checked,
+                            f"{q!r} o_{i} non-member {p!r} re-entered {var.spec}",
+                        )
+    return VerifyReport(f"ideal:{var.spec}", True, checked, None)
+
+
+def _same(block, reference):
+    assert (block.ok, block.checked) == (reference.ok, reference.checked)
+    assert block.ok and block.counterexample is None
+
+
+@pytest.mark.parametrize("spec", ["N:2", "D:0", "E:1", "prod(D:0,D:0)"])
+def test_symmetry_verifiers_match_their_references(spec):
+    magma = parse_magma_spec(spec)
+    assert len(automorphisms(magma)) == (2 if magma.factors else 1)
+    _same(verify_symmetries(magma, 3), reference_symmetries(magma, 3))
+    _same(verify_cyclic(magma, 3), reference_cyclic(magma, 3))
+    if magma.factors:
+        _same(verify_product_iso(magma, 3), reference_product_iso(magma, 3))
+
+
+def test_ideal_verifier_matches_its_reference(d0):
+    for spec in QUOTIENT_SPECS:
+        _same(verify_ideal(variant(spec, d0), d0, 4),
+              reference_ideal(variant(spec, d0), d0, 4))
+
+
+def test_failing_ideal_verdict_matches_its_reference(e1):
+    block = verify_ideal(variant("deg:1", e1, unchecked=True), e1, 4)
+    reference = reference_ideal(variant("deg:1", e1, unchecked=True), e1, 4)
+    assert not block.ok and not reference.ok
