@@ -1,11 +1,17 @@
 """Census engines: clique generation, dimension formulas, prime counts,
 the Dyck-path bijection for nesting-free cliques, and sequence export.
 
-Counting a label-blind variant walks solid-arc skeletons with pruned
-backtracking and weights each skeleton by (m-1)^#arcs, so the cost
-scales with the answer rather than with m^#arcs; the dense label stream
-remains available (and is what label-sensitive variants use), chunked by
-a prefix of the label array when a parallelism degree is requested.
+Counting a label-blind variant goes over solid-arc masks (bit j is
+arcs_of(arity)[j]) and weights each accepted mask by (m-1)^#arcs.  When
+the variant is erasure-closed, its rule is one incremental test
+`admits(arity, mask, arc)` (deg:k, nes, cro:k, acy, whi, bub and their
+conjunctions wnc, pat, for, mot, dis, luc), and the walk extends only
+accepted masks, so the cost scales with the answer rather than with
+m^#arcs.  The other label-blind variant, grav, tests every one of the
+2^#arcs masks whole.  Either way the budget is still measured in cliques,
+m^#arcs.  Label-sensitive variants (lab:) stream the dense label space,
+chunked by a prefix of the label array when a parallelism degree is
+requested.
 """
 
 from __future__ import annotations
@@ -124,23 +130,18 @@ def dim_formula(spec, m_or_bed, n):
 # -- weighted skeleton census -------------------------------------------------
 
 
-def _census_skeletons(arity, weight, skeleton_ok):
-    """Sum weight^#arcs over arc sets accepted by a downward-closed predicate."""
-    arcs = arcs_of(arity)
+def _census_skeletons(arity, weight, admits):
+    """Sum weight^#arcs over the masks a downward-closed rule accepts: each
+    accepted mask is extended by every later arc, one `admits` test each."""
+    width = len(arcs_of(arity))
     total = 0
-
-    def walk(idx, chosen, factor):
-        nonlocal total
-        if idx == len(arcs):
-            total += factor
-            return
-        walk(idx + 1, chosen, factor)
-        chosen.append(arcs[idx])
-        if skeleton_ok(arity, tuple(chosen)):
-            walk(idx + 1, chosen, factor * weight)
-        chosen.pop()
-
-    walk(0, [], 1)
+    stack = [(0, 0, 1)]  # (first arc still free, accepted mask, its weight)
+    while stack:
+        start, mask, factor = stack.pop()
+        total += factor
+        for j in range(start, width):
+            if admits(arity, mask, j):
+                stack.append((j + 1, mask | 1 << j, factor * weight))
     return total
 
 
@@ -157,14 +158,19 @@ def _count_stream_chunk(args):
     return count
 
 
-def count_by_streaming(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
-    """Dense census: stream every clique and count members."""
+def _check_budget(magma, arity, budget):
     space = clique_space_size(magma, arity)
     if budget is not None and space > budget:
         raise BudgetError(
             f"{space} cliques at arity {arity} exceed the budget {budget}; "
             "raise it explicitly to proceed"
         )
+    return space
+
+
+def count_by_streaming(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
+    """Dense census: stream every clique and count members."""
+    space = _check_budget(magma, arity, budget)
     if arity == 1:
         return 1
     if threads > 1 and space >= magma.size ** 2:
@@ -180,14 +186,24 @@ def count_by_streaming(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
 def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
     """Number of arity-n members of the variant, with formula cross-check.
 
-    Label-blind erasure-closed variants go through the weighted skeleton
-    walk; everything else streams the full clique space under the budget.
+    A label-blind variant is counted over solid-arc masks, each weighted by
+    (m-1)^#arcs: by the pruned walk of its rule when it is erasure-closed,
+    otherwise over every mask under the clique budget.  Label-sensitive
+    variants stream the full clique space under the budget.
     """
     var = variants.variant(spec, magma)
     if arity == 1:
         return 1
+    weight = magma.size - 1
     if var.label_blind and var.erasure_closed:
-        count = _census_skeletons(arity, magma.size - 1, var.skeleton_ok)
+        count = _census_skeletons(arity, weight, var.admits)
+    elif var.label_blind:
+        _check_budget(magma, arity, budget)
+        count = sum(
+            weight ** mask.bit_count()
+            for mask in range(1 << len(arcs_of(arity)))
+            if var.mask_member(arity, mask) and var.mask_in_ambient(arity, mask)
+        )
     else:
         count = count_by_streaming(spec, magma, arity, budget, threads)
     try:

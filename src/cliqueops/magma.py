@@ -274,6 +274,51 @@ def unpair_value(magma, value):
     return value // s2, value % s2
 
 
+_SIZED_FAMILIES = (  # prefix, builder, least parameter, carrier size minus parameter
+    ("N:", UnitaryMagma.cyclic, 1, 0),
+    ("D:", UnitaryMagma.zero_product, 0, 2),
+    ("E:", UnitaryMagma.unit_product, 0, 1),
+)
+
+
+def _prod_factors(text):
+    """The two factor specs of a stripped `prod(...)` spec, or None."""
+    inner = text[len("prod("):-1]
+    depth = 0
+    for pos, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return inner[:pos], inner[pos + 1:]
+    return None
+
+
+def _carrier_size(text):
+    """The size of the carrier a spec builds, found without building it; None
+    when that carrier is infinite, read from a file, or refused (parsing the
+    spec then says why)."""
+    text = text.strip()
+    if text == "trivial":
+        return 1
+    for prefix, _, least, offset in _SIZED_FAMILIES:
+        if text.startswith(prefix):
+            try:
+                param = int(text[len(prefix):])
+            except ValueError:
+                return None
+            size = param + offset
+            return size if param >= least and size * size <= MAX_TABLE_ENTRIES else None
+    if text.startswith("prod(") and text.endswith(")"):
+        factors = _prod_factors(text)
+        sizes = [] if factors is None else [_carrier_size(f) for f in factors]
+        if len(sizes) == 2 and None not in sizes:
+            size = sizes[0] * sizes[1]
+            return size if size * size <= MAX_TABLE_ENTRIES else None
+    return None
+
+
 def parse_magma_spec(text):
     """Parse the magma mini-language.
 
@@ -285,9 +330,7 @@ def parse_magma_spec(text):
         return UnitaryMagma.integers()
     if text == "trivial":
         return UnitaryMagma.trivial()
-    for prefix, builder in (("N:", UnitaryMagma.cyclic),
-                            ("D:", UnitaryMagma.zero_product),
-                            ("E:", UnitaryMagma.unit_product)):
+    for prefix, builder, _, _ in _SIZED_FAMILIES:
         if text.startswith(prefix):
             try:
                 size = int(text[len(prefix):])
@@ -295,17 +338,14 @@ def parse_magma_spec(text):
                 raise MagmaError(f"bad parameter in magma spec {text!r}")
             return builder(size)
     if text.startswith("prod(") and text.endswith(")"):
-        inner = text[len("prod("):-1]
-        depth = 0
-        for pos, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                left, right = inner[:pos], inner[pos + 1:]
-                return magma_product(parse_magma_spec(left), parse_magma_spec(right))
-        raise MagmaError(f"prod spec needs two comma-separated factors: {text!r}")
+        factors = _prod_factors(text)
+        if factors is None:
+            raise MagmaError(f"prod spec needs two comma-separated factors: {text!r}")
+        sizes = [_carrier_size(factor) for factor in factors]
+        if None not in sizes:
+            # refuse an oversized product before building either factor table
+            _check_table_size(sizes[0] * sizes[1])
+        return magma_product(*map(parse_magma_spec, factors))
     if text.startswith("table:"):
         path = text[len("table:"):]
         with open(path) as handle:

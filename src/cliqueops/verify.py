@@ -200,9 +200,9 @@ def _star(magma):
     return np.array(magma.table, dtype=_label_dtype(magma))
 
 
-def _label_block(magma, arity):
+def _label_block(magma, arity, rows=None):
     """Every clique of the arity as one row of labels, in the order of
-    `generate_cliques`."""
+    `generate_cliques`; only the rows in the slice `rows` when given."""
     if not magma.is_finite:
         raise MagmaError("cannot enumerate cliques over an infinite magma")
     dtype = _label_dtype(magma)
@@ -210,9 +210,8 @@ def _label_block(magma, arity):
         return np.zeros((1, 1), dtype=dtype)
     width = len(arcs_of(arity))
     m = magma.size
-    count = m ** width
-    out = np.empty((count, width), dtype=dtype)
-    idx = np.arange(count)
+    idx = np.arange(*(rows or slice(None)).indices(m ** width))
+    out = np.empty((len(idx), width), dtype=dtype)
     for col in range(width):
         power = m ** (width - 1 - col)
         out[:, col] = (idx // power) % m

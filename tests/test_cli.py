@@ -213,10 +213,13 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     (None, ["enumerate", "--magma", "D:0", "--arity", "2", "--variant", "deg:x"]),
     (None, ["dyck", "--magma", "D:0", "--decode", "aa[0"]),
     (None, ["magma-check", "--magma", "E:100000"]),
+    (None, ["sequence", "--variant", "deg:-1", "--magma", "D:0", "--max-arity", "3"]),
+    (None, ["sequence", "--variant", "grav", "--magma", "D:1", "--max-arity", "6"]),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
-        "unclosed-color", "oversized-magma"])
+        "unclosed-color", "oversized-magma", "negative-variant-argument",
+        "census-over-budget"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"

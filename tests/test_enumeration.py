@@ -10,7 +10,7 @@ from cliqueops import (
     is_prime, narayana, sequence_for,
 )
 from cliqueops.enumeration import count_by_streaming, generate_white_cliques
-from cliqueops.variants import VariantError
+from cliqueops.variants import VARIANT_SPECS, VariantError
 
 
 def test_generate_cliques_counts(d0, n3):
@@ -88,17 +88,26 @@ def test_forest_sequence_discrepancy(d0):
 
 
 def test_skeleton_census_matches_streaming(d0, d1):
+    # every label-blind variant, erasure-closed (pruned mask walk) or not
+    # (grav, every mask), against the clique-by-clique stream
     for magma in (d0, d1):
-        for spec in ("deg:1", "nes", "acy", "mot", "luc", "cro:0", "bub"):
+        for spec in VARIANT_SPECS:
             for n in (2, 3):
                 assert count_by_enumeration(spec, magma, n) == count_by_streaming(
                     spec, magma, n
-                )
+                ), (spec, magma, n)
 
 
 def test_streaming_budget(d0):
     with pytest.raises(BudgetError):
         count_by_streaming("grav", d0, 5, budget=100)
+
+
+def test_mask_census_keeps_the_clique_budget(d1):
+    # grav is counted over 2^21 masks at arity 6, but the budget still
+    # counts the 3^21 cliques behind them
+    with pytest.raises(BudgetError, match="10460353203 cliques at arity 6"):
+        count_by_enumeration("grav", d1, 6)
 
 
 def test_prime_census_golden(d0):

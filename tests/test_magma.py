@@ -47,6 +47,7 @@ def test_compact_generator_names(d2, e2):
 
 @pytest.mark.parametrize("spec", [
     "E:100000", "N:5000", "D:1023", "prod(N:64,N:32)", "prod(D:0,E:100000)",
+    "prod(N:1000,N:1000)",
 ])
 def test_oversized_specs_are_refused_before_allocating(spec):
     import tracemalloc

@@ -5,6 +5,7 @@ from cliqueops import (
     generate_cliques, is_acyclic, is_bubble, is_nesting_free, is_white,
     variant, variant_compose, verify_ideal, verify_inclusions,
 )
+from cliqueops import count_by_enumeration, variants
 from cliqueops.variants import VARIANT_SPECS
 
 
@@ -271,3 +272,30 @@ def test_inclusion_lemma_items(d0):
             if degree(p) >= 3:
                 assert p.solid_diagonals()
                 assert not is_nesting_free(p)
+
+
+def test_verify_inclusions_catches_a_widened_rule(d0, monkeypatch):
+    # mutation: mot admits degree 2, so mot no longer sits inside deg:1
+    rule = variants._conjunction(variants._crossing_rule(0), variants._degree_rule(2))
+    monkeypatch.setitem(variants._SKELETON_KINDS, "mot", ("quotient", rule, None))
+    report = verify_inclusions(d0, 4)
+    assert not report.ok
+    assert report.checked > 0
+    assert report.counterexample.endswith(" is in mot but not in deg:1")
+
+
+def test_census_catches_a_widened_rule(d0, monkeypatch):
+    # mutation: nes lets an arc join next to one nesting arc; the census
+    # then disagrees with the closed Narayana formula
+    def one_nesting(arity, mask, j):
+        return (variants._nest_masks(arity)[j] & mask).bit_count() <= 1
+
+    monkeypatch.setitem(variants._SKELETON_KINDS, "nes", ("quotient", one_nesting, None))
+    with pytest.raises(RuntimeError, match="closed formula"):
+        count_by_enumeration("nes", d0, 4)
+
+
+def test_negative_rule_bounds_are_refused(d0):
+    for spec in ("deg:-1", "cro:-2"):
+        with pytest.raises(VariantError, match="k must be >= 0"):
+            variant(spec, d0)

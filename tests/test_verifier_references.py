@@ -1,10 +1,10 @@
 """Clique-at-a-time reference implementations of the block verifiers.
 
-`verify_symmetries` (finite carriers), `verify_cyclic`, `verify_product_iso`
-and `verify_ideal` run on numpy label blocks.  The loops below are the
-earlier one-clique-at-a-time versions, kept here as the independent
-reference: on success both must report the same verdict and the same
-`checked` total.
+`verify_symmetries` (finite carriers), `verify_cyclic`, `verify_product_iso`,
+`verify_ideal` and `verify_inclusions` run on numpy label blocks.  The loops
+below are the earlier one-clique-at-a-time versions, kept here as the
+independent reference: on success both must report the same verdict and the
+same `checked` total.
 """
 
 import pytest
@@ -12,11 +12,12 @@ import pytest
 from cliqueops import (
     Clique, VerifyReport, automorphisms, generate_cliques, parse_magma_spec,
     partial_compose, reflect, relabel, rotate, unzip_clique, variant,
-    verify_cyclic, verify_ideal, verify_product_iso, verify_symmetries,
-    zip_cliques,
+    verify_cyclic, verify_ideal, verify_inclusions, verify_product_iso,
+    verify_symmetries, zip_cliques,
 )
+from cliqueops import variants
 from cliqueops.operad import composable_pairs
-from cliqueops.variants import QUOTIENT_SPECS
+from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS
 
 
 def reference_symmetries(magma, max_arity):
@@ -133,6 +134,22 @@ def reference_ideal(var, magma, max_arity):
     return VerifyReport(f"ideal:{var.spec}", True, checked, None)
 
 
+def reference_inclusions(magma, max_arity):
+    specs = {spec for pair in INCLUSION_IMPLICATIONS for spec in pair}
+    members = {spec: variant(spec, magma).member for spec in specs}
+    checked = 0
+    for n in range(1, max_arity + 1):
+        for p in generate_cliques(magma, n):
+            for lhs, rhs in INCLUSION_IMPLICATIONS:
+                checked += 1
+                if members[lhs](p) and not members[rhs](p):
+                    return VerifyReport(
+                        "inclusions", False, checked,
+                        f"{p!r} is in {lhs} but not in {rhs}",
+                    )
+    return VerifyReport("inclusions", True, checked, None)
+
+
 def _same(block, reference):
     assert (block.ok, block.checked) == (reference.ok, reference.checked)
     assert block.ok and block.counterexample is None
@@ -158,3 +175,25 @@ def test_failing_ideal_verdict_matches_its_reference(e1):
     block = verify_ideal(variant("deg:1", e1, unchecked=True), e1, 4)
     reference = reference_ideal(variant("deg:1", e1, unchecked=True), e1, 4)
     assert not block.ok and not reference.ok
+
+
+@pytest.mark.parametrize("spec, max_arity", [("D:0", 4), ("D:1", 3)])
+def test_inclusion_verifier_matches_its_reference(spec, max_arity):
+    magma = parse_magma_spec(spec)
+    _same(verify_inclusions(magma, max_arity), reference_inclusions(magma, max_arity))
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_failing_inclusion_verdict_matches_its_reference(d0, monkeypatch, chunk):
+    # mutation: for admits one crossing, so for leaves cro:0; a small chunk
+    # puts the first failure past several label blocks
+    rule = variants._conjunction(variants._crossing_rule(1), variants._acyclic_rule)
+    monkeypatch.setitem(variants._SKELETON_KINDS, "for", ("quotient", rule, None))
+    if chunk is not None:
+        monkeypatch.setattr(variants, "VECTOR_CHUNK", chunk)
+    block = verify_inclusions(d0, 4)
+    reference = reference_inclusions(d0, 4)
+    assert not block.ok and not reference.ok
+    assert (block.checked, block.counterexample) == (
+        reference.checked, reference.counterexample,
+    )
