@@ -144,8 +144,7 @@ def cmd_enumerate(args):
 def cmd_sequence(args):
     magma = parse_magma_spec(args.magma)
     record = enumeration.sequence_for(
-        args.variant, magma, args.max_arity,
-        budget=args.budget, threads=args.threads,
+        args.variant, magma, args.max_arity, budget=args.budget,
     )
     sys.stdout.write(enumeration.export_sequence(record, args.format))
     return 0
@@ -153,14 +152,17 @@ def cmd_sequence(args):
 
 def cmd_primes(args):
     magma = parse_magma_spec(args.magma)
+    # the largest size has the most patterns: refuse it before counting any
+    enumeration._check_pattern_budget(args.max_size, args.budget)
+    census = {"budget": args.budget, "threads": args.threads}
     rows = []
     for n in range(1, args.max_size + 1):
         rows.append(
             (
                 n,
-                enumeration.count_prime(magma, n, threads=args.threads),
-                enumeration.count_white_prime(magma, n, threads=args.threads),
-                enumeration.count_minimal_prime(magma, n, threads=args.threads),
+                enumeration.count_prime(magma, n, **census),
+                enumeration.count_white_prime(magma, n, **census),
+                enumeration.count_minimal_prime(magma, n, **census),
             )
         )
     if args.json:
@@ -339,15 +341,27 @@ def cmd_known_ops_check(args):
     return 0 if report.ok else 1
 
 
+def _positive_threads(text):
+    # read here, not by argparse, so a bad CLIQUEOPS_THREADS is a usage error too
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(
+            f"--threads (or CLIQUEOPS_THREADS) must be a positive integer, not {text!r}"
+        )
+    return threads
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cliqueops",
         description="operads of magma-decorated cliques: compose, enumerate, verify",
     )
     parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("CLIQUEOPS_THREADS", "1")),
-        help="parallelism degree for census commands",
+        "--threads", default=os.environ.get("CLIQUEOPS_THREADS", "1"),
+        help="number of processes for the prime census (a positive integer)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -406,6 +420,7 @@ def build_parser():
     p = sub.add_parser("primes", help="prime / white / minimal prime census")
     p.add_argument("--magma", required=True)
     p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_primes)
 
@@ -439,6 +454,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors already
         raise exc
     try:
+        args.threads = _positive_threads(args.threads)
         return args.fn(args)
     except (UsageError, MagmaError, CliqueError, variants.VariantError,
             enumeration.BudgetError, knownops.KnownOperadError,

@@ -9,9 +9,13 @@ conjunctions wnc, pat, for, mot, dis, luc), and the walk extends only
 accepted masks, so the cost scales with the answer rather than with
 m^#arcs.  The other label-blind variant, grav, tests every one of the
 2^#arcs masks whole.  Either way the budget is still measured in cliques,
-m^#arcs.  Label-sensitive variants (lab:) stream the dense label space,
-chunked by a prefix of the label array when a parallelism degree is
-requested.
+m^#arcs.  Label-sensitive variants (lab:) are counted over numpy label
+blocks of the dense label space, one `_block_flags` call per block.
+
+The prime census runs over the 2^#diagonals diagonal-solidity patterns in
+numpy blocks, and its budget is measured in patterns.  It and
+`count_by_streaming`, the clique-by-clique reference, are the census paths
+that split across processes when given a parallelism degree.
 """
 
 from __future__ import annotations
@@ -183,13 +187,29 @@ def count_by_streaming(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
     return _count_stream_chunk((spec, magma, arity, ()))
 
 
-def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
+def _count_label_blocks(var, magma, arity):
+    """Members of a label-sensitive variant, counted over label blocks of at
+    most VECTOR_CHUNK cells."""
+    from .verify import VECTOR_CHUNK, _label_block  # verify.py imports this module
+
+    step = max(1, VECTOR_CHUNK // len(arcs_of(arity)))
+    count = 0
+    for lo in range(0, clique_space_size(magma, arity), step):
+        member, in_ambient = var._block_flags(
+            arity, _label_block(magma, arity, slice(lo, lo + step)),
+        )
+        count += int((member & in_ambient).sum())
+    return count
+
+
+def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     """Number of arity-n members of the variant, with formula cross-check.
 
     A label-blind variant is counted over solid-arc masks, each weighted by
     (m-1)^#arcs: by the pruned walk of its rule when it is erasure-closed,
-    otherwise over every mask under the clique budget.  Label-sensitive
-    variants stream the full clique space under the budget.
+    otherwise over every mask under the clique budget.  A label-sensitive
+    variant is counted over label blocks of the full clique space, under
+    the same budget.
     """
     var = variants.variant(spec, magma)
     if arity == 1:
@@ -205,7 +225,8 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
             if var.mask_member(arity, mask) and var.mask_in_ambient(arity, mask)
         )
     else:
-        count = count_by_streaming(spec, magma, arity, budget, threads)
+        _check_budget(magma, arity, budget)
+        count = _count_label_blocks(var, magma, arity)
     try:
         if var.label_set_sizes is not None:
             expected = dim_formula("lab", var.label_set_sizes, arity)
@@ -224,6 +245,9 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
 # -- prime census --------------------------------------------------------------
 
 
+PATTERN_BLOCK = 1 << 20  # int64 patterns per numpy block of the prime census
+
+
 def _diagonal_cross_masks(arity):
     diags = diagonals_of(arity)
     masks = []
@@ -237,34 +261,53 @@ def _diagonal_cross_masks(arity):
 
 
 def _prime_patterns_chunk(args):
+    """Sum weight^#solid over the prime (or minimal prime) diagonal patterns
+    in [lo, hi), taken in numpy blocks of at most PATTERN_BLOCK patterns.
+
+    A pattern is prime when it meets every diagonal's crossing mask.  A
+    prime pattern p is minimal when no solid diagonal can be dropped: b can
+    go unless it is the only crosser in p of some diagonal, so p is minimal
+    exactly when the single-bit values among p & mask, over all masks,
+    OR up to p.
+    """
+    # numpy on first use: imported with this module, it would load before
+    # verify.py and raise the package import's peak memory (see __init__.py)
+    import numpy as np
+
     arity, weight, lo, hi, want_minimal = args
-    _, masks = _diagonal_cross_masks(arity)
-    total = 0
-    for pattern in range(lo, hi):
-        if any(mask & pattern == 0 for mask in masks):
-            continue
+    diags, masks = _diagonal_cross_masks(arity)
+    histogram = np.zeros(len(diags) + 1, dtype=np.int64)  # kept patterns by #solid
+    for start in range(lo, hi, PATTERN_BLOCK):
+        patterns = np.arange(start, min(start + PATTERN_BLOCK, hi), dtype=np.int64)
+        for mask in masks:
+            patterns = patterns[(patterns & mask) != 0]
         if want_minimal:
-            live = pattern
-            minimal = True
-            while live:
-                bit = live & -live
-                live ^= bit
-                if not any(mask & (pattern ^ bit) == 0 for mask in masks):
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-        total += weight ** pattern.bit_count()
-    return total
+            sole = np.zeros_like(patterns)
+            for mask in masks:
+                crossers = patterns & mask
+                sole |= np.where((crossers & (crossers - 1)) == 0, crossers, 0)
+            patterns = patterns[sole == patterns]
+        histogram += np.bincount(np.bitwise_count(patterns), minlength=len(histogram))
+    # Python ints: the weights outgrow int64
+    return sum(h * weight ** k for k, h in enumerate(histogram.tolist()))
 
 
-def _prime_pattern_weight(magma, arity, want_minimal, threads=1):
+def _check_pattern_budget(arity, budget):
+    space = 1 << len(diagonals_of(arity))  # diagonal-solidity patterns
+    if budget is not None and space > budget:
+        raise BudgetError(
+            f"{space} diagonal patterns at arity {arity} exceed the budget "
+            f"{budget}; raise it explicitly to proceed"
+        )
+    return space
+
+
+def _prime_pattern_weight(magma, arity, want_minimal, budget, threads):
     # A clique is prime iff every diagonal is crossed by a solid diagonal,
     # so primality is a property of the diagonal-solidity pattern alone.
     if arity < 2:
         return 0
-    diags, _ = _diagonal_cross_masks(arity)
-    size = 1 << len(diags)
+    size = _check_pattern_budget(arity, budget)
     weight = magma.size - 1
     if threads > 1 and size >= 1 << 10:
         step = (size + threads - 1) // threads
@@ -277,22 +320,22 @@ def _prime_pattern_weight(magma, arity, want_minimal, threads=1):
     return _prime_patterns_chunk((arity, weight, 0, size, want_minimal))
 
 
-def count_white_prime(magma, arity, threads=1):
+def count_white_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
     """Number of prime cliques with non-solid edges and base."""
-    return _prime_pattern_weight(magma, arity, want_minimal=False, threads=threads)
+    return _prime_pattern_weight(magma, arity, False, budget, threads)
 
 
-def count_prime(magma, arity, threads=1):
+def count_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
     """Number of prime cliques: m^(n+1) white primes per boundary labeling."""
     if arity < 2:
         return 0
-    white = count_white_prime(magma, arity, threads=threads)
+    white = count_white_prime(magma, arity, budget=budget, threads=threads)
     return magma.size ** (arity + 1) * white
 
 
-def count_minimal_prime(magma, arity, threads=1):
+def count_minimal_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
     """Number of minimal prime cliques (all of them are white)."""
-    return _prime_pattern_weight(magma, arity, want_minimal=True, threads=threads)
+    return _prime_pattern_weight(magma, arity, True, budget, threads)
 
 
 # -- Dyck-path bijection ---------------------------------------------------------
@@ -440,12 +483,12 @@ class SequenceRecord:
             raise ValueError(f"bad provenance {self.provenance!r}")
 
 
-def sequence_for(spec, magma, max_arity, budget=DEFAULT_BUDGET, threads=1):
+def sequence_for(spec, magma, max_arity, budget=DEFAULT_BUDGET):
     """Counts for arities 1..max_arity, with provenance recorded."""
     entries = []
     has_formula = True
     for n in range(1, max_arity + 1):
-        count = count_by_enumeration(spec, magma, n, budget=budget, threads=threads)
+        count = count_by_enumeration(spec, magma, n, budget=budget)
         entries.append((n, count))
         try:
             dim_formula(spec, magma.size, n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 
-from .clique import Clique, arc_class, arcs_of, crossing, nested_in
+from .clique import arc_class, arcs_of, crossing, nested_in
 from .enumeration import clique_space_size
 from .knownops import is_gravity_arcset
 from .magma import has_nontrivial_unit_divisors
@@ -181,11 +181,15 @@ def _solid_mask(clique):
 
 
 class VariantPredicate:
-    """A clique subfamily with its status relative to the ambient operad."""
+    """A clique subfamily with its status relative to the ambient operad.
+
+    Subclasses answer `_block_flags(arity, block)`: `member` and
+    `in_ambient` of every row of a label block of that arity.
+    """
 
     __slots__ = (
         "spec", "magma", "status", "_member", "_ambient",
-        "label_blind", "erasure_closed", "label_set_sizes", "_flag_tables",
+        "label_blind", "erasure_closed", "label_set_sizes",
     )
 
     def __init__(self, spec, magma, status, member, ambient=None,
@@ -198,7 +202,6 @@ class VariantPredicate:
         self.label_blind = label_blind
         self.erasure_closed = erasure_closed
         self.label_set_sizes = None  # (b, e, d) for label-restricted variants
-        self._flag_tables = {}  # arity -> flags by key, filled by _block_flags
 
     def member(self, clique):
         if clique.magma != self.magma:
@@ -210,36 +213,6 @@ class VariantPredicate:
         if self._ambient is None:
             return True
         return self._ambient(clique)
-
-    def _new_flag_table(self, arity, entries):
-        return np.full(entries, -1, dtype=np.int8)
-
-    def _block_flags(self, arity, block):
-        """`member` and `in_ambient` of every row of a label block of this arity.
-
-        A row's key is its solid-arc mask for a label-blind variant and its
-        label row otherwise, read as digits.  Their answers stay in a
-        per-arity table with one entry per possible key: a label-blind
-        variant fills it from its mask rules at once, any other runs both
-        predicates once per distinct key on a clique with that key, so a
-        warm call evaluates no predicate.
-        """
-        radix = 2 if self.label_blind else self.magma.size
-        digits = block != self.magma.unit if self.label_blind else block
-        width = block.shape[1]
-        keys = digits.astype(np.int64) @ radix ** np.arange(width, dtype=np.int64)
-        table = self._flag_tables.get(arity)
-        if table is None:
-            table = self._flag_tables[arity] = self._new_flag_table(arity, radix ** width)
-        flags = table[keys]
-        unknown = keys[flags < 0]
-        if unknown.size:
-            for key in dict.fromkeys(unknown.tolist()):
-                labels = tuple(key // radix ** k % radix for k in range(width))
-                clique = Clique._unsafe(self.magma, arity, labels)
-                table[key] = self.member(clique) + 2 * self.in_ambient(clique)
-            flags = table[keys]
-        return (flags & 1).astype(bool), (flags & 2).astype(bool)
 
     def __repr__(self):
         return f"VariantPredicate({self.spec} over {self.magma.name}, {self.status})"
@@ -253,13 +226,14 @@ class _SkeletonVariant(VariantPredicate):
     `ambient_admits` is the rule of the ambient suboperad, if any.
     """
 
-    __slots__ = ("admits", "_whole", "_ambient_admits")
+    __slots__ = ("admits", "_whole", "_ambient_admits", "_flag_tables")
 
     def __init__(self, spec, magma, status, admits=None, ambient_admits=None,
                  whole=None):
         self.admits = admits
         self._whole = whole
         self._ambient_admits = ambient_admits
+        self._flag_tables = {}  # arity -> flags by solid-arc mask
         super().__init__(
             spec, magma, status,
             member=lambda p: self.mask_member(p.arity, _solid_mask(p)),
@@ -279,18 +253,30 @@ class _SkeletonVariant(VariantPredicate):
         """Whether the cliques whose solid-arc mask is `mask` lie in the ambient."""
         return self._ambient_admits is None or _fold(self._ambient_admits, arity, mask)
 
-    def _new_flag_table(self, arity, entries):
-        # every mask at once; under a downward-closed rule a mask's flags
-        # are its arc-order prefix's (the mask less its last arc) and one test
+    def _block_flags(self, arity, block):
+        """`member` and `in_ambient` of every row of a label block, read from
+        a per-arity table with one entry per solid-arc mask."""
+        table = self._flag_tables.get(arity)
+        if table is None:
+            table = self._flag_tables[arity] = self._flag_table(arity)
+        weights = 2 ** np.arange(block.shape[1], dtype=np.int64)
+        flags = table[(block != self.magma.unit).astype(np.int64) @ weights]
+        return (flags & 1).astype(bool), (flags & 2).astype(bool)
+
+    def _flag_table(self, arity):
+        # member + 2 * in_ambient for every mask at once; under a
+        # downward-closed rule a mask's flags are its arc-order prefix's
+        # (the mask less its last arc) and one test
+        width = len(arcs_of(arity))
         if self.admits is None:
             flags = bytearray(
                 self.mask_member(arity, mask) + 2 * self.mask_in_ambient(arity, mask)
-                for mask in range(entries)
+                for mask in range(1 << width)
             )
             return np.frombuffer(flags, dtype=np.int8)
         admits, ambient = self.admits, self._ambient_admits
         flags = bytearray([3])
-        for j in range(len(arcs_of(arity))):
+        for j in range(width):
             for prefix in range(1 << j):
                 f = flags[prefix]
                 if f & 1 and not admits(arity, prefix, j):
@@ -299,6 +285,45 @@ class _SkeletonVariant(VariantPredicate):
                     f -= 2
                 flags.append(f)
         return np.frombuffer(flags, dtype=np.int8)
+
+
+class _LabelVariant(VariantPredicate):
+    """Label-restricted suboperad: the base, each edge and each diagonal take
+    labels from their own set.
+
+    Its one rule is a per-arity table `allowed[arc, label]`; `member` reads a
+    clique's labels from it and `_block_flags` a whole block at once.
+    """
+
+    __slots__ = ("_class_sets", "_allowed_tables")
+
+    def __init__(self, spec, magma, base_set, edge_set, diag_set):
+        self._class_sets = {"base": base_set, "edge": edge_set, "diagonal": diag_set}
+        self._allowed_tables = {}  # arity -> allowed[arc, label], built on first use
+        super().__init__(
+            spec, magma, "suboperad",
+            member=lambda p: all(map(list.__getitem__, self._allowed(p.arity)[1], p.labels)),
+            label_blind=False,
+        )
+        self.label_set_sizes = (len(base_set), len(edge_set), len(diag_set))
+
+    def _allowed(self, arity):
+        """allowed[arc, label] as a numpy table, and as nested lists for
+        looking up one clique's labels."""
+        tables = self._allowed_tables.get(arity)
+        if tables is None:
+            arcs = arcs_of(arity)
+            table = np.zeros((len(arcs), self.magma.size), dtype=bool)
+            for j, (x, y) in enumerate(arcs):
+                table[j, list(self._class_sets[arc_class(arity, x, y)])] = True
+            tables = self._allowed_tables[arity] = (table, table.tolist())
+        return tables
+
+    def _block_flags(self, arity, block):
+        """`member` and `in_ambient` of every row of a label block."""
+        table = self._allowed(arity)[0]
+        return (table[np.arange(len(table)), block].all(axis=1),
+                np.ones(len(block), dtype=bool))
 
 
 NO_UNIT_DIVISOR_VARIANTS = ("deg", "nes", "acy", "pat", "for", "mot", "dis", "luc")
@@ -338,23 +363,12 @@ def make_lab(magma, base_set, edge_set, diag_set, unchecked=False):
                 stacklevel=2,
             )
 
-    def member(p):
-        for (x, y), lab in zip(arcs_of(p.arity), p.labels):
-            cls = arc_class(p.arity, x, y)
-            allowed = base_set if cls == "base" else edge_set if cls == "edge" else diag_set
-            if lab not in allowed:
-                return False
-        return True
-
     names = ",".join(sorted(magma.elem_name(v) for v in base_set))
     namee = ",".join(sorted(magma.elem_name(v) for v in edge_set))
     named = ",".join(sorted(magma.elem_name(v) for v in diag_set))
-    var = VariantPredicate(
-        f"lab:{names};{namee};{named}", magma, "suboperad", member,
-        label_blind=False,
+    return _LabelVariant(
+        f"lab:{names};{namee};{named}", magma, base_set, edge_set, diag_set,
     )
-    var.label_set_sizes = (len(base_set), len(edge_set), len(diag_set))
-    return var
 
 
 def _int_arg(spec, arg):

@@ -215,11 +215,17 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     (None, ["magma-check", "--magma", "E:100000"]),
     (None, ["sequence", "--variant", "deg:-1", "--magma", "D:0", "--max-arity", "3"]),
     (None, ["sequence", "--variant", "grav", "--magma", "D:1", "--max-arity", "6"]),
+    (None, ["--threads", "abc", "primes", "--magma", "D:0", "--max-size", "3"]),
+    (None, ["--threads", "0", "primes", "--magma", "D:0", "--max-size", "3"]),
+    (None, ["--threads", "-3", "sequence", "--variant", "nes", "--magma", "D:0",
+            "--max-arity", "3"]),
+    (None, ["primes", "--magma", "D:0", "--max-size", "8"]),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
         "unclosed-color", "oversized-magma", "negative-variant-argument",
-        "census-over-budget"])
+        "census-over-budget", "threads-not-an-integer", "threads-zero",
+        "threads-negative", "primes-over-budget"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"
@@ -231,6 +237,28 @@ def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_bad_threads_variable_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("CLIQUEOPS_THREADS", "abc")
+    code, out, err = run(capsys, "primes", "--magma", "D:0", "--max-size", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "CLIQUEOPS_THREADS" in err
+    monkeypatch.setenv("CLIQUEOPS_THREADS", "2")
+    code, out, _ = run(capsys, "primes", "--magma", "D:0", "--max-size", "4")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1 0 0 0", "2 8 1 1", "3 16 1 1", "4 352 11 5"]
+
+
+def test_primes_budget_option(capsys):
+    code, _, err = run(capsys, "primes", "--magma", "D:0", "--max-size", "5",
+                       "--budget", "100")
+    assert code == 2
+    assert err.startswith("error: 512 diagonal patterns at arity 5")
+    code, out, _ = run(capsys, "primes", "--magma", "D:0", "--max-size", "5",
+                       "--budget", "512")
+    assert code == 0
+    assert out.splitlines()[-1] == "5 16448 257 22"
 
 
 def test_decimal_coefficients_are_exact(capsys, tmp_path):

@@ -122,6 +122,18 @@ def test_prime_census_golden(d0):
     ]
 
 
+def test_prime_census_budget(d0):
+    # the budget counts the 2^#diagonals patterns: 2^20 at arity 7, 2^27 at 8
+    assert count_white_prime(d0, 7) == 822273
+    assert count_minimal_prime(d0, 7) == 783
+    for census in (count_prime, count_white_prime, count_minimal_prime):
+        with pytest.raises(BudgetError, match="134217728 diagonal patterns at arity 8"):
+            census(d0, 8)
+        with pytest.raises(BudgetError):
+            census(d0, 5, budget=100)
+    assert count_white_prime(d0, 5, budget=None) == 257
+
+
 def test_prime_census_matches_naive(d0, n3):
     # the pattern census must agree with the clique-by-clique predicates
     for magma, max_n in ((d0, 4), (n3, 3)):

@@ -195,3 +195,14 @@ def test_rf_morphism_engines_catch_an_off_by_one_reindex_table(monkeypatch, engi
     assert not report.ok
     assert report.counterexample.startswith("image of")
     assert report.checked > 0
+
+
+def test_rf_laws_verifier_catches_a_lossy_star_product(monkeypatch):
+    from cliqueops import ratfct
+
+    # mutation: the arcwise product drops its second factor
+    monkeypatch.setattr(ratfct, "star_product", lambda p, q: p)
+    report = verify_rf_laws(max_arity=3, samples=100, seed=0)
+    assert not report.ok
+    assert report.checked > 0
+    assert report.counterexample.startswith("multiplicativity fails on ")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cliqueops import (
@@ -293,6 +294,24 @@ def test_census_catches_a_widened_rule(d0, monkeypatch):
     monkeypatch.setitem(variants._SKELETON_KINDS, "nes", ("quotient", one_nesting, None))
     with pytest.raises(RuntimeError, match="closed formula"):
         count_by_enumeration("nes", d0, 4)
+
+
+def test_census_catches_a_widened_label_table(d1, monkeypatch):
+    # mutation: the allowed[arc, label] table of lab: admits one more label
+    # on one arc; the block census then disagrees with the closed formula
+    real = variants._LabelVariant._allowed
+
+    def widened(self, arity):
+        table = real(self, arity)[0].copy()
+        arc, label = np.argwhere(~table)[0]
+        table[arc, label] = True
+        return table, table.tolist()
+
+    spec = "lab:\U0001d7d9,0;\U0001d7d9,0;\U0001d7d9,0"
+    assert count_by_enumeration(spec, d1, 3) == 2 ** 6
+    monkeypatch.setattr(variants._LabelVariant, "_allowed", widened)
+    with pytest.raises(RuntimeError, match="closed formula"):
+        count_by_enumeration(spec, d1, 3)
 
 
 def test_negative_rule_bounds_are_refused(d0):

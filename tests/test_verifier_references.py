@@ -4,18 +4,24 @@
 `verify_ideal` and `verify_inclusions` run on numpy label blocks.  The loops
 below are the earlier one-clique-at-a-time versions, kept here as the
 independent reference: on success both must report the same verdict and the
-same `checked` total.
+same `checked` total.  The prime census runs on numpy pattern blocks; its
+one-pattern-at-a-time loop is kept here too, and the `lab:` block census is
+compared with `count_by_streaming`, which builds every clique.
 """
+
+import warnings
 
 import pytest
 
 from cliqueops import (
-    Clique, VerifyReport, automorphisms, generate_cliques, parse_magma_spec,
-    partial_compose, reflect, relabel, rotate, unzip_clique, variant,
-    verify_cyclic, verify_ideal, verify_inclusions, verify_product_iso,
+    Clique, VerifyReport, automorphisms, count_by_enumeration, generate_cliques,
+    parse_magma_spec, partial_compose, reflect, relabel, rotate, unzip_clique,
+    variant, verify_cyclic, verify_ideal, verify_inclusions, verify_product_iso,
     verify_symmetries, zip_cliques,
 )
-from cliqueops import variants
+from cliqueops import enumeration, variants
+from cliqueops.clique import crossing, diagonals_of
+from cliqueops.enumeration import count_by_streaming
 from cliqueops.operad import composable_pairs
 from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS
 
@@ -197,3 +203,82 @@ def test_failing_inclusion_verdict_matches_its_reference(d0, monkeypatch, chunk)
     assert (block.checked, block.counterexample) == (
         reference.checked, reference.counterexample,
     )
+
+
+def reference_prime_patterns(arity, weight, want_minimal):
+    """Sum weight^#solid over the prime (or minimal prime) diagonal
+    patterns, one pattern at a time."""
+    diags = diagonals_of(arity)
+    masks = [
+        sum(1 << j for j, e in enumerate(diags) if crossing(d, e)) for d in diags
+    ]
+    total = 0
+    for pattern in range(1 << len(diags)):
+        if any(mask & pattern == 0 for mask in masks):
+            continue
+        if want_minimal:
+            live = pattern
+            minimal = True
+            while live:
+                bit = live & -live
+                live ^= bit
+                if not any(mask & (pattern ^ bit) == 0 for mask in masks):
+                    minimal = False
+                    break
+            if not minimal:
+                continue
+        total += weight ** pattern.bit_count()
+    return total
+
+
+def _block_prime_patterns(arity, weight, want_minimal):
+    size = 1 << len(diagonals_of(arity))
+    return enumeration._prime_patterns_chunk((arity, weight, 0, size, want_minimal))
+
+
+@pytest.mark.parametrize("weight", [1, 2])
+@pytest.mark.parametrize("want_minimal", [False, True], ids=["white", "minimal"])
+def test_prime_census_matches_its_reference(weight, want_minimal):
+    for arity in range(1, 7):
+        assert _block_prime_patterns(arity, weight, want_minimal) == (
+            reference_prime_patterns(arity, weight, want_minimal)
+        ), arity
+
+
+@pytest.mark.parametrize("want_minimal", [False, True], ids=["white", "minimal"])
+def test_prime_census_catches_a_dropped_crossing_mask(monkeypatch, want_minimal):
+    # mutation: the last diagonal's crossing mask is lost, so patterns that
+    # leave that diagonal uncrossed pass as prime
+    real = enumeration._diagonal_cross_masks
+
+    def dropped(arity):
+        diags, masks = real(arity)
+        return diags, masks[:-1]
+
+    monkeypatch.setattr(enumeration, "_diagonal_cross_masks", dropped)
+    assert _block_prime_patterns(5, 1, want_minimal) != (
+        reference_prime_patterns(5, 1, want_minimal)
+    )
+
+
+LAB_SPECS = [  # (magma, spec with the unit among the edge labels, one without)
+    ("D:1", "lab:\U0001d7d9,0;\U0001d7d9,0,d_1;\U0001d7d9,0,d_1",
+     "lab:\U0001d7d9;0;\U0001d7d9,0"),
+    ("E:2", "lab:\U0001d7d9;\U0001d7d9,e_1;\U0001d7d9,e_1",
+     "lab:\U0001d7d9;e_1,e_2;\U0001d7d9,e_1,e_2"),
+]
+
+
+@pytest.mark.parametrize("spec, with_unit, without_unit", LAB_SPECS)
+def test_label_block_census_matches_streaming(spec, with_unit, without_unit):
+    magma = parse_magma_spec(spec)
+    for lab in (with_unit, without_unit):
+        for n in range(1, 5):
+            if lab == without_unit:
+                with pytest.warns(UserWarning, match="unit not in the edge label set"):
+                    block = count_by_enumeration(lab, magma, n)
+            else:
+                block = count_by_enumeration(lab, magma, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert block == count_by_streaming(lab, magma, n), (lab, n)

@@ -1,8 +1,8 @@
 import pytest
 
 from cliqueops import (
-    Clique, UnitaryMagma, generate_cliques, is_right_cancelable,
-    partial_compose, verify_basic_set_operad, verify_cyclic,
+    Clique, UnitaryMagma, generate_cliques, is_associative_element,
+    is_right_cancelable, partial_compose, verify_basic_set_operad, verify_cyclic,
     verify_operad_axioms, verify_symmetries,
 )
 from cliqueops.verify import _compose_corrupt
@@ -197,3 +197,59 @@ def test_symmetry_verifiers_catch_a_broken_permutation(
     assert not report.ok
     assert report.counterexample.startswith(message)
     assert report.checked > 0
+
+
+def _compose_forgetting_the_edge(p, q, i):
+    # mutation: the glued arc takes q's base label and drops p's edge label
+    from cliqueops.operad import compose_glued
+
+    return compose_glued(p, q, i, q.base_label)
+
+
+def test_basic_set_operad_catches_a_lossy_composition(monkeypatch, n2):
+    from cliqueops import verify
+
+    monkeypatch.setattr(verify, "partial_compose", _compose_forgetting_the_edge)
+    # the injectivity scan now finds a collision over a cancelable carrier,
+    # which the cancelability cross-check refuses
+    with pytest.raises(RuntimeError, match="injectivity scan over N_2 says False"):
+        verify_basic_set_operad(n2, 3)
+    monkeypatch.setattr(verify, "is_right_cancelable", lambda magma: False)
+    report, witness = verify_basic_set_operad(n2, 3)
+    assert not report.ok
+    assert report.checked > 0
+    assert report.counterexample.startswith("collision ")
+    p, p2, q, i = witness
+    assert p != p2 and partial_compose(p, q, i) != partial_compose(p2, q, i)
+
+
+def _lopsided(d0):
+    from cliqueops import LinComb
+
+    return LinComb.of(Clique.triangle(d0, 0, 1, 0))  # not associative
+
+
+def test_associativity_catches_a_broken_direct_route(monkeypatch, d0):
+    from cliqueops import verify
+
+    real = verify.partial_compose_lin
+    # mutation: the direct route composes in the first slot on both sides
+    monkeypatch.setattr(verify, "partial_compose_lin", lambda f, g, i: real(f, g, 1))
+    with pytest.raises(RuntimeError, match=r"disagree on .* \(True vs False\)"):
+        is_associative_element(_lopsided(d0))
+
+
+def test_associativity_catches_a_broken_condition_route(monkeypatch, d0):
+    from cliqueops import verify
+
+    real = verify._associative_conditions
+    # mutation: the coefficient conditions read the element less one term
+    def one_term_short(f):
+        from cliqueops import LinComb
+
+        kept = list(f.terms.items())[1:]
+        return real(LinComb(f.magma, f.arity, kept)) if kept else True
+
+    monkeypatch.setattr(verify, "_associative_conditions", one_term_short)
+    with pytest.raises(RuntimeError, match=r"disagree on .* \(False vs True\)"):
+        is_associative_element(_lopsided(d0))
