@@ -157,14 +157,13 @@ def cmd_primes(args):
     census = {"budget": args.budget, "threads": args.threads}
     rows = []
     for n in range(1, args.max_size + 1):
-        rows.append(
-            (
-                n,
-                enumeration.count_prime(magma, n, **census),
-                enumeration.count_white_prime(magma, n, **census),
-                enumeration.count_minimal_prime(magma, n, **census),
-            )
-        )
+        white = enumeration.count_white_prime(magma, n, **census)
+        rows.append((
+            n,
+            enumeration.prime_from_white(magma, n, white),
+            white,
+            enumeration.count_minimal_prime(magma, n, **census),
+        ))
     if args.json:
         print(json.dumps(
             [

@@ -14,6 +14,8 @@ built once per shape under `lru_cache` and run by `gather`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import ne
 
 from .magma import UnitaryMagma, parse_magma_spec
 
@@ -143,10 +145,8 @@ class Clique:
         return self.label(x, y) != self.magma.unit
 
     def solid_arcs(self):
-        unit = self.magma.unit
-        return tuple(
-            arc for arc, lab in zip(arcs_of(self.arity), self.labels) if lab != unit
-        )
+        """The solid arcs in lexicographic order."""
+        return tuple(iter_solid_arcs(self))
 
     def solid_diagonals(self):
         return tuple(
@@ -191,6 +191,13 @@ class Clique:
         return f"Clique[{self.magma.name}|{self.arity}|{solid or 'all-unit'}]"
 
 
+def iter_solid_arcs(clique):
+    """The solid arcs of a clique in lexicographic order, one at a time."""
+    return compress(
+        arcs_of(clique.arity), map(ne, clique.labels, repeat(clique.magma.unit)),
+    )
+
+
 def gather(magma, arity, source, plan):
     """The clique whose k-th arc label is source[plan[k]] (trusted: the plan
     fits the arity and every source entry is a label of the magma)."""
@@ -227,11 +234,16 @@ def is_noncrossing(clique):
 
 
 def is_nesting_free(clique):
-    solid = clique.solid_arcs()
-    return not any(
-        a != b and nested_in(a, b)
-        for a in solid for b in solid
-    )
+    """No solid arc nested in another.  Solid arcs come in lexicographic
+    order, so that holds iff their starts and their ends both strictly
+    increase along them: a repeated start or a non-increasing end is a
+    nesting, and two arcs increasing in both cannot nest."""
+    last_x = last_y = 0
+    for x, y in iter_solid_arcs(clique):
+        if x <= last_x or y <= last_y:
+            return False
+        last_x, last_y = x, y
+    return True
 
 
 def is_acyclic(clique):

@@ -3,14 +3,17 @@ the Dyck-path bijection for nesting-free cliques, and sequence export.
 
 Counting a label-blind variant goes over solid-arc masks (bit j is
 arcs_of(arity)[j]) and weights each accepted mask by (m-1)^#arcs.  When
-the variant is erasure-closed, its rule is one incremental test
-`admits(arity, mask, arc)` (deg:k, nes, cro:k, acy, whi, bub and their
-conjunctions wnc, pat, for, mot, dis, luc), and the walk extends only
-accepted masks, so the cost scales with the answer rather than with
-m^#arcs.  The other label-blind variant, grav, tests every one of the
-2^#arcs masks whole.  Either way the budget is still measured in cliques,
-m^#arcs.  Label-sensitive variants (lab:) are counted over numpy label
-blocks of the dense label space, one `_block_flags` call per block.
+the variant is erasure-closed, its rule is one downward-closed test per
+arc (deg:k, nes, cro:k, acy, whi, bub and their conjunctions wnc, pat,
+for, mot, dis, luc; see variants.py), and the walk `variants._skeleton_blocks`
+extends only accepted masks, block by block: a block holds masks with the
+same arc count, and the rule tests all its rows at once, one arc after
+another (small blocks one mask at a time).  The count adds block size
+times (m-1)^k in Python ints, and its cost scales with the answer rather
+than with m^#arcs.  The other label-blind variant, grav, tests every one
+of the 2^#arcs masks whole.  Either way the budget is still measured in
+cliques, m^#arcs.  Label-sensitive variants (lab:) are counted over numpy
+label blocks of the dense label space, one `_block_flags` call per block.
 
 The prime census runs over the 2^#diagonals diagonal-solidity patterns in
 numpy blocks, and its budget is measured in patterns.  It and
@@ -134,19 +137,12 @@ def dim_formula(spec, m_or_bed, n):
 # -- weighted skeleton census -------------------------------------------------
 
 
-def _census_skeletons(arity, weight, admits):
-    """Sum weight^#arcs over the masks a downward-closed rule accepts: each
-    accepted mask is extended by every later arc, one `admits` test each."""
-    width = len(arcs_of(arity))
-    total = 0
-    stack = [(0, 0, 1)]  # (first arc still free, accepted mask, its weight)
-    while stack:
-        start, mask, factor = stack.pop()
-        total += factor
-        for j in range(start, width):
-            if admits(arity, mask, j):
-                stack.append((j + 1, mask | 1 << j, factor * weight))
-    return total
+def _census_skeletons(arity, weight, rule):
+    """Sum weight^#arcs over the masks a downward-closed rule accepts."""
+    # Python ints: the weights outgrow int64
+    return sum(
+        len(masks) * weight ** k for masks, k in variants._skeleton_blocks(arity, rule)
+    )
 
 
 def _count_stream_chunk(args):
@@ -216,7 +212,7 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
         return 1
     weight = magma.size - 1
     if var.label_blind and var.erasure_closed:
-        count = _census_skeletons(arity, weight, var.admits)
+        count = _census_skeletons(arity, weight, var.rule)
     elif var.label_blind:
         _check_budget(magma, arity, budget)
         count = sum(
@@ -325,12 +321,17 @@ def count_white_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
     return _prime_pattern_weight(magma, arity, False, budget, threads)
 
 
-def count_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
-    """Number of prime cliques: m^(n+1) white primes per boundary labeling."""
-    if arity < 2:
-        return 0
-    white = count_white_prime(magma, arity, budget=budget, threads=threads)
+def prime_from_white(magma, arity, white):
+    """Number of prime cliques given the white ones: a clique is prime iff
+    its diagonals are, so each of the m^(n+1) labelings of the edges and
+    the base turns a white prime into a prime."""
     return magma.size ** (arity + 1) * white
+
+
+def count_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
+    """Number of prime cliques."""
+    white = count_white_prime(magma, arity, budget=budget, threads=threads)
+    return prime_from_white(magma, arity, white)
 
 
 def count_minimal_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):

@@ -11,7 +11,10 @@ checks quantify over white cliques only.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
 from .clique import arc_class, arcs_of, crossing, nested_in
 from .enumeration import clique_space_size
@@ -34,12 +37,47 @@ class VariantError(ValueError):
 
 
 # -- skeleton rules on arc bitmasks --------------------------------------------
-# Bit j of a mask stands for arcs_of(arity)[j].  Each downward-closed rule
-# is one stateless test `admits(arity, mask, j)`: may arc j join the
-# accepted set `mask`?  Membership of a whole mask folds the test over its
-# bits in arc order, which is exact for a downward-closed rule, so the
-# census can prune partial skeletons.  The clique-level statistics in
-# clique.py are the independent formulations the tests compare against.
+# Bit j of a mask stands for arcs_of(arity)[j].  Each downward-closed rule is
+# one test per arity, `rule.at(arity)(mask, comp, j)`: may arc j join the
+# accepted set `mask`?  The same definition answers for one mask (a Python
+# int) and for a `_MaskBlock` of masks (one answer per row), so it is
+# written with `&`, `|`, `==`, `<` and `bit_count()` only.  A forest rule
+# also reads `comp`, component labels of the polygon's vertices under the
+# accepted arcs: bytes indexed by vertex for one mask, an (arity+2, N) int8
+# array for a block (so comp[x] is vertex x's label in every row).
+# Accepting arc (x, y) merges the labels of x and y (`_merge`); other rules
+# get comp=None.  Membership of a whole mask folds the test over its bits
+# in arc order, which is exact for a downward-closed rule, so the census
+# can prune partial skeletons.  The clique-level statistics in clique.py
+# are the independent formulations the tests compare against.
+
+
+class Rule(NamedTuple):
+    """A downward-closed skeleton rule: `at(arity)` is its test
+    `admits(mask, comp, j)` at that arity, and `forest` says whether the
+    test reads component labels."""
+
+    at: Callable
+    forest: bool = False
+
+
+def _rule(at, forest=False):
+    """The Rule whose per-arity tests `at` builds, each built once."""
+    return Rule(lru_cache(maxsize=None)(at), forest)
+
+
+def _merge(comp, x, y):
+    """Component labels once arc (x, y) is accepted: y's component takes
+    x's label, in one mask's bytes or in every row of a block."""
+    if isinstance(comp, bytes):
+        return comp.replace(comp[y:y + 1], comp[x:x + 1])
+    return np.where(comp == comp[y], comp[x], comp)
+
+
+@lru_cache(maxsize=None)
+def _start_labels(arity):
+    """Component labels of the empty skeleton: every vertex on its own."""
+    return bytes(range(arity + 2))
 
 
 def _arc_masks(arity, related):
@@ -53,6 +91,16 @@ def _arc_masks(arity, related):
 def _cross_masks(arity):
     """Per arc, the arcs crossing it (only diagonals ever cross)."""
     return _arc_masks(arity, crossing)
+
+
+@lru_cache(maxsize=None)
+def _cross_bits(arity):
+    """Per arc, (bit, crossing mask) of every arc that could cross it."""
+    cross = _cross_masks(arity)
+    return tuple(
+        tuple((1 << c, cross[c]) for c in range(len(cross)) if mask >> c & 1)
+        for mask in cross
+    )
 
 
 @lru_cache(maxsize=None)
@@ -74,99 +122,288 @@ def _incidence_masks(arity):
 
 
 @lru_cache(maxsize=None)
-def _neighbours(arity):
-    """Per vertex, (arc bit, other endpoint) for every arc meeting it."""
-    arcs = arcs_of(arity)
-    return tuple(
-        tuple((1 << k, x + y - v) for k, (x, y) in enumerate(arcs) if v in (x, y))
-        for v in range(arity + 2)
-    )
-
-
-@lru_cache(maxsize=None)
 def _diagonal_flags(arity):
     return tuple(arc_class(arity, x, y) == "diagonal" for x, y in arcs_of(arity))
 
 
+@lru_cache(maxsize=None)
 def _degree_rule(k):
     """deg:k -- both endpoints of the arc meet fewer than k accepted arcs."""
-    def admits(arity, mask, j):
-        x, y = arcs_of(arity)[j]
+    def at(arity):
         incident = _incidence_masks(arity)
-        return (incident[x] & mask).bit_count() < k and (incident[y] & mask).bit_count() < k
-    return admits
+        ends = [(incident[x], incident[y]) for x, y in arcs_of(arity)]
+
+        def admits(mask, comp, j):
+            ex, ey = ends[j]
+            return ((ex & mask).bit_count() < k) & ((ey & mask).bit_count() < k)
+        return admits
+    return _rule(at)
 
 
+@lru_cache(maxsize=None)
 def _crossing_rule(k):
     """cro:k -- the arc meets at most k accepted crossers, and each of them
     meets fewer than k."""
-    def admits(arity, mask, j):
-        cross = _cross_masks(arity)
-        crossers = cross[j] & mask
-        if crossers.bit_count() > k:
-            return False
-        while crossers:
-            low = crossers & -crossers
-            if (cross[low.bit_length() - 1] & mask).bit_count() >= k:
-                return False
-            crossers ^= low
-        return True
+    def at(arity):
+        cross, crossers = _cross_masks(arity), _cross_bits(arity)
+
+        def admits(mask, comp, j):
+            ok = (cross[j] & mask).bit_count() <= k
+            if k:  # with k = 0 no crosser is accepted, so none needs its own test
+                for bit, theirs in crossers[j]:
+                    ok = ok & (((bit & mask) == 0) | ((theirs & mask).bit_count() < k))
+            return ok
+        return admits
+    return _rule(at)
+
+
+def _nesting_at(arity):
+    """nes -- no accepted arc is nested in the arc or around it."""
+    nest = _nest_masks(arity)
+
+    def admits(mask, comp, j):
+        return (nest[j] & mask) == 0
     return admits
 
 
-def _nesting_rule(arity, mask, j):
-    """nes -- no accepted arc is nested in the arc or around it."""
-    return not _nest_masks(arity)[j] & mask
+def _acyclic_at(arity):
+    """acy -- the endpoints of the arc lie in different components yet."""
+    arcs = arcs_of(arity)
+
+    def admits(mask, comp, j):
+        x, y = arcs[j]
+        return comp[x] != comp[y]
+    return admits
 
 
-def _acyclic_rule(arity, mask, j):
-    """acy -- no path of accepted arcs joins the endpoints of the arc yet."""
-    x, y = arcs_of(arity)[j]
-    incident = _incidence_masks(arity)
-    if not (incident[x] & mask and incident[y] & mask):
-        return True
-    neighbours = _neighbours(arity)
-    seen, stack = 1 << x, [x]
-    while stack:
-        for bit, w in neighbours[stack.pop()]:
-            if mask & bit and not seen >> w & 1:
-                if w == y:
-                    return False
-                seen |= 1 << w
-                stack.append(w)
-    return True
-
-
-def _white_rule(arity, mask, j):
+def _white_at(arity):
     """whi -- the arc is a diagonal."""
-    return _diagonal_flags(arity)[j]
+    diagonal = _diagonal_flags(arity)
+
+    def admits(mask, comp, j):
+        return diagonal[j]
+    return admits
 
 
-def _bubble_rule(arity, mask, j):
+def _bubble_at(arity):
     """bub -- the arc is an edge or the base."""
-    return not _diagonal_flags(arity)[j]
+    diagonal = _diagonal_flags(arity)
+
+    def admits(mask, comp, j):
+        return not diagonal[j]
+    return admits
+
+
+_nesting_rule = _rule(_nesting_at)
+_acyclic_rule = _rule(_acyclic_at, forest=True)
+_white_rule = _rule(_white_at)
+_bubble_rule = _rule(_bubble_at)
 
 
 def _conjunction(*rules):
-    def admits(arity, mask, j):
-        for rule in rules:
-            if not rule(arity, mask, j):
-                return False
-        return True
-    return admits
+    def at(arity):
+        tests = tuple(rule.at(arity) for rule in rules)
+
+        def admits(mask, comp, j):
+            ok = True
+            for test in tests:
+                ok = ok & test(mask, comp, j)
+                if ok is False:  # one mask, refused: the other tests need not run
+                    return ok
+            return ok
+        return admits
+    return _rule(at, any(rule.forest for rule in rules))
 
 
-def _fold(admits, arity, mask):
+def _fold(rule, arity, mask):
     """Whether a downward-closed rule accepts a whole mask: every arc, taken
     in arc order, joins the arcs before it."""
+    arcs, admits = arcs_of(arity), rule.at(arity)
+    comp = _start_labels(arity) if rule.forest else None
     accepted = 0
     while mask:
         low = mask & -mask
-        if not admits(arity, accepted, low.bit_length() - 1):
+        j = low.bit_length() - 1
+        if not admits(accepted, comp, j):
             return False
+        if comp is not None:  # _merge, inlined: member is called per clique
+            x, y = arcs[j]
+            comp = comp.replace(comp[y:y + 1], comp[x:x + 1])
         accepted |= low
         mask ^= low
     return True
+
+
+# -- the census walk over blocks of accepted masks ------------------------------
+
+
+SKELETON_BLOCK = 1 << 14  # most masks in one block of the census walk
+SCALAR_ROWS = 64  # blocks with fewer rows are extended one mask at a time
+MASK_BITS = 63  # bits per int64 word of a mask: all but the sign bit
+
+
+def _mask_words(masks, count):
+    """Python int masks as a (count, len(masks)) array of MASK_BITS-bit words."""
+    low = (1 << MASK_BITS) - 1
+    return np.array(
+        [[m >> (w * MASK_BITS) & low for m in masks] for w in range(count)],
+        dtype=np.int64,
+    ).reshape(count, len(masks))
+
+
+@lru_cache(maxsize=None)
+def _word_column(value, count):
+    return _mask_words([value], count)
+
+
+class _MaskBlock:
+    """A block of arc masks, MASK_BITS bits per int64 word: row r is the sum
+    over w of words[w, r] << (w * MASK_BITS).  It answers `&`, `|`, `==`
+    and `bit_count()` row by row as a Python int answers them, so a rule
+    tests a block with the definition it tests one mask with."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def __len__(self):
+        return self.words.shape[1]
+
+    def __getitem__(self, rows):
+        return _MaskBlock(self.words[:, rows])
+
+    def ints(self):
+        return [
+            sum(v << (w * MASK_BITS) for w, v in enumerate(column))
+            for column in zip(*self.words.tolist())
+        ]
+
+    def _other(self, other):
+        if isinstance(other, _MaskBlock):
+            return other.words
+        return _word_column(other, len(self.words))
+
+    def __and__(self, other):
+        return _MaskBlock(self.words & self._other(other))
+
+    __rand__ = __and__
+
+    def __or__(self, other):
+        return _MaskBlock(self.words | self._other(other))
+
+    def __eq__(self, other):
+        equal = self.words == self._other(other)
+        return equal[0] if len(equal) == 1 else equal.all(axis=0)
+
+    def bit_count(self):
+        counts = np.bitwise_count(self.words)
+        return counts[0] if len(counts) == 1 else counts.sum(axis=0)
+
+
+def _extend_block(arity, admits, masks, comp, live, j):
+    """Children of a _MaskBlock from arc j on, all rows tested at once per
+    arc, until SKELETON_BLOCK children wait.  Returns them, their count per
+    arc and the next arc to try."""
+    arcs = arcs_of(arity)
+    added = [0] * len(arcs)
+    children, waiting = [], 0
+    while j < len(arcs) and waiting < SKELETON_BLOCK:
+        n = live[j]
+        part = None if comp is None else comp[:n].T  # part[x]: vertex x in every row
+        ok = admits(masks[:n], part, j)
+        rows = np.arange(n) if ok is True else np.flatnonzero(ok)
+        if rows.size:
+            added[j] = rows.size
+            waiting += rows.size
+            children.append((
+                masks[rows] | 1 << j,
+                None if comp is None else _merge(part[:, rows], *arcs[j]).T,
+            ))
+        j += 1
+    if not children:
+        return None, added, j
+    masks = _MaskBlock(np.concatenate([c[0].words for c in children], axis=1))
+    if comp is not None:
+        comp = np.concatenate([c[1] for c in children])
+    return (masks, comp), added, j
+
+
+def _extend_rows(arity, admits, masks, comp, live):
+    """Children of a small block, tested one mask at a time on Python ints,
+    in the order _extend_block finds them, with their count per arc.  They
+    stay Python ints and bytes unless there are SCALAR_ROWS of them."""
+    arcs = arcs_of(arity)
+    width = len(arcs)
+    if isinstance(masks, _MaskBlock):
+        masks = masks.ints()
+        comp = None if comp is None else list(map(bytes, comp.tolist()))
+    by_arc = [[] for _ in arcs]
+    for r, (mask, lab) in enumerate(zip(masks, comp or [None] * len(masks))):
+        for j in range(bisect_right(live, r), width):  # r < live[j]
+            if admits(mask, lab, j):
+                by_arc[j].append((
+                    mask | 1 << j, None if lab is None else _merge(lab, *arcs[j]),
+                ))
+    found = [child for arc in by_arc for child in arc]
+    if not found:
+        return None, [0] * width
+    masks = [m for m, _ in found]
+    comp = None if comp is None else [c for _, c in found]
+    if len(found) >= SCALAR_ROWS:  # the next extension tests them as a block
+        masks = _MaskBlock(_mask_words(masks, max(1, -(-width // MASK_BITS))))
+        if comp is not None:
+            comp = np.frombuffer(b"".join(comp), dtype=np.int8).reshape(len(found), -1)
+    return (masks, comp), list(map(len, by_arc))
+
+
+def _skeleton_blocks(arity, rule):
+    """Yield (masks, k): every mask the downward-closed rule accepts, once,
+    in blocks of at most SKELETON_BLOCK masks that all have k arcs.
+
+    A block is a list of Python ints or, from SCALAR_ROWS masks on, a
+    _MaskBlock.  Its rows are sorted by their first free arc, and for a
+    forest rule each row carries its component labels (bytes, or one row of
+    an int8 array per mask).  The children of a block are its rows extended
+    by one later arc that the rule admits.  A _MaskBlock tests all its rows
+    at once, one arc after another, and once SKELETON_BLOCK children wait
+    they are walked first, so a few blocks per arc count are held at any
+    time, however many masks the rule accepts.  A smaller block is cheaper
+    to test one mask at a time.
+    """
+    admits, width = rule.at(arity), len(arcs_of(arity))
+    comp = [_start_labels(arity)] if rule.forest else None
+    yield [0], 0
+    # a frame: masks, their labels, their arc count, live[j] = how many
+    # leading rows may take arc j (their first free arc is <= j), next arc
+    stack = [[[0], comp, 0, [1] * width, 0]]
+    while stack:
+        frame = stack[-1]
+        masks, comp, k, live, j = frame
+        if isinstance(masks, list) or len(masks) < SCALAR_ROWS:
+            children, added = _extend_rows(arity, admits, masks, comp, live)
+            j = width
+        else:
+            children, added, j = _extend_block(arity, admits, masks, comp, live, j)
+        if j == width:
+            stack.pop()
+        else:
+            frame[4] = j
+        if children is None:
+            continue
+        masks, comp = children
+        # a child added by arc i has i + 1 as its first free arc
+        child_live = list(accumulate([0] + added[:-1]))
+        for lo in range(0, len(masks), SKELETON_BLOCK):
+            hi = min(lo + SKELETON_BLOCK, len(masks))
+            live = child_live
+            if hi - lo < len(masks):
+                live = [min(max(v - lo, 0), hi - lo) for v in child_live]
+            yield masks[lo:hi], k + 1
+            stack.append([
+                masks[lo:hi], None if comp is None else comp[lo:hi], k + 1,
+                live, bisect_right(live, 0),
+            ])
 
 
 def _gravity_mask(arity, mask):
@@ -221,70 +458,66 @@ class VariantPredicate:
 class _SkeletonVariant(VariantPredicate):
     """Variant whose membership depends only on the set of solid arcs.
 
-    `admits` is its downward-closed rule, or None when membership is the
+    `rule` is its downward-closed Rule, or None when membership is the
     whole-mask test `whole` instead (erasing arcs can leave the family);
-    `ambient_admits` is the rule of the ambient suboperad, if any.
+    `ambient_rule` is the Rule of the ambient suboperad, if any.
     """
 
-    __slots__ = ("admits", "_whole", "_ambient_admits", "_flag_tables")
+    __slots__ = ("rule", "_whole", "_ambient_rule")
 
-    def __init__(self, spec, magma, status, admits=None, ambient_admits=None,
+    def __init__(self, spec, magma, status, rule=None, ambient_rule=None,
                  whole=None):
-        self.admits = admits
+        self.rule = rule
         self._whole = whole
-        self._ambient_admits = ambient_admits
-        self._flag_tables = {}  # arity -> flags by solid-arc mask
+        self._ambient_rule = ambient_rule
         super().__init__(
             spec, magma, status,
             member=lambda p: self.mask_member(p.arity, _solid_mask(p)),
-            ambient=(None if ambient_admits is None
+            ambient=(None if ambient_rule is None
                      else (lambda p: self.mask_in_ambient(p.arity, _solid_mask(p)))),
             label_blind=True,
-            erasure_closed=admits is not None,
+            erasure_closed=rule is not None,
         )
 
     def mask_member(self, arity, mask):
         """Membership of the cliques whose solid-arc mask is `mask`."""
-        if self.admits is None:
+        if self.rule is None:
             return self._whole(arity, mask)
-        return _fold(self.admits, arity, mask)
+        return _fold(self.rule, arity, mask)
 
     def mask_in_ambient(self, arity, mask):
         """Whether the cliques whose solid-arc mask is `mask` lie in the ambient."""
-        return self._ambient_admits is None or _fold(self._ambient_admits, arity, mask)
+        return self._ambient_rule is None or _fold(self._ambient_rule, arity, mask)
 
     def _block_flags(self, arity, block):
         """`member` and `in_ambient` of every row of a label block, read from
         a per-arity table with one entry per solid-arc mask."""
-        table = self._flag_tables.get(arity)
-        if table is None:
-            table = self._flag_tables[arity] = self._flag_table(arity)
+        table = _flag_table(arity, self.rule, self._ambient_rule, self._whole)
         weights = 2 ** np.arange(block.shape[1], dtype=np.int64)
         flags = table[(block != self.magma.unit).astype(np.int64) @ weights]
         return (flags & 1).astype(bool), (flags & 2).astype(bool)
 
-    def _flag_table(self, arity):
-        # member + 2 * in_ambient for every mask at once; under a
-        # downward-closed rule a mask's flags are its arc-order prefix's
-        # (the mask less its last arc) and one test
-        width = len(arcs_of(arity))
-        if self.admits is None:
-            flags = bytearray(
-                self.mask_member(arity, mask) + 2 * self.mask_in_ambient(arity, mask)
-                for mask in range(1 << width)
-            )
-            return np.frombuffer(flags, dtype=np.int8)
-        admits, ambient = self.admits, self._ambient_admits
-        flags = bytearray([3])
-        for j in range(width):
-            for prefix in range(1 << j):
-                f = flags[prefix]
-                if f & 1 and not admits(arity, prefix, j):
-                    f -= 1
-                if f & 2 and ambient is not None and not ambient(arity, prefix, j):
-                    f -= 2
-                flags.append(f)
-        return np.frombuffer(flags, dtype=np.int8)
+
+def _accepted(arity, rule):
+    """1 for every solid-arc mask a downward-closed rule accepts, else 0:
+    the masks the census walk reaches."""
+    accepted = np.zeros(1 << len(arcs_of(arity)), dtype=np.int8)
+    for masks, _ in _skeleton_blocks(arity, rule):
+        accepted[masks.words[0] if isinstance(masks, _MaskBlock) else masks] = 1
+    return accepted
+
+
+@lru_cache(maxsize=None)
+def _flag_table(arity, rule, ambient_rule, whole):
+    """member + 2 * in_ambient for every solid-arc mask at the arity, built
+    once for every variant with the same rules (none depends on the magma)."""
+    if rule is None:
+        member = np.frombuffer(bytearray(
+            whole(arity, mask) for mask in range(1 << len(arcs_of(arity)))
+        ), dtype=np.int8)
+    else:
+        member = _accepted(arity, rule)
+    return member + 2 * (1 if ambient_rule is None else _accepted(arity, ambient_rule))
 
 
 class _LabelVariant(VariantPredicate):
@@ -415,7 +648,7 @@ def variant(spec, magma, unchecked=False):
         return _SkeletonVariant(spec, magma, "both" if kind == "cro" else "quotient", rule)
     if kind in _SKELETON_KINDS:
         status, rule, ambient = _SKELETON_KINDS[kind]
-        return _SkeletonVariant(spec, magma, status, rule, ambient_admits=ambient)
+        return _SkeletonVariant(spec, magma, status, rule, ambient_rule=ambient)
     if kind == "grav":
         # needs every edge and the base solid, so it is not erasure-closed
         return _SkeletonVariant(spec, magma, "suboperad", whole=_gravity_mask)

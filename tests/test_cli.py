@@ -1,8 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliqueops.cli import main
+from cliqueops import (
+    Clique, CliqueError, MagmaError, arcs_of, dyck_decode, dyck_encode,
+    is_nesting_free, parse_magma_spec,
+)
+from cliqueops.cli import UsageError, _parse_colored_word, main
 
 
 def run(capsys, *argv):
@@ -150,6 +156,27 @@ def test_primes(capsys):
     code, out, _ = run(capsys, "primes", "--magma", "D:0", "--max-size", "4")
     assert code == 0
     assert out.splitlines()[1:] == ["1 0 0 0", "2 8 1 1", "3 16 1 1", "4 352 11 5"]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_primes_counts_each_census_once_per_size(capsys, monkeypatch, fmt):
+    # one white-prime and one minimal-prime pattern pass per size; the
+    # prime count is derived from the white one, not counted again
+    from cliqueops import enumeration
+
+    real = enumeration._prime_pattern_weight
+    calls = []
+
+    def counted(magma, arity, want_minimal, budget, threads):
+        calls.append((arity, want_minimal))
+        return real(magma, arity, want_minimal, budget, threads)
+
+    monkeypatch.setattr(enumeration, "_prime_pattern_weight", counted)
+    code, out, _ = run(capsys, "primes", "--magma", "D:0", "--max-size", "4", *fmt)
+    assert code == 0
+    assert sorted(calls) == [(n, m) for n in range(1, 5) for m in (False, True)]
+    if fmt:
+        assert [row["prime"] for row in json.loads(out)] == [0, 8, 16, 352]
 
 
 def test_dyck_round_trip_cli(capsys, tmp_path):
@@ -305,3 +332,40 @@ def test_verify_all_stdout_is_timing_free(capsys, monkeypatch):
     assert [line.split(":")[0] for line in timings] == ["criterion  1", "criterion  7"]
     assert all("elapsed_s=" in line and "headroom_s=" in line for line in timings)
     assert "bound_s=60" in timings[1]
+
+
+D1 = parse_magma_spec("D:1")
+# letters, brackets and label names of D:1 (the unit, 0, d_1 and an alias),
+# and a name D:1 lacks
+WORD_CHARS = ["a", "b", "[", "]", "0", "d_1", "d1", "\U0001d7d9", "x"]
+
+
+@st.composite
+def encoded_words(draw):
+    """The word of a nesting-free D:1 clique, maybe with one token spliced in."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    arcs = draw(st.lists(st.sampled_from(arcs_of(n)), max_size=4, unique=True))
+    arcs.sort()
+    kept = [arc for k, arc in enumerate(arcs)  # starts and ends increasing
+            if all(a[0] < arc[0] and a[1] < arc[1] for a in arcs[:k])]
+    labels = draw(st.lists(st.sampled_from([D1.elem("0"), D1.elem("d_1")]),
+                           min_size=len(kept), max_size=len(kept)))
+    text = str(dyck_encode(Clique.from_arcs(D1, n, dict(zip(kept, labels)))))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    splice = draw(st.sampled_from([""] * 3 + WORD_CHARS))
+    return text[:at] + splice + text[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(WORD_CHARS), max_size=24).map("".join),
+    encoded_words(),
+))
+def test_colored_word_parser_decodes_or_refuses(text):
+    try:
+        word = _parse_colored_word(D1, text)
+        clique = dyck_decode(word)
+    except (UsageError, CliqueError, MagmaError):
+        return
+    assert is_nesting_free(clique)
+    assert dyck_encode(clique) == word

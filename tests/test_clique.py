@@ -9,6 +9,7 @@ from cliqueops import (
     is_prime, is_triangle, is_white, partial_compose, reflect, relabel,
     rotate, split_along_diagonal,
 )
+from cliqueops.clique import nested_in
 
 D0 = UnitaryMagma.zero_product(0)
 Z = UnitaryMagma.integers()
@@ -19,6 +20,15 @@ def d0_cliques(max_arity=5):
         lambda n: st.tuples(
             *[st.integers(min_value=0, max_value=1)] * len(arcs_of(n))
         ).map(lambda labels: Clique(D0, n, labels))
+    )
+
+
+def sparse_d0_cliques(max_arity=8, max_arcs=5):
+    """D0 cliques with a few solid arcs, so that many are nesting-free."""
+    return st.integers(min_value=2, max_value=max_arity).flatmap(
+        lambda n: st.lists(
+            st.sampled_from(arcs_of(n)), max_size=max_arcs, unique=True,
+        ).map(lambda arcs: Clique.from_arcs(D0, n, dict.fromkeys(arcs, 1)))
     )
 
 
@@ -217,3 +227,17 @@ def test_json_round_trip(d0, z, tmp_path):
     assert clique_from_json({"magma": "D:0", "arity": 2}) == Clique.from_arcs(d0, 2, {})
     with pytest.raises(CliqueError):
         clique_from_json({"magma": "D:0", "arity": 2, "labels": {"9,1": "0"}})
+
+
+def pairwise_nesting_free(clique):
+    """The definition: no solid arc is nested in another, pair by pair."""
+    solid = clique.solid_arcs()
+    return not any(a != b and nested_in(a, b) for a in solid for b in solid)
+
+
+@settings(max_examples=300)
+@given(sparse_d0_cliques())
+def test_nesting_free_matches_its_pairwise_definition(clique):
+    solid = clique.solid_arcs()
+    assert list(solid) == sorted(solid)  # the one pass relies on arc order
+    assert is_nesting_free(clique) == pairwise_nesting_free(clique)

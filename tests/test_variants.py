@@ -288,10 +288,13 @@ def test_verify_inclusions_catches_a_widened_rule(d0, monkeypatch):
 def test_census_catches_a_widened_rule(d0, monkeypatch):
     # mutation: nes lets an arc join next to one nesting arc; the census
     # then disagrees with the closed Narayana formula
-    def one_nesting(arity, mask, j):
-        return (variants._nest_masks(arity)[j] & mask).bit_count() <= 1
+    def one_nesting(arity):
+        nest = variants._nest_masks(arity)
+        return lambda mask, comp, j: (nest[j] & mask).bit_count() <= 1
 
-    monkeypatch.setitem(variants._SKELETON_KINDS, "nes", ("quotient", one_nesting, None))
+    monkeypatch.setitem(
+        variants._SKELETON_KINDS, "nes", ("quotient", variants.Rule(one_nesting), None),
+    )
     with pytest.raises(RuntimeError, match="closed formula"):
         count_by_enumeration("nes", d0, 4)
 

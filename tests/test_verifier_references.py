@@ -6,11 +6,15 @@ below are the earlier one-clique-at-a-time versions, kept here as the
 independent reference: on success both must report the same verdict and the
 same `checked` total.  The prime census runs on numpy pattern blocks; its
 one-pattern-at-a-time loop is kept here too, and the `lab:` block census is
-compared with `count_by_streaming`, which builds every clique.
+compared with `count_by_streaming`, which builds every clique.  The skeleton
+census walks blocks of arc masks; each rule's test on one mask, and the
+fold `member` makes of it, are its reference.
 """
 
+import random
 import warnings
 
+import numpy as np
 import pytest
 
 from cliqueops import (
@@ -20,10 +24,10 @@ from cliqueops import (
     verify_symmetries, zip_cliques,
 )
 from cliqueops import enumeration, variants
-from cliqueops.clique import crossing, diagonals_of
+from cliqueops.clique import arcs_of, crossing, diagonals_of
 from cliqueops.enumeration import count_by_streaming
 from cliqueops.operad import composable_pairs
-from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS
+from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS, VARIANT_SPECS
 
 
 def reference_symmetries(magma, max_arity):
@@ -282,3 +286,110 @@ def test_label_block_census_matches_streaming(spec, with_unit, without_unit):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert block == count_by_streaming(lab, magma, n), (lab, n)
+
+
+SKELETON_RULE_SPECS = (
+    "cro:0", "cro:1", "cro:2", "deg:0", "deg:1", "deg:2", "deg:3",
+    *variants._SKELETON_KINDS,
+)
+
+
+def _rule(spec):
+    return variant(spec, parse_magma_spec("D:0")).rule
+
+
+def labels_after(arity, mask):
+    """Vertex component labels once the arcs of `mask` join in arc order:
+    each arc's second endpoint's component takes its first endpoint's label."""
+    comp = list(range(arity + 2))
+    for j, (x, y) in enumerate(arcs_of(arity)):
+        if mask >> j & 1:
+            old = comp[y]
+            comp = [comp[x] if c == old else c for c in comp]
+    return comp
+
+
+def mask_block(masks, width):
+    """The masks as a block of 63-bit int64 words, split here rather than by
+    the walk's own helper."""
+    words = max(1, -(-width // 63))
+    return variants._MaskBlock(np.array(
+        [[m >> (63 * w) & ((1 << 63) - 1) for m in masks] for w in range(words)],
+        dtype=np.int64,
+    ))
+
+
+@pytest.mark.parametrize("spec", SKELETON_RULE_SPECS)
+def test_block_rule_test_matches_the_one_mask_test(spec):
+    # every mask at arities 1-4, and sparse two-word masks at arity 11
+    rule = _rule(spec)
+    rng = random.Random(spec)
+    cases = [(n, list(range(1 << len(arcs_of(n))))) for n in range(1, 5)]
+    cases.append((11, [rng.getrandbits(66) & rng.getrandbits(66) & rng.getrandbits(66)
+                       for _ in range(150)]))
+    for arity, masks in cases:
+        width = len(arcs_of(arity))
+        labels = [labels_after(arity, m) for m in masks]
+        comp = np.array(labels, dtype=np.int8).T if rule.forest else None
+        admits = rule.at(arity)
+        block = mask_block(masks, width)
+        for j in range(width):
+            got = np.broadcast_to(admits(block, comp, j), len(masks)).tolist()
+            want = [
+                bool(admits(m, bytes(c) if rule.forest else None, j))
+                for m, c in zip(masks, labels)
+            ]
+            assert got == want, (arity, j)
+
+
+def walked_masks(arity, rule):
+    """Every mask the census walk yields, checking each block's arc count."""
+    walked = []
+    for masks, k in variants._skeleton_blocks(arity, rule):
+        rows = masks.ints() if isinstance(masks, variants._MaskBlock) else masks
+        assert all(m.bit_count() == k for m in rows)
+        walked += rows
+    return sorted(walked)
+
+
+@pytest.mark.parametrize("spec", SKELETON_RULE_SPECS)
+def test_census_walk_reaches_the_masks_member_accepts(spec, monkeypatch):
+    # SCALAR_ROWS = 0: every block past the root is tested as a numpy block
+    var = variant(spec, parse_magma_spec("D:0"))
+    for arity in range(1, 6):
+        accepted = [
+            m for m in range(1 << len(arcs_of(arity))) if var.mask_member(arity, m)
+        ]
+        assert walked_masks(arity, var.rule) == accepted, arity
+        with monkeypatch.context() as patch:
+            patch.setattr(variants, "SCALAR_ROWS", 0)
+            assert walked_masks(arity, var.rule) == accepted, arity
+
+
+@pytest.mark.parametrize("scalar_rows", [None, 0], ids=["default", "all-blocks"])
+def test_census_is_independent_of_the_block_cap(d0, d1, monkeypatch, scalar_rows):
+    cases = [(spec, magma, n) for spec in VARIANT_SPECS for magma in (d0, d1)
+             for n in range(2, 6)]
+    want = [count_by_enumeration(*case) for case in cases]
+    monkeypatch.setattr(variants, "SKELETON_BLOCK", 3)
+    if scalar_rows is not None:
+        monkeypatch.setattr(variants, "SCALAR_ROWS", scalar_rows)
+    assert max(len(masks) for masks, _ in variants._skeleton_blocks(5, _rule("acy"))) == 3
+    assert [count_by_enumeration(*case) for case in cases] == want
+
+
+def test_census_counts_masks_wider_than_one_word(d0):
+    # 66 arcs at arity 11: two int64 words per mask
+    assert count_by_enumeration("nes", d0, 11) == 208012
+    assert count_by_enumeration("mot", d0, 11) == 15511
+
+
+@pytest.mark.parametrize("scalar_rows", [None, 0], ids=["default", "all-blocks"])
+def test_census_catches_a_merge_that_never_relabels(d0, monkeypatch, scalar_rows):
+    # mutation: accepting an arc leaves the component labels as they were,
+    # so the census walk of acy stops seeing cycles
+    if scalar_rows is not None:
+        monkeypatch.setattr(variants, "SCALAR_ROWS", scalar_rows)
+    assert count_by_enumeration("acy", d0, 3) == count_by_streaming("acy", d0, 3)
+    monkeypatch.setattr(variants, "_merge", lambda comp, x, y: comp)
+    assert count_by_enumeration("acy", d0, 3) != count_by_streaming("acy", d0, 3)
