@@ -2,18 +2,18 @@
 the Dyck-path bijection for nesting-free cliques, and sequence export.
 
 Counting a label-blind variant goes over solid-arc masks (bit j is
-arcs_of(arity)[j]) and weights each accepted mask by (m-1)^#arcs.  When
-the variant is erasure-closed, its rule is one downward-closed test per
-arc (deg:k, nes, cro:k, acy, whi, bub and their conjunctions wnc, pat,
-for, mot, dis, luc; see variants.py), and the walk `variants._skeleton_blocks`
-extends only accepted masks, block by block: a block holds masks with the
-same arc count, and the rule tests all its rows at once, one arc after
-another (small blocks one mask at a time).  The count adds block size
-times (m-1)^k in Python ints, and its cost scales with the answer rather
-than with m^#arcs.  The other label-blind variant, grav, tests every one
-of the 2^#arcs masks whole.  Either way the budget is still measured in
-cliques, m^#arcs.  Label-sensitive variants (lab:) are counted over numpy
-label blocks of the dense label space, one `_block_flags` call per block.
+arcs_of(arity)[j]) and weights each accepted mask by (m-1)^#arcs.  Its
+rule is one downward-closed test per arc (deg:k, nes, cro:k, acy, whi,
+bub, grav and the conjunctions wnc, pat, for, mot, dis, luc; see
+variants.py), and the walk `variants._skeleton_blocks` extends only
+accepted masks, block by block: a block holds masks with the same arc
+count, and the rule tests all its rows at once, one arc after another
+(small blocks one mask at a time).  The count adds block size times
+(m-1)^k in Python ints, so its cost scales with the answer and no budget
+applies.  grav's n + 1 edges and base are solid in every member and left
+out of the walk, which they multiply by (m-1)^(n+1).  Label-sensitive
+variants (lab:) are counted over numpy label blocks of the dense label
+space, one `_block_flags` call per block, under the clique budget m^#arcs.
 
 The prime census runs over the 2^#diagonals diagonal-solidity patterns in
 numpy blocks, and its budget is measured in patterns.  It and
@@ -202,24 +202,17 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     """Number of arity-n members of the variant, with formula cross-check.
 
     A label-blind variant is counted over solid-arc masks, each weighted by
-    (m-1)^#arcs: by the pruned walk of its rule when it is erasure-closed,
-    otherwise over every mask under the clique budget.  A label-sensitive
-    variant is counted over label blocks of the full clique space, under
-    the same budget.
+    (m-1)^#arcs, by the pruned walk of its rule (and its frame).  A
+    label-sensitive variant is counted over label blocks of the full clique
+    space, under the clique budget.
     """
     var = variants.variant(spec, magma)
     if arity == 1:
         return 1
     weight = magma.size - 1
-    if var.label_blind and var.erasure_closed:
-        count = _census_skeletons(arity, weight, var.rule)
-    elif var.label_blind:
-        _check_budget(magma, arity, budget)
-        count = sum(
-            weight ** mask.bit_count()
-            for mask in range(1 << len(arcs_of(arity)))
-            if var.mask_member(arity, mask) and var.mask_in_ambient(arity, mask)
-        )
+    if var.label_blind:
+        frame = variants._frame(var.rule, arity)
+        count = weight ** frame.bit_count() * _census_skeletons(arity, weight, var.rule)
     else:
         _check_budget(magma, arity, budget)
         count = _count_label_blocks(var, magma, arity)

@@ -12,9 +12,12 @@ The composition of multi-tildes still comes from the index shift rules
 (`_shift`), not from transporting through cliques: the rules are applied
 to every bit once per (n, m, i), cached as bit-remap tables, and a
 composition remaps the masks through them.  The morphism checks
-therefore compare two independent computations.  Gravity chord diagrams
-likewise compose by their own gluing rule and embed into the
-two-element zero-product magma's cliques.
+therefore compare two independent computations.
+
+A gravity chord diagram is the mask of its marked arcs (edges, base and
+diagonals), bit k for arc k.  It composes by the multi-tilde remap: arc
+(x, y) moves as the pair (x, y - 1) does.  The gravity condition is the
+`grav` rule of variants.py, which every gravity path reads.
 
 Public constructors validate their input: arities and coordinates must
 be `int`s (bools, floats and strings are refused) and pairs must have two
@@ -28,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 from operator import add
 
-from .clique import Clique, arc_index, arcs_of, diagonals_of
+from .clique import Clique, arc_index, arcs_of
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
 from .operad import composable_pairs, partial_compose
 from .report import VerifyReport
@@ -42,14 +45,6 @@ _D0 = UnitaryMagma.zero_product(0)
 _D0_SQUARED = magma_product(_D0, _D0)
 _SOLID = 1  # the non-unit label of the two-element zero-product magma
 _FIRST, _SECOND = pair_value(_D0_SQUARED, 1, 0), pair_value(_D0_SQUARED, 0, 1)
-
-
-def clique_magma_for_multitildes():
-    return _D0
-
-
-def clique_magma_for_double_multitildes():
-    return _D0_SQUARED
 
 
 # -- input boundary --------------------------------------------------------
@@ -364,124 +359,100 @@ def phi_dmt_inverse(clique):
 
 
 @lru_cache(maxsize=None)
-def _boundary(arity):
-    """The edges and the base of the polygon of an arity."""
-    return frozenset((x, x + 1) for x in range(1, arity + 1)) | {(1, arity + 1)}
+def _variants():
+    # imported on first use, as numpy in `_vector_morphism`: variants loads
+    # numpy through verify
+    from . import variants
 
-
-def is_gravity_arcset(arity, marked):
-    """The gravity condition on a set of marked arcs: nothing marked at
-    arity 1; otherwise every edge and the base marked, and crossing marked
-    diagonals (x,y), (x',y') with x < x' leave the arc (x', y) unmarked."""
-    marked = frozenset(marked)
-    if arity == 1:
-        return not marked
-    boundary = _boundary(arity)
-    if not boundary <= marked:
-        return False
-    diags = [arc for arc in marked if arc not in boundary]
-    for x, y in diags:
-        for xp, yp in diags:
-            if x < xp < y < yp and (xp, y) in marked:
-                return False
-    return True
+    return variants
 
 
 class ChordDiagram:
     """A gravity chord diagram: all edges and the base marked, plus a set of
     diagonals such that crossing diagonals (x,y), (x',y') with x < x' leave
-    the arc (x', y) unmarked."""
+    the arc (x', y) unmarked.  `mask` holds the marked arcs (none at arity
+    1), bit k for arc k; `diagonals` decodes it on demand."""
 
-    __slots__ = ("arity", "diagonals")
+    __slots__ = ("arity", "mask")
 
     def __init__(self, arity, diagonals):
         arity = _arity(arity, "diagram")
         diagonals = frozenset(_coordinates(diagonals))
         if arity == 1 and diagonals:
             raise KnownOperadError("the arity-1 diagram has no diagonals")
-        boundary = _boundary(arity)
+        index, variants = arc_index(arity), _variants()
+        mask = variants._frame_mask(arity)
         for x, y in diagonals:
-            if not (1 <= x < y <= arity + 1) or (x, y) in boundary:
+            if (x, y) not in index or mask >> index[(x, y)] & 1:
                 raise KnownOperadError(f"({x},{y}) is not a diagonal at arity {arity}")
-        if arity > 1 and not is_gravity_arcset(arity, diagonals | boundary):
+            mask |= 1 << index[(x, y)]
+        if not variants.gravity_member(arity, mask):
             raise KnownOperadError(
                 f"diagonals {sorted(diagonals)} break the gravity condition: "
                 "a crossing pair (x,y), (x',y') with x < x' has (x',y) marked"
             )
         self.arity = arity
-        self.diagonals = diagonals
+        self.mask = mask
 
     @classmethod
-    def _unsafe(cls, arity, diagonals):
-        # trusted fast path: a frozenset of diagonals meeting the gravity condition
+    def _unsafe(cls, arity, mask):
+        # trusted fast path: a marked-arc mask meeting the gravity condition
         self = object.__new__(cls)
         self.arity = arity
-        self.diagonals = diagonals
+        self.mask = mask
         return self
 
     @staticmethod
     def unit():
-        return ChordDiagram._unsafe(1, frozenset())
+        return ChordDiagram._unsafe(1, 0)
+
+    @property
+    def diagonals(self):
+        arcs, mask = arcs_of(self.arity), self.mask & ~_variants()._frame_mask(self.arity)
+        return frozenset(arcs[k] for k in range(mask.bit_length()) if mask >> k & 1)
 
     def __eq__(self, other):
         return (
             isinstance(other, ChordDiagram)
             and self.arity == other.arity
-            and self.diagonals == other.diagonals
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.arity, self.diagonals))
+        return hash((self.arity, self.mask))
 
     def __repr__(self):
         return f"ChordDiagram({self.arity}, {{{_format_pairs(self.diagonals)}}})"
 
 
 def chord_compose(c, d, i):
-    """Glue d's base onto c's i-th edge; the glued arc stays marked.
-    Closure (the result meets the gravity condition) is asserted."""
+    """Glue d's base onto c's i-th edge by the multi-tilde remap, which sends
+    both to the glued arc (i, i+m), so it stays marked.  Closure (the result
+    meets the gravity condition) is asserted."""
     _check_index(c.arity, i)
-    m = d.arity
-    n = c.arity
-    boundary = _boundary(n + m - 1)
-    out = set()
-    for (x, y) in c.diagonals:
-        if y <= i:
-            out.add((x, y))
-        elif x <= i:
-            out.add((x, y + m - 1))
-        else:
-            out.add((x + m - 1, y + m - 1))
-    for (x, y) in d.diagonals:
-        out.add((x + i - 1, y + i - 1))
-    glued = (i, i + m)
-    if glued not in boundary:
-        out.add(glued)
-    out = frozenset(out)
-    if n + m > 2 and not is_gravity_arcset(n + m - 1, out | boundary):
+    arity = c.arity + d.arity - 1
+    outer, inner = _compose_tables(c.arity, d.arity, i)
+    mask = _remap(c.mask, outer) | _remap(d.mask, inner)
+    if not _variants().gravity_member(arity, mask):
         raise RuntimeError(
             "internal failure: composing chord diagrams left the family, "
             f"on {c!r} o_{i} {d!r}"
         )
-    return ChordDiagram._unsafe(n + m - 1, out)
+    return ChordDiagram._unsafe(arity, mask)
 
 
 def phi_grav(diagram):
     """The zero-product-magma clique with every marked arc solid."""
-    if diagram.arity == 1:
-        return Clique.unit(_D0)
-    marked = _boundary(diagram.arity) | diagram.diagonals
-    labels = tuple(
-        1 if (x, y) in marked else 0 for (x, y) in arcs_of(diagram.arity)
-    )
-    return Clique._unsafe(_D0, diagram.arity, labels)
+    width = len(arcs_of(diagram.arity))
+    return Clique._unsafe(_D0, diagram.arity, _flags(diagram.mask, width, _SOLID))
 
 
 def grav_check(clique):
     """The gravity condition over an arbitrary magma: the unit clique, or all
     edges and the base solid with crossing solid diagonals (x,y), (x',y'),
     x < x', forcing a non-solid (x', y)."""
-    return is_gravity_arcset(clique.arity, clique.solid_arcs())
+    variants = _variants()
+    return variants.gravity_member(clique.arity, variants._solid_mask(clique))
 
 
 def grav_compose(p, q, i):
@@ -504,54 +475,36 @@ def _grav_compose_closed(p, q, i):
 
 def gravity_diagrams(arity):
     """All gravity chord diagrams of an arity, by number of diagonals and
-    then in lexicographic order of the chosen diagonals.
-
-    The gravity condition survives removing a diagonal, so a depth-first
-    search that adds diagonals in arc order stops at the first violation.
+    then in lexicographic order of the chosen diagonals: the census walk of
+    the `grav` rule, sorted.  Of two masks with as many bits, the one with
+    the lowest differing bit comes first: the larger bit-reversed mask.
     """
-    if arity == 1:
-        return [ChordDiagram.unit()]
-    diagonals = diagonals_of(arity)
-    boundary = _boundary(arity)
-    found = []
-
-    def grow(chosen, marked):
-        found.append(chosen)
-        for k in range(chosen[-1] + 1 if chosen else 0, len(diagonals)):
-            wider = marked | {diagonals[k]}
-            if is_gravity_arcset(arity, wider):
-                grow(chosen + (k,), wider)
-
-    grow((), boundary)
-    found.sort(key=lambda chosen: (len(chosen), chosen))
-    return [
-        ChordDiagram._unsafe(arity, frozenset(diagonals[k] for k in chosen))
-        for chosen in found
-    ]
+    variants = _variants()
+    frame, width = variants._frame_mask(arity), len(arcs_of(arity))
+    masks = []
+    for block, _ in variants._skeleton_blocks(arity, variants._gravity_rule):
+        masks += block.ints() if isinstance(block, variants._MaskBlock) else block
+    masks.sort(key=lambda mask: (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)))
+    return [ChordDiagram._unsafe(arity, frame | mask) for mask in masks]
 
 
 def gravity_cliques(magma, arity):
-    """All cliques over a finite magma satisfying the gravity condition."""
-    if arity == 1:
-        return [Clique.unit(magma)]
+    """All cliques over a finite magma satisfying the gravity condition: each
+    diagram's marked arcs take every non-unit labeling."""
     nonunit = list(magma.nonunit_elements())
     out = []
     for diagram in gravity_diagrams(arity):
-        marked = [(x, x + 1) for x in range(1, arity + 1)]
-        marked.append((1, arity + 1))
-        marked.extend(sorted(diagram.diagonals))
+        marked = [arc for k, arc in enumerate(arcs_of(arity)) if diagram.mask >> k & 1]
         for labeling in iproduct(nonunit, repeat=len(marked)):
-            out.append(
-                Clique.from_arcs(magma, arity, dict(zip(marked, labeling)))
-            )
+            out.append(Clique.from_arcs(magma, arity, dict(zip(marked, labeling))))
     return out
 
 
 def lie_maximal(arity):
     """Gravity cliques with the most solid diagonals at this arity."""
     diagrams = gravity_diagrams(arity)
-    best = max(len(d.diagonals) for d in diagrams)
-    return [phi_grav(d) for d in diagrams if len(d.diagonals) == best]
+    best = max(d.mask.bit_count() for d in diagrams)
+    return [phi_grav(d) for d in diagrams if d.mask.bit_count() == best]
 
 
 # -- morphism checks -------------------------------------------------------
@@ -577,9 +530,8 @@ def _vector_morphism(arity_pairs, pools, images, magma, masks, values):
     family side remaps the masks through `_compose_tables` and reads the
     flag tables; the clique side composes the images' labels with
     `_compose_block`."""
-    # imported on first use: verify imports variants, which imports this
-    # module, and numpy loading last in the package import keeps the peak
-    # memory of `import cliqueops` about 2 MB lower
+    # imported on first use: numpy loading last in the package import keeps
+    # the peak memory of `import cliqueops` about 2 MB lower
     import numpy as np
 
     from .verify import _compose_block, _label_dtype, morphism_slabs

@@ -3,10 +3,10 @@
 The composition p o_i q glues the base of q onto the i-th edge of p,
 labels the glued arc by p_i * q_0, and fills every new diagonal with the
 unit.  Each arc of the result reads its label through the index plan
-`composition_plan(|p|, |q|, i)` from the source tuple
-`p.labels + q.labels + (glue, unit)`.  Linear combinations carry exact
-rational coefficients; mixed-arity sums are rejected so index bugs
-surface early.
+`composition_plan(|p|, |q|, i)` (which also locates p_i and q_0) from
+the source tuple `p.labels + q.labels + (glue, unit)`.  Linear
+combinations carry exact rational coefficients; mixed-arity sums are
+rejected so index bugs surface early.
 
 `_Combination` is the exact free-module core shared by `LinComb` here
 and `RatElem` in ratfct.py: every sum, bilinear extension and basis
@@ -18,18 +18,24 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 from .clique import Clique, CliqueError, arc_index, arcs_of, gather
 from .magma import pair_value, unpair_value
 
 
+class CompositionPlan(NamedTuple):
+    source: tuple  # per result arc, its label's index in p.labels + q.labels + (glue, unit)
+    edge: int  # the index of p's edge (i, i+1) in p.labels
+    base: int  # the index of q's base (1, m+1) in q.labels
+
+
 @lru_cache(maxsize=None)
 def composition_plan(n, m, i):
-    """For each result arc of |p|=n o_i |q|=m: the index of its label in
-    p.labels + q.labels + (glue, unit).
+    """The index plan of |p|=n o_i |q|=m.
 
-    With P and Q the label counts of p and q, index P + Q is the glued
-    arc (i, i+m) and P + Q + 1 the unit of every new diagonal.
+    With P and Q the label counts of p and q, source index P + Q is the
+    glued arc (i, i+m) and P + Q + 1 the unit of every new diagonal.
     """
     if not 1 <= i <= n:
         raise CliqueError(f"index {i} out of range for arity {n}")
@@ -49,7 +55,8 @@ def composition_plan(n, m, i):
             plan.append(P + src_q[(x - i + 1, y - i + 1)])
         else:
             plan.append(P + Q + 1)
-    return tuple(plan)
+    # at arity 1 the one arc (1, 2) is both the edge and the base
+    return CompositionPlan(tuple(plan), src_p[(i, i + 1)], src_q[(1, m + 1)])
 
 
 def composable_pairs(max_arity):
@@ -63,18 +70,24 @@ def composable_pairs(max_arity):
 
 def partial_compose(p, q, i):
     """The clique p o_i q of arity |p| + |q| - 1."""
-    if p.magma != q.magma:
+    magma = p.magma
+    if magma is not q.magma and magma != q.magma:
         raise CliqueError("cannot compose cliques over different magmas")
-    return compose_glued(p, q, i, p.magma.op(p.edge_label(i), q.base_label))
+    source, edge, base = composition_plan(p.arity, q.arity, i)
+    a, b = p.labels, q.labels
+    return gather(
+        magma, p.arity + q.arity - 1, a + b + (magma.op(a[edge], b[base]), magma.unit),
+        source,
+    )
 
 
 def compose_glued(p, q, i, glue):
-    """p o_i q with the glued arc labeled `glue`: p_i * q_0 in `partial_compose`,
-    other labels in mutation tests (trusted: p, q and `glue` share a magma)."""
+    """p o_i q with the glued arc labeled `glue` (p_i * q_0 in `partial_compose`),
+    for mutation tests (trusted: p, q and `glue` share a magma)."""
     n, m = p.arity, q.arity
     return gather(
         p.magma, n + m - 1, p.labels + q.labels + (glue, p.magma.unit),
-        composition_plan(n, m, i),
+        composition_plan(n, m, i).source,
     )
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
+from operator import ne
 from typing import Callable, NamedTuple
 
-from .clique import arc_class, arcs_of, crossing, nested_in
+from .clique import arc_class, arc_index, arcs_of, crossing, nested_in
 from .enumeration import clique_space_size
-from .knownops import is_gravity_arcset
 from .magma import has_nontrivial_unit_divisors
 from .operad import LinComb, composable_pairs, partial_compose_lin
 from .report import VerifyReport
@@ -48,22 +48,25 @@ class VariantError(ValueError):
 # Accepting arc (x, y) merges the labels of x and y (`_merge`); other rules
 # get comp=None.  Membership of a whole mask folds the test over its bits
 # in arc order, which is exact for a downward-closed rule, so the census
-# can prune partial skeletons.  The clique-level statistics in clique.py
-# are the independent formulations the tests compare against.
+# can prune partial skeletons.  A framed rule (grav) counts its frame, the
+# edges and the base, as solid and refuses their bits.  The clique-level
+# statistics in clique.py are the independent formulations the tests
+# compare against.
 
 
 class Rule(NamedTuple):
     """A downward-closed skeleton rule: `at(arity)` is its test
-    `admits(mask, comp, j)` at that arity, and `forest` says whether the
-    test reads component labels."""
+    `admits(mask, comp, j)` at that arity, `forest` says whether the test
+    reads component labels and `framed` whether it has a `_frame`."""
 
     at: Callable
     forest: bool = False
+    framed: bool = False
 
 
-def _rule(at, forest=False):
+def _rule(at, forest=False, framed=False):
     """The Rule whose per-arity tests `at` builds, each built once."""
-    return Rule(lru_cache(maxsize=None)(at), forest)
+    return Rule(lru_cache(maxsize=None)(at), forest, framed)
 
 
 def _merge(comp, x, y):
@@ -194,10 +197,36 @@ def _bubble_at(arity):
     return admits
 
 
+def _gravity_at(arity):
+    """grav -- the arc is a diagonal (x', y'), and no y with x' < y < y' has
+    (x', y) marked (always, for the edge y = x'+1) together with a marked
+    diagonal (x, y), x < x'.  (x', y') is the last of the three in arc order."""
+    index, diagonal = arc_index(arity), _diagonal_flags(arity)
+    # per arc (x', y'), x < x' throughout: the mask of the (x, x'+1), then
+    # for each y > x'+1 the bit of (x', y) with the mask of the (x, y)
+    tests = []
+    for xp, yp in arcs_of(arity):
+        left = {y: sum(1 << index[(x, y)] for x in range(1, xp)) for y in range(xp + 1, yp)}
+        tests.append((left.get(xp + 1, 0), tuple(
+            (1 << index[(xp, y)], left[y]) for y in range(xp + 2, yp) if left[y]
+        )))
+
+    def admits(mask, comp, j):
+        if not diagonal[j]:
+            return False
+        edge_left, middles = tests[j]
+        ok = (mask & edge_left) == 0
+        for middle, left in middles:
+            ok = ok & (((mask & middle) == 0) | ((mask & left) == 0))
+        return ok
+    return admits
+
+
 _nesting_rule = _rule(_nesting_at)
 _acyclic_rule = _rule(_acyclic_at, forest=True)
 _white_rule = _rule(_white_at)
 _bubble_rule = _rule(_bubble_at)
+_gravity_rule = _rule(_gravity_at, framed=True)
 
 
 def _conjunction(*rules):
@@ -215,9 +244,34 @@ def _conjunction(*rules):
     return _rule(at, any(rule.forest for rule in rules))
 
 
+@lru_cache(maxsize=None)
+def _frame_mask(arity):
+    """The edges and the base, but nothing at arity 1 (the unit clique)."""
+    if arity == 1:
+        return 0
+    return sum(1 << j for j, diagonal in enumerate(_diagonal_flags(arity)) if not diagonal)
+
+
+def _frame(rule, arity):
+    """The arcs solid in every mask a rule accepts, left out of its test."""
+    return _frame_mask(arity) if rule.framed else 0
+
+
+def _accepts(rule, arity, mask):
+    """Whether a rule accepts a whole solid-arc mask: its frame is solid (a
+    frame arc missing from the mask is a set bit that the rule refuses),
+    and the fold accepts the other arcs."""
+    return _fold(rule, arity, mask ^ _frame(rule, arity))
+
+
+def gravity_member(arity, mask):
+    """The gravity condition on a mask of marked arcs, bit j for arc j."""
+    return _accepts(_gravity_rule, arity, mask)
+
+
 def _fold(rule, arity, mask):
-    """Whether a downward-closed rule accepts a whole mask: every arc, taken
-    in arc order, joins the arcs before it."""
+    """Whether a downward-closed rule accepts a mask: every arc, taken in arc
+    order, joins the arcs before it."""
     arcs, admits = arcs_of(arity), rule.at(arity)
     comp = _start_labels(arity) if rule.forest else None
     accepted = 0
@@ -406,15 +460,16 @@ def _skeleton_blocks(arity, rule):
             ])
 
 
-def _gravity_mask(arity, mask):
-    arcs = arcs_of(arity)
-    return is_gravity_arcset(arity, [arcs[j] for j in range(len(arcs)) if mask >> j & 1])
+@lru_cache(maxsize=None)
+def _arc_bits(arity):
+    return tuple(1 << j for j in range(len(arcs_of(arity))))
 
 
 def _solid_mask(clique):
     """The solid-arc mask of a clique: bit j set when arcs_of(arity)[j] is solid."""
-    unit = clique.magma.unit
-    return sum(1 << j for j, lab in enumerate(clique.labels) if lab != unit)
+    return sum(compress(
+        _arc_bits(clique.arity), map(ne, clique.labels, repeat(clique.magma.unit)),
+    ))
 
 
 class VariantPredicate:
@@ -426,18 +481,16 @@ class VariantPredicate:
 
     __slots__ = (
         "spec", "magma", "status", "_member", "_ambient",
-        "label_blind", "erasure_closed", "label_set_sizes",
+        "label_blind", "label_set_sizes",
     )
 
-    def __init__(self, spec, magma, status, member, ambient=None,
-                 label_blind=True, erasure_closed=True):
+    def __init__(self, spec, magma, status, member, ambient=None, label_blind=True):
         self.spec = spec
         self.magma = magma
         self.status = status  # "suboperad" | "quotient" | "both"
         self._member = member
         self._ambient = ambient
         self.label_blind = label_blind
-        self.erasure_closed = erasure_closed
         self.label_set_sizes = None  # (b, e, d) for label-restricted variants
 
     def member(self, clique):
@@ -458,41 +511,30 @@ class VariantPredicate:
 class _SkeletonVariant(VariantPredicate):
     """Variant whose membership depends only on the set of solid arcs.
 
-    `rule` is its downward-closed Rule, or None when membership is the
-    whole-mask test `whole` instead (erasing arcs can leave the family);
-    `ambient_rule` is the Rule of the ambient suboperad, if any.
+    `rule` is its downward-closed Rule and `ambient_rule` the Rule of the
+    ambient suboperad, if any.
     """
 
-    __slots__ = ("rule", "_whole", "_ambient_rule")
+    __slots__ = ("rule", "_ambient_rule")
 
-    def __init__(self, spec, magma, status, rule=None, ambient_rule=None,
-                 whole=None):
+    def __init__(self, spec, magma, status, rule, ambient_rule=None):
         self.rule = rule
-        self._whole = whole
         self._ambient_rule = ambient_rule
         super().__init__(
             spec, magma, status,
             member=lambda p: self.mask_member(p.arity, _solid_mask(p)),
             ambient=(None if ambient_rule is None
-                     else (lambda p: self.mask_in_ambient(p.arity, _solid_mask(p)))),
-            label_blind=True,
-            erasure_closed=rule is not None,
+                     else (lambda p: _accepts(ambient_rule, p.arity, _solid_mask(p)))),
         )
 
     def mask_member(self, arity, mask):
         """Membership of the cliques whose solid-arc mask is `mask`."""
-        if self.rule is None:
-            return self._whole(arity, mask)
-        return _fold(self.rule, arity, mask)
-
-    def mask_in_ambient(self, arity, mask):
-        """Whether the cliques whose solid-arc mask is `mask` lie in the ambient."""
-        return self._ambient_rule is None or _fold(self._ambient_rule, arity, mask)
+        return _accepts(self.rule, arity, mask)
 
     def _block_flags(self, arity, block):
         """`member` and `in_ambient` of every row of a label block, read from
         a per-arity table with one entry per solid-arc mask."""
-        table = _flag_table(arity, self.rule, self._ambient_rule, self._whole)
+        table = _flag_table(arity, self.rule, self._ambient_rule)
         weights = 2 ** np.arange(block.shape[1], dtype=np.int64)
         flags = table[(block != self.magma.unit).astype(np.int64) @ weights]
         return (flags & 1).astype(bool), (flags & 2).astype(bool)
@@ -500,24 +542,22 @@ class _SkeletonVariant(VariantPredicate):
 
 def _accepted(arity, rule):
     """1 for every solid-arc mask a downward-closed rule accepts, else 0:
-    the masks the census walk reaches."""
+    the masks the census walk reaches, with the rule's frame."""
     accepted = np.zeros(1 << len(arcs_of(arity)), dtype=np.int8)
+    frame = _frame(rule, arity)
     for masks, _ in _skeleton_blocks(arity, rule):
-        accepted[masks.words[0] if isinstance(masks, _MaskBlock) else masks] = 1
+        rows = masks.words[0] if isinstance(masks, _MaskBlock) else np.array(masks)
+        accepted[rows | frame] = 1
     return accepted
 
 
 @lru_cache(maxsize=None)
-def _flag_table(arity, rule, ambient_rule, whole):
+def _flag_table(arity, rule, ambient_rule):
     """member + 2 * in_ambient for every solid-arc mask at the arity, built
     once for every variant with the same rules (none depends on the magma)."""
-    if rule is None:
-        member = np.frombuffer(bytearray(
-            whole(arity, mask) for mask in range(1 << len(arcs_of(arity)))
-        ), dtype=np.int8)
-    else:
-        member = _accepted(arity, rule)
-    return member + 2 * (1 if ambient_rule is None else _accepted(arity, ambient_rule))
+    return _accepted(arity, rule) + 2 * (
+        1 if ambient_rule is None else _accepted(arity, ambient_rule)
+    )
 
 
 class _LabelVariant(VariantPredicate):
@@ -627,6 +667,7 @@ _SKELETON_KINDS = {
     "dis": ("quotient", _conjunction(_white_rule, _crossing_rule(0), _degree_rule(1)),
             _white_rule),
     "luc": ("quotient", _conjunction(_bubble_rule, _degree_rule(1)), None),
+    "grav": ("suboperad", _gravity_rule, None),
 }
 
 
@@ -649,9 +690,6 @@ def variant(spec, magma, unchecked=False):
     if kind in _SKELETON_KINDS:
         status, rule, ambient = _SKELETON_KINDS[kind]
         return _SkeletonVariant(spec, magma, status, rule, ambient_rule=ambient)
-    if kind == "grav":
-        # needs every edge and the base solid, so it is not erasure-closed
-        return _SkeletonVariant(spec, magma, "suboperad", whole=_gravity_mask)
     if kind == "lab":
         parts = arg.split(";")
         if len(parts) != 3:

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import clique as _clique
-from .clique import Clique, CliqueError, arc_index, arcs_of, reflect, rotate
+from .clique import Clique, CliqueError, arcs_of, reflect, rotate
 from .enumeration import clique_space_size, generate_cliques
 from .magma import (
     MagmaError, UnitaryMagma, automorphisms, is_right_cancelable, pair_value,
@@ -131,7 +131,7 @@ def _unit_law_report(magma, max_arity, dense):
                 expected = tuple(
                     width + 1 if arc == (i, i + 1) else k for k, arc in enumerate(arcs)
                 )
-                moved = _first_moved_arc(arcs, composition_plan(n, 1, i), expected)
+                moved = _first_moved_arc(arcs, composition_plan(n, 1, i).source, expected)
                 if moved is not None:
                     return VerifyReport(
                         "unit-law", False, checked,
@@ -142,7 +142,7 @@ def _unit_law_report(magma, max_arity, dense):
             expected = tuple(
                 1 + width if arc == (1, n + 1) else 1 + k for k, arc in enumerate(arcs)
             )
-            moved = _first_moved_arc(arcs, composition_plan(1, n, 1), expected)
+            moved = _first_moved_arc(arcs, composition_plan(1, n, 1).source, expected)
             if moved is not None:
                 return VerifyReport(
                     "unit-law", False, checked,
@@ -220,12 +220,10 @@ def _label_block(magma, arity, rows=None):
 
 def _compose_block(X, nx, Y, ny, i, star):
     """All pairwise compositions of two label blocks; rows ordered (x, y)."""
-    plan = composition_plan(nx, ny, i)
+    plan, ei, b0 = composition_plan(nx, ny, i)
     Nx, Ny = X.shape[0], Y.shape[0]
     P, Q = X.shape[1], Y.shape[1]
     out = np.zeros((Nx, Ny, len(plan)), dtype=star.dtype)
-    ei = arc_index(nx)[(i, i + 1)] if nx >= 2 else 0
-    b0 = arc_index(ny)[(1, ny + 1)]
     # plan entries below P read X, below P + Q read Y, P + Q is the glued
     # arc; the unit entry P + Q + 1 is the 0 already in place
     for r, src in enumerate(plan):

@@ -241,7 +241,9 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     (None, ["dyck", "--magma", "D:0", "--decode", "aa[0"]),
     (None, ["magma-check", "--magma", "E:100000"]),
     (None, ["sequence", "--variant", "deg:-1", "--magma", "D:0", "--max-arity", "3"]),
-    (None, ["sequence", "--variant", "grav", "--magma", "D:1", "--max-arity", "6"]),
+    # a lab: census runs over the dense clique space: 3^21 cliques at arity 6
+    (None, ["sequence", "--variant", "lab:1,0;1;1,0", "--magma", "D:1",
+            "--max-arity", "6"]),
     (None, ["--threads", "abc", "primes", "--magma", "D:0", "--max-size", "3"]),
     (None, ["--threads", "0", "primes", "--magma", "D:0", "--max-size", "3"]),
     (None, ["--threads", "-3", "sequence", "--variant", "nes", "--magma", "D:0",

@@ -10,6 +10,7 @@ from cliqueops import (
     is_prime, narayana, sequence_for,
 )
 from cliqueops.enumeration import count_by_streaming, generate_white_cliques
+from cliqueops.knownops import gravity_diagrams
 from cliqueops.variants import VARIANT_SPECS, VariantError
 
 
@@ -88,8 +89,8 @@ def test_forest_sequence_discrepancy(d0):
 
 
 def test_skeleton_census_matches_streaming(d0, d1):
-    # every label-blind variant, erasure-closed (pruned mask walk) or not
-    # (grav, every mask), against the clique-by-clique stream
+    # every label-blind variant (pruned mask walk) against the
+    # clique-by-clique stream
     for magma in (d0, d1):
         for spec in VARIANT_SPECS:
             for n in (2, 3):
@@ -103,11 +104,16 @@ def test_streaming_budget(d0):
         count_by_streaming("grav", d0, 5, budget=100)
 
 
-def test_mask_census_keeps_the_clique_budget(d1):
-    # grav is counted over 2^21 masks at arity 6, but the budget still
-    # counts the 3^21 cliques behind them
-    with pytest.raises(BudgetError, match="10460353203 cliques at arity 6"):
-        count_by_enumeration("grav", d1, 6)
+def test_grav_census_counts_the_gravity_diagrams(d0, d1):
+    # the census walks the diagonal masks alone, so no clique budget stops
+    # it: over D:1 each diagram's 7 frame arcs and its diagonals take one of
+    # two labels, and over D:0 each diagram is one clique
+    assert count_by_enumeration("grav", d1, 6) == sum(
+        2 ** (7 + len(d.diagonals)) for d in gravity_diagrams(6)
+    )
+    assert [count_by_enumeration("grav", d0, n) for n in (7, 8)] == [
+        len(gravity_diagrams(n)) for n in (7, 8)
+    ] == [2520, 20160]
 
 
 def test_prime_census_golden(d0):

@@ -9,7 +9,7 @@ from cliqueops import (
     lie_maximal, mt_compose, partial_compose, phi_dmt, phi_grav, phi_mt,
     unzip_clique,
 )
-from cliqueops.clique import arcs_of
+from cliqueops.clique import arc_index, arcs_of
 from cliqueops.knownops import (
     all_double_multitildes, all_multitildes, double_multitilde_from_json,
     gravity_diagrams, multitilde_from_json, multitilde_to_json,
@@ -416,3 +416,35 @@ def test_gravity_diagrams_match_the_subset_scan():
         assert [tuple(sorted(d.diagonals)) for d in gravity_diagrams(n)] == (
             _brute_force_gravity(n)
         )
+
+
+def _misread_gravity_at(arity):
+    """The grav rule's test with its middle arc read as (x, y') instead of
+    (x', y): a mutation of `variants._gravity_at`."""
+    from cliqueops import variants
+
+    index, arcs = arc_index(arity), arcs_of(arity)
+    diagonal = variants._diagonal_flags(arity)
+
+    def admits(mask, comp, j):
+        if not diagonal[j]:
+            return False
+        xp, yp = arcs[j]
+        ok = True
+        for y in range(xp + 1, yp):
+            for x in range(1, xp):
+                left, middle = 1 << index[(x, y)], 1 << index[(x, yp)]
+                ok = ok & (((mask & middle) == 0) | ((mask & left) == 0))
+        return ok
+    return admits
+
+
+def test_gravity_rule_catches_a_misread_middle_arc(monkeypatch):
+    from cliqueops import variants
+
+    misread = variants._rule(_misread_gravity_at, framed=True)
+    monkeypatch.setattr(variants, "_gravity_rule", misread)
+    found = {n: [tuple(sorted(d.diagonals)) for d in gravity_diagrams(n)] for n in (4, 5, 6)}
+    assert any(found[n] != _brute_force_gravity(n) for n in found)
+    # the misread rule admits the crossing pair (1,3), (2,4) under edge (2,3)
+    assert ((1, 3), (2, 4)) in found[4]

@@ -5,6 +5,7 @@ from cliqueops import (
     is_right_cancelable, partial_compose, verify_basic_set_operad, verify_cyclic,
     verify_operad_axioms, verify_symmetries,
 )
+from cliqueops.operad import composable_pairs
 from cliqueops.verify import _compose_corrupt
 
 
@@ -41,17 +42,20 @@ def test_corrupted_rule_is_caught(d0):
     assert report.counterexample
 
 
+# a noncommutative unitary magma: x * y = x for x, y non-units
+_LEFT_ZERO = {
+    "elements": ["u", "a", "b"],
+    "unit": "u",
+    "table": ["u", "a", "b", "a", "a", "a", "b", "b", "b"],
+}
+
+
 def test_flipped_glue_is_not_a_counterexample():
     # flipping the glued-arc product builds the construction over the
     # opposite magma, which is again an operad: a noncommutative carrier
     # satisfies every axiom under the flipped rule (so a mutation test
     # has to break the rule some other way)
-    table = {
-        "elements": ["u", "a", "b"],
-        "unit": "u",
-        "table": ["u", "a", "b", "a", "a", "a", "b", "b", "b"],
-    }
-    magma = UnitaryMagma.from_table_data(table)
+    magma = UnitaryMagma.from_table_data(_LEFT_ZERO)
     assert magma.op(1, 2) != magma.op(2, 1)
 
     from cliqueops.operad import compose_glued
@@ -76,6 +80,57 @@ def test_flipped_glue_is_not_a_counterexample():
                 lhs = compose_flip(compose_flip(x, y, 1), z, 3)
                 rhs = compose_flip(compose_flip(x, z, 2), y, 1)
                 assert lhs == rhs
+
+
+def test_glued_arc_is_p_i_times_q_0():
+    # over a noncommutative carrier the glued arc (i, i+m) of p o_i q is
+    # p_i * q_0, not q_0 * p_i, on every pair up to arity 3
+    magma = UnitaryMagma.from_table_data(_LEFT_ZERO)
+    pools = {n: list(generate_cliques(magma, n)) for n in (1, 2, 3)}
+    for n, m in composable_pairs(3):
+        for p in pools[n]:
+            for q in pools[m]:
+                for i in range(1, n + 1):
+                    glued = partial_compose(p, q, i).label(i, i + m)
+                    assert glued == magma.op(p.edge_label(i), q.base_label)
+    p = Clique.triangle(magma, 0, magma.elem("a"), 0)
+    q = Clique.triangle(magma, magma.elem("b"), 0, 0)
+    assert partial_compose(p, q, 1).label(1, 3) == magma.elem("a")
+
+
+def _block_rows_match_partial_compose(magma, star):
+    """Whether `_compose_block` over `star` gives partial_compose's labels,
+    row for row, on every pair of cliques up to composite arity 3."""
+    from cliqueops.verify import _compose_block, _label_block
+
+    pools = {n: list(generate_cliques(magma, n)) for n in (1, 2, 3)}
+    for n, m in composable_pairs(3):
+        for i in range(1, n + 1):
+            rows = _compose_block(
+                _label_block(magma, n), n, _label_block(magma, m), m, i, star,
+            )
+            want = [list(partial_compose(p, q, i).labels)
+                    for p in pools[n] for q in pools[m]]
+            if rows.tolist() != want:
+                return False
+    return True
+
+
+def test_compose_block_keeps_the_glue_operand_order():
+    from cliqueops.verify import _star
+
+    magma = UnitaryMagma.from_table_data(_LEFT_ZERO)
+    assert _block_rows_match_partial_compose(magma, _star(magma))
+
+
+def test_compose_block_catches_swapped_glue_operands():
+    # mutation: star[Y[:, b0], X[:, ei]] for the glued arc, which is the
+    # transposed table read in the kept operand order; it builds C(M^op),
+    # so only a comparison with partial_compose can see it
+    from cliqueops.verify import _star
+
+    magma = UnitaryMagma.from_table_data(_LEFT_ZERO)
+    assert not _block_rows_match_partial_compose(magma, _star(magma).T)
 
 
 def test_corrupt_compose_differs_from_real(d0):
@@ -164,7 +219,7 @@ def test_vector_unit_law_catches_a_broken_plan(monkeypatch, d0):
     def swapped(n, m, i):
         plan = real(n, m, i)
         if m == 1 and n == 3 and i == 2:
-            return (plan[1], plan[0]) + plan[2:]
+            return plan._replace(source=(plan.source[1], plan.source[0]) + plan.source[2:])
         return plan
 
     assert verify_operad_axioms(d0, 4, engine="vector").ok
