@@ -434,11 +434,15 @@ def chord_compose(c, d, i):
     outer, inner = _compose_tables(c.arity, d.arity, i)
     mask = _remap(c.mask, outer) | _remap(d.mask, inner)
     if not _variants().gravity_member(arity, mask):
-        raise RuntimeError(
-            "internal failure: composing chord diagrams left the family, "
-            f"on {c!r} o_{i} {d!r}"
-        )
+        raise _left_the_family(c, i, d)
     return ChordDiagram._unsafe(arity, mask)
+
+
+def _left_the_family(c, i, d):
+    return RuntimeError(
+        "internal failure: composing chord diagrams left the family, "
+        f"on {c!r} o_{i} {d!r}"
+    )
 
 
 def phi_grav(diagram):
@@ -459,11 +463,6 @@ def grav_compose(p, q, i):
     """Composition restricted to gravity cliques; closure is asserted."""
     if not (grav_check(p) and grav_check(q)):
         raise KnownOperadError("grav_compose needs gravity cliques on both sides")
-    return _grav_compose_closed(p, q, i)
-
-
-def _grav_compose_closed(p, q, i):
-    # trusted: p and q are gravity cliques; only closure is asserted
     result = partial_compose(p, q, i)
     if not grav_check(result):
         raise RuntimeError(
@@ -510,26 +509,12 @@ def lie_maximal(arity):
 # -- morphism checks -------------------------------------------------------
 
 
-def _scalar_morphism(arity_pairs, pools, images, phi, compose, image_compose):
-    """One instance at a time: phi of the composite against the composite
-    of the images."""
-    checked = 0
-    for n, m in arity_pairs:
-        right = list(zip(pools[m], images[m]))
-        for a, image_a in zip(pools[n], images[n]):
-            for b, image_b in right:
-                for i in range(1, n + 1):
-                    checked += 1
-                    if phi(compose(a, b, i)) != image_compose(image_a, image_b, i):
-                        return checked, (a, i, b)
-    return checked, None
-
-
-def _vector_morphism(arity_pairs, pools, images, magma, masks, values):
+def _vector_morphism(arity_pairs, pools, images, magma, masks, values, member):
     """Label blocks over the pools' masks, one column per component.  The
     family side remaps the masks through `_compose_tables` and reads the
     flag tables; the clique side composes the images' labels with
-    `_compose_block`."""
+    `_compose_block`.  `member(arity, *masks)`, when given, is asserted
+    once per distinct composite in each slab."""
     # imported on first use: numpy loading last in the package import keeps
     # the peak memory of `import cliqueops` about 2 MB lower
     import numpy as np
@@ -559,9 +544,18 @@ def _vector_morphism(arity_pairs, pools, images, magma, masks, values):
 
     def family_side(n, m, i, rows):
         outer, inner = _compose_tables(n, m, i)
-        width = len(arcs_of(n + m - 1))
         composed = (remap(bits[n][rows], outer)[:, None]
                     | remap(bits[m], inner)[None, :]).reshape(-1, len(values))
+        if member is not None:
+            # one test per distinct composite; the first one outside, in slab
+            # order, names the failing pair
+            distinct, where = np.unique(composed, axis=0, return_inverse=True)
+            outside = np.array([not member(n + m - 1, *row) for row in distinct.tolist()])
+            left = np.flatnonzero(outside[where.reshape(-1)])
+            if left.size:
+                k, ny = int(left[0]), len(pools[m])
+                raise _left_the_family(pools[n][rows.start + k // ny], i, pools[m][k % ny])
+        width = len(arcs_of(n + m - 1))
         return sum(flags(composed[:, c], width, value) for c, value in enumerate(values))
 
     def clique_side(n, m, i, rows):
@@ -570,26 +564,20 @@ def _vector_morphism(arity_pairs, pools, images, magma, masks, values):
     return morphism_slabs(arity_pairs, pools, family_side, clique_side)
 
 
-def _morphism_report(family, arity_pairs, pool, phi, compose, image_compose,
-                     vector=None):
+def _morphism_report(family, arity_pairs, pool, phi, encoding):
     """Count the instances phi(a o_i b) == phi(a) o_i phi(b) over every pair
     (a, b) from the pools of the given arity pairs and every i, stopping at
     the first failure.  Each arity's pool and images are built once.
 
-    `vector`, when given, is the family's mask encoding (the clique magma,
-    the masks of an element, the label of each mask's bits): the slab
-    engine then checks the law instead of the scalar loop, over the same
-    instances.
+    `encoding` is the family's mask encoding for the slab engine: the
+    clique magma, the masks of an element, the label of each mask's bits,
+    and the family's membership test of a composite's masks (None when
+    every mask is a member).
     """
     arities = {n for pair in arity_pairs for n in pair}
     pools = {n: list(pool(n)) for n in arities}
     images = {n: [phi(a) for a in pools[n]] for n in pools}
-    if vector is None:
-        checked, failure = _scalar_morphism(
-            arity_pairs, pools, images, phi, compose, image_compose,
-        )
-    else:
-        checked, failure = _vector_morphism(arity_pairs, pools, images, *vector)
+    checked, failure = _vector_morphism(arity_pairs, pools, images, *encoding)
     if failure is None:
         return VerifyReport("known-ops", True, checked, None)
     a, i, b = failure
@@ -608,34 +596,27 @@ def _clique_double_multitildes(arity):
             if arity > 1 or not (s.mask1 or s.mask2))
 
 
-def _check_engine(engine):
-    if engine not in ("vector", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return engine == "vector"
-
-
-def verify_known_ops(max_arity, engine="vector"):
+def verify_known_ops(max_arity):
     """The multi-tilde and gravity embeddings commute with composition on
     every composable pair up to composite arity `max_arity` (the nontrivial
-    arity-1 multi-tilde, which has no clique, excluded); gravity closure is
-    asserted by `chord_compose` and the gravity clique composition
-    throughout.
+    arity-1 multi-tilde, which has no clique, excluded).
 
-    `engine="vector"` checks the multi-tilde law on label blocks, and
-    `"scalar"` one instance at a time, the independent cross-check; the
-    gravity law runs on the scalar loop under both.
+    Both laws run on label blocks, through the slab engine.  A gravity
+    diagram is a multi-tilde mask, so gravity shares the multi-tilde
+    encoding; every distinct composite mask of a slab is asserted to meet
+    the gravity condition, and the clique side, equal row for row, is then
+    closed as well: gravity closure is asserted throughout.
     """
-    vector = _check_engine(engine)
     arity_pairs = composable_pairs(max_arity)
     tildes = _morphism_report(
-        "multi-tilde", arity_pairs, _clique_multitildes, phi_mt, mt_compose,
-        partial_compose, (_D0, lambda s: (s.mask,), (_SOLID,)) if vector else None,
+        "multi-tilde", arity_pairs, _clique_multitildes, phi_mt,
+        (_D0, lambda s: (s.mask,), (_SOLID,), None),
     )
     if not tildes.ok:
         return tildes
     gravity = _morphism_report(
-        "gravity", arity_pairs, gravity_diagrams, phi_grav, chord_compose,
-        _grav_compose_closed,
+        "gravity", arity_pairs, gravity_diagrams, phi_grav,
+        (_D0, lambda c: (c.mask,), (_SOLID,), _variants().gravity_member),
     )
     return VerifyReport(
         "known-ops", gravity.ok, tildes.checked + gravity.checked,
@@ -643,19 +624,15 @@ def verify_known_ops(max_arity, engine="vector"):
     )
 
 
-def verify_double_multitildes(arity_pairs, engine="vector"):
+def verify_double_multitildes(arity_pairs):
     """The double multi-tilde embedding commutes with composition on every
     pair of the given (n, m) arities and every i (the three nontrivial
-    arity-1 double multi-tildes, which have no clique, excluded).
-
-    `engine` is as in `verify_known_ops`.
+    arity-1 double multi-tildes, which have no clique, excluded), on label
+    blocks as in `verify_known_ops`.
     """
-    vector = _check_engine(engine)
     return _morphism_report(
         "double multi-tilde", arity_pairs, _clique_double_multitildes, phi_dmt,
-        dmt_compose, partial_compose,
-        (_D0_SQUARED, lambda s: (s.mask1, s.mask2), (_FIRST, _SECOND))
-        if vector else None,
+        (_D0_SQUARED, lambda s: (s.mask1, s.mask2), (_FIRST, _SECOND), None),
     )
 
 

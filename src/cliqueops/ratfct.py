@@ -19,7 +19,7 @@ from itertools import chain, compress, product as iproduct
 from .clique import Clique, arc_index, arcs_of, relabel
 from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
 from .operad import (
-    LinComb, _accumulate, _Combination, partial_compose, star_product,
+    LinComb, _accumulate, _Combination, star_product,
 )
 from .report import VerifyReport
 
@@ -312,23 +312,6 @@ class _ZSum:
         return pair[0] + pair[1]
 
 
-def _rf_scalar(pools, arity_pairs):
-    """One instance at a time: interval_map of the clique composite against
-    the substituted interval products of the images."""
-    rank = RankFunction.identity()
-    images = {n: [interval_map(p, rank) for p in pool] for n, pool in pools.items()}
-    checked = 0
-    for n, m in arity_pairs:
-        for p, fp in zip(pools[n], images[n]):
-            for q, fq in zip(pools[m], images[m]):
-                for i in range(1, n + 1):
-                    checked += 1
-                    if interval_map(partial_compose(p, q, i), rank) != \
-                            _compose_product(fp, fq, i):
-                        return checked, (p, i, q)
-    return checked, None
-
-
 def _rf_vector(pools, arity_pairs):
     """Label blocks: under the identity rank an interval product's exponent
     map is the clique's label vector over `arcs_of`.  The clique side
@@ -364,16 +347,11 @@ def _rf_vector(pools, arity_pairs):
     return morphism_slabs(arity_pairs, pools, clique_side, interval_side)
 
 
-def verify_rf_morphism(labels=(-1, 0, 1), max_arity=3, engine="vector"):
+def verify_rf_morphism(labels=(-1, 0, 1), max_arity=3):
     """Exhaustively check image(p o_i q) = image(p) o_i image(q) on integer
-    cliques with the given labels, all arities up to the bound, all i.
-
-    `engine="vector"` compares label blocks slab by slab; `"scalar"` runs
-    one `interval_map`/`_compose_product` per instance, the independent
-    cross-check.  Both count the same instances.
+    cliques with the given labels, all arities up to the bound, all i,
+    comparing label blocks slab by slab.
     """
-    if engine not in ("vector", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}")
     z = UnitaryMagma.integers()
     pools = {1: [Clique.unit(z)]}
     for n in range(2, max_arity + 1):
@@ -381,8 +359,7 @@ def verify_rf_morphism(labels=(-1, 0, 1), max_arity=3, engine="vector"):
             Clique._unsafe(z, n, labs)
             for labs in iproduct(labels, repeat=len(arcs_of(n)))
         ]
-    run = _rf_vector if engine == "vector" else _rf_scalar
-    checked, failure = run(pools, [(n, m) for n in pools for m in pools])
+    checked, failure = _rf_vector(pools, [(n, m) for n in pools for m in pools])
     if failure is None:
         return VerifyReport("ratfct-morphism", True, checked, None)
     p, i, q = failure

@@ -12,8 +12,11 @@ on the small carriers.
 The same label blocks check every other composition law exhaustively:
 `morphism_slabs` compares two block computations of a law slab by slab.
 It runs the reflection, automorphism and rotation laws, the product
-isomorphism, the ideal law of variants.py, the operad-morphism laws of
-ratfct.py and knownops.py and the vector engine's dense unit law.
+isomorphism, the ideal law of variants.py and the vector engine's dense
+unit law.  It is the only engine of the operad-morphism laws of ratfct.py
+and knownops.py (rational functions, multi-tildes, double multi-tildes
+and gravity); their one-instance-at-a-time loops are kept as test
+references.
 """
 
 from __future__ import annotations

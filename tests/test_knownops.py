@@ -257,10 +257,17 @@ def test_known_ops_verifier_catches_a_broken_morphism(
 
 
 @pytest.mark.parametrize("engine", ["vector", "scalar"])
-@pytest.mark.parametrize("family", ["multi-tilde", "double multi-tilde"])
+@pytest.mark.parametrize("family", ["multi-tilde", "double multi-tilde", "gravity"])
 def test_known_ops_engines_catch_a_shifted_inner_table(monkeypatch, engine, family):
     from cliqueops import knownops
+    from test_verifier_references import reference_double_multitildes, reference_known_ops
 
+    # "vector" is the slab verifier, "scalar" its one-instance-at-a-time
+    # reference in test_verifier_references.py
+    known_ops, double_multitildes = (
+        (knownops.verify_known_ops, knownops.verify_double_multitildes)
+        if engine == "vector" else (reference_known_ops, reference_double_multitildes)
+    )
     real = knownops._compose_tables
 
     def shifted(n, m, i):
@@ -268,16 +275,53 @@ def test_known_ops_engines_catch_a_shifted_inner_table(monkeypatch, engine, fami
         return real(n, m, i)[0], real(n, m, min(i + 1, n))[1]
 
     def verify():
-        if family == "multi-tilde":
-            return knownops.verify_known_ops(3, engine=engine)
-        return knownops.verify_double_multitildes([(2, 2)], engine=engine)
+        if family == "double multi-tilde":
+            return double_multitildes([(2, 2)])
+        return known_ops(3)
 
+    if family == "gravity":
+        # no multi-tildes, so that the gravity law is the one that runs
+        monkeypatch.setattr(knownops, "_clique_multitildes", lambda arity: ())
     assert verify().ok
     monkeypatch.setattr(knownops, "_compose_tables", shifted)
+    if family == "gravity":
+        # the shifted composite of two triangles leaves the family before
+        # any image is compared
+        with pytest.raises(RuntimeError, match="composing chord diagrams left the family"):
+            verify()
+        return
     report = verify()
     assert not report.ok
     assert report.counterexample.startswith(f"{family} morphism fails")
     assert report.checked > 0
+
+
+def test_known_ops_asserts_gravity_closure(monkeypatch):
+    from cliqueops import knownops, variants
+
+    real = variants.gravity_member
+    # mutation: every composite of arity 4 or more is refused
+    monkeypatch.setattr(
+        variants, "gravity_member", lambda arity, mask: arity < 4 and real(arity, mask),
+    )
+    assert knownops.verify_known_ops(3).ok
+    with pytest.raises(RuntimeError, match=(
+        r"^internal failure: composing chord diagrams left the family, on "
+        r"ChordDiagram\(\d, .*\) o_\d ChordDiagram\(\d, .*\)$"
+    )):
+        knownops.verify_known_ops(4)
+
+
+@pytest.mark.parametrize("max_arity, total, gravity", [
+    (3, 427, 18), (4, 8182, 93), (5, 266689, 552),
+])
+def test_known_ops_totals(monkeypatch, max_arity, total, gravity):
+    from cliqueops import knownops
+
+    assert knownops.verify_known_ops(max_arity).checked == total
+    # the gravity share alone, with the multi-tilde pools emptied
+    monkeypatch.setattr(knownops, "_clique_multitildes", lambda arity: ())
+    assert knownops.verify_known_ops(max_arity).checked == gravity
 
 
 @pytest.mark.parametrize("build", [

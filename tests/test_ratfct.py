@@ -112,6 +112,7 @@ def test_morphism_law_small_exhaustive():
     assert report.ok
     # pair instance count: (1,1) + (1,2) + (2,1) with two slots + (2,2)
     assert report.checked == 1 + 27 + 54 + 27 * 27 * 2
+    assert verify_rf_morphism(labels=(-1, 0, 1), max_arity=3).checked == 1697194
 
 
 def test_compose_product_matches_rat_elem_compose(z):
@@ -159,6 +160,7 @@ def test_verify_rf_laws():
 
 def test_rf_morphism_verifier_catches_an_off_by_one_reindex(monkeypatch):
     from cliqueops import ratfct
+    from test_verifier_references import reference_rf_morphism
 
     real = ratfct._compose_product
 
@@ -166,10 +168,10 @@ def test_rf_morphism_verifier_catches_an_off_by_one_reindex(monkeypatch):
         # substitutes into the slot after the requested one, when there is one
         return real(prod, other, min(i + 1, prod.arity))
 
-    # only the scalar engine calls _compose_product
-    assert ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine="scalar").ok
+    # only the reference loop of the morphism law calls _compose_product
+    assert reference_rf_morphism((0, 1), 2).ok
     monkeypatch.setattr(ratfct, "_compose_product", off_by_one)
-    report = ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine="scalar")
+    report = reference_rf_morphism((0, 1), 2)
     assert not report.ok
     assert report.counterexample.startswith("image of")
     assert report.checked > 0
@@ -177,19 +179,23 @@ def test_rf_morphism_verifier_catches_an_off_by_one_reindex(monkeypatch):
 
 @pytest.mark.parametrize("engine", ["vector", "scalar"])
 def test_rf_morphism_engines_catch_an_off_by_one_reindex_table(monkeypatch, engine):
+    # "vector" is the slab verifier, "scalar" its one-instance-at-a-time
+    # reference in test_verifier_references.py
     from cliqueops import ratfct
+    from test_verifier_references import reference_rf_morphism
 
+    run = ratfct.verify_rf_morphism if engine == "vector" else reference_rf_morphism
     real = ratfct._reindex
 
     def off_by_one(n, m, i):
         # the reindex table of the slot after the requested one, when there is one
         return real(n, m, min(i + 1, n))
 
-    assert ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine=engine).ok
+    assert run((0, 1), 2).ok
     real.cache_clear()
     monkeypatch.setattr(ratfct, "_reindex", off_by_one)
     try:
-        report = ratfct.verify_rf_morphism(labels=(0, 1), max_arity=2, engine=engine)
+        report = run((0, 1), 2)
     finally:
         real.cache_clear()
     assert not report.ok

@@ -8,24 +8,30 @@ same `checked` total.  The prime census runs on numpy pattern blocks; its
 one-pattern-at-a-time loop is kept here too, and the `lab:` block census is
 compared with `count_by_streaming`, which builds every clique.  The skeleton
 census walks blocks of arc masks; each rule's test on one mask, and the
-fold `member` makes of it, are its reference.
+fold `member` makes of it, are its reference.  The operad-morphism laws of
+ratfct.py and knownops.py run on the slab engine only; the one-instance
+loops below are their reference, and the mutation tests of test_ratfct.py
+and test_knownops.py run against both.
 """
 
 import random
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 
 from cliqueops import (
-    Clique, VerifyReport, automorphisms, count_by_enumeration, generate_cliques,
-    parse_magma_spec, partial_compose, reflect, relabel, rotate, unzip_clique,
-    variant, verify_cyclic, verify_ideal, verify_inclusions, verify_product_iso,
-    verify_symmetries, zip_cliques,
+    Clique, RankFunction, UnitaryMagma, VerifyReport, automorphisms,
+    count_by_enumeration, generate_cliques, interval_map, parse_magma_spec,
+    partial_compose, reflect, relabel, rotate, unzip_clique, variant,
+    verify_cyclic, verify_ideal, verify_inclusions, verify_product_iso,
+    verify_rf_morphism, verify_symmetries, zip_cliques,
 )
-from cliqueops import enumeration, variants
+from cliqueops import enumeration, knownops, ratfct, variants
 from cliqueops.clique import arcs_of, crossing, diagonals_of
 from cliqueops.enumeration import count_by_streaming
+from cliqueops.knownops import verify_double_multitildes, verify_known_ops
 from cliqueops.operad import composable_pairs
 from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS, VARIANT_SPECS
 
@@ -160,6 +166,79 @@ def reference_inclusions(magma, max_arity):
     return VerifyReport("inclusions", True, checked, None)
 
 
+def reference_morphism(family, arity_pairs, pool, phi, compose, image_compose):
+    """phi(a o_i b) == phi(a) o_i phi(b), one instance at a time, over every
+    pair from the pools of the given arity pairs and every i."""
+    arities = {n for pair in arity_pairs for n in pair}
+    pools = {n: list(pool(n)) for n in arities}
+    images = {n: [phi(a) for a in pools[n]] for n in pools}
+    checked = 0
+    for n, m in arity_pairs:
+        right = list(zip(pools[m], images[m]))
+        for a, image_a in zip(pools[n], images[n]):
+            for b, image_b in right:
+                for i in range(1, n + 1):
+                    checked += 1
+                    if phi(compose(a, b, i)) != image_compose(image_a, image_b, i):
+                        return VerifyReport(
+                            "known-ops", False, checked,
+                            f"{family} morphism fails on {a!r} o_{i} {b!r}",
+                        )
+    return VerifyReport("known-ops", True, checked, None)
+
+
+def reference_known_ops(max_arity):
+    # module lookups at call time, so that monkeypatched rules reach the loop
+    pairs = composable_pairs(max_arity)
+    tildes = reference_morphism(
+        "multi-tilde", pairs, knownops._clique_multitildes, knownops.phi_mt,
+        knownops.mt_compose, partial_compose,
+    )
+    if not tildes.ok:
+        return tildes
+    # chord_compose and grav_compose assert gravity closure on both sides
+    gravity = reference_morphism(
+        "gravity", pairs, knownops.gravity_diagrams, knownops.phi_grav,
+        knownops.chord_compose, knownops.grav_compose,
+    )
+    return VerifyReport(
+        "known-ops", gravity.ok, tildes.checked + gravity.checked,
+        gravity.counterexample,
+    )
+
+
+def reference_double_multitildes(arity_pairs):
+    return reference_morphism(
+        "double multi-tilde", arity_pairs, knownops._clique_double_multitildes,
+        knownops.phi_dmt, knownops.dmt_compose, partial_compose,
+    )
+
+
+def reference_rf_morphism(labels, max_arity):
+    """interval_map of each clique composite against the substituted
+    interval products of the images, one instance at a time."""
+    z, rank = UnitaryMagma.integers(), RankFunction.identity()
+    pools = {1: [Clique.unit(z)]}
+    for n in range(2, max_arity + 1):
+        pools[n] = [Clique(z, n, labs) for labs in product(labels, repeat=len(arcs_of(n)))]
+    images = {n: [interval_map(p, rank) for p in pool] for n, pool in pools.items()}
+    checked = 0
+    for n in pools:
+        for m in pools:
+            for p, fp in zip(pools[n], images[n]):
+                for q, fq in zip(pools[m], images[m]):
+                    for i in range(1, n + 1):
+                        checked += 1
+                        if interval_map(partial_compose(p, q, i), rank) != \
+                                ratfct._compose_product(fp, fq, i):
+                            return VerifyReport(
+                                "ratfct-morphism", False, checked,
+                                f"image of {p!r} o_{i} {q!r} is not the "
+                                "composition of the images",
+                            )
+    return VerifyReport("ratfct-morphism", True, checked, None)
+
+
 def _same(block, reference):
     assert (block.ok, block.checked) == (reference.ok, reference.checked)
     assert block.ok and block.counterexample is None
@@ -173,6 +252,19 @@ def test_symmetry_verifiers_match_their_references(spec):
     _same(verify_cyclic(magma, 3), reference_cyclic(magma, 3))
     if magma.factors:
         _same(verify_product_iso(magma, 3), reference_product_iso(magma, 3))
+
+
+def test_morphism_verifiers_match_their_references():
+    # known ops at arity 4 include 93 gravity instances
+    pairs = [(1, 2), (2, 1), (2, 2)]
+    runs = [
+        (verify_rf_morphism((-1, 0, 1), 2), reference_rf_morphism((-1, 0, 1), 2)),
+        (verify_known_ops(4), reference_known_ops(4)),
+        (verify_double_multitildes(pairs), reference_double_multitildes(pairs)),
+    ]
+    for block, reference in runs:
+        _same(block, reference)
+        assert block.checked > 0
 
 
 def test_ideal_verifier_matches_its_reference(d0):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliqueops import (
     Clique, UnitaryMagma, generate_cliques, is_associative_element,
@@ -26,14 +28,6 @@ def test_axioms_all_builtin_magmas_up_to_four_elements():
         magma = parse_magma_spec(spec)
         report = verify_operad_axioms(magma, 4)
         assert report.ok and report.complete, (spec, report.counterexample)
-
-
-def test_scalar_and_vector_engines_agree(d0, n2):
-    for magma in (d0, n2):
-        scalar = verify_operad_axioms(magma, 5, engine="scalar")
-        vector = verify_operad_axioms(magma, 5, engine="vector")
-        assert scalar.ok and vector.ok
-        assert scalar.checked == vector.checked
 
 
 def test_corrupted_rule_is_caught(d0):
@@ -123,6 +117,25 @@ def test_compose_block_keeps_the_glue_operand_order():
     assert _block_rows_match_partial_compose(magma, _star(magma))
 
 
+@st.composite
+def unitary_magmas(draw):
+    """A table magma of 2-4 elements with unit "u" and every product of two
+    non-units drawn: in general neither commutative nor associative."""
+    names = ["u", "a", "b", "c"][:draw(st.integers(2, 4))]
+    entries = st.sampled_from(names)
+    table = [y if x == "u" else x if y == "u" else draw(entries)
+             for x in names for y in names]
+    return UnitaryMagma.from_table_data({"elements": names, "unit": "u", "table": table})
+
+
+@settings(max_examples=15, deadline=None)
+@given(unitary_magmas())
+def test_compose_block_matches_partial_compose_over_random_magmas(magma):
+    from cliqueops.verify import _star
+
+    assert _block_rows_match_partial_compose(magma, _star(magma))
+
+
 def test_compose_block_catches_swapped_glue_operands():
     # mutation: star[Y[:, b0], X[:, ei]] for the glued arc, which is the
     # transposed table read in the kept operand order; it builds C(M^op),
@@ -193,22 +206,6 @@ def test_vector_engine_labels_do_not_wrap():
         ]
         assert composed.tolist() == [list(labels) for labels in expected]
         assert composed.max() >= 256
-
-
-def test_morphism_engines_agree():
-    from cliqueops import knownops, ratfct
-
-    runs = [
-        lambda engine: ratfct.verify_rf_morphism((-1, 0, 1), 2, engine=engine),
-        lambda engine: knownops.verify_known_ops(3, engine=engine),
-        lambda engine: knownops.verify_double_multitildes(
-            [(1, 2), (2, 1), (2, 2)], engine=engine,
-        ),
-    ]
-    for run in runs:
-        vector, scalar = run("vector"), run("scalar")
-        assert vector.ok and scalar.ok
-        assert vector.checked == scalar.checked > 0
 
 
 def test_vector_unit_law_catches_a_broken_plan(monkeypatch, d0):
