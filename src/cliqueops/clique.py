@@ -7,15 +7,19 @@ underlying configuration of solid arcs.
 
 Every reindexing of arcs (composition, reflection, rotation, splitting
 along a diagonal) is an index plan: a tuple whose k-th entry says which
-entry of a source tuple the k-th arc of the result reads.  Plans are
-built once per shape under `lru_cache` and run by `gather`.
+entry of a source tuple the k-th arc of the result reads.  `index_plan`
+builds each plan once per shape, under `lru_cache`, as an `IndexPlan`:
+the index tuple, which numpy label blocks take as a column selection,
+and its picker, an `operator.itemgetter` that builds one result clique's
+labels from a source tuple in a single C call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import ne
+from operator import itemgetter, ne
+from typing import Callable, NamedTuple
 
 from .magma import UnitaryMagma, parse_magma_spec
 
@@ -198,10 +202,25 @@ def iter_solid_arcs(clique):
     )
 
 
-def gather(magma, arity, source, plan):
-    """The clique whose k-th arc label is source[plan[k]] (trusted: the plan
-    fits the arity and every source entry is a label of the magma)."""
-    return Clique._unsafe(magma, arity, tuple(map(source.__getitem__, plan)))
+class IndexPlan(NamedTuple):
+    arity: int  # the arity of the result
+    source: tuple  # per result arc, the index of its label in the source tuple
+    pick: Callable  # source tuple -> the result's labels, one C call
+
+
+def index_plan(arity, source):
+    """The plan of an arity-`arity` result whose k-th arc reads source[k].
+
+    `pick(labels)` equals `tuple(labels[k] for k in source)`; a one-entry
+    plan (arity 1) picks a one-entry slice, since `itemgetter(k)` alone
+    would return the bare label.
+    """
+    source = tuple(source)
+    if len(source) == 1:
+        pick = itemgetter(slice(source[0], source[0] + 1))
+    else:
+        pick = itemgetter(*source)
+    return IndexPlan(arity, source, pick)
 
 
 # -- statistics -----------------------------------------------------------
@@ -324,28 +343,30 @@ def hamming(p, q):
 @lru_cache(maxsize=None)
 def _reflect_plan(arity):
     index = arc_index(arity)
-    return tuple(index[(arity - y + 2, arity - x + 2)] for (x, y) in arcs_of(arity))
+    return index_plan(
+        arity, (index[(arity - y + 2, arity - x + 2)] for (x, y) in arcs_of(arity)),
+    )
 
 
 @lru_cache(maxsize=None)
 def _rotate_plan(arity):
     index = arc_index(arity)
-    return tuple(
+    return index_plan(arity, (
         index[(x + 1, y + 1)] if y <= arity else index[(1, x + 1)]
         for (x, y) in arcs_of(arity)
-    )
+    ))
 
 
 def reflect(clique):
     """Reflection through the vertical line through the base: (x, y) reads (n-y+2, n-x+2)."""
     n = clique.arity
-    return gather(clique.magma, n, clique.labels, _reflect_plan(n))
+    return Clique._unsafe(clique.magma, n, _reflect_plan(n).pick(clique.labels))
 
 
 def rotate(clique):
     """One counterclockwise rotation step: (x, y) reads (x+1, y+1), wrapping through the base."""
     n = clique.arity
-    return gather(clique.magma, n, clique.labels, _rotate_plan(n))
+    return Clique._unsafe(clique.magma, n, _rotate_plan(n).pick(clique.labels))
 
 
 def relabel(clique, morphism):
@@ -361,27 +382,27 @@ def relabel(clique, morphism):
 
 @lru_cache(maxsize=None)
 def _split_plan(arity, x, y):
-    """Outer and inner arities and plans into `labels + (unit,)` for splitting
-    along the diagonal (x, y), and the indices of the diagonals crossing it."""
+    """The outer and inner plans into `labels + (unit,)` for splitting along
+    the diagonal (x, y), and the indices of the diagonals crossing it."""
     index = arc_index(arity)
     shift = y - x - 1
     outer_arity = arity + x - y + 1
-    outer = tuple(
+    outer = index_plan(outer_arity, (
         index[(z, t)] if t <= x
         else index[(z, t + shift)] if z <= x
         else index[(z + shift, t + shift)]
         for (z, t) in arcs_of(outer_arity)
-    )
+    ))
     inner_arity = y - x
     unit = len(index)
-    inner = tuple(
+    inner = index_plan(inner_arity, (
         unit if (z, t) == (1, inner_arity + 1) else index[(z + x - 1, t + x - 1)]
         for (z, t) in arcs_of(inner_arity)
-    )
+    ))
     crossers = tuple(
         index[d] for d in diagonals_of(arity) if crossing((x, y), d)
     )
-    return outer_arity, outer, inner_arity, inner, crossers
+    return outer, inner, crossers
 
 
 def split_along_diagonal(clique, diag):
@@ -395,7 +416,7 @@ def split_along_diagonal(clique, diag):
     n = clique.arity
     if arc_class(n, x, y) != "diagonal":
         raise CliqueError(f"({x},{y}) is not a diagonal at arity {n}")
-    outer_arity, outer, inner_arity, inner, crossers = _split_plan(n, x, y)
+    outer, inner, crossers = _split_plan(n, x, y)
     magma = clique.magma
     source = clique.labels + (magma.unit,)
     for k in crossers:
@@ -405,8 +426,8 @@ def split_along_diagonal(clique, diag):
                 "no factorization"
             )
     return (
-        gather(magma, outer_arity, source, outer),
-        gather(magma, inner_arity, source, inner),
+        Clique._unsafe(magma, outer.arity, outer.pick(source)),
+        Clique._unsafe(magma, inner.arity, inner.pick(source)),
     )
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from operator import add
 
 from .clique import Clique, arc_index, arcs_of
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
@@ -142,6 +141,25 @@ def _flags(mask, width, value):
         out += table[mask & 0xFF]
         mask >>= 8
     return out
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(width):
+    """For each 4-bit chunk of a width-bit mask pair (mask1, mask2), the
+    pair labels of `phi_dmt` for every chunk value c1 << 4 | c2, low bit
+    first: _FIRST where only mask1 has the bit, _SECOND where only mask2
+    has it, their sum where both do."""
+    tables = []
+    for lo in range(0, width, 4):
+        size = min(4, width - lo)
+        tables.append(tuple(
+            tuple(
+                (_FIRST if c1 >> b & 1 else 0) + (_SECOND if c2 >> b & 1 else 0)
+                for b in range(size)
+            )
+            for c1 in range(16) for c2 in range(16)
+        ))
+    return tuple(tables)
 
 
 def _masks(arity):
@@ -337,10 +355,12 @@ def phi_dmt(dmt):
         raise KnownOperadError(
             "the three nontrivial arity-1 double multi-tildes have no clique counterpart"
         )
-    width = len(arcs_of(dmt.arity))
-    labels = tuple(map(
-        add, _flags(dmt.mask1, width, _FIRST), _flags(dmt.mask2, width, _SECOND),
-    ))
+    labels = ()
+    mask1, mask2 = dmt.mask1, dmt.mask2
+    for table in _pair_tables(len(arcs_of(dmt.arity))):
+        labels += table[(mask1 & 0xF) << 4 | mask2 & 0xF]
+        mask1 >>= 4
+        mask2 >>= 4
     return Clique._unsafe(_D0_SQUARED, dmt.arity, labels)
 
 

@@ -4,7 +4,10 @@ The composition p o_i q glues the base of q onto the i-th edge of p,
 labels the glued arc by p_i * q_0, and fills every new diagonal with the
 unit.  Each arc of the result reads its label through the index plan
 `composition_plan(|p|, |q|, i)` (which also locates p_i and q_0) from
-the source tuple `p.labels + q.labels + (glue, unit)`.  Linear
+the source tuple `p.labels + q.labels + (glue, unit)`.  The plan is
+built once per shape with `clique.index_plan`: its index tuple feeds
+the numpy block engine of verify.py, and its compiled picker builds a
+single composite in one `itemgetter` call.  Linear
 combinations carry exact rational coefficients; mixed-arity sums are
 rejected so index bugs surface early.
 
@@ -18,14 +21,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .clique import Clique, CliqueError, arc_index, arcs_of, gather
+from .clique import Clique, CliqueError, arc_index, arcs_of, index_plan
 from .magma import pair_value, unpair_value
 
 
 class CompositionPlan(NamedTuple):
+    arity: int  # n + m - 1
     source: tuple  # per result arc, its label's index in p.labels + q.labels + (glue, unit)
+    pick: Callable  # that source tuple -> the result's labels (`index_plan`)
     edge: int  # the index of p's edge (i, i+1) in p.labels
     base: int  # the index of q's base (1, m+1) in q.labels
 
@@ -56,7 +61,9 @@ def composition_plan(n, m, i):
         else:
             plan.append(P + Q + 1)
     # at arity 1 the one arc (1, 2) is both the edge and the base
-    return CompositionPlan(tuple(plan), src_p[(i, i + 1)], src_q[(1, m + 1)])
+    return CompositionPlan(
+        *index_plan(n + m - 1, plan), src_p[(i, i + 1)], src_q[(1, m + 1)],
+    )
 
 
 def composable_pairs(max_arity):
@@ -73,21 +80,19 @@ def partial_compose(p, q, i):
     magma = p.magma
     if magma is not q.magma and magma != q.magma:
         raise CliqueError("cannot compose cliques over different magmas")
-    source, edge, base = composition_plan(p.arity, q.arity, i)
+    arity, _, pick, edge, base = composition_plan(p.arity, q.arity, i)
     a, b = p.labels, q.labels
-    return gather(
-        magma, p.arity + q.arity - 1, a + b + (magma.op(a[edge], b[base]), magma.unit),
-        source,
+    return Clique._unsafe(
+        magma, arity, pick(a + b + (magma.op(a[edge], b[base]), magma.unit)),
     )
 
 
 def compose_glued(p, q, i, glue):
     """p o_i q with the glued arc labeled `glue` (p_i * q_0 in `partial_compose`),
     for mutation tests (trusted: p, q and `glue` share a magma)."""
-    n, m = p.arity, q.arity
-    return gather(
-        p.magma, n + m - 1, p.labels + q.labels + (glue, p.magma.unit),
-        composition_plan(n, m, i).source,
+    plan = composition_plan(p.arity, q.arity, i)
+    return Clique._unsafe(
+        p.magma, plan.arity, plan.pick(p.labels + q.labels + (glue, p.magma.unit)),
     )
 
 

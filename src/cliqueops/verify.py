@@ -223,20 +223,21 @@ def _label_block(magma, arity, rows=None):
 
 def _compose_block(X, nx, Y, ny, i, star):
     """All pairwise compositions of two label blocks; rows ordered (x, y)."""
-    plan, ei, b0 = composition_plan(nx, ny, i)
+    plan = composition_plan(nx, ny, i)
     Nx, Ny = X.shape[0], Y.shape[0]
     P, Q = X.shape[1], Y.shape[1]
-    out = np.zeros((Nx, Ny, len(plan)), dtype=star.dtype)
+    width = len(plan.source)
+    out = np.zeros((Nx, Ny, width), dtype=star.dtype)
     # plan entries below P read X, below P + Q read Y, P + Q is the glued
     # arc; the unit entry P + Q + 1 is the 0 already in place
-    for r, src in enumerate(plan):
+    for r, src in enumerate(plan.source):
         if src < P:
             out[:, :, r] = X[:, src][:, None]
         elif src < P + Q:
             out[:, :, r] = Y[:, src - P][None, :]
         elif src == P + Q:
-            out[:, :, r] = star[X[:, ei][:, None], Y[:, b0][None, :]]
-    return out.reshape(Nx * Ny, len(plan))
+            out[:, :, r] = star[X[:, plan.edge][:, None], Y[:, plan.base][None, :]]
+    return out.reshape(Nx * Ny, width)
 
 
 def _label_blocks(magma, max_arity):
@@ -428,7 +429,7 @@ def _block_symmetries(magma, max_arity):
     pairs = composable_pairs(max_arity)
     star = _star(magma)
     X = _label_blocks(magma, max_arity)
-    R = {n: block[:, _clique._reflect_plan(n)] for n, block in X.items()}
+    R = {n: block[:, _clique._reflect_plan(n).source] for n, block in X.items()}
 
     def composed(n, m, i, rows):
         return _compose_block(X[n][rows], n, X[m], m, i, star)
@@ -440,9 +441,11 @@ def _block_symmetries(magma, max_arity):
             f"{law} fails on {_row_clique(magma, p)!r} o_{i} {_row_clique(magma, q)!r}",
         )
 
+    def reflected_composite(n, m, i, rows):
+        return composed(n, m, i, rows)[:, _clique._reflect_plan(n + m - 1).source]
+
     checked, failure = morphism_slabs(
-        pairs, X,
-        lambda n, m, i, rows: composed(n, m, i, rows)[:, _clique._reflect_plan(n + m - 1)],
+        pairs, X, reflected_composite,
         lambda n, m, i, rows: _compose_block(R[n][rows], n, R[m], m, n - i + 1, star),
     )
     if failure is not None:
@@ -478,14 +481,14 @@ def verify_cyclic(magma, max_arity, budget=None):
     if rotate(unit) != unit:
         return VerifyReport("cyclic", False, 1, "rotation moves the unit clique")
     X = _label_blocks(magma, max_arity)
-    turned = {n: block[:, _clique._rotate_plan(n)] for n, block in X.items()}
+    turned = {n: block[:, _clique._rotate_plan(n).source] for n, block in X.items()}
     checked = 0
     for n, block in X.items():
         if budget is not None and clique_space_size(magma, n) > budget:
             continue
         current = block
         for _ in range(n + 1):
-            current = current[:, _clique._rotate_plan(n)]
+            current = current[:, _clique._rotate_plan(n).source]
         moved = np.flatnonzero((current != block).any(axis=1))
         if moved.size:
             p = _row_clique(magma, block[moved[0]])
@@ -498,7 +501,7 @@ def verify_cyclic(magma, max_arity, budget=None):
 
     def rotated_composite(n, m, i, rows):
         composed = _compose_block(X[n][rows], n, X[m], m, i, star)
-        return composed[:, _clique._rotate_plan(n + m - 1)]
+        return composed[:, _clique._rotate_plan(n + m - 1).source]
 
     def composite_of_rotated(n, m, i, rows):
         # rotate(p) o_{i-1} q, and for i = 1 rotate(q) o_m rotate(p), whose

@@ -108,7 +108,7 @@ def test_reflect_rotate_plans_are_permutations():
 
     for n in range(1, 11):
         identity = tuple(range(len(arcs_of(n))))
-        reflection, rotation = _reflect_plan(n), _rotate_plan(n)
+        reflection, rotation = _reflect_plan(n).source, _rotate_plan(n).source
         assert sorted(reflection) == sorted(rotation) == list(identity)
         assert tuple(reflection[k] for k in reflection) == identity
         powers = [identity]
@@ -117,6 +117,23 @@ def test_reflect_rotate_plans_are_permutations():
         assert powers[n + 1] == identity
         if n > 1:  # at arity 1 the only arc is the base
             assert identity not in powers[1:n + 1]
+
+
+def test_every_plan_picks_its_index_tuple():
+    from cliqueops.clique import _reflect_plan, _rotate_plan, _split_plan, diagonals_of
+    from cliqueops.operad import composable_pairs, composition_plan
+
+    plans = [composition_plan(n, m, i)
+             for n, m in composable_pairs(6) for i in range(1, n + 1)]
+    for n in range(1, 7):
+        plans += [_reflect_plan(n), _rotate_plan(n)]
+        for x, y in diagonals_of(n):
+            plans += _split_plan(n, x, y)[:2]
+    for plan in plans:
+        source = tuple(f"s{k}" for k in range(max(plan.source) + 1))
+        picked = plan.pick(source)
+        assert picked == tuple(source[k] for k in plan.source)
+        assert len(picked) == len(arcs_of(plan.arity))
 
 
 def test_reflect_rotate_displayed_examples(z):

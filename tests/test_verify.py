@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueops import (
-    Clique, UnitaryMagma, generate_cliques, is_associative_element,
-    is_right_cancelable, partial_compose, verify_basic_set_operad, verify_cyclic,
+    Clique, CliqueError, UnitaryMagma, arcs_of, generate_cliques,
+    is_associative_element, is_right_cancelable, partial_compose, reflect, rotate,
+    split_along_diagonal, verify_basic_set_operad, verify_cyclic,
     verify_operad_axioms, verify_symmetries,
 )
 from cliqueops.operad import composable_pairs
@@ -136,6 +137,125 @@ def test_compose_block_matches_partial_compose_over_random_magmas(magma):
     assert _block_rows_match_partial_compose(magma, _star(magma))
 
 
+# -- definitional references for the kernel ------------------------------------
+#
+# Each reference rebuilds a result arc by arc from the rule as the paper
+# states it, through `Clique.label`, and never reads an index plan.
+
+
+def _compose_reference(p, q, i):
+    """p o_i q: p's arcs outside the glued polygon with its vertices past i
+    shifted by m - 1, q's arcs inside it shifted by i - 1, the glued arc
+    (i, i+m) labeled p_i * q_0 in that order, every other arc the unit."""
+    magma, n, m = p.magma, p.arity, q.arity
+
+    def outer_vertex(v):
+        return v if v <= i else v - m + 1
+
+    labels = {}
+    for x, y in arcs_of(n + m - 1):
+        if (x, y) == (i, i + m):
+            labels[(x, y)] = magma.op(p.label(i, i + 1), q.label(1, m + 1))
+        elif i <= x and y <= i + m:
+            labels[(x, y)] = q.label(x - i + 1, y - i + 1)
+        elif not (i < x < i + m or i < y < i + m):
+            labels[(x, y)] = p.label(outer_vertex(x), outer_vertex(y))
+        else:
+            labels[(x, y)] = magma.unit
+    return Clique(magma, n + m - 1, [labels[arc] for arc in arcs_of(n + m - 1)])
+
+
+def _reflect_reference(p):
+    n = p.arity
+    return Clique(p.magma, n, [p.label(n - y + 2, n - x + 2) for x, y in arcs_of(n)])
+
+
+def _rotate_reference(p):
+    # vertex v moves to v - 1, and vertex 1 to n + 1: (x, y) reads (x+1, y+1),
+    # and (x, n+1) reads (1, x+1) since vertex n + 2 is vertex 1
+    n = p.arity
+    return Clique(p.magma, n, [
+        p.label(x + 1, y + 1) if y <= n else p.label(1, x + 1) for x, y in arcs_of(n)
+    ])
+
+
+def _split_reference(p, x, y):
+    """(outer, inner) along the diagonal (x, y): the outer polygon keeps the
+    vertices outside it, the inner polygon those from x to y with a unit base."""
+    n, shift = p.arity, y - x - 1
+
+    def outer_vertex(v):
+        return v if v <= x else v + shift
+
+    outer = Clique(p.magma, n - shift, [
+        p.label(outer_vertex(z), outer_vertex(t)) for z, t in arcs_of(n - shift)
+    ])
+    inner = Clique(p.magma, y - x, [
+        p.magma.unit if (z, t) == (1, y - x + 1) else p.label(z + x - 1, t + x - 1)
+        for z, t in arcs_of(y - x)
+    ])
+    return outer, inner
+
+
+@st.composite
+def magma_with_cliques(draw, arities):
+    """A drawn unitary magma and one drawn clique over it per arity."""
+    magma = draw(unitary_magmas())
+    labels = st.sampled_from(list(magma.elements()))
+    return magma, [
+        Clique.unit(magma) if n == 1
+        else Clique(magma, n, draw(st.tuples(*[labels] * len(arcs_of(n)))))
+        for n in arities
+    ]
+
+
+@st.composite
+def composable_cliques(draw, max_arity=5):
+    n, m = draw(st.sampled_from(composable_pairs(max_arity)))
+    return draw(magma_with_cliques((n, m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(composable_cliques())
+def test_partial_compose_matches_the_arc_rule(drawn):
+    magma, (p, q) = drawn
+    for i in range(1, p.arity + 1):
+        composite = partial_compose(p, q, i)
+        assert composite == _compose_reference(p, q, i)
+        glued = composite.label(i, i + q.arity)
+        assert glued == magma.op(p.label(i, i + 1), q.label(1, q.arity + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: magma_with_cliques((n,))))
+def test_reflect_rotate_and_split_match_the_arc_rule(drawn):
+    magma, (p,) = drawn
+    assert reflect(p) == _reflect_reference(p)
+    assert rotate(p) == _rotate_reference(p)
+    for x, y in arcs_of(p.arity):
+        if y == x + 1 or (x, y) == (1, p.arity + 1):
+            continue
+        crossed = any(
+            (a < x < b < y or x < a < y < b) and p.label(a, b) != magma.unit
+            for a, b in arcs_of(p.arity)
+        )
+        if crossed:
+            with pytest.raises(CliqueError):
+                split_along_diagonal(p, (x, y))
+            continue
+        outer, inner = split_along_diagonal(p, (x, y))
+        assert (outer, inner) == _split_reference(p, x, y)
+        assert partial_compose(outer, inner, x) == p
+
+
+def test_one_entry_plans_at_arity_one():
+    magma = UnitaryMagma.from_table_data(_LEFT_ZERO)
+    unit = Clique.unit(magma)
+    for image in (partial_compose(unit, unit, 1), reflect(unit), rotate(unit)):
+        assert image == unit and image.labels == (magma.unit,)
+    assert partial_compose(unit, unit, 1) == _compose_reference(unit, unit, 1)
+
+
 def test_compose_block_catches_swapped_glue_operands():
     # mutation: star[Y[:, b0], X[:, ei]] for the glued arc, which is the
     # transposed table read in the kept operand order; it builds C(M^op),
@@ -227,6 +347,31 @@ def test_vector_unit_law_catches_a_broken_plan(monkeypatch, d0):
     assert report.checked > 0
 
 
+def test_scalar_engine_catches_a_broken_plan(monkeypatch, d0):
+    # the picker and the index tuple are built together, so a plan with two
+    # entries traded reaches `partial_compose` and with it the scalar engine
+    from cliqueops import operad
+    from cliqueops.clique import index_plan
+
+    real = operad.composition_plan
+
+    def swapped(n, m, i):
+        plan = real(n, m, i)
+        if (n, m, i) == (2, 2, 1):
+            source = (plan.source[1], plan.source[0]) + plan.source[2:]
+            return operad.CompositionPlan(
+                *index_plan(plan.arity, source), plan.edge, plan.base,
+            )
+        return plan
+
+    assert verify_operad_axioms(d0, 4, engine="scalar").ok
+    monkeypatch.setattr(operad, "composition_plan", swapped)
+    report = verify_operad_axioms(d0, 4, engine="scalar")
+    assert not report.ok and report.name == "axioms"
+    assert report.counterexample.startswith("series law fails")
+    assert report.checked > 0
+
+
 @pytest.mark.parametrize("name, verifier, message", [
     ("_rotate_plan", lambda magma: verify_cyclic(magma, 4), "rotation"),
     ("_reflect_plan", lambda magma: verify_symmetries(magma, 4), "reflection"),
@@ -241,7 +386,10 @@ def test_symmetry_verifiers_catch_a_broken_permutation(
     def swapped(arity):
         # the first two arcs trade places in every plan past arity 1
         plan = real(arity)
-        return plan if arity == 1 else (plan[1], plan[0]) + plan[2:]
+        if arity == 1:
+            return plan
+        source = (plan.source[1], plan.source[0]) + plan.source[2:]
+        return clique.index_plan(arity, source)
 
     assert verifier(d0).ok
     monkeypatch.setattr(clique, name, swapped)
