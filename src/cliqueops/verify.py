@@ -5,9 +5,13 @@ composite arity stays within the bound.  Triples containing the arity-1
 clique reduce to the unit law, which is checked separately, so the
 triple scan runs over arities >= 2.  Small carriers go through the plain
 scalar engine; larger ones (the four-element product magma at composite
-arity 5 has ~10^8 instances) run a numpy block engine that evaluates one
-(arity-config, i, j) slab at a time.  The two engines are cross-checked
-on the small carriers.
+arity 5 has ~10^8 instances) run the plan-level vector engine.  In p o_i q
+every arc copies an arc of p or q, is the unit, or is the glued product
+p_i * q_0, so per shape (n, m, k, i, j) the engine composes both sides'
+index plans symbolically: it compares the copy and unit entries once, and
+evaluates the product entries through the star table on every instance
+of the (x, y, z) grid, one slab at a time.  The two engines are
+cross-checked on the small carriers.
 
 The same label blocks check every other composition law exhaustively:
 `morphism_slabs` compares two block computations of a law slab by slab.
@@ -16,7 +20,8 @@ isomorphism, the ideal law of variants.py and the vector engine's dense
 unit law.  It is the only engine of the operad-morphism laws of ratfct.py
 and knownops.py (rational functions, multi-tildes, double multi-tildes
 and gravity); their one-instance-at-a-time loops are kept as test
-references.
+references.  The injectivity scan of the basic-set basis composes label
+blocks too, and finds a repeated composite by its radix key.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ _Z = UnitaryMagma.integers()
 # dense unit-law brute force is capped at this many cliques per arity;
 # larger spaces fall back to the label-independent plan check
 UNIT_LAW_CAP = 1 << 16
-VECTOR_CHUNK = 1 << 22  # result cells per numpy slab
+VECTOR_CHUNK = 1 << 22  # cells per numpy slab: result labels, or axiom instances
 
 
 def _compose_corrupt(p, q, i):
@@ -161,12 +166,15 @@ def _scalar_axioms(magma, max_arity, budget, compose):
     for (n, m, k) in _axiom_configs(max_arity):
         for x in cliques[n]:
             for y in cliques[m]:
+                xy = [compose(x, y, i) for i in range(1, n + 1)]
                 for z in cliques[k]:
+                    yz = [compose(y, z, j) for j in range(1, m + 1)]
+                    xz = [compose(x, z, j) for j in range(2, n + 1)]
                     for i in range(1, n + 1):
                         for j in range(1, m + 1):
                             checked += 1
-                            lhs = compose(compose(x, y, i), z, i + j - 1)
-                            rhs = compose(x, compose(y, z, j), i)
+                            lhs = compose(xy[i - 1], z, i + j - 1)
+                            rhs = compose(x, yz[j - 1], i)
                             if lhs != rhs:
                                 return VerifyReport(
                                     "axioms", False, checked,
@@ -175,8 +183,8 @@ def _scalar_axioms(magma, max_arity, budget, compose):
                                 ), checked
                         for j in range(i + 1, n + 1):
                             checked += 1
-                            lhs = compose(compose(x, y, i), z, j + m - 1)
-                            rhs = compose(compose(x, z, j), y, i)
+                            lhs = compose(xy[i - 1], z, j + m - 1)
+                            rhs = compose(xz[j - 2], y, i)
                             if lhs != rhs:
                                 return VerifyReport(
                                     "axioms", False, checked,
@@ -294,7 +302,68 @@ def morphism_slabs(arity_pairs, pools, lhs, rhs, right_pools=None):
     return checked, None
 
 
-def _vector_axioms(magma, max_arity, budget):
+_UNIT = ("unit",)
+
+
+def _compose_exprs(left, right, n, m, i, corrupt):
+    """p o_i q on symbolic labels, through the plan of (n, m, i).
+
+    A label is a copy (factor, arc), `_UNIT`, or a product ("*", a, b) of
+    two labels.  `corrupt` applies `_compose_corrupt`'s rule: the glued
+    arc copies p's edge.
+    """
+    plan = composition_plan(n, m, i)
+    edge = left[plan.edge]
+    glue = edge if corrupt else ("*", edge, right[plan.base])
+    source = left + right + [glue, _UNIT]
+    return [source[k] for k in plan.source]
+
+
+def _law_sides(n, m, k, i, j, parallel, corrupt):
+    """Both sides of the series (x o_i y) o_{i+j-1} z = x o_i (y o_j z) or
+    the parallel (x o_i y) o_{j+m-1} z = (x o_j z) o_i y law as symbolic
+    labels, arc by arc."""
+    compose = partial(_compose_exprs, corrupt=corrupt)
+    x, y, z = (
+        [(factor, arc) for arc in range(len(arcs_of(arity)))]
+        for factor, arity in (("x", n), ("y", m), ("z", k))
+    )
+    xy = compose(x, y, n, m, i)
+    if parallel:
+        lhs = compose(xy, z, n + m - 1, k, j + m - 1)
+        rhs = compose(compose(x, z, n, k, j), y, n + k - 1, m, i)
+    else:
+        lhs = compose(xy, z, n + m - 1, k, i + j - 1)
+        rhs = compose(x, compose(y, z, m, k, j), n, m + k - 1, i)
+    return lhs, rhs
+
+
+def _laws(n, m):
+    """The (i, j, parallel) laws of one arity triple in scan order: per i,
+    every series j, then every parallel j."""
+    for i in range(1, n + 1):
+        yield from ((i, j, False) for j in range(1, m + 1))
+        yield from ((i, j, True) for j in range(i + 1, n + 1))
+
+
+def _evaluate(label, columns, star):
+    """The values of a symbolic label over a slab of the (x, y, z) grid;
+    `columns` maps each factor to its block, broadcast along its grid axis
+    and indexed by arc on the last axis."""
+    if label[0] == "*":
+        return star[_evaluate(label[1], columns, star), _evaluate(label[2], columns, star)]
+    if label == _UNIT:
+        return 0  # the unit's label
+    factor, arc = label
+    return columns[factor][..., arc]
+
+
+def _vector_axioms(magma, max_arity, budget, corrupt=False):
+    """The series and parallel laws by plan.  Per shape (n, m, k, i, j) the
+    copy and unit entries of both sides are compared once; every product
+    entry, and every entry whose two sides differ, is evaluated through the
+    star table on each instance of the (x, y, z) grid, in slabs of at most
+    VECTOR_CHUNK instances."""
     star = _star(magma)
     needed = {a for config in _axiom_configs(max_arity) for a in config}
     blocks = {n: _label_block(magma, n) for n in needed}
@@ -302,56 +371,32 @@ def _vector_axioms(magma, max_arity, budget):
     for (n, m, k) in _axiom_configs(max_arity):
         X, Y, Z = blocks[n], blocks[m], blocks[k]
         Nx, Ny, Nz = X.shape[0], Y.shape[0], Z.shape[0]
-        res_arcs = len(arcs_of(n + m + k - 2))
-        zstep = max(1, VECTOR_CHUNK // (Nx * Ny * res_arcs))
-        for i in range(1, n + 1):
-            XY = _compose_block(X, n, Y, m, i, star)
-            for j in range(1, m + 1):
-                YZ = _compose_block(Y, m, Z, k, j, star).reshape(Ny, Nz, -1)
-                for lo in range(0, Nz, zstep):
-                    zc = slice(lo, min(lo + zstep, Nz))
-                    width = zc.stop - zc.start
-                    lhs = _compose_block(
-                        XY, n + m - 1, Z[zc], k, i + j - 1, star
-                    ).reshape(Nx, Ny, width, res_arcs)
-                    yz = YZ[:, zc].reshape(Ny * width, -1)
-                    rhs = _compose_block(X, n, yz, m + k - 1, i, star).reshape(
-                        Nx, Ny, width, res_arcs
-                    )
-                    checked += Nx * Ny * width
-                    if not np.array_equal(lhs, rhs):
-                        xi, yi, zi = _first_mismatch(lhs, rhs, (Nx, Ny, width))
-                        return VerifyReport(
-                            "axioms", False, checked,
-                            f"series law fails for clique indices "
-                            f"x={xi}, y={yi}, z={zi + lo} at arities {(n, m, k)}, "
-                            f"i={i}, j={j}",
-                        ), checked
-            for j in range(i + 1, n + 1):
-                XZ = _compose_block(X, n, Z, k, j, star).reshape(Nx, Nz, -1)
-                for lo in range(0, Nz, zstep):
-                    zc = slice(lo, min(lo + zstep, Nz))
-                    width = zc.stop - zc.start
-                    lhs = _compose_block(
-                        XY, n + m - 1, Z[zc], k, j + m - 1, star
-                    ).reshape(Nx, Ny, width, res_arcs)
-                    xz = XZ[:, zc].reshape(Nx * width, -1)
-                    rhs = (
-                        _compose_block(xz, n + k - 1, Y, m, i, star)
-                        .reshape(Nx, width, Ny, res_arcs)
-                        .transpose(0, 2, 1, 3)
-                    )
-                    checked += Nx * Ny * width
-                    if not np.array_equal(lhs, rhs):
-                        xi, yi, zi = _first_mismatch(lhs, rhs, (Nx, Ny, width))
-                        return VerifyReport(
-                            "axioms", False, checked,
-                            f"parallel law fails for clique indices "
-                            f"x={xi}, y={yi}, z={zi + lo} at arities {(n, m, k)}, "
-                            f"i={i}, j={j}",
-                        ), checked
-        if budget is not None and checked > budget:
-            return VerifyReport("axioms", True, checked, None, complete=False), checked
+        zstep = max(1, VECTOR_CHUNK // (Nx * Ny))
+        for i, j, parallel in _laws(n, m):
+            lhs, rhs = _law_sides(n, m, k, i, j, parallel, corrupt)
+            evaluated = [(a, b) for a, b in zip(lhs, rhs) if a != b or a[0] == "*"]
+            for lo in range(0, Nz, zstep):
+                columns = {
+                    "x": X[:, None, None, :],
+                    "y": Y[None, :, None, :],
+                    "z": Z[None, None, lo:lo + zstep, :],
+                }
+                diff = np.zeros((Nx, Ny, min(zstep, Nz - lo)), dtype=bool)
+                for a, b in evaluated:
+                    diff |= _evaluate(a, columns, star) != _evaluate(b, columns, star)
+                checked += diff.size
+                if diff.any():
+                    xi, yi, zi = (int(v) for v in np.argwhere(diff)[0])
+                    return VerifyReport(
+                        "axioms", False, checked,
+                        f"{'parallel' if parallel else 'series'} law fails for "
+                        f"clique indices x={xi}, y={yi}, z={zi + lo} at arities "
+                        f"{(n, m, k)}, i={i}, j={j}",
+                    ), checked
+                if budget is not None and checked > budget:
+                    return VerifyReport(
+                        "axioms", True, checked, None, complete=False,
+                    ), checked
     return None, checked
 
 
@@ -362,7 +407,8 @@ def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=F
     if any, is spelled out.  The vector engine checks the dense unit law
     on label blocks as well, the scalar engine with `partial_compose`.
     `corrupt` swaps in a deliberately broken composition rule so tests
-    can watch the verifier catch it.
+    can watch the verifier catch it: both engines run it on the series and
+    parallel laws, and the unit law runs it on the scalar loop.
     """
     if not magma.is_finite:
         raise ValueError("axiom verification enumerates a finite carrier")
@@ -373,10 +419,10 @@ def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=F
         heavy = any(
             clique_space_size(magma, n) >= 1 << 12 for n in range(2, max_arity)
         )
-        engine = "vector" if heavy and not corrupt else "scalar"
+        engine = "vector" if heavy else "scalar"
     vector = engine == "vector"
-    # the vector blocks know no corrupted rule, so a corrupted unit law
-    # always runs on the scalar loop
+    # the unit law's label blocks know no corrupted rule, so a corrupted
+    # unit law always runs on the scalar loop
     dense = _vector_unit_law if vector and not corrupt else partial(
         _scalar_unit_law, compose=compose
     )
@@ -384,7 +430,7 @@ def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=F
     if failure is not None:
         return failure
     if vector:
-        failure, checked = _vector_axioms(magma, max_arity, budget)
+        failure, checked = _vector_axioms(magma, max_arity, budget, corrupt)
     else:
         failure, checked = _scalar_axioms(magma, max_arity, budget, compose)
     if failure is not None:
@@ -526,26 +572,81 @@ def verify_cyclic(magma, max_arity, budget=None):
     return VerifyReport("cyclic", True, checked, None)
 
 
-def verify_basic_set_operad(magma, max_arity):
-    """Brute-force injectivity of every right-composition map on basis cliques.
+def _key_words(rows, bits):
+    """The radix keys of the label rows along the last axis, `bits` bits
+    per label, as int64 words of at most 63 bits each: one word while a
+    row fits, more once it outgrows one.  Equal rows have equal words."""
+    per_word = 63 // bits
+    words = []
+    for lo in range(0, rows.shape[-1], per_word):
+        word = np.zeros(rows.shape[:-1], dtype=np.int64)
+        for col in range(lo, min(lo + per_word, rows.shape[-1])):
+            word = (word << bits) | rows[..., col]
+        words.append(word)
+    return words
 
-    Returns (report, witness): the witness is a collision (p, p', q, i)
-    when one exists.  Agreement with right cancelability is asserted.
+
+def _first_collision(X, n, Y, m, star):
+    """The first collision of the right-composition maps p -> p o_i q in the
+    scan order q, i, p, as row indices (p, p2, q, i): p2 is the first p
+    whose composite repeats an earlier one, p that earlier row; None if
+    every map is injective."""
+    Nx, Ny = len(X), len(Y)
+    if Nx < 2:
+        return None
+    width = len(arcs_of(n + m - 1))
+    bits = max(1, (star.shape[0] - 1).bit_length())
+    step = max(1, VECTOR_CHUNK // (Nx * width))
+    for lo in range(0, Ny, step):
+        qs = min(step, Ny - lo)
+        best = None
+        for i in range(1, n + 1):
+            composed = _compose_block(X, n, Y[lo:lo + qs], m, i, star)
+            # one row of keys per q, in p order; a stable sort keeps equal
+            # composites in p order, so a repeat follows its predecessor
+            words = _key_words(composed.reshape(Nx, qs, width).swapaxes(0, 1), bits)
+            order = np.lexsort(words[::-1], axis=-1)
+            same = np.ones((qs, Nx - 1), dtype=bool)
+            for word in words:
+                ranked = np.take_along_axis(word, order, axis=-1)
+                same &= ranked[:, 1:] == ranked[:, :-1]
+            repeats = np.where(same, order[:, 1:], Nx)
+            hit = np.flatnonzero(repeats.min(axis=-1) < Nx)
+            if hit.size and (best is None or hit[0] < best[2]):
+                q = int(hit[0])
+                k = int(repeats[q].argmin())
+                best = (int(order[q, k]), int(order[q, k + 1]), q, i)
+        if best is not None:
+            p, p2, q, i = best
+            return p, p2, lo + q, i
+    return None
+
+
+def verify_basic_set_operad(magma, max_arity):
+    """Injectivity of every right-composition map p -> p o_i q on basis
+    cliques, on label blocks.
+
+    For each arity pair (n, m) and slot i, the arity-n block is composed
+    with slabs of the arity-m block; a collision is a repeated composite
+    row within one (q, i) column.  The scan finishes the arity pair of the
+    first collision, which `checked` counts.  Returns (report, witness):
+    the witness is the first collision (p, p', q, i) in the order q, i, p,
+    with p the most recent earlier clique composing like p'.  Agreement
+    with right cancelability is asserted.
     """
+    X = _label_blocks(magma, max_arity)
+    star = _star(magma)
     checked = 0
     witness = None
     for (n, m) in composable_pairs(max_arity):
-        ps = list(generate_cliques(magma, n))
-        for q in generate_cliques(magma, m):
-            for i in range(1, n + 1):
-                seen = {}
-                for p in ps:
-                    checked += 1
-                    result = partial_compose(p, q, i)
-                    if result in seen and witness is None:
-                        witness = (seen[result], p, q, i)
-                    seen[result] = p
-        if witness is not None:
+        checked += len(X[n]) * len(X[m]) * n
+        found = _first_collision(X[n], n, X[m], m, star)
+        if found is not None:
+            p, p2, q, i = found
+            witness = (
+                _row_clique(magma, X[n][p]), _row_clique(magma, X[n][p2]),
+                _row_clique(magma, X[m][q]), i,
+            )
             break
     injective = witness is None
     cancelable = is_right_cancelable(magma)

@@ -1,17 +1,18 @@
 """Clique-at-a-time reference implementations of the block verifiers.
 
 `verify_symmetries` (finite carriers), `verify_cyclic`, `verify_product_iso`,
-`verify_ideal` and `verify_inclusions` run on numpy label blocks.  The loops
-below are the earlier one-clique-at-a-time versions, kept here as the
-independent reference: on success both must report the same verdict and the
-same `checked` total.  The prime census runs on numpy pattern blocks; its
-one-pattern-at-a-time loop is kept here too, and the `lab:` block census is
-compared with `count_by_streaming`, which builds every clique.  The skeleton
-census walks blocks of arc masks; each rule's test on one mask, and the
-fold `member` makes of it, are its reference.  The operad-morphism laws of
-ratfct.py and knownops.py run on the slab engine only; the one-instance
-loops below are their reference, and the mutation tests of test_ratfct.py
-and test_knownops.py run against both.
+`verify_ideal`, `verify_inclusions` and `verify_basic_set_operad` run on
+numpy label blocks.  The loops below are the earlier one-clique-at-a-time
+versions, kept here as the independent reference: on success both must
+report the same verdict and the same `checked` total (the injectivity scan
+also the same witness when it fails).  The prime census runs on numpy
+pattern blocks; its one-pattern-at-a-time loop is kept here too, and the
+`lab:` block census is compared with `count_by_streaming`, which builds
+every clique.  The skeleton census walks blocks of arc masks; each rule's
+test on one mask, and the fold `member` makes of it, are its reference.
+The operad-morphism laws of ratfct.py and knownops.py run on the slab
+engine only; the one-instance loops below are their reference, and the
+mutation tests of test_ratfct.py and test_knownops.py run against both.
 """
 
 import random
@@ -25,8 +26,8 @@ from cliqueops import (
     Clique, RankFunction, UnitaryMagma, VerifyReport, automorphisms,
     count_by_enumeration, generate_cliques, interval_map, parse_magma_spec,
     partial_compose, reflect, relabel, rotate, unzip_clique, variant,
-    verify_cyclic, verify_ideal, verify_inclusions, verify_product_iso,
-    verify_rf_morphism, verify_symmetries, zip_cliques,
+    verify_basic_set_operad, verify_cyclic, verify_ideal, verify_inclusions,
+    verify_product_iso, verify_rf_morphism, verify_symmetries, zip_cliques,
 )
 from cliqueops import enumeration, knownops, ratfct, variants
 from cliqueops.clique import arcs_of, crossing, diagonals_of
@@ -239,6 +240,32 @@ def reference_rf_morphism(labels, max_arity):
     return VerifyReport("ratfct-morphism", True, checked, None)
 
 
+def reference_basic_set_operad(magma, max_arity):
+    """(report, witness) of the injectivity scan, one composite at a time
+    through `partial_compose` and a dict per (q, i) column."""
+    checked = 0
+    witness = None
+    for (n, m) in composable_pairs(max_arity):
+        ps = list(generate_cliques(magma, n))
+        for q in generate_cliques(magma, m):
+            for i in range(1, n + 1):
+                seen = {}
+                for p in ps:
+                    checked += 1
+                    result = partial_compose(p, q, i)
+                    if result in seen and witness is None:
+                        witness = (seen[result], p, q, i)
+                    seen[result] = p
+        if witness is not None:
+            break
+    return VerifyReport(
+        "basic-basis", witness is None, checked,
+        None if witness is None else
+        f"collision {witness[0]!r} and {witness[1]!r} compose equally "
+        f"with {witness[2]!r} at {witness[3]}",
+    ), witness
+
+
 def _same(block, reference):
     assert (block.ok, block.checked) == (reference.ok, reference.checked)
     assert block.ok and block.counterexample is None
@@ -252,6 +279,17 @@ def test_symmetry_verifiers_match_their_references(spec):
     _same(verify_cyclic(magma, 3), reference_cyclic(magma, 3))
     if magma.factors:
         _same(verify_product_iso(magma, 3), reference_product_iso(magma, 3))
+
+
+@pytest.mark.parametrize("spec", ["N:2", "N:3", "D:0", "E:1"])
+def test_basic_basis_verifier_matches_its_reference(spec):
+    magma = parse_magma_spec(spec)
+    block, witness = verify_basic_set_operad(magma, 3)
+    reference, expected = reference_basic_set_operad(magma, 3)
+    assert (block.ok, block.checked, block.counterexample) == (
+        reference.ok, reference.checked, reference.counterexample,
+    )
+    assert witness == expected
 
 
 def test_morphism_verifiers_match_their_references():

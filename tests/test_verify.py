@@ -31,10 +31,29 @@ def test_axioms_all_builtin_magmas_up_to_four_elements():
         assert report.ok and report.complete, (spec, report.counterexample)
 
 
-def test_corrupted_rule_is_caught(d0):
-    report = verify_operad_axioms(d0, 4, corrupt=True)
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_corrupted_rule_is_caught(d0, engine):
+    # the rule forgets q's base label, which only the unit law can see:
+    # unit o_1 x loses x's base
+    report = verify_operad_axioms(d0, 4, engine=engine, corrupt=True)
     assert not report.ok
     assert report.counterexample
+    assert report.checked > 0
+
+
+def test_corrupted_rule_keeps_the_series_and_parallel_laws(d0):
+    # with every arity >= 2 no glued product nests, so any glue rule, this
+    # one included, meets both laws; the two engines agree on it instance
+    # for instance
+    from cliqueops.verify import _compose_exprs, _scalar_axioms, _vector_axioms
+
+    x = [("x", arc) for arc in range(3)]
+    y = [("y", arc) for arc in range(3)]
+    glued = arcs_of(3).index((1, 3))
+    assert _compose_exprs(x, y, 2, 2, 1, corrupt=True)[glued] == ("x", 0)
+    assert _compose_exprs(x, y, 2, 2, 1, corrupt=False)[glued] == ("*", ("x", 0), ("y", 1))
+    assert _vector_axioms(d0, 4, None, corrupt=True) == (None, 2560)
+    assert _scalar_axioms(d0, 4, None, _compose_corrupt) == (None, 2560)
 
 
 # a noncommutative unitary magma: x * y = x for x, y non-units
@@ -119,10 +138,11 @@ def test_compose_block_keeps_the_glue_operand_order():
 
 
 @st.composite
-def unitary_magmas(draw):
-    """A table magma of 2-4 elements with unit "u" and every product of two
-    non-units drawn: in general neither commutative nor associative."""
-    names = ["u", "a", "b", "c"][:draw(st.integers(2, 4))]
+def unitary_magmas(draw, max_size=4):
+    """A table magma of 2 to `max_size` (at most 4) elements with unit "u"
+    and every product of two non-units drawn: in general neither
+    commutative nor associative."""
+    names = ["u", "a", "b", "c"][:draw(st.integers(2, max_size))]
     entries = st.sampled_from(names)
     table = [y if x == "u" else x if y == "u" else draw(entries)
              for x in names for y in names]
@@ -135,6 +155,30 @@ def test_compose_block_matches_partial_compose_over_random_magmas(magma):
     from cliqueops.verify import _star
 
     assert _block_rows_match_partial_compose(magma, _star(magma))
+
+
+@settings(max_examples=4, deadline=None)
+@given(unitary_magmas(max_size=3))
+def test_engines_and_injectivity_scan_agree_over_random_magmas(magma):
+    # the scalar engine checks ~10^5 instances per 3-element carrier at
+    # arity 4 and the clique-at-a-time injectivity reference composes up to
+    # 4 * 10^5 pairs, so carriers stop at 3 elements and the reference
+    # runs at arity 3
+    from test_verifier_references import reference_basic_set_operad
+
+    from cliqueops.verify import _scalar_axioms, _vector_axioms
+
+    scalar = _scalar_axioms(magma, 4, None, partial_compose)
+    assert _vector_axioms(magma, 4, None) == scalar
+    assert scalar[0] is None  # C(M) is an operad for every unitary magma
+    report, _ = verify_basic_set_operad(magma, 4)
+    assert report.ok == is_right_cancelable(magma)
+    report, witness = verify_basic_set_operad(magma, 3)
+    reference, expected = reference_basic_set_operad(magma, 3)
+    assert (report.ok, report.checked, report.counterexample) == (
+        reference.ok, reference.checked, reference.counterexample,
+    )
+    assert witness == expected
 
 
 # -- definitional references for the kernel ------------------------------------
@@ -299,9 +343,38 @@ def test_basic_basis_matches_cancelability(n2, n3, d0, e1, e2):
         assert not is_right_cancelable(magma)
 
 
+def test_injectivity_scan_keys_rows_wider_than_one_word():
+    # over a 300-element carrier a label takes 9 bits, so an arity-4
+    # composite (10 labels) needs two key words; p0 and p1 differ only at
+    # edge 1, which a non-unit base of q zeroes, and p0 and p2 only at
+    # edge 2, which lands in the second word
+    import numpy as np
+
+    from cliqueops.verify import _first_collision, _key_words, _star
+
+    magma = UnitaryMagma.zero_product(298)
+    star = _star(magma)
+    X = np.array([(5, 200, 9), (6, 200, 9), (5, 200, 10)], dtype=star.dtype)
+    Y = np.array([(1, 2, 0, 3, 4, 5), (1, 2, 299, 3, 4, 5)], dtype=star.dtype)
+    assert len(_key_words(np.zeros((1, 10), dtype=star.dtype), 9)) == 2
+    ps = [Clique(magma, 2, row) for row in X.tolist()]
+    expected = None
+    for qi, q in enumerate(Clique(magma, 3, row) for row in Y.tolist()):
+        for i in (1, 2):
+            seen = {}
+            for pi, p in enumerate(ps):
+                result = partial_compose(p, q, i)
+                if result in seen and expected is None:
+                    expected = (seen[result], pi, qi, i)
+                seen[result] = pi
+    assert expected == (0, 1, 1, 1)
+    assert _first_collision(X, 2, Y, 3, star) == expected
+
+
 def test_axiom_budget_flagging(d0):
-    report = verify_operad_axioms(d0, 5, budget=100, engine="scalar")
-    assert report.ok and not report.complete
+    for engine in ("scalar", "vector"):
+        report = verify_operad_axioms(d0, 5, budget=100, engine=engine)
+        assert report.ok and not report.complete
 
 
 def test_vector_engine_labels_do_not_wrap():
@@ -372,6 +445,31 @@ def test_scalar_engine_catches_a_broken_plan(monkeypatch, d0):
     assert report.checked > 0
 
 
+def test_vector_engine_catches_a_broken_plan(monkeypatch, d0):
+    # one copy entry of the (2, 2, 1) plan reads the wrong arc of p: arc
+    # (3, 4) copies p's (1, 2) instead of p's (2, 3)
+    from cliqueops import operad, verify
+    from cliqueops.clique import index_plan
+
+    real = verify.composition_plan
+
+    def broken(n, m, i):
+        plan = real(n, m, i)
+        if (n, m, i) == (2, 2, 1):
+            source = plan.source[:-1] + (0,)
+            return operad.CompositionPlan(
+                *index_plan(plan.arity, source), plan.edge, plan.base,
+            )
+        return plan
+
+    assert verify_operad_axioms(d0, 4, engine="vector").ok
+    monkeypatch.setattr(verify, "composition_plan", broken)
+    report = verify_operad_axioms(d0, 4, engine="vector")
+    assert not report.ok and report.name == "axioms"
+    assert report.counterexample.startswith("series law fails")
+    assert report.checked > 0
+
+
 @pytest.mark.parametrize("name, verifier, message", [
     ("_rotate_plan", lambda magma: verify_cyclic(magma, 4), "rotation"),
     ("_reflect_plan", lambda magma: verify_symmetries(magma, 4), "reflection"),
@@ -399,17 +497,21 @@ def test_symmetry_verifiers_catch_a_broken_permutation(
     assert report.checked > 0
 
 
-def _compose_forgetting_the_edge(p, q, i):
-    # mutation: the glued arc takes q's base label and drops p's edge label
-    from cliqueops.operad import compose_glued
+def _table_forgetting_the_edge(magma):
+    # mutation: the glued arc takes q's base label and drops p's edge label,
+    # a * b = b, as a star table for the label blocks
+    import numpy as np
 
-    return compose_glued(p, q, i, q.base_label)
+    from cliqueops.verify import _label_dtype
+
+    labels = np.arange(magma.size, dtype=_label_dtype(magma))
+    return np.tile(labels, (magma.size, 1))
 
 
 def test_basic_set_operad_catches_a_lossy_composition(monkeypatch, n2):
     from cliqueops import verify
 
-    monkeypatch.setattr(verify, "partial_compose", _compose_forgetting_the_edge)
+    monkeypatch.setattr(verify, "_star", _table_forgetting_the_edge)
     # the injectivity scan now finds a collision over a cancelable carrier,
     # which the cancelability cross-check refuses
     with pytest.raises(RuntimeError, match="injectivity scan over N_2 says False"):
