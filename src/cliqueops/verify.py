@@ -11,17 +11,20 @@ p_i * q_0, so per shape (n, m, k, i, j) the engine composes both sides'
 index plans symbolically: it compares the copy and unit entries once, and
 evaluates the product entries through the star table on every instance
 of the (x, y, z) grid, one slab at a time.  The two engines are
-cross-checked on the small carriers.
+cross-checked on the small carriers.  The unit law x o_i 1 = x = 1 o_1 x
+is one plan-level law that both engines share, the deliberately broken
+`corrupt` rule included: it evaluates the product entries on every
+clique of an arity up to UNIT_LAW_CAP, and checks the plans alone beyond.
 
 The same label blocks check every other composition law exhaustively:
 `morphism_slabs` compares two block computations of a law slab by slab.
 It runs the reflection, automorphism and rotation laws, the product
-isomorphism, the ideal law of variants.py and the vector engine's dense
-unit law.  It is the only engine of the operad-morphism laws of ratfct.py
-and knownops.py (rational functions, multi-tildes, double multi-tildes
-and gravity); their one-instance-at-a-time loops are kept as test
-references.  The injectivity scan of the basic-set basis composes label
-blocks too, and finds a repeated composite by its radix key.
+isomorphism and the ideal law of variants.py.  It is the only engine of
+the operad-morphism laws of ratfct.py and knownops.py (rational
+functions, multi-tildes, double multi-tildes and gravity); their
+one-instance-at-a-time loops are kept as test references.  The
+injectivity scan of the basic-set basis composes label blocks too, and
+finds a repeated composite by its radix key.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .report import VerifyReport
 
 _Z = UnitaryMagma.integers()
 
-# dense unit-law brute force is capped at this many cliques per arity;
-# larger spaces fall back to the label-independent plan check
+# the unit law evaluates every clique of an arity up to this many; larger
+# spaces get the label-independent plan check
 UNIT_LAW_CAP = 1 << 16
 VECTOR_CHUNK = 1 << 22  # cells per numpy slab: result labels, or axiom instances
 
@@ -68,95 +71,6 @@ def _axiom_configs(max_arity):
                 if n + m + k - 2 <= max_arity:
                     configs.append((n, m, k))
     return configs
-
-
-def _first_moved_arc(arcs, plan, expected):
-    """The first arc whose plan entry differs from the expected one, or None."""
-    return next((arc for arc, a, b in zip(arcs, plan, expected) if a != b), None)
-
-
-def _scalar_unit_law(magma, n, compose):
-    """x o_i unit = x and unit o_1 x = x on every clique of arity n, one by one."""
-    unit = Clique.unit(magma)
-    checked = 0
-    for x in generate_cliques(magma, n):
-        for i in range(1, n + 1):
-            checked += 1
-            if compose(x, unit, i) != x:
-                return f"{x!r} o_{i} unit differs from {x!r}", checked
-        checked += 1
-        if compose(unit, x, 1) != x:
-            return f"unit o_1 {x!r} differs from {x!r}", checked
-    return None, checked
-
-
-def _vector_unit_law(magma, n):
-    """The dense unit law at arity n on label blocks: every x o_i unit, then
-    every unit o_1 x, against the block of x."""
-    star = _star(magma)
-    X, U = _label_block(magma, n), _label_block(magma, 1)
-    pools = {n: X, 1: U}
-
-    checked, failure = morphism_slabs(
-        [(n, 1)], pools,
-        lambda _n, _m, i, rows: _compose_block(X[rows], n, U, 1, i, star),
-        lambda _n, _m, _i, rows: X[rows],
-    )
-    if failure is not None:
-        x = _row_clique(magma, failure[0])
-        return f"{x!r} o_{failure[1]} unit differs from {x!r}", checked
-    more, failure = morphism_slabs(
-        [(1, n)], pools,
-        lambda *_: _compose_block(U, 1, X, n, 1, star), lambda *_: X,
-    )
-    checked += more
-    if failure is not None:
-        x = _row_clique(magma, failure[2])
-        return f"unit o_1 {x!r} differs from {x!r}", checked
-    return None, checked
-
-
-def _unit_law_report(magma, max_arity, dense):
-    """x o_i unit = x and unit o_1 x = x, dense up to the cap through
-    `dense(magma, n)`, by plan beyond."""
-    checked = 0
-    for n in range(1, max_arity + 1):
-        if clique_space_size(magma, n) <= UNIT_LAW_CAP:
-            failure, count = dense(magma, n)
-            checked += count
-            if failure is not None:
-                return VerifyReport("unit-law", False, checked, failure), checked
-        else:
-            # the composition factors through an index plan; against the unit
-            # the glued label is x_i * unit (resp. unit * x_0), so identity of
-            # the plan plus the unit axiom of the magma (checked exhaustively
-            # at construction) give the law for every clique of this arity
-            arcs = arcs_of(n)
-            width = len(arcs)
-            for i in range(1, n + 1):
-                checked += 1
-                # sources: x's labels, then unit's one label, then the glue
-                expected = tuple(
-                    width + 1 if arc == (i, i + 1) else k for k, arc in enumerate(arcs)
-                )
-                moved = _first_moved_arc(arcs, composition_plan(n, 1, i).source, expected)
-                if moved is not None:
-                    return VerifyReport(
-                        "unit-law", False, checked,
-                        f"plan for arity {n} o_{i} unit moves arc ({moved[0]},{moved[1]})",
-                    ), checked
-            checked += 1
-            # sources: unit's one label, then x's labels, then the glue
-            expected = tuple(
-                1 + width if arc == (1, n + 1) else 1 + k for k, arc in enumerate(arcs)
-            )
-            moved = _first_moved_arc(arcs, composition_plan(1, n, 1).source, expected)
-            if moved is not None:
-                return VerifyReport(
-                    "unit-law", False, checked,
-                    f"plan for unit o_1 arity {n} moves arc ({moved[0]},{moved[1]})",
-                ), checked
-    return None, checked
 
 
 def _scalar_axioms(magma, max_arity, budget, compose):
@@ -358,6 +272,72 @@ def _evaluate(label, columns, star):
     return columns[factor][..., arc]
 
 
+def _evaluated(lhs, rhs):
+    """The entry pairs of two sides that need the labels: every product
+    entry, and every entry whose two sides differ.  The rest are equal
+    copy or unit entries, which hold on every instance."""
+    return [(a, b) for a, b in zip(lhs, rhs) if a != b or a[0] == "*"]
+
+
+def _differs(evaluated, columns, star, shape):
+    """Where the two sides of the evaluated entries differ on a slab."""
+    diff = np.zeros(shape, dtype=bool)
+    for a, b in evaluated:
+        diff |= _evaluate(a, columns, star) != _evaluate(b, columns, star)
+    return diff
+
+
+def _unit_law(magma, max_arity, budget, corrupt):
+    """x o_i unit = x and unit o_1 x = x by plan, arity by arity.
+
+    Up to UNIT_LAW_CAP cliques, the entries `_evaluated` picks are evaluated
+    on every row of the arity's label block: per i every x o_i unit, then
+    every unit o_1 x, with one budget check per (arity, side).  Beyond the
+    cap each plan counts once: against the unit the glued label is
+    x_i * unit (resp. unit * x_0), so when every differing entry is such a
+    product of the entry it stands against, the unit axiom of the magma
+    (checked exhaustively at construction) gives the law on every clique.
+    """
+    star = _star(magma)
+    checked = 0
+    for n in range(1, max_arity + 1):
+        arcs = arcs_of(n)
+        x = [("x", arc) for arc in range(len(arcs))]
+        sides = [(i, _compose_exprs(x, [_UNIT], n, 1, i, corrupt)) for i in range(1, n + 1)]
+        sides.append((None, _compose_exprs([_UNIT], x, 1, n, 1, corrupt)))
+        dense = clique_space_size(magma, n) <= UNIT_LAW_CAP
+        X = _label_block(magma, n) if dense else None
+        for i, lhs in sides:
+            if dense:
+                diff = _differs(_evaluated(lhs, x), {"x": X}, star, len(X))
+                if diff.any():
+                    k = int(diff.argmax())
+                    checked += k + 1
+                    clique = _row_clique(magma, X[k])
+                    side = f"{clique!r} o_{i} unit" if i else f"unit o_1 {clique!r}"
+                    return VerifyReport(
+                        "unit-law", False, checked, f"{side} differs from {clique!r}",
+                    ), checked
+                checked += len(X)
+            else:
+                checked += 1
+                moved = next((
+                    arc for arc, a, b in zip(arcs, lhs, x)
+                    if a != b and a not in (("*", b, _UNIT), ("*", _UNIT, b))
+                ), None)
+                if moved is not None:
+                    side = f"arity {n} o_{i} unit" if i else f"unit o_1 arity {n}"
+                    return VerifyReport(
+                        "unit-law", False, checked,
+                        f"plan for {side} moves arc ({moved[0]},{moved[1]})",
+                    ), checked
+            if budget is not None and checked > budget:
+                return VerifyReport(
+                    "axioms", True, checked, None, complete=False,
+                ), checked
+    return None, checked
+
+
 def _vector_axioms(magma, max_arity, budget, corrupt=False):
     """The series and parallel laws by plan.  Per shape (n, m, k, i, j) the
     copy and unit entries of both sides are compared once; every product
@@ -373,17 +353,14 @@ def _vector_axioms(magma, max_arity, budget, corrupt=False):
         Nx, Ny, Nz = X.shape[0], Y.shape[0], Z.shape[0]
         zstep = max(1, VECTOR_CHUNK // (Nx * Ny))
         for i, j, parallel in _laws(n, m):
-            lhs, rhs = _law_sides(n, m, k, i, j, parallel, corrupt)
-            evaluated = [(a, b) for a, b in zip(lhs, rhs) if a != b or a[0] == "*"]
+            evaluated = _evaluated(*_law_sides(n, m, k, i, j, parallel, corrupt))
             for lo in range(0, Nz, zstep):
                 columns = {
                     "x": X[:, None, None, :],
                     "y": Y[None, :, None, :],
                     "z": Z[None, None, lo:lo + zstep, :],
                 }
-                diff = np.zeros((Nx, Ny, min(zstep, Nz - lo)), dtype=bool)
-                for a, b in evaluated:
-                    diff |= _evaluate(a, columns, star) != _evaluate(b, columns, star)
+                diff = _differs(evaluated, columns, star, (Nx, Ny, min(zstep, Nz - lo)))
                 checked += diff.size
                 if diff.any():
                     xi, yi, zi = (int(v) for v in np.argwhere(diff)[0])
@@ -401,38 +378,34 @@ def _vector_axioms(magma, max_arity, budget, corrupt=False):
 
 
 def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=False):
-    """Exhaustively check both associativity laws and the unit law.
+    """Exhaustively check the unit law and both associativity laws.
 
     Returns a report with the instance count; the first counterexample,
-    if any, is spelled out.  The vector engine checks the dense unit law
-    on label blocks as well, the scalar engine with `partial_compose`.
-    `corrupt` swaps in a deliberately broken composition rule so tests
-    can watch the verifier catch it: both engines run it on the series and
-    parallel laws, and the unit law runs it on the scalar loop.
+    if any, is spelled out.  Both engines share the plan-level unit law;
+    the series and parallel laws run on the engine chosen.  `budget` caps
+    the instances of all three laws together: past it the report is
+    marked incomplete.  `corrupt` swaps in a deliberately broken
+    composition rule so tests can watch the verifier catch it; every law
+    of both engines runs it.
     """
     if not magma.is_finite:
         raise ValueError("axiom verification enumerates a finite carrier")
     if max_arity < 2:
         raise ValueError("max_arity must be at least 2")
-    compose = _compose_corrupt if corrupt else partial_compose
     if engine == "auto":
         heavy = any(
             clique_space_size(magma, n) >= 1 << 12 for n in range(2, max_arity)
         )
         engine = "vector" if heavy else "scalar"
-    vector = engine == "vector"
-    # the unit law's label blocks know no corrupted rule, so a corrupted
-    # unit law always runs on the scalar loop
-    dense = _vector_unit_law if vector and not corrupt else partial(
-        _scalar_unit_law, compose=compose
-    )
-    failure, unit_checked = _unit_law_report(magma, max_arity, dense)
+    failure, unit_checked = _unit_law(magma, max_arity, budget, corrupt)
     if failure is not None:
         return failure
-    if vector:
-        failure, checked = _vector_axioms(magma, max_arity, budget, corrupt)
+    rest = None if budget is None else budget - unit_checked
+    if engine == "vector":
+        failure, checked = _vector_axioms(magma, max_arity, rest, corrupt)
     else:
-        failure, checked = _scalar_axioms(magma, max_arity, budget, compose)
+        compose = _compose_corrupt if corrupt else partial_compose
+        failure, checked = _scalar_axioms(magma, max_arity, rest, compose)
     if failure is not None:
         failure.checked += unit_checked
         return failure

@@ -13,6 +13,9 @@ test on one mask, and the fold `member` makes of it, are its reference.
 The operad-morphism laws of ratfct.py and knownops.py run on the slab
 engine only; the one-instance loops below are their reference, and the
 mutation tests of test_ratfct.py and test_knownops.py run against both.
+Both axiom engines share the plan-level unit law; its reference composes
+each clique with the unit one `partial_compose` call at a time, and must
+also agree on the count and the text of a failure.
 """
 
 import random
@@ -34,7 +37,44 @@ from cliqueops.clique import arcs_of, crossing, diagonals_of
 from cliqueops.enumeration import count_by_streaming
 from cliqueops.knownops import verify_double_multitildes, verify_known_ops
 from cliqueops.operad import composable_pairs
+from cliqueops.verify import _compose_corrupt, _unit_law
 from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS, VARIANT_SPECS
+
+
+def reference_unit_law(magma, max_arity, compose=partial_compose):
+    """x o_i unit = x and unit o_1 x = x, one `compose` call at a time, in
+    the plan law's scan order: per arity, per i every x, then every x
+    against unit o_1 x."""
+    unit = Clique.unit(magma)
+    checked = 0
+    for n in range(1, max_arity + 1):
+        cliques = list(generate_cliques(magma, n))
+        for i in range(1, n + 1):
+            for x in cliques:
+                checked += 1
+                if compose(x, unit, i) != x:
+                    return VerifyReport(
+                        "unit-law", False, checked, f"{x!r} o_{i} unit differs from {x!r}",
+                    )
+        for x in cliques:
+            checked += 1
+            if compose(unit, x, 1) != x:
+                return VerifyReport(
+                    "unit-law", False, checked, f"unit o_1 {x!r} differs from {x!r}",
+                )
+    return VerifyReport("unit-law", True, checked, None)
+
+
+def assert_unit_law_matches_its_reference(magma, max_arity, corrupt):
+    failure, checked = _unit_law(magma, max_arity, None, corrupt)
+    reference = reference_unit_law(
+        magma, max_arity, _compose_corrupt if corrupt else partial_compose,
+    )
+    assert (failure is None, checked, failure and failure.counterexample) == (
+        reference.ok, reference.checked, reference.counterexample,
+    )
+    assert checked > 0
+    return reference
 
 
 def reference_symmetries(magma, max_arity):
@@ -269,6 +309,17 @@ def reference_basic_set_operad(magma, max_arity):
 def _same(block, reference):
     assert (block.ok, block.checked) == (reference.ok, reference.checked)
     assert block.ok and block.counterexample is None
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["true-rule", "corrupt"])
+@pytest.mark.parametrize("spec", ["N:2", "D:0", "E:1"])
+def test_unit_law_matches_its_reference(spec, corrupt):
+    # the corrupted glue forgets q's base, so unit o_1 x fails on the
+    # first x with a non-unit base
+    reference = assert_unit_law_matches_its_reference(parse_magma_spec(spec), 4, corrupt)
+    assert reference.ok != corrupt
+    if corrupt:
+        assert reference.counterexample.startswith("unit o_1 ")
 
 
 @pytest.mark.parametrize("spec", ["N:2", "D:0", "E:1", "prod(D:0,D:0)"])

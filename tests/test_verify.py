@@ -34,11 +34,13 @@ def test_axioms_all_builtin_magmas_up_to_four_elements():
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_corrupted_rule_is_caught(d0, engine):
     # the rule forgets q's base label, which only the unit law can see:
-    # unit o_1 x loses x's base
+    # unit o_1 x loses x's base; both engines run the one plan-level law
     report = verify_operad_axioms(d0, 4, engine=engine, corrupt=True)
-    assert not report.ok
-    assert report.counterexample
+    assert not report.ok and report.name == "unit-law"
+    assert report.counterexample.startswith("unit o_1 ")
     assert report.checked > 0
+    other = "vector" if engine == "scalar" else "scalar"
+    assert report == verify_operad_axioms(d0, 4, engine=other, corrupt=True)
 
 
 def test_corrupted_rule_keeps_the_series_and_parallel_laws(d0):
@@ -179,6 +181,43 @@ def test_engines_and_injectivity_scan_agree_over_random_magmas(magma):
         reference.ok, reference.checked, reference.counterexample,
     )
     assert witness == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(unitary_magmas())
+def test_unit_law_matches_its_reference_over_random_magmas(magma):
+    from test_verifier_references import assert_unit_law_matches_its_reference
+
+    assert assert_unit_law_matches_its_reference(magma, 3, corrupt=False).ok
+    assert_unit_law_matches_its_reference(magma, 3, corrupt=True)
+
+
+def _is_commutative(magma):
+    return all(magma.op(a, b) == magma.op(b, a)
+               for a in magma.elements() for b in magma.elements())
+
+
+@settings(max_examples=10, deadline=None)
+@given(unitary_magmas(max_size=3), unitary_magmas(max_size=3))
+def test_block_verifiers_match_their_references_over_random_magmas(magma, other):
+    # the rotation law at slot 1 needs p_1 * q_0 = q_0 * p_1, so over a
+    # noncommutative carrier both cyclic scans fail on the same pair; they
+    # count that failure in different scan orders
+    from test_verifier_references import (
+        _same, reference_cyclic, reference_product_iso, reference_symmetries,
+    )
+
+    from cliqueops import magma_product, verify_product_iso
+
+    _same(verify_symmetries(magma, 3), reference_symmetries(magma, 3))
+    block, reference = verify_cyclic(magma, 3), reference_cyclic(magma, 3)
+    if _is_commutative(magma):
+        _same(block, reference)
+    else:
+        assert not block.ok and block.checked > 0
+        assert (block.ok, block.counterexample) == (reference.ok, reference.counterexample)
+    product = magma_product(magma, other)
+    _same(verify_product_iso(product, 2), reference_product_iso(product, 2))
 
 
 # -- definitional references for the kernel ------------------------------------
@@ -371,10 +410,14 @@ def test_injectivity_scan_keys_rows_wider_than_one_word():
     assert _first_collision(X, 2, Y, 3, star) == expected
 
 
-def test_axiom_budget_flagging(d0):
+def test_axiom_budget_flagging(d0, n2):
     for engine in ("scalar", "vector"):
         report = verify_operad_axioms(d0, 5, budget=100, engine=engine)
         assert report.ok and not report.complete
+        # the unit law alone has ~2 * 10^5 instances over N:2 up to arity 6
+        report = verify_operad_axioms(n2, 6, budget=100, engine=engine)
+        assert report.ok and not report.complete
+        assert 100 < report.checked < 1000
 
 
 def test_vector_engine_labels_do_not_wrap():
@@ -401,23 +444,56 @@ def test_vector_engine_labels_do_not_wrap():
         assert composed.max() >= 256
 
 
-def test_vector_unit_law_catches_a_broken_plan(monkeypatch, d0):
-    from cliqueops import verify
+def _swap_first_entries_of_plan_3_1_2(monkeypatch):
+    # mutation: arcs (1,2) and (1,3) of x o_2 unit at arity 3 trade sources,
+    # in the index tuple and the picker alike, so `partial_compose` and the
+    # plan-level law both see it
+    from cliqueops import operad, verify
+    from cliqueops.clique import index_plan
 
-    real = verify.composition_plan
+    real = operad.composition_plan
 
     def swapped(n, m, i):
         plan = real(n, m, i)
-        if m == 1 and n == 3 and i == 2:
-            return plan._replace(source=(plan.source[1], plan.source[0]) + plan.source[2:])
+        if (n, m, i) == (3, 1, 2):
+            source = (plan.source[1], plan.source[0]) + plan.source[2:]
+            return operad.CompositionPlan(
+                *index_plan(plan.arity, source), plan.edge, plan.base,
+            )
         return plan
 
-    assert verify_operad_axioms(d0, 4, engine="vector").ok
+    monkeypatch.setattr(operad, "composition_plan", swapped)
     monkeypatch.setattr(verify, "composition_plan", swapped)
-    report = verify_operad_axioms(d0, 4, engine="vector")
-    assert not report.ok and report.name == "unit-law"
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_vector_unit_law_catches_a_broken_plan(monkeypatch, d0, engine):
+    from test_verifier_references import reference_unit_law
+
+    assert verify_operad_axioms(d0, 4, engine=engine).ok
+    _swap_first_entries_of_plan_3_1_2(monkeypatch)
+    report = verify_operad_axioms(d0, 4, engine=engine)
+    reference = reference_unit_law(d0, 4)
+    assert report.name == "unit-law" and report.checked > 0
+    assert (report.ok, report.checked, report.counterexample) == (
+        reference.ok, reference.checked, reference.counterexample,
+    )
     assert " o_2 unit differs from " in report.counterexample
-    assert report.checked > 0
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_unit_law_above_the_cap_catches_a_broken_plan(monkeypatch, d0, engine):
+    # with the cap at 0 every arity gets the plan check, one count per plan:
+    # 2 at arity 1, 3 at arity 2, then o_1 and o_2 at arity 3
+    from cliqueops import verify
+
+    monkeypatch.setattr(verify, "UNIT_LAW_CAP", 0)
+    assert verify_operad_axioms(d0, 4, engine=engine).ok
+    _swap_first_entries_of_plan_3_1_2(monkeypatch)
+    report = verify_operad_axioms(d0, 4, engine=engine)
+    assert (report.name, report.ok, report.checked, report.counterexample) == (
+        "unit-law", False, 7, "plan for arity 3 o_2 unit moves arc (1,2)",
+    )
 
 
 def test_scalar_engine_catches_a_broken_plan(monkeypatch, d0):
