@@ -121,12 +121,9 @@ def _solid(clique):
 def cmd_enumerate(args):
     magma = parse_magma_spec(args.magma)
     var = variants.variant(args.variant, magma) if args.variant else None
-    space = enumeration.clique_space_size(magma, args.arity)
-    if space > args.budget:
-        raise UsageError(
-            f"{space} cliques at arity {args.arity} exceed the budget "
-            f"{args.budget}; pass --budget to confirm"
-        )
+    enumeration._check_budget(
+        magma.size, enumeration._label_count(args.arity), "cliques", args.arity, args.budget,
+    )
     rows = []
     for clique in enumeration.generate_cliques(magma, args.arity):
         if var is None or (var.in_ambient(clique) and var.member(clique)):
@@ -153,7 +150,10 @@ def cmd_sequence(args):
 def cmd_primes(args):
     magma = parse_magma_spec(args.magma)
     # the largest size has the most patterns: refuse it before counting any
-    enumeration._check_pattern_budget(args.max_size, args.budget)
+    enumeration._check_budget(
+        2, enumeration._diagonal_count(args.max_size), "diagonal patterns",
+        args.max_size, args.budget,
+    )
     census = {"budget": args.budget, "threads": args.threads}
     rows = []
     for n in range(1, args.max_size + 1):

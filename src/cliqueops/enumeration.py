@@ -16,9 +16,10 @@ variants (lab:) are counted over numpy label blocks of the dense label
 space, one `_block_flags` call per block, under the clique budget m^#arcs.
 
 The prime census runs over the 2^#diagonals diagonal-solidity patterns in
-numpy blocks, and its budget is measured in patterns.  It and
-`count_by_streaming`, the clique-by-clique reference, are the census paths
-that split across processes when given a parallelism degree.
+numpy blocks, and its budget is measured in patterns.  It is the one
+census path that splits across processes when given a parallelism
+degree.  Both budgets count their space from the arity alone, without
+building any arc, and state it as a power.
 """
 
 from __future__ import annotations
@@ -44,10 +45,37 @@ class BudgetError(RuntimeError):
     """The requested enumeration exceeds the configured size budget."""
 
 
+def _label_count(arity):
+    """How many free labels a clique of the arity has: one per arc,
+    n(n+1)/2, counted without building the arcs; none at arity 1, whose
+    only clique is the unit."""
+    return arity * (arity + 1) // 2 if arity > 1 else 0
+
+
+def _diagonal_count(arity):
+    """len(diagonals_of(arity)): every arc but the n edges and the base."""
+    return _label_count(arity) - arity - 1 if arity > 1 else 0
+
+
 def clique_space_size(magma, arity):
-    if arity == 1:
-        return 1
-    return magma.size ** len(arcs_of(arity))
+    return magma.size ** _label_count(arity)
+
+
+def _check_budget(base, exponent, unit, arity, budget):
+    """Refuse a space of base^exponent `unit` at an arity over the budget.
+
+    The comparison is exact.  For base >= 2, base^exponent > budget as soon
+    as exponent reaches the bit length of the budget, so the power is only
+    built when it is small: built or printed in full, a huge space costs
+    more than the census it refuses.
+    """
+    if budget is None:
+        return
+    if (base > 1 and exponent >= budget.bit_length()) or base ** exponent > budget:
+        raise BudgetError(
+            f"{base}^{exponent} {unit} at arity {arity} exceed the budget "
+            f"{budget}; raise it explicitly to proceed"
+        )
 
 
 def generate_cliques(magma, arity):
@@ -61,21 +89,6 @@ def generate_cliques(magma, arity):
         return
     for labels in iproduct(range(magma.size), repeat=len(arcs_of(arity))):
         yield Clique._unsafe(magma, arity, labels)
-
-
-def generate_white_cliques(magma, arity):
-    """Cliques whose solid arcs are diagonals only."""
-    if arity == 1:
-        yield Clique.unit(magma)
-        return
-    diags = diagonals_of(arity)
-    index = {a: i for i, a in enumerate(arcs_of(arity))}
-    base = [magma.unit] * len(arcs_of(arity))
-    for labels in iproduct(range(magma.size), repeat=len(diags)):
-        current = list(base)
-        for arc, lab in zip(diags, labels):
-            current[index[arc]] = lab
-        yield Clique._unsafe(magma, arity, tuple(current))
 
 
 # -- closed dimension formulas ----------------------------------------------
@@ -145,44 +158,6 @@ def _census_skeletons(arity, weight, rule):
     )
 
 
-def _count_stream_chunk(args):
-    spec, magma, arity, prefix = args
-    var = variants.variant(spec, magma)
-    index_count = len(arcs_of(arity))
-    rest = index_count - len(prefix)
-    count = 0
-    for tail in iproduct(range(magma.size), repeat=rest):
-        clique = Clique._unsafe(magma, arity, prefix + tail)
-        if var.in_ambient(clique) and var.member(clique):
-            count += 1
-    return count
-
-
-def _check_budget(magma, arity, budget):
-    space = clique_space_size(magma, arity)
-    if budget is not None and space > budget:
-        raise BudgetError(
-            f"{space} cliques at arity {arity} exceed the budget {budget}; "
-            "raise it explicitly to proceed"
-        )
-    return space
-
-
-def count_by_streaming(spec, magma, arity, budget=DEFAULT_BUDGET, threads=1):
-    """Dense census: stream every clique and count members."""
-    space = _check_budget(magma, arity, budget)
-    if arity == 1:
-        return 1
-    if threads > 1 and space >= magma.size ** 2:
-        prefixes = [
-            (spec, magma, arity, pre)
-            for pre in iproduct(range(magma.size), repeat=2)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(_count_stream_chunk, prefixes))
-    return _count_stream_chunk((spec, magma, arity, ()))
-
-
 def _count_label_blocks(var, magma, arity):
     """Members of a label-sensitive variant, counted over label blocks of at
     most VECTOR_CHUNK cells."""
@@ -214,7 +189,7 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
         frame = variants._frame(var.rule, arity)
         count = weight ** frame.bit_count() * _census_skeletons(arity, weight, var.rule)
     else:
-        _check_budget(magma, arity, budget)
+        _check_budget(magma.size, _label_count(arity), "cliques", arity, budget)
         count = _count_label_blocks(var, magma, arity)
     try:
         if var.label_set_sizes is not None:
@@ -281,22 +256,14 @@ def _prime_patterns_chunk(args):
     return sum(h * weight ** k for k, h in enumerate(histogram.tolist()))
 
 
-def _check_pattern_budget(arity, budget):
-    space = 1 << len(diagonals_of(arity))  # diagonal-solidity patterns
-    if budget is not None and space > budget:
-        raise BudgetError(
-            f"{space} diagonal patterns at arity {arity} exceed the budget "
-            f"{budget}; raise it explicitly to proceed"
-        )
-    return space
-
-
 def _prime_pattern_weight(magma, arity, want_minimal, budget, threads):
     # A clique is prime iff every diagonal is crossed by a solid diagonal,
     # so primality is a property of the diagonal-solidity pattern alone.
     if arity < 2:
         return 0
-    size = _check_pattern_budget(arity, budget)
+    diagonals = _diagonal_count(arity)
+    _check_budget(2, diagonals, "diagonal patterns", arity, budget)
+    size = 1 << diagonals
     weight = magma.size - 1
     if threads > 1 and size >= 1 << 10:
         step = (size + threads - 1) // threads
@@ -479,6 +446,9 @@ class SequenceRecord:
 
 def sequence_for(spec, magma, max_arity, budget=DEFAULT_BUDGET):
     """Counts for arities 1..max_arity, with provenance recorded."""
+    if not variants.variant(spec, magma).label_blind:
+        # the largest arity has the most cliques: refuse it before counting any
+        _check_budget(magma.size, _label_count(max_arity), "cliques", max_arity, budget)
     entries = []
     has_formula = True
     for n in range(1, max_arity + 1):

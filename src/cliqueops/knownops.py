@@ -8,16 +8,17 @@ is set when the pair (x, y - 1) of arc k of `arcs_of(n)` belongs to it.
 A double multi-tilde is two such masks.  `pairs`, `pairs1` and `pairs2`
 decode the masks into frozensets on demand.
 
-The composition of multi-tildes still comes from the index shift rules
-(`_shift`), not from transporting through cliques: the rules are applied
-to every bit once per (n, m, i), cached as bit-remap tables, and a
-composition remaps the masks through them.  The morphism checks
-therefore compare two independent computations.
+The composition of multi-tildes comes from the substitution rule of
+rational functions (`ratfct._reindex`: insert a block of m slots at slot
+i), not from transporting through cliques: the rule is applied to every
+bit once per (n, m, i), cached as bit-remap tables, and a composition
+remaps the masks through them.  The morphism checks therefore compare
+two independent computations.
 
 A gravity chord diagram is the mask of its marked arcs (edges, base and
-diagonals), bit k for arc k.  It composes by the multi-tilde remap: arc
-(x, y) moves as the pair (x, y - 1) does.  The gravity condition is the
-`grav` rule of variants.py, which every gravity path reads.
+diagonals), bit k for arc k.  It composes by the multi-tilde remap,
+which moves each arc as `ratfct._reindex` does.  The gravity condition
+is the `grav` rule of variants.py, which every gravity path reads.
 
 Public constructors validate their input: arities and coordinates must
 be `int`s (bools, floats and strings are refused) and pairs must have two
@@ -30,6 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
+from . import ratfct
 from .clique import Clique, arc_index, arcs_of
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
 from .operad import composable_pairs, partial_compose
@@ -213,28 +215,14 @@ class MultiTilde:
         return f"MultiTilde({self.arity}, {{{_format_pairs(self.pairs)}}})"
 
 
-def _shift(pair, pivot, block):
-    """Shift a pair around an insertion of `block` slots at position `pivot`."""
-    x, y = pair
-    if y <= pivot - 1:
-        return (x, y)
-    if x <= pivot <= y:
-        return (x, y + block - 1)
-    return (x + block - 1, y + block - 1)
-
-
 @lru_cache(maxsize=None)
 def _compose_tables(n, m, i):
-    """Bit-remap tables of s o_i t for arities n, m: s's pairs move by the
-    shift rule, t's pairs move right by i - 1."""
+    """Bit-remap tables of s o_i t for arities n, m: arc k of s goes to the
+    bit of the arc `ratfct._reindex` sends it to, and likewise for t."""
+    outer, inner = ratfct._reindex(n, m, i)
     index = arc_index(n + m - 1)
-
-    def bit(pair):
-        return 1 << index[(pair[0], pair[1] + 1)]
-
-    outer = [bit(_shift(pair, i, m)) for pair in _pair_of(n)]
-    inner = [bit((x + i - 1, y + i - 1)) for x, y in _pair_of(m)]
-    return _chunk_tables(outer), _chunk_tables(inner)
+    return (_chunk_tables([1 << index[outer[arc]] for arc in arcs_of(n)]),
+            _chunk_tables([1 << index[inner[arc]] for arc in arcs_of(m)]))
 
 
 def _check_index(arity, i):

@@ -3,22 +3,23 @@
 Associativity is checked on every triple of basis cliques whose
 composite arity stays within the bound.  Triples containing the arity-1
 clique reduce to the unit law, which is checked separately, so the
-triple scan runs over arities >= 2.  Small carriers go through the plain
-scalar engine; larger ones (the four-element product magma at composite
-arity 5 has ~10^8 instances) run the plan-level vector engine.  In p o_i q
-every arc copies an arc of p or q, is the unit, or is the glued product
-p_i * q_0, so per shape (n, m, k, i, j) the engine composes both sides'
-index plans symbolically: it compares the copy and unit entries once, and
-evaluates the product entries through the star table on every instance
-of the (x, y, z) grid, one slab at a time.  The two engines are
-cross-checked on the small carriers.  The unit law x o_i 1 = x = 1 o_1 x
+triple scan runs over arities >= 2.  The default engine is the
+plan-level vector engine.  In p o_i q every arc copies an arc of p or q,
+is the unit, or is the glued product p_i * q_0, so per shape
+(n, m, k, i, j) it composes both sides' index plans symbolically: it
+compares the copy and unit entries once, and evaluates the product
+entries through the star table on every instance of the (x, y, z) grid,
+one slab at a time.  The scalar engine, one instance at a time on clique
+objects, is its cross-check on the small carriers; both name a failure
+in the same words.  The unit law x o_i 1 = x = 1 o_1 x
 is one plan-level law that both engines share, the deliberately broken
 `corrupt` rule included: it evaluates the product entries on every
 clique of an arity up to UNIT_LAW_CAP, and checks the plans alone beyond.
 
 The same label blocks check every other composition law exhaustively:
 `morphism_slabs` compares two block computations of a law slab by slab.
-It runs the reflection, automorphism and rotation laws, the product
+It runs the reflection, automorphism and rotation laws (the last holds
+over commutative magmas only; see `verify_cyclic`), the product
 isomorphism and the ideal law of variants.py.  It is the only engine of
 the operad-morphism laws of ratfct.py and knownops.py (rational
 functions, multi-tildes, double multi-tildes and gravity); their
@@ -73,6 +74,16 @@ def _axiom_configs(max_arity):
     return configs
 
 
+def _law_failure(parallel, x, y, z, i, j, checked):
+    """The report of a failing series or parallel law, in the words both
+    engines use."""
+    if parallel:
+        text = f"parallel law fails at {x!r}, {y!r}, {z!r}, i={i}, j={j}"
+    else:
+        text = f"series law fails at {x!r} o_{i} {y!r}, then z={z!r} at {i + j - 1}"
+    return VerifyReport("axioms", False, checked, text), checked
+
+
 def _scalar_axioms(magma, max_arity, budget, compose):
     checked = 0
     needed = {a for config in _axiom_configs(max_arity) for a in config}
@@ -90,21 +101,13 @@ def _scalar_axioms(magma, max_arity, budget, compose):
                             lhs = compose(xy[i - 1], z, i + j - 1)
                             rhs = compose(x, yz[j - 1], i)
                             if lhs != rhs:
-                                return VerifyReport(
-                                    "axioms", False, checked,
-                                    f"series law fails at {x!r} o_{i} {y!r}, "
-                                    f"then z={z!r} at {i + j - 1}",
-                                ), checked
+                                return _law_failure(False, x, y, z, i, j, checked)
                         for j in range(i + 1, n + 1):
                             checked += 1
                             lhs = compose(xy[i - 1], z, j + m - 1)
                             rhs = compose(xz[j - 2], y, i)
                             if lhs != rhs:
-                                return VerifyReport(
-                                    "axioms", False, checked,
-                                    f"parallel law fails at {x!r}, {y!r}, {z!r}, "
-                                    f"i={i}, j={j}",
-                                ), checked
+                                return _law_failure(True, x, y, z, i, j, checked)
                     if budget is not None and checked > budget:
                         return VerifyReport(
                             "axioms", True, checked, None, complete=False,
@@ -363,13 +366,11 @@ def _vector_axioms(magma, max_arity, budget, corrupt=False):
                 diff = _differs(evaluated, columns, star, (Nx, Ny, min(zstep, Nz - lo)))
                 checked += diff.size
                 if diff.any():
-                    xi, yi, zi = (int(v) for v in np.argwhere(diff)[0])
-                    return VerifyReport(
-                        "axioms", False, checked,
-                        f"{'parallel' if parallel else 'series'} law fails for "
-                        f"clique indices x={xi}, y={yi}, z={zi + lo} at arities "
-                        f"{(n, m, k)}, i={i}, j={j}",
-                    ), checked
+                    xi, yi, zi = np.argwhere(diff)[0]
+                    return _law_failure(
+                        parallel, _row_clique(magma, X[xi]), _row_clique(magma, Y[yi]),
+                        _row_clique(magma, Z[lo + zi]), i, j, checked,
+                    )
                 if budget is not None and checked > budget:
                     return VerifyReport(
                         "axioms", True, checked, None, complete=False,
@@ -377,26 +378,24 @@ def _vector_axioms(magma, max_arity, budget, corrupt=False):
     return None, checked
 
 
-def verify_operad_axioms(magma, max_arity, budget=None, engine="auto", corrupt=False):
+def verify_operad_axioms(magma, max_arity, budget=None, engine="vector", corrupt=False):
     """Exhaustively check the unit law and both associativity laws.
 
     Returns a report with the instance count; the first counterexample,
     if any, is spelled out.  Both engines share the plan-level unit law;
-    the series and parallel laws run on the engine chosen.  `budget` caps
-    the instances of all three laws together: past it the report is
-    marked incomplete.  `corrupt` swaps in a deliberately broken
-    composition rule so tests can watch the verifier catch it; every law
-    of both engines runs it.
+    the series and parallel laws run on `engine`: "vector" (the
+    plan-level engine) or "scalar" (one instance at a time, the
+    cross-check).  `budget` caps the instances of all three laws
+    together: past it the report is marked incomplete.  `corrupt` swaps
+    in a deliberately broken composition rule so tests can watch the
+    verifier catch it; every law of both engines runs it.
     """
+    if engine not in ("scalar", "vector"):
+        raise ValueError(f"engine must be 'scalar' or 'vector', not {engine!r}")
     if not magma.is_finite:
         raise ValueError("axiom verification enumerates a finite carrier")
     if max_arity < 2:
         raise ValueError("max_arity must be at least 2")
-    if engine == "auto":
-        heavy = any(
-            clique_space_size(magma, n) >= 1 << 12 for n in range(2, max_arity)
-        )
-        engine = "vector" if heavy else "scalar"
     failure, unit_checked = _unit_law(magma, max_arity, budget, corrupt)
     if failure is not None:
         return failure
@@ -492,10 +491,18 @@ def _random_integer_clique(rng, arity):
     return Clique._unsafe(_Z, arity, labels)
 
 
-def verify_cyclic(magma, max_arity, budget=None):
+def verify_cyclic(magma, max_arity):
     """The rotation laws: unit fixed, order n+1 at arity n, and the composition
-    rule, on label blocks.  `budget` skips the order check at arities with
-    more cliques."""
+    rule, on label blocks.
+
+    The composition rule holds only over a commutative magma: at slot 1,
+    rotate(p o_1 q) = rotate(q) o_m rotate(p) compares the glued label
+    p_1 * q_0 with q_0 * p_1, and p_1, q_0 range over the whole carrier.
+    So from max_arity 3 on the verifier fails on every noncommutative
+    magma.  On failure `checked` counts in the block scan's order (per
+    arity pair: i, then p, then q), not in the clique-at-a-time order
+    (p, q, i), so the two counts differ.
+    """
     unit = Clique.unit(magma)
     if rotate(unit) != unit:
         return VerifyReport("cyclic", False, 1, "rotation moves the unit clique")
@@ -503,8 +510,6 @@ def verify_cyclic(magma, max_arity, budget=None):
     turned = {n: block[:, _clique._rotate_plan(n).source] for n, block in X.items()}
     checked = 0
     for n, block in X.items():
-        if budget is not None and clique_space_size(magma, n) > budget:
-            continue
         current = block
         for _ in range(n + 1):
             current = current[:, _clique._rotate_plan(n).source]

@@ -279,11 +279,34 @@ def test_bad_threads_variable_exits_two(capsys, monkeypatch):
     assert out.splitlines()[1:] == ["1 0 0 0", "2 8 1 1", "3 16 1 1", "4 352 11 5"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--magma", "D:0", "--arity", "3000"],
+    ["primes", "--magma", "D:0", "--max-size", "3000"],
+], ids=["enumerate", "primes"])
+def test_huge_spaces_are_refused_before_allocating(capsys, argv):
+    # 2^4501500 cliques and 2^4498499 patterns: the refusal counts the arcs
+    # and states the size as a power, without building either
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2^")
+    assert elapsed < 1 and peak < 1 << 20
+
+
 def test_primes_budget_option(capsys):
     code, _, err = run(capsys, "primes", "--magma", "D:0", "--max-size", "5",
                        "--budget", "100")
     assert code == 2
-    assert err.startswith("error: 512 diagonal patterns at arity 5")
+    assert err.startswith("error: 2^9 diagonal patterns at arity 5")
     code, out, _ = run(capsys, "primes", "--magma", "D:0", "--max-size", "5",
                        "--budget", "512")
     assert code == 0

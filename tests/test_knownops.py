@@ -388,6 +388,54 @@ def _ref_compose(s, t, i, m):
             | frozenset((x + i - 1, y + i - 1) for x, y in t))
 
 
+def test_compose_tables_follow_the_shift_rules():
+    # the tables come from `ratfct._reindex`, which moves arcs; the shift
+    # rules above move pairs (x, y - 1), an independent statement of the
+    # same substitution
+    from cliqueops import knownops
+
+    for n in range(1, 9):
+        for m in range(1, 10 - n):
+            index = arc_index(n + m - 1)
+            for i in range(1, n + 1):
+                outer, inner = knownops._compose_tables(n, m, i)
+                assert [knownops._remap(1 << k, outer) for k in range(len(arcs_of(n)))] == [
+                    1 << index[(x, y + 1)]
+                    for x, y in (_ref_shift((a, b - 1), i, m) for a, b in arcs_of(n))
+                ], (n, m, i)
+                assert [knownops._remap(1 << k, inner) for k in range(len(arcs_of(m)))] == [
+                    1 << index[(a + i - 1, b + i - 1)] for a, b in arcs_of(m)
+                ], (n, m, i)
+
+
+def test_one_substitution_rule_feeds_both_morphism_verifiers(monkeypatch):
+    # multi-tildes and rational functions compose by one rule,
+    # `ratfct._reindex`, so an off-by-one rule fails both morphism laws
+    from cliqueops import knownops, ratfct
+    from cliqueops.knownops import verify_known_ops
+
+    real = ratfct._reindex
+
+    def off_by_one(n, m, i):
+        # the substitution into the slot after the requested one, when there is one
+        return real(n, m, min(i + 1, n))
+
+    def clear():
+        real.cache_clear()
+        knownops._compose_tables.cache_clear()
+
+    assert verify_known_ops(3).ok and ratfct.verify_rf_morphism((0, 1), 2).ok
+    clear()
+    monkeypatch.setattr(ratfct, "_reindex", off_by_one)
+    try:
+        tildes, rf = verify_known_ops(3), ratfct.verify_rf_morphism((0, 1), 2)
+    finally:
+        clear()
+    assert not tildes.ok and tildes.checked > 0
+    assert tildes.counterexample.startswith("multi-tilde morphism fails")
+    assert not rf.ok and rf.checked > 0
+
+
 def _ref_all(arity):
     universe = [(x, y) for x in range(1, arity + 1) for y in range(x, arity + 1)]
     return [frozenset(chosen) for size in range(len(universe) + 1)

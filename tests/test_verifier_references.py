@@ -7,9 +7,11 @@ versions, kept here as the independent reference: on success both must
 report the same verdict and the same `checked` total (the injectivity scan
 also the same witness when it fails).  The prime census runs on numpy
 pattern blocks; its one-pattern-at-a-time loop is kept here too, and the
-`lab:` block census is compared with `count_by_streaming`, which builds
-every clique.  The skeleton census walks blocks of arc masks; each rule's
-test on one mask, and the fold `member` makes of it, are its reference.
+census of every variant is compared with `count_by_streaming`, which
+builds every clique, and the white-prime census with
+`generate_white_cliques`.  The skeleton census walks blocks of arc
+masks; each rule's test on one mask, and the fold `member` makes of it,
+are its reference.
 The operad-morphism laws of ratfct.py and knownops.py run on the slab
 engine only; the one-instance loops below are their reference, and the
 mutation tests of test_ratfct.py and test_knownops.py run against both.
@@ -34,7 +36,6 @@ from cliqueops import (
 )
 from cliqueops import enumeration, knownops, ratfct, variants
 from cliqueops.clique import arcs_of, crossing, diagonals_of
-from cliqueops.enumeration import count_by_streaming
 from cliqueops.knownops import verify_double_multitildes, verify_known_ops
 from cliqueops.operad import composable_pairs
 from cliqueops.verify import _compose_corrupt, _unit_law
@@ -63,6 +64,32 @@ def reference_unit_law(magma, max_arity, compose=partial_compose):
                     "unit-law", False, checked, f"unit o_1 {x!r} differs from {x!r}",
                 )
     return VerifyReport("unit-law", True, checked, None)
+
+
+def count_by_streaming(spec, magma, arity):
+    """Dense census: build every clique and count the members."""
+    var = variant(spec, magma)
+    if arity == 1:
+        return 1
+    return sum(
+        1 for clique in generate_cliques(magma, arity)
+        if var.in_ambient(clique) and var.member(clique)
+    )
+
+
+def generate_white_cliques(magma, arity):
+    """Cliques whose solid arcs are diagonals only."""
+    if arity == 1:
+        yield Clique.unit(magma)
+        return
+    diags = diagonals_of(arity)
+    index = {a: i for i, a in enumerate(arcs_of(arity))}
+    base = [magma.unit] * len(arcs_of(arity))
+    for labels in product(range(magma.size), repeat=len(diags)):
+        current = list(base)
+        for arc, lab in zip(diags, labels):
+            current[index[arc]] = lab
+        yield Clique._unsafe(magma, arity, tuple(current))
 
 
 def assert_unit_law_matches_its_reference(magma, max_arity, corrupt):

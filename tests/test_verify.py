@@ -368,6 +368,25 @@ def test_cyclic(d0, n2):
         assert report.ok, report.counterexample
 
 
+def test_cyclic_law_needs_a_commutative_magma():
+    # at slot 1 the rotation law compares p_1 * q_0 with q_0 * p_1; over the
+    # left-zero magma (x * y = x for x != u) a * b = a but b * a = b
+    from test_verifier_references import reference_cyclic
+
+    magma = UnitaryMagma.from_table_data({
+        "elements": ["u", "a", "b"], "unit": "u",
+        "table": ["u", "a", "b", "a", "a", "a", "b", "b", "b"],
+    })
+    block, reference = verify_cyclic(magma, 3), reference_cyclic(magma, 3)
+    failure = (False, "rotation law fails on Clique[table|2|(1,2)=a] o_1 "
+                      "Clique[table|2|(1,3)=b]")
+    assert (block.ok, block.counterexample) == failure
+    assert (reference.ok, reference.counterexample) == failure
+    # the block scan counts per arity pair in the order (i, p, q), the
+    # reference in the order (p, q, i)
+    assert (block.checked, reference.checked) == (1818, 2067)
+
+
 def test_basic_basis_matches_cancelability(n2, n3, d0, e1, e2):
     for magma in (n2, n3, e1):
         report, witness = verify_basic_set_operad(magma, 4)
@@ -517,7 +536,10 @@ def test_scalar_engine_catches_a_broken_plan(monkeypatch, d0):
     monkeypatch.setattr(operad, "composition_plan", swapped)
     report = verify_operad_axioms(d0, 4, engine="scalar")
     assert not report.ok and report.name == "axioms"
-    assert report.counterexample.startswith("series law fails")
+    assert report.counterexample == (
+        "series law fails at Clique[D_0|2|all-unit] o_1 Clique[D_0|2|all-unit], "
+        "then z=Clique[D_0|2|(1,3)=0] at 1"
+    )
     assert report.checked > 0
 
 
@@ -542,8 +564,18 @@ def test_vector_engine_catches_a_broken_plan(monkeypatch, d0):
     monkeypatch.setattr(verify, "composition_plan", broken)
     report = verify_operad_axioms(d0, 4, engine="vector")
     assert not report.ok and report.name == "axioms"
-    assert report.counterexample.startswith("series law fails")
+    # the scalar engine's words; the two engines scan in different orders,
+    # so they need not name the same instance
+    assert report.counterexample == (
+        "series law fails at Clique[D_0|2|all-unit] o_1 Clique[D_0|2|(2,3)=0], "
+        "then z=Clique[D_0|2|all-unit] at 1"
+    )
     assert report.checked > 0
+
+
+def test_unknown_engine_is_refused(d0):
+    with pytest.raises(ValueError, match="'vectr'"):
+        verify_operad_axioms(d0, 3, engine="vectr")
 
 
 @pytest.mark.parametrize("name, verifier, message", [
