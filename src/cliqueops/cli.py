@@ -1,5 +1,12 @@
 """Command-line surface: enumeration, composition, verification, export.
 
+`verify` is the one verification command. `verify <what> --magma M`
+runs the verifiers `what` names over M, at arities up to `--max-arity`;
+`verify ratfct` and `verify known-ops` need no magma and print the same
+with or without one. Every such run prints one `describe()` line per
+report, or under `--json` a list of report objects. `verify all` without
+`--magma` runs the acceptance battery instead.
+
 Exit codes: 0 success, 1 a verification found a counterexample or a
 golden value mismatched, 2 usage error (bad flags, inapplicable magma or
 variant, malformed input files).
@@ -18,7 +25,7 @@ from .clique import (
     CliqueError, clique_from_json, clique_to_json, format_clique,
 )
 from .magma import (
-    MagmaError, RankFunction, has_nontrivial_unit_divisors,
+    MagmaError, has_nontrivial_unit_divisors,
     is_right_cancelable, parse_magma_spec,
 )
 from .operad import LinComb
@@ -41,8 +48,11 @@ def _load_lincomb(path, magma):
     terms = []
     for entry in data:
         try:
-            clique_data, coeff = entry["clique"], Fraction(entry["coefficient"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            clique_data, coeff = entry["clique"], entry["coefficient"]
+            if isinstance(coeff, bool):
+                raise TypeError("a boolean is not a coefficient")
+            coeff = Fraction(coeff)  # refuses NaN and, by OverflowError, infinities
+        except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise UsageError(
                 f"combination term {entry!r} needs a clique and a rational "
                 f"coefficient ({type(exc).__name__}: {exc})"
@@ -220,8 +230,10 @@ def _parse_colored_word(magma, text):
 
 
 def _verify_reports(args):
-    magma = parse_magma_spec(args.magma)
     what = args.what
+    if args.magma is None and what not in ("ratfct", "known-ops"):
+        raise UsageError(f"verify {what} needs --magma")
+    magma = None if args.magma is None else parse_magma_spec(args.magma)
     reports = []
     if what in ("axioms", "all"):
         reports.append(verify.verify_operad_axioms(
@@ -246,7 +258,7 @@ def _verify_reports(args):
         for spec in specs:
             try:
                 var = variants.variant(spec, magma)
-            except variants.VariantError as exc:
+            except variants.VariantError:
                 if args.variant:
                     raise
                 continue
@@ -255,38 +267,25 @@ def _verify_reports(args):
         if not has_nontrivial_unit_divisors(magma):
             reports.append(variants.verify_inclusions(magma, args.max_arity))
     if what in ("product", "all") and magma.factors is not None:
-        reports.append(verify.verify_product_iso(magma, min(args.max_arity, 3)))
+        reports.append(verify.verify_product_iso(magma, args.max_arity))
     if what in ("ratfct", "all"):
         reports.append(ratfct.verify_rf_laws(
-            max_arity=min(args.max_arity, 4), samples=args.samples, seed=args.seed,
+            max_arity=args.max_arity, samples=args.samples, seed=args.seed,
         ))
+        reports.append(ratfct.verify_rf_kernel())
     if what in ("known-ops", "all"):
-        reports.append(knownops.verify_known_ops(min(args.max_arity, 4)))
+        reports.append(knownops.verify_known_ops(args.max_arity))
     if not reports:
         raise UsageError(f"nothing to verify for {what!r} over {args.magma}")
     return reports
 
 
 def cmd_verify(args):
-    if args.magma is None:
-        if args.what == "all":
-            from . import acceptance
+    if args.magma is None and args.what == "all":
+        from . import acceptance
 
-            return 0 if acceptance.run_all() else 1
-        if args.what == "ratfct":
-            report = ratfct.verify_rf_laws(
-                max_arity=min(args.max_arity, 4),
-                samples=args.samples, seed=args.seed,
-            )
-            print(report.describe())
-            return 0 if report.ok else 1
-        if args.what == "known-ops":
-            report = knownops.verify_known_ops(min(args.max_arity, 4))
-            print(report.describe())
-            return 0 if report.ok else 1
-        raise UsageError(f"verify {args.what} needs --magma")
+        return 0 if acceptance.run_all() else 1
     reports = _verify_reports(args)
-    ok = all(r.ok for r in reports)
     if args.json:
         print(json.dumps(
             [
@@ -301,43 +300,7 @@ def cmd_verify(args):
     else:
         for r in reports:
             print(r.describe())
-    return 0 if ok else 1
-
-
-def cmd_ratfct_check(args):
-    report = ratfct.verify_rf_laws(
-        max_arity=args.max_arity, samples=args.samples, seed=args.seed,
-    )
-    kernel_ok = _kernel_examples_zero()
-    if args.json:
-        print(json.dumps({
-            "laws_ok": report.ok, "checked": report.checked,
-            "kernel_examples_zero": kernel_ok,
-        }, indent=2))
-    else:
-        print(report.describe())
-        print(f"kernel examples exactly zero: {kernel_ok}")
-    return 0 if report.ok and kernel_ok else 1
-
-
-def _kernel_examples_zero():
-    rank = RankFunction.identity()
-    return all(
-        ratfct.rf_is_zero(ratfct.rf_image(comb, rank))
-        for comb in ratfct.kernel_examples()
-    )
-
-
-def cmd_known_ops_check(args):
-    report = knownops.verify_known_ops(args.max_arity)
-    if args.json:
-        print(json.dumps({
-            "ok": report.ok, "checked": report.checked,
-            "counterexample": report.counterexample,
-        }, indent=2))
-    else:
-        print(report.describe())
-    return 0 if report.ok else 1
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _positive_threads(text):
@@ -429,18 +392,6 @@ def build_parser():
     p.add_argument("--decode", default=None, metavar="WORD")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_dyck)
-
-    p = sub.add_parser("ratfct-check", help="rational-function laws and kernel examples")
-    p.add_argument("--max-arity", type=int, default=4)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_ratfct_check)
-
-    p = sub.add_parser("known-ops-check", help="multi-tilde and gravity morphism checks")
-    p.add_argument("--max-arity", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_known_ops_check)
 
     return parser
 

@@ -173,6 +173,16 @@ def _count_label_blocks(var, magma, arity):
     return count
 
 
+def _closed_count(var, arity):
+    """The closed formula's count of the variant at this arity, or None when
+    it has no formula."""
+    sizes = var.magma.size if var.label_set_sizes is None else var.label_set_sizes
+    try:
+        return dim_formula(var.spec, sizes, arity)
+    except variants.VariantError:
+        return None
+
+
 def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     """Number of arity-n members of the variant, with formula cross-check.
 
@@ -191,13 +201,7 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     else:
         _check_budget(magma.size, _label_count(arity), "cliques", arity, budget)
         count = _count_label_blocks(var, magma, arity)
-    try:
-        if var.label_set_sizes is not None:
-            expected = dim_formula("lab", var.label_set_sizes, arity)
-        else:
-            expected = dim_formula(spec, magma.size, arity)
-    except variants.VariantError:
-        expected = None
+    expected = _closed_count(var, arity)
     if expected is not None and count != expected:
         raise RuntimeError(
             f"census of {spec} at arity {arity} gave {count}, but the closed "
@@ -446,18 +450,15 @@ class SequenceRecord:
 
 def sequence_for(spec, magma, max_arity, budget=DEFAULT_BUDGET):
     """Counts for arities 1..max_arity, with provenance recorded."""
-    if not variants.variant(spec, magma).label_blind:
+    var = variants.variant(spec, magma)
+    if not var.label_blind:
         # the largest arity has the most cliques: refuse it before counting any
         _check_budget(magma.size, _label_count(max_arity), "cliques", max_arity, budget)
-    entries = []
-    has_formula = True
-    for n in range(1, max_arity + 1):
-        count = count_by_enumeration(spec, magma, n, budget=budget)
-        entries.append((n, count))
-        try:
-            dim_formula(spec, magma.size, n)
-        except variants.VariantError:
-            has_formula = False
+    entries = [
+        (n, count_by_enumeration(spec, magma, n, budget=budget))
+        for n in range(1, max_arity + 1)
+    ]
+    has_formula = all(_closed_count(var, n) is not None for n, _ in entries)
     return SequenceRecord(
         spec, magma.spec or magma.name, entries,
         "both" if has_formula else "enumeration",

@@ -295,28 +295,45 @@ def _prod_factors(text):
     return None
 
 
-def _carrier_size(text):
-    """The size of the carrier a spec builds, found without building it; None
-    when that carrier is infinite, read from a file, or refused (parsing the
-    spec then says why)."""
+def _read_spec(text):
+    """Read a spec into (carrier size, builder) without building a table.
+
+    The size is None for an infinite carrier.  Parameters and sizes are
+    refused as they are read, left to right, so an oversized product is
+    refused before either factor table exists.  A `table:` file is loaded
+    as it is read, which costs no more than the file.
+    """
     text = text.strip()
+    if text == "Z":
+        return None, UnitaryMagma.integers
     if text == "trivial":
-        return 1
-    for prefix, _, least, offset in _SIZED_FAMILIES:
+        return 1, UnitaryMagma.trivial
+    for prefix, builder, least, offset in _SIZED_FAMILIES:
         if text.startswith(prefix):
             try:
                 param = int(text[len(prefix):])
             except ValueError:
-                return None
-            size = param + offset
-            return size if param >= least and size * size <= MAX_TABLE_ENTRIES else None
+                raise MagmaError(f"bad parameter in magma spec {text!r}")
+            if param < least:
+                builder(param)  # refuses the parameter in the family's words
+            _check_table_size(param + offset)
+            return param + offset, lambda: builder(param)
     if text.startswith("prod(") and text.endswith(")"):
         factors = _prod_factors(text)
-        sizes = [] if factors is None else [_carrier_size(f) for f in factors]
-        if len(sizes) == 2 and None not in sizes:
-            size = sizes[0] * sizes[1]
-            return size if size * size <= MAX_TABLE_ENTRIES else None
-    return None
+        if factors is None:
+            raise MagmaError(f"prod spec needs two comma-separated factors: {text!r}")
+        (size1, build1), (size2, build2) = map(_read_spec, factors)
+        size = None if None in (size1, size2) else size1 * size2
+        if size is not None:
+            _check_table_size(size)
+        return size, lambda: magma_product(build1(), build2())
+    if text.startswith("table:"):
+        path = text[len("table:"):]
+        with open(path) as handle:
+            data = json.load(handle)
+        magma = UnitaryMagma.from_table_data(data, spec=text, name=path)
+        return magma.size, lambda: magma
+    raise MagmaError(f"unrecognized magma spec {text!r}")
 
 
 def parse_magma_spec(text):
@@ -325,33 +342,7 @@ def parse_magma_spec(text):
     Grammar: `Z` | `N:<l>` | `D:<l>` | `E:<l>` | `trivial` |
     `prod(<spec>,<spec>)` | `table:<file>`.
     """
-    text = text.strip()
-    if text == "Z":
-        return UnitaryMagma.integers()
-    if text == "trivial":
-        return UnitaryMagma.trivial()
-    for prefix, builder, _, _ in _SIZED_FAMILIES:
-        if text.startswith(prefix):
-            try:
-                size = int(text[len(prefix):])
-            except ValueError:
-                raise MagmaError(f"bad parameter in magma spec {text!r}")
-            return builder(size)
-    if text.startswith("prod(") and text.endswith(")"):
-        factors = _prod_factors(text)
-        if factors is None:
-            raise MagmaError(f"prod spec needs two comma-separated factors: {text!r}")
-        sizes = [_carrier_size(factor) for factor in factors]
-        if None not in sizes:
-            # refuse an oversized product before building either factor table
-            _check_table_size(sizes[0] * sizes[1])
-        return magma_product(*map(parse_magma_spec, factors))
-    if text.startswith("table:"):
-        path = text[len("table:"):]
-        with open(path) as handle:
-            data = json.load(handle)
-        return UnitaryMagma.from_table_data(data, spec=text, name=path)
-    raise MagmaError(f"unrecognized magma spec {text!r}")
+    return _read_spec(text)[1]()
 
 
 class MagmaElem:

@@ -207,6 +207,20 @@ def kernel_examples():
     return triangle, arity3
 
 
+def verify_rf_kernel():
+    """Each of `kernel_examples()` has the exactly zero image under the
+    identity rank."""
+    rank = RankFunction.identity()
+    checked = 0
+    for example in kernel_examples():
+        checked += 1
+        if not rf_is_zero(rf_image(example, rank)):
+            return VerifyReport(
+                "ratfct-kernel", False, checked, f"image of {example!r} is not zero",
+            )
+    return VerifyReport("ratfct-kernel", True, checked, None)
+
+
 # -- exact zero test -----------------------------------------------------------
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from cliqueops import (
     Clique, CliqueError, LinComb, UnitaryMagma, below_be, below_d,
-    compose_H, compose_K, from_H, from_K, generate_cliques,
-    partial_compose_lin, to_H, to_K,
+    compose_H, compose_K, from_H, from_K, generate_cliques, to_H, to_K,
 )
 
 Z = UnitaryMagma.integers()
@@ -163,20 +162,3 @@ def test_displayed_H_K_compositions_over_d1(d1):
         (Clique.from_arcs(d1, 5, with_glue), 1),
         (Clique.from_arcs(d1, 5, shared), 1),
     ])
-
-
-def test_closed_formulas_agree_with_fundamental_route(d0, n2):
-    # exhaustive over both two-element magmas at composite arity <= 4
-    for magma in (d0, n2):
-        for n, m in [(2, 2), (2, 3), (3, 2)]:
-            for p in generate_cliques(magma, n):
-                for q in generate_cliques(magma, m):
-                    for i in range(1, n + 1):
-                        fund = partial_compose_lin(
-                            from_H(LinComb.of(p)), from_H(LinComb.of(q)), i
-                        )
-                        assert from_H(compose_H(p, q, i)) == fund
-                        fund_k = partial_compose_lin(
-                            from_K(LinComb.of(p)), from_K(LinComb.of(q)), i
-                        )
-                        assert from_K(compose_K(p, q, i)) == fund_k

@@ -124,6 +124,15 @@ def test_sequence_csv_and_json(capsys):
     assert payload["provenance"] == "both"
 
 
+def test_label_restricted_sequence_has_a_formula(capsys):
+    code, out, _ = run(
+        capsys, "sequence", "--variant", "lab:\U0001d7d9,0;\U0001d7d9,0,d_1;\U0001d7d9,0,d_1",
+        "--magma", "D:1", "--max-arity", "3", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["provenance"] == "both"
+
+
 def test_sequence_inapplicable_magma(capsys):
     code, _, err = run(
         capsys, "sequence", "--variant", "deg:1", "--magma", "N:2",
@@ -198,15 +207,80 @@ def test_dyck_round_trip_cli(capsys, tmp_path):
 
 
 def test_ratfct_check(capsys):
-    code, out, _ = run(capsys, "ratfct-check", "--samples", "20")
+    code, out, _ = run(capsys, "verify", "ratfct", "--samples", "20")
     assert code == 0
-    assert "kernel examples exactly zero: True" in out
+    assert out == (
+        "ratfct-laws: ok, 60 instances checked\n"
+        "ratfct-kernel: ok, 2 instances checked\n"
+    )
 
 
 def test_known_ops_check(capsys):
-    code, out, _ = run(capsys, "known-ops-check", "--max-arity", "3")
+    code, out, _ = run(capsys, "verify", "known-ops", "--max-arity", "3")
     assert code == 0
-    assert "known-ops: ok" in out
+    assert out == "known-ops: ok, 427 instances checked\n"
+
+
+@pytest.mark.parametrize("command", ["ratfct-check", "known-ops-check"])
+def test_removed_commands_exit_two(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratfct", "--samples", "20"],
+    ["known-ops", "--max-arity", "3"],
+], ids=["ratfct", "known-ops"])
+def test_magma_free_verifiers_ignore_the_magma(capsys, argv):
+    for fmt in ([], ["--json"]):
+        bare = run(capsys, "verify", *argv, *fmt)
+        with_magma = run(capsys, "verify", *argv, "--magma", "D:0", *fmt)
+        assert bare == with_magma
+        assert bare[0] == 0
+    reports = json.loads(bare[1])  # the --json run
+    assert [r["ok"] for r in reports] == [True] * len(reports)
+    assert all(r["checked"] > 0 and r["complete"] for r in reports)
+
+
+@pytest.mark.parametrize("argv, module, name, arity", [
+    (["known-ops", "--max-arity", "5"], "knownops", "verify_known_ops", 5),
+    (["ratfct", "--max-arity", "6"], "ratfct", "verify_rf_laws", 6),
+    (["product", "--magma", "prod(D:0,D:0)", "--max-arity", "4"],
+     "verify", "verify_product_iso", 4),
+], ids=["known-ops", "ratfct", "product"])
+def test_max_arity_reaches_the_verifier(capsys, monkeypatch, argv, module, name, arity):
+    from cliqueops import VerifyReport
+
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs["max_arity"] if "max_arity" in kwargs else args[-1])
+        return VerifyReport(name, True, 1)
+
+    monkeypatch.setattr(f"cliqueops.{module}.{name}", record)
+    code, _, _ = run(capsys, "verify", *argv)
+    assert (code, seen) == (0, [arity])
+
+
+def test_readme_lists_every_command():
+    import argparse
+    import re
+    from pathlib import Path
+
+    from cliqueops.cli import build_parser
+
+    cli_section = (Path(__file__).parents[1] / "README.md").read_text().split("## CLI", 1)[1]
+    block = cli_section.split("```sh", 1)[1].split("```", 1)[0]
+    listed = set(re.findall(r"^cliqueops ([a-z-]+)", block, re.MULTILINE))
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert listed == set(commands)
+    stated = re.search(r"exposes (\w+) commands", cli_section).group(1)
+    numbers = "zero one two three four five six seven eight nine ten eleven twelve"
+    assert numbers.split().index(stated) == len(commands)
 
 
 def test_deterministic_output(capsys):
@@ -249,12 +323,16 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     (None, ["--threads", "-3", "sequence", "--variant", "nes", "--magma", "D:0",
             "--max-arity", "3"]),
     (None, ["primes", "--magma", "D:0", "--max-size", "8"]),
+    ([{"clique": _CLIQUE, "coefficient": float("inf")}], None),
+    ([{"clique": _CLIQUE, "coefficient": float("-inf")}], None),
+    ([{"clique": _CLIQUE, "coefficient": True}], None),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
         "unclosed-color", "oversized-magma", "negative-variant-argument",
         "census-over-budget", "threads-not-an-integer", "threads-zero",
-        "threads-negative", "primes-over-budget"])
+        "threads-negative", "primes-over-budget", "infinite-coefficient",
+        "negative-infinite-coefficient", "bool-coefficient"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"

@@ -8,6 +8,7 @@ from cliqueops import (
     rf_compose, rf_image, rf_is_zero, star_product, verify_rf_laws,
     verify_rf_morphism,
 )
+from cliqueops import ratfct
 from cliqueops.ratfct import (
     format_rat_elem, rf_evaluate, rf_expand_cleared, rf_probably_zero,
 )
@@ -80,6 +81,16 @@ def test_kernel_examples_are_exactly_zero(z):
     assert rf_is_zero(rf_image(second, RANK))
     single = rf_image(LinComb.of(Clique.triangle(z, 1, 2, 3)), RANK)
     assert not rf_is_zero(single)
+
+
+def test_kernel_report_catches_a_nonzero_image(monkeypatch):
+    triangle, arity3 = ratfct.kernel_examples()
+    # dropping one term leaves a combination whose image is not zero
+    broken = arity3 - LinComb.of(Clique.from_arcs(Z, 3, {(2, 3): -1, (3, 4): -1}))
+    monkeypatch.setattr(ratfct, "kernel_examples", lambda: (triangle, broken))
+    report = ratfct.verify_rf_kernel()
+    assert not report.ok and report.checked == 2
+    assert "is not zero" in report.counterexample
 
 
 def test_zero_test_routes_agree(z):
