@@ -12,11 +12,11 @@ cross-checked against conversion through the fundamental basis.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
+from math import comb
 
-from .clique import Clique, CliqueError, arc_class, arcs_of, hamming
+from .clique import Clique, CliqueError, arc_class, arcs_of
 from .operad import LinComb, _accumulate, partial_compose, partial_compose_lin
 
 H_BASIS = "H"
@@ -28,7 +28,8 @@ _BOUNDARY, _DIAGONAL = 0, 1
 
 @lru_cache(maxsize=1 << 16)
 def _erasure_downset(clique, mode):
-    """All cliques obtained by erasing subsets of the selected solid arcs.
+    """All cliques obtained by erasing subsets of the selected solid arcs,
+    the subsets taken by size (the order `_erased_parities` follows).
 
     Down-sets only erase labels, never invent them, so they are finite
     even over the integer magma; results are memoized per clique.
@@ -47,6 +48,15 @@ def _erasure_downset(clique, mode):
                 labels[idx] = unit
             out.append(Clique._unsafe(clique.magma, clique.arity, tuple(labels)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _erased_parities(size):
+    """For a down-set of `size` = 2^k elements, the parity of the number of
+    arcs each element erases, in `_erasure_downset`'s order: one `bytes`
+    per size, shared by every down-set of that size."""
+    k = size.bit_length() - 1
+    return bytes(j % 2 for j in range(k + 1) for _ in range(comb(k, j)))
 
 
 def below_be(clique):
@@ -73,12 +83,18 @@ def d_edge(clique, i):
 
 def _downset_sum(f, mode, signed):
     """Replace each term by its down-set for the order `mode`, each element
-    signed by the parity of its Hamming distance when `signed`."""
-    return LinComb._unsafe((f.magma, f.arity), _accumulate(
-        (q, -coeff if signed and hamming(q, clique) % 2 else coeff)
-        for clique, coeff in f.terms.items()
-        for q in _erasure_downset(clique, mode)
-    ))
+    signed by the parity of the number of arcs it erases when `signed`."""
+
+    def pairs():
+        for clique, coeff in f.terms.items():
+            down = _erasure_downset(clique, mode)
+            if signed:
+                signs = (coeff, -coeff)
+                yield from zip(down, map(signs.__getitem__, _erased_parities(len(down))))
+            else:
+                yield from zip(down, repeat(coeff))
+
+    return LinComb._unsafe((f.magma, f.arity), _accumulate(pairs()))
 
 
 def from_H(f):
@@ -121,7 +137,7 @@ def compose_H(p, q, i):
         terms.append(partial_compose(p, d_base(q), i))
     if p_solid and q_solid:
         terms.append(partial_compose(d_edge(p, i), d_base(q), i))
-    return LinComb(p.magma, p.arity + q.arity - 1, [(t, Fraction(1)) for t in terms])
+    return LinComb(p.magma, p.arity + q.arity - 1, [(t, 1) for t in terms])
 
 
 def compose_K(p, q, i):
@@ -130,7 +146,7 @@ def compose_K(p, q, i):
     terms = [partial_compose(p, q, i)]
     if p.magma.op(p.edge_label(i), q.base_label) != p.magma.unit:
         terms.append(partial_compose(d_edge(p, i), d_base(q), i))
-    return LinComb(p.magma, p.arity + q.arity - 1, [(t, Fraction(1)) for t in terms])
+    return LinComb(p.magma, p.arity + q.arity - 1, [(t, 1) for t in terms])
 
 
 def compose_in_basis(f, g, i, basis):

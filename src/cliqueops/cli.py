@@ -231,6 +231,11 @@ def _parse_colored_word(magma, text):
 
 def _verify_reports(args):
     what = args.what
+    # below these every verifier either raises or checks nothing
+    if args.max_arity < 2:
+        raise UsageError(f"--max-arity must be at least 2, not {args.max_arity}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, not {args.samples}")
     if args.magma is None and what not in ("ratfct", "known-ops"):
         raise UsageError(f"verify {what} needs --magma")
     magma = None if args.magma is None else parse_magma_spec(args.magma)

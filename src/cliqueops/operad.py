@@ -14,6 +14,11 @@ rejected so index bugs surface early.
 `_Combination` is the exact free-module core shared by `LinComb` here
 and `RatElem` in ratfct.py: every sum, bilinear extension and basis
 conversion feeds its (element, coefficient) pairs to `_accumulate`.
+A coefficient has one normal form: an `int` when it is integral, a
+`Fraction` only when its denominator is above 1.  The bases' down-set
+sums and most products are integral, and `int` arithmetic is several
+times faster than `Fraction` arithmetic; both types agree on `==`,
+`hash` and `str`, so no output changes.
 """
 
 from __future__ import annotations
@@ -96,22 +101,33 @@ def compose_glued(p, q, i, glue):
     )
 
 
+def _exact(value):
+    """An `int` or `Fraction` in normal form: an `int` when it is integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _accumulate(pairs):
-    """Sum (key, value) pairs into one dict and drop the keys whose sum is zero."""
+    """Sum (key, value) pairs into one dict and drop the keys whose sum is
+    zero; each sum is stored in the normal form of `_exact`."""
     acc = {}
     for key, value in pairs:
         if key in acc:
             acc[key] += value
         else:
             acc[key] = value
-    return {key: value for key, value in acc.items() if value}
+    # `_exact` inlined: this pass runs once per stored term
+    return {
+        key: value.numerator if value.denominator == 1 else value
+        for key, value in acc.items() if value
+    }
 
 
 class _Combination:
     """A finite combination with exact coefficients: an element of the free
     module over the rationals on some basis.
 
-    `terms` maps basis elements to nonzero `Fraction`s.  A subclass names
+    `terms` maps basis elements to nonzero coefficients in normal form:
+    an `int` when integral, else a `Fraction`.  A subclass names
     in `_SPACE` the attributes that fix its space, which every basis
     element must share; it raises `_ERROR` on mixing spaces and gives the
     print order of its basis elements in `_order`.
@@ -131,6 +147,8 @@ class _Combination:
                 raise self._ERROR(
                     f"mixed {'/'.join(self._SPACE)} in combination: {found} vs {space}"
                 )
+            # Fraction() refuses NaN, infinities and non-numeric strings;
+            # _accumulate stores the normal form
             pairs.append((key, Fraction(coeff)))
         return _accumulate(pairs)
 
@@ -154,7 +172,7 @@ class _Combination:
         return not self.terms
 
     def coefficient(self, key):
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
     def __add__(self, other):
         if type(other) is not type(self) or other._space != self._space:
@@ -170,8 +188,8 @@ class _Combination:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        terms = {k: scalar * v for k, v in self.terms.items()} if scalar else {}
+        scalar = _exact(Fraction(scalar))
+        terms = {k: _exact(scalar * v) for k, v in self.terms.items()} if scalar else {}
         return self._unsafe(self._space, terms)
 
     def __eq__(self, other):

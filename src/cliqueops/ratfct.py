@@ -231,7 +231,7 @@ def _interval_poly(interval, arity):
     for var in range(x, y):
         exps = [0] * arity
         exps[var - 1] = 1
-        poly[tuple(exps)] = Fraction(1)
+        poly[tuple(exps)] = 1
     return poly
 
 
@@ -243,7 +243,7 @@ def _poly_mul(p, q):
 
 
 def _poly_pow(base, exponent, arity):
-    result = {(0,) * arity: Fraction(1)}
+    result = {(0,) * arity: 1}
     for _ in range(exponent):
         result = _poly_mul(result, base)
     return result

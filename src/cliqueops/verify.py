@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -665,19 +664,19 @@ def _associative_conditions(f):
             delta = magma.op(p1, q0)
             if delta != unit:
                 key = (p0, p2, q1, q2, delta)
-                acc1[key] = acc1.get(key, Fraction(0)) + weight
+                acc1[key] = acc1.get(key, 0) + weight
             else:
                 key = (p0, p2, q1, q2)
-                acc2[key] = acc2.get(key, Fraction(0)) + weight
+                acc2[key] = acc2.get(key, 0) + weight
             delta = magma.op(p2, q0)
             if delta != unit:
                 key = (p0, p1, q1, q2, delta)
-                acc3[key] = acc3.get(key, Fraction(0)) + weight
+                acc3[key] = acc3.get(key, 0) + weight
             else:
                 # second summand of the middle condition, reindexed onto the
                 # square it produces: lambda(p0,q1,p1) lambda(q0,q2,p2)
                 key = (p0, q2, p1, q1)
-                acc2[key] = acc2.get(key, Fraction(0)) - weight
+                acc2[key] = acc2.get(key, 0) - weight
     return (
         all(v == 0 for v in acc1.values())
         and all(v == 0 for v in acc2.values())

@@ -326,13 +326,21 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     ([{"clique": _CLIQUE, "coefficient": float("inf")}], None),
     ([{"clique": _CLIQUE, "coefficient": float("-inf")}], None),
     ([{"clique": _CLIQUE, "coefficient": True}], None),
+    (None, ["verify", "ratfct", "--max-arity", "0"]),
+    (None, ["verify", "axioms", "--magma", "D:0", "--max-arity", "0"]),
+    (None, ["verify", "known-ops", "--max-arity", "0"]),
+    (None, ["verify", "known-ops", "--max-arity", "-3"]),
+    (None, ["verify", "ratfct", "--samples", "-1"]),
+    (None, ["verify", "symmetries", "--magma", "D:0", "--samples", "0"]),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
         "unclosed-color", "oversized-magma", "negative-variant-argument",
         "census-over-budget", "threads-not-an-integer", "threads-zero",
         "threads-negative", "primes-over-budget", "infinite-coefficient",
-        "negative-infinite-coefficient", "bool-coefficient"])
+        "negative-infinite-coefficient", "bool-coefficient", "ratfct-arity-zero",
+        "axioms-arity-zero", "known-ops-arity-zero", "known-ops-arity-negative",
+        "ratfct-samples-negative", "symmetries-samples-zero"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"
@@ -401,6 +409,128 @@ def test_decimal_coefficients_are_exact(capsys, tmp_path):
     )
     assert code == 0
     assert [t["coefficient"] for t in json.loads(out)["terms"]] == ["1/100"]
+
+
+# decimal (0.5, 2.0), fractional ("3/4") and integer coefficients over D:1
+_COMPOSE_LHS = [
+    {"coefficient": 0.5,
+     "clique": {"magma": "D:1", "arity": 3, "labels": {"2,3": "0", "1,4": "d_1"}}},
+    {"coefficient": "3/4",
+     "clique": {"magma": "D:1", "arity": 3, "labels": {"2,3": "d_1", "2,4": "0"}}},
+    {"coefficient": 3, "clique": {"magma": "D:1", "arity": 3, "labels": {"1,3": "0"}}},
+]
+_COMPOSE_RHS = [
+    {"coefficient": 2.0,
+     "clique": {"magma": "D:1", "arity": 2, "labels": {"1,3": "0", "1,2": "d_1"}}},
+    {"coefficient": -1, "clique": {"magma": "D:1", "arity": 2, "labels": {"2,3": "0"}}},
+]
+# per option, the text stdout and the --json payload (compact here) of
+# `compose --index 2` on the combinations above, recorded when every
+# stored coefficient was a Fraction; integral ones print as "3" and "3/1"
+_COMPOSE_PINS = {
+    ('--basis', 'fundamental'): (
+        '-3/4 * <(2,4)=d_1, (2,5)=0, (3,4)=0>\n'
+        '3/2 * <(2,3)=d_1, (2,4)=0, (2,5)=0>\n'
+        '-1/2 * <(1,5)=d_1, (2,4)=0, (3,4)=0>\n'
+        '1 * <(1,5)=d_1, (2,3)=d_1, (2,4)=0>\n'
+        '-3 * <(1,4)=0, (3,4)=0>\n'
+        '6 * <(1,4)=0, (2,3)=d_1, (2,4)=0>\n'
+        ,
+        '{"basis": "fundamental", "terms": ['
+        '{"clique": {"arity": 4, "labels": {"2,4": "d_1", "2,5": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/4"}, '
+        '{"clique": {"arity": 4, "labels": {"2,3": "d_1", "2,4": "0", "2,5": "0"}, "magma": "D:1"}, "coefficient": "3/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-1/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "1/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "6/1"}'
+        ']}',
+    ),
+    ('--basis', 'H'): (
+        '-3/4 * <(2,5)=0, (3,4)=0>\n'
+        '-3/4 * <(2,4)=d_1, (2,5)=0, (3,4)=0>\n'
+        '3/2 * <(2,3)=d_1, (2,5)=0>\n'
+        '3 * <(2,3)=d_1, (2,4)=0, (2,5)=0>\n'
+        '3/2 * <(2,3)=d_1, (2,4)=d_1, (2,5)=0>\n'
+        '-1/2 * <(1,5)=d_1, (3,4)=0>\n'
+        '-1/2 * <(1,5)=d_1, (2,4)=0, (3,4)=0>\n'
+        '1 * <(1,5)=d_1, (2,3)=d_1>\n'
+        '3 * <(1,5)=d_1, (2,3)=d_1, (2,4)=0>\n'
+        '-3 * <(1,4)=0, (3,4)=0>\n'
+        '6 * <(1,4)=0, (2,3)=d_1>\n'
+        '6 * <(1,4)=0, (2,3)=d_1, (2,4)=0>\n'
+        ,
+        '{"basis": "H", "terms": ['
+        '{"clique": {"arity": 4, "labels": {"2,5": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/4"}, '
+        '{"clique": {"arity": 4, "labels": {"2,4": "d_1", "2,5": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/4"}, '
+        '{"clique": {"arity": 4, "labels": {"2,3": "d_1", "2,5": "0"}, "magma": "D:1"}, "coefficient": "3/2"}, '
+        '{"clique": {"arity": 4, "labels": {"2,3": "d_1", "2,4": "0", "2,5": "0"}, "magma": "D:1"}, "coefficient": "3/1"}, '
+        '{"clique": {"arity": 4, "labels": {"2,3": "d_1", "2,4": "d_1", "2,5": "0"}, "magma": "D:1"}, "coefficient": "3/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-1/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-1/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,3": "d_1"}, "magma": "D:1"}, "coefficient": "1/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "3/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "2,3": "d_1"}, "magma": "D:1"}, "coefficient": "6/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "6/1"}'
+        ']}',
+    ),
+    ('--basis', 'K'): (
+        '-3/4 * <(2,5)=0, (3,4)=0>\n'
+        '-3/4 * <(2,4)=d_1, (2,5)=0, (3,4)=0>\n'
+        '3/2 * <(2,3)=d_1, (2,5)=0>\n'
+        '3/2 * <(2,3)=d_1, (2,4)=0, (2,5)=0>\n'
+        '-1/2 * <(1,5)=d_1, (3,4)=0>\n'
+        '-1/2 * <(1,5)=d_1, (2,4)=0, (3,4)=0>\n'
+        '1 * <(1,5)=d_1, (2,3)=d_1>\n'
+        '1 * <(1,5)=d_1, (2,3)=d_1, (2,4)=0>\n'
+        '-3 * <(1,4)=0, (3,4)=0>\n'
+        '6 * <(1,4)=0, (2,3)=d_1>\n'
+        '6 * <(1,4)=0, (2,3)=d_1, (2,4)=0>\n'
+        ,
+        '{"basis": "K", "terms": ['
+        '{"clique": {"arity": 4, "labels": {"2,5": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/4"}, '
+        '{"clique": {"arity": 4, "labels": {"2,4": "d_1", "2,5": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/4"}, '
+        '{"clique": {"arity": 4, "labels": {"2,3": "d_1", "2,5": "0"}, "magma": "D:1"}, "coefficient": "3/2"}, '
+        '{"clique": {"arity": 4, "labels": {"2,3": "d_1", "2,4": "0", "2,5": "0"}, "magma": "D:1"}, "coefficient": "3/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-1/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-1/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,3": "d_1"}, "magma": "D:1"}, "coefficient": "1/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "1/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "2,3": "d_1"}, "magma": "D:1"}, "coefficient": "6/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "6/1"}'
+        ']}',
+    ),
+    ('--variant', 'deg:2'): (
+        '-3/4 * <(2,4)=d_1, (2,5)=0, (3,4)=0>\n'
+        '-1/2 * <(1,5)=d_1, (2,4)=0, (3,4)=0>\n'
+        '1 * <(1,5)=d_1, (2,3)=d_1, (2,4)=0>\n'
+        '-3 * <(1,4)=0, (3,4)=0>\n'
+        '6 * <(1,4)=0, (2,3)=d_1, (2,4)=0>\n'
+        ,
+        '{"basis": "fundamental", "terms": ['
+        '{"clique": {"arity": 4, "labels": {"2,4": "d_1", "2,5": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/4"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-1/2"}, '
+        '{"clique": {"arity": 4, "labels": {"1,5": "d_1", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "1/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "3,4": "0"}, "magma": "D:1"}, "coefficient": "-3/1"}, '
+        '{"clique": {"arity": 4, "labels": {"1,4": "0", "2,3": "d_1", "2,4": "0"}, "magma": "D:1"}, "coefficient": "6/1"}'
+        ']}',
+    ),
+}
+
+
+@pytest.mark.parametrize("option", list(_COMPOSE_PINS),
+                         ids=["fundamental", "H", "K", "variant-deg:2"])
+def test_compose_output_is_pinned(capsys, tmp_path, option):
+    text, payload = _COMPOSE_PINS[option]
+    lhs, rhs = tmp_path / "lhs.json", tmp_path / "rhs.json"
+    lhs.write_text(json.dumps(_COMPOSE_LHS))
+    rhs.write_text(json.dumps(_COMPOSE_RHS))
+    argv = ["compose", "--magma", "D:1", "--lhs", str(lhs), "--rhs", str(rhs),
+            "--index", "2", *option]
+    assert run(capsys, *argv) == (0, text, "")
+    expected = json.dumps(json.loads(payload), indent=2, sort_keys=True) + "\n"
+    assert run(capsys, *argv, "--json") == (0, expected, "")
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
