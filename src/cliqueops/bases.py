@@ -137,7 +137,9 @@ def compose_H(p, q, i):
         terms.append(partial_compose(p, d_base(q), i))
     if p_solid and q_solid:
         terms.append(partial_compose(d_edge(p, i), d_base(q), i))
-    return LinComb(p.magma, p.arity + q.arity - 1, [(t, 1) for t in terms])
+    # trusted: the composites share a space, but may coincide (over D:0
+    # the glued 0 * 0 is the unerased 0), so they are accumulated
+    return LinComb._unsafe((p.magma, p.arity + q.arity - 1), _accumulate(zip(terms, repeat(1))))
 
 
 def compose_K(p, q, i):
@@ -146,7 +148,7 @@ def compose_K(p, q, i):
     terms = [partial_compose(p, q, i)]
     if p.magma.op(p.edge_label(i), q.base_label) != p.magma.unit:
         terms.append(partial_compose(d_edge(p, i), d_base(q), i))
-    return LinComb(p.magma, p.arity + q.arity - 1, [(t, 1) for t in terms])
+    return LinComb._unsafe((p.magma, p.arity + q.arity - 1), _accumulate(zip(terms, repeat(1))))
 
 
 def compose_in_basis(f, g, i, basis):

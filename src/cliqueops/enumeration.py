@@ -3,9 +3,8 @@ the Dyck-path bijection for nesting-free cliques, and sequence export.
 
 Counting a label-blind variant goes over solid-arc masks (bit j is
 arcs_of(arity)[j]) and weights each accepted mask by (m-1)^#arcs.  Its
-rule is one downward-closed test per arc (deg:k, nes, cro:k, acy, whi,
-bub, grav and the conjunctions wnc, pat, for, mot, dis, luc; see
-variants.py), and the walk `variants._skeleton_blocks` extends only
+rule is one downward-closed test per arc (the rules of the kinds in
+`variants._KINDS`), and the walk `variants._skeleton_blocks` extends only
 accepted masks, block by block: a block holds masks with the same arc
 count, and the rule tests all its rows at once, one arc after another
 (small blocks one mask at a time).  The count adds block size times
@@ -107,14 +106,17 @@ def dim_all_cliques(m, n):
     return m ** math.comb(n + 1, 2)
 
 
-def dim_label_restricted(b, e, d, n):
+def dim_label_restricted(bed, n):
+    if not isinstance(bed, (tuple, list)) or len(bed) != 3:
+        raise variants.VariantError("label-restricted dimensions need (b, e, d) sizes")
     if n == 1:
         return 1
+    b, e, d = bed
     return b * e ** n * d ** ((n + 1) * (n - 2) // 2)
 
 
 def dim_white(m, n):
-    return dim_label_restricted(1, 1, m, n)
+    return dim_label_restricted((1, 1, m), n)
 
 
 def dim_bubble(m, n):
@@ -129,22 +131,19 @@ def dim_nesting_free(m, n):
     return sum((m - 1) ** k * narayana(n + 2, k) for k in range(n + 1))
 
 
+# kind -> closed dimension formula(m or (b, e, d), n); "all" is every clique
+_FORMULAS = {
+    "all": dim_all_cliques, "lab": dim_label_restricted, "whi": dim_white,
+    "bub": dim_bubble, "nes": dim_nesting_free,
+}
+
+
 def dim_formula(spec, m_or_bed, n):
     """Closed dimension for the variants that have one; others are rejected."""
-    kind = spec.partition(":")[0]
-    if kind == "all":
-        return dim_all_cliques(m_or_bed, n)
-    if kind == "lab":
-        if not isinstance(m_or_bed, (tuple, list)) or len(m_or_bed) != 3:
-            raise variants.VariantError("label-restricted dimensions need (b, e, d) sizes")
-        return dim_label_restricted(*m_or_bed, n)
-    if kind == "whi":
-        return dim_white(m_or_bed, n)
-    if kind == "bub":
-        return dim_bubble(m_or_bed, n)
-    if kind == "nes":
-        return dim_nesting_free(m_or_bed, n)
-    raise variants.VariantError(f"no closed dimension formula for {spec!r}")
+    formula = _FORMULAS.get(spec.partition(":")[0])
+    if formula is None:
+        raise variants.VariantError(f"no closed dimension formula for {spec!r}")
+    return formula(m_or_bed, n)
 
 
 # -- weighted skeleton census -------------------------------------------------
@@ -177,10 +176,8 @@ def _closed_count(var, arity):
     """The closed formula's count of the variant at this arity, or None when
     it has no formula."""
     sizes = var.magma.size if var.label_set_sizes is None else var.label_set_sizes
-    try:
-        return dim_formula(var.spec, sizes, arity)
-    except variants.VariantError:
-        return None
+    formula = _FORMULAS.get(var.spec.partition(":")[0])
+    return None if formula is None else formula(sizes, arity)
 
 
 def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):

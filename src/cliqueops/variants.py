@@ -3,9 +3,12 @@
 Each variant is a membership predicate together with its algebraic
 status: suboperads compose as in the ambient operad (closure asserted),
 quotients compose and then annihilate every non-member basis clique.
-Two of the variants (white-noncrossing and dissections) live inside the
-white suboperad rather than the whole clique operad, so their ideal
-checks quantify over white cliques only.
+`_KINDS` holds every per-kind fact of the label-blind variants, once:
+status, skeleton rule, ambient suboperad and applicability.  Two kinds
+(white-noncrossing and dissections) live inside the white suboperad
+rather than the whole clique operad, so their ideal checks quantify over
+white cliques only.  `QUOTIENT_SPECS` is read from the table; `lab:` is
+the one label-sensitive kind, built by `make_lab`.
 """
 
 from __future__ import annotations
@@ -473,36 +476,25 @@ def _solid_mask(clique):
 
 
 class VariantPredicate:
-    """A clique subfamily with its status relative to the ambient operad.
+    """A clique subfamily with its status ("suboperad", "quotient" or
+    "both") relative to the ambient operad.
 
-    Subclasses answer `_block_flags(arity, block)`: `member` and
+    Subclasses define `status`, `label_blind`, `_member(clique)`,
+    `in_ambient(clique)` and `_block_flags(arity, block)`: `member` and
     `in_ambient` of every row of a label block of that arity.
     """
 
-    __slots__ = (
-        "spec", "magma", "status", "_member", "_ambient",
-        "label_blind", "label_set_sizes",
-    )
+    __slots__ = ("spec", "magma")
+    label_set_sizes = None  # (b, e, d) for label-restricted variants
 
-    def __init__(self, spec, magma, status, member, ambient=None, label_blind=True):
+    def __init__(self, spec, magma):
         self.spec = spec
         self.magma = magma
-        self.status = status  # "suboperad" | "quotient" | "both"
-        self._member = member
-        self._ambient = ambient
-        self.label_blind = label_blind
-        self.label_set_sizes = None  # (b, e, d) for label-restricted variants
 
     def member(self, clique):
         if clique.magma != self.magma:
             raise VariantError("clique magma does not match the variant's magma")
         return self._member(clique)
-
-    def in_ambient(self, clique):
-        """Whether the clique lies in the ambient operad the variant is cut from."""
-        if self._ambient is None:
-            return True
-        return self._ambient(clique)
 
     def __repr__(self):
         return f"VariantPredicate({self.spec} over {self.magma.name}, {self.status})"
@@ -515,17 +507,22 @@ class _SkeletonVariant(VariantPredicate):
     ambient suboperad, if any.
     """
 
-    __slots__ = ("rule", "_ambient_rule")
+    __slots__ = ("status", "rule", "_ambient_rule")
+    label_blind = True
 
-    def __init__(self, spec, magma, status, rule, ambient_rule=None):
+    def __init__(self, spec, magma, status, rule, ambient_rule):
+        super().__init__(spec, magma)
+        self.status = status
         self.rule = rule
         self._ambient_rule = ambient_rule
-        super().__init__(
-            spec, magma, status,
-            member=lambda p: self.mask_member(p.arity, _solid_mask(p)),
-            ambient=(None if ambient_rule is None
-                     else (lambda p: _accepts(ambient_rule, p.arity, _solid_mask(p)))),
-        )
+
+    def _member(self, clique):
+        return self.mask_member(clique.arity, _solid_mask(clique))
+
+    def in_ambient(self, clique):
+        """Whether the clique lies in the ambient operad the variant is cut from."""
+        return (self._ambient_rule is None
+                or _accepts(self._ambient_rule, clique.arity, _solid_mask(clique)))
 
     def mask_member(self, arity, mask):
         """Membership of the cliques whose solid-arc mask is `mask`."""
@@ -568,17 +565,21 @@ class _LabelVariant(VariantPredicate):
     clique's labels from it and `_block_flags` a whole block at once.
     """
 
-    __slots__ = ("_class_sets", "_allowed_tables")
+    __slots__ = ("_class_sets", "_allowed_tables", "label_set_sizes")
+    status = "suboperad"
+    label_blind = False
 
     def __init__(self, spec, magma, base_set, edge_set, diag_set):
+        super().__init__(spec, magma)
         self._class_sets = {"base": base_set, "edge": edge_set, "diagonal": diag_set}
         self._allowed_tables = {}  # arity -> allowed[arc, label], built on first use
-        super().__init__(
-            spec, magma, "suboperad",
-            member=lambda p: all(map(list.__getitem__, self._allowed(p.arity)[1], p.labels)),
-            label_blind=False,
-        )
         self.label_set_sizes = (len(base_set), len(edge_set), len(diag_set))
+
+    def _member(self, clique):
+        return all(map(list.__getitem__, self._allowed(clique.arity)[1], clique.labels))
+
+    def in_ambient(self, clique):
+        return True
 
     def _allowed(self, arity):
         """allowed[arc, label] as a numpy table, and as nested lists for
@@ -599,22 +600,9 @@ class _LabelVariant(VariantPredicate):
                 np.ones(len(block), dtype=bool))
 
 
-NO_UNIT_DIVISOR_VARIANTS = ("deg", "nes", "acy", "pat", "for", "mot", "dis", "luc")
-
-
-def _require_no_unit_divisors(kind, magma):
-    if has_nontrivial_unit_divisors(magma):
-        raise VariantError(
-            f"variant {kind!r} needs a magma without nontrivial unit divisors; "
-            f"{magma.name} has some"
-        )
-
-
 def make_lab(magma, base_set, edge_set, diag_set, unchecked=False):
     """Label-restricted suboperad: base in B, edges in E, diagonals in D."""
-    base_set = frozenset(base_set)
-    edge_set = frozenset(edge_set)
-    diag_set = frozenset(diag_set)
+    base_set, edge_set, diag_set = sets = tuple(map(frozenset, (base_set, edge_set, diag_set)))
     if not unchecked:
         if magma.unit not in base_set:
             raise VariantError("label restriction needs the unit in the base set")
@@ -636,70 +624,75 @@ def make_lab(magma, base_set, edge_set, diag_set, unchecked=False):
                 stacklevel=2,
             )
 
-    names = ",".join(sorted(magma.elem_name(v) for v in base_set))
-    namee = ",".join(sorted(magma.elem_name(v) for v in edge_set))
-    named = ",".join(sorted(magma.elem_name(v) for v in diag_set))
-    return _LabelVariant(
-        f"lab:{names};{namee};{named}", magma, base_set, edge_set, diag_set,
-    )
+    names = (",".join(sorted(magma.elem_name(v) for v in labels)) for labels in sets)
+    return _LabelVariant("lab:" + ";".join(names), magma, *sets)
 
 
-def _int_arg(spec, arg):
-    try:
-        k = int(arg)
-    except ValueError:
-        raise VariantError(f"variant spec {spec!r} needs an integer after ':'") from None
-    if k < 0:
-        raise VariantError(f"variant spec {spec!r} bounds a count, so k must be >= 0")
-    return k
+class Kind(NamedTuple):
+    """One row of `_KINDS`.  A kind that takes a bound k has as its rule the
+    function of k that builds the Rule; an ambient of None is all cliques."""
+
+    status: str  # "suboperad" | "quotient" | "both"
+    rule: Rule | Callable
+    ambient: Rule | None = None
+    no_unit_divisors: bool = False  # needs a magma without nontrivial unit divisors
 
 
-# kind -> (status, rule, rule of the ambient suboperad or None)
-_SKELETON_KINDS = {
-    "bub": ("quotient", _bubble_rule, None),
-    "nes": ("quotient", _nesting_rule, None),
-    "acy": ("quotient", _acyclic_rule, None),
-    "whi": ("suboperad", _white_rule, None),
-    "wnc": ("both", _conjunction(_white_rule, _crossing_rule(0)), _white_rule),
-    "pat": ("quotient", _conjunction(_degree_rule(2), _acyclic_rule), None),
-    "for": ("quotient", _conjunction(_crossing_rule(0), _acyclic_rule), None),
-    "mot": ("quotient", _conjunction(_crossing_rule(0), _degree_rule(1)), None),
-    "dis": ("quotient", _conjunction(_white_rule, _crossing_rule(0), _degree_rule(1)),
-            _white_rule),
-    "luc": ("quotient", _conjunction(_bubble_rule, _degree_rule(1)), None),
-    "grav": ("suboperad", _gravity_rule, None),
+# Every label-blind kind, once; lab: is the one label-sensitive kind.
+# kind -> Kind(status, rule, ambient rule, needs no unit divisors)
+_KINDS = {
+    "cro": Kind("both", _crossing_rule),
+    "deg": Kind("quotient", _degree_rule, None, True),
+    "bub": Kind("quotient", _bubble_rule),
+    "nes": Kind("quotient", _nesting_rule, None, True),
+    "acy": Kind("quotient", _acyclic_rule, None, True),
+    "whi": Kind("suboperad", _white_rule),
+    "wnc": Kind("both", _conjunction(_white_rule, _crossing_rule(0)), _white_rule),
+    "pat": Kind("quotient", _conjunction(_degree_rule(2), _acyclic_rule), None, True),
+    "for": Kind("quotient", _conjunction(_crossing_rule(0), _acyclic_rule), None, True),
+    "mot": Kind("quotient", _conjunction(_crossing_rule(0), _degree_rule(1)), None, True),
+    "dis": Kind("quotient", _conjunction(_white_rule, _crossing_rule(0), _degree_rule(1)),
+                _white_rule, True),
+    "luc": Kind("quotient", _conjunction(_bubble_rule, _degree_rule(1)), None, True),
+    "grav": Kind("suboperad", _gravity_rule),
 }
 
 
 def variant(spec, magma, unchecked=False):
     """Build a variant from its spec string over the given magma.
 
-    Specs: cro:<k>, deg:<k> (k >= 0), bub, nes, acy, whi, lab:<B>;<E>;<D>, wnc,
-    pat, for, mot, dis, luc, grav.  `unchecked` skips the applicability
+    A spec is a kind of `_KINDS`, followed by `:k` when the kind takes a
+    bound (k >= 0, in ASCII decimal digits; the variant's spec is then
+    `kind:k`), or lab:<B>;<E>;<D>.  `unchecked` skips the applicability
     condition (used by the ideal verifier to exhibit failures).
     """
     spec = spec.strip()
-    kind, _, arg = spec.partition(":")
-    if kind in NO_UNIT_DIVISOR_VARIANTS and not unchecked:
-        _require_no_unit_divisors(kind, magma)
-
-    if kind in ("cro", "deg"):
-        k = _int_arg(spec, arg)
-        rule = _crossing_rule(k) if kind == "cro" else _degree_rule(k)
-        return _SkeletonVariant(spec, magma, "both" if kind == "cro" else "quotient", rule)
-    if kind in _SKELETON_KINDS:
-        status, rule, ambient = _SKELETON_KINDS[kind]
-        return _SkeletonVariant(spec, magma, status, rule, ambient_rule=ambient)
+    kind, colon, arg = spec.partition(":")
     if kind == "lab":
         parts = arg.split(";")
         if len(parts) != 3:
             raise VariantError("lab spec needs three ;-separated label lists")
-        sets = []
-        for part in parts:
-            names = [nm for nm in part.split(",") if nm]
-            sets.append({magma.elem(nm) for nm in names})
+        sets = [{magma.elem(nm) for nm in part.split(",") if nm} for part in parts]
         return make_lab(magma, *sets, unchecked=unchecked)
-    raise VariantError(f"unknown variant spec {spec!r}")
+    row = _KINDS.get(kind)
+    if row is None:
+        raise VariantError(f"unknown variant spec {spec!r}")
+    rule = row.rule
+    if not isinstance(rule, Rule):
+        if not (arg.isascii() and arg.isdigit()):
+            raise VariantError(
+                f"variant spec {spec!r} bounds a count, so k must be >= 0, "
+                "in decimal digits after ':'"
+            )
+        spec, rule = f"{kind}:{int(arg)}", rule(int(arg))
+    elif colon:
+        raise VariantError(f"variant {kind!r} takes no bound, so {spec!r} is not a spec")
+    if row.no_unit_divisors and not unchecked and has_nontrivial_unit_divisors(magma):
+        raise VariantError(
+            f"variant {kind!r} needs a magma without nontrivial unit divisors; "
+            f"{magma.name} has some"
+        )
+    return _SkeletonVariant(spec, magma, row.status, rule, row.ambient)
 
 
 VARIANT_SPECS = (
@@ -708,9 +701,8 @@ VARIANT_SPECS = (
 )
 
 # The variants with a quotient structure, whose non-members form an ideal.
-QUOTIENT_SPECS = (
-    "cro:0", "bub", "deg:0", "deg:1", "deg:2", "nes", "acy",
-    "wnc", "pat", "for", "mot", "dis", "luc",
+QUOTIENT_SPECS = tuple(
+    spec for spec in VARIANT_SPECS if _KINDS[spec.partition(":")[0]].status != "suboperad"
 )
 
 

@@ -332,6 +332,11 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     (None, ["verify", "known-ops", "--max-arity", "-3"]),
     (None, ["verify", "ratfct", "--samples", "-1"]),
     (None, ["verify", "symmetries", "--magma", "D:0", "--samples", "0"]),
+    *(
+        (None, ["sequence", "--variant", spec, "--magma", "D:0", "--max-arity", "3",
+                "--format", "json"])
+        for spec in ("bub:3", "nes:junk", "grav:", "cro:1_0", "deg: 2")
+    ),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
@@ -340,7 +345,9 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
         "threads-negative", "primes-over-budget", "infinite-coefficient",
         "negative-infinite-coefficient", "bool-coefficient", "ratfct-arity-zero",
         "axioms-arity-zero", "known-ops-arity-zero", "known-ops-arity-negative",
-        "ratfct-samples-negative", "symmetries-samples-zero"])
+        "ratfct-samples-negative", "symmetries-samples-zero", "bound-on-bub",
+        "junk-bound-on-nes", "empty-bound-on-grav", "underscored-bound",
+        "spaced-bound"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     if argv is None:
         lhs = tmp_path / "lhs.json"

@@ -6,8 +6,10 @@ from cliqueops import (
     generate_cliques, is_acyclic, is_bubble, is_nesting_free, is_white,
     variant, variant_compose, verify_ideal, verify_inclusions,
 )
-from cliqueops import count_by_enumeration, variants
+from cliqueops import count_by_enumeration, enumeration, parse_magma_spec, variants
+from cliqueops.operad import composable_pairs
 from cliqueops.variants import VARIANT_SPECS
+from cliqueops.verify import _compose_block, _label_blocks, _star
 
 
 def test_unit_clique_in_every_variant(d0):
@@ -218,11 +220,33 @@ def test_mixed_variants_are_conjunctions(d0):
             )
 
 
-def test_ideals_over_d0(d0):
-    for spec in ("cro:0", "bub", "deg:0", "deg:1", "deg:2", "nes", "acy",
-                 "wnc", "pat", "for", "mot", "dis", "luc"):
-        report = verify_ideal(variant(spec, d0), d0, 3)
-        assert report.ok, (spec, report.counterexample)
+@pytest.mark.parametrize("magma_spec", ["D:0", "D:1"])
+def test_status_is_what_the_verifiers_show(magma_spec):
+    # a quotient's non-members absorb composition, a suboperad's members
+    # are closed under it, and a suboperad alone fails the ideal law (so a
+    # quotient list read from the statuses cannot take it in); only what a
+    # status claims is asserted: deg:0 and dis are closed at arity 4 too
+    magma = parse_magma_spec(magma_spec)
+    blocks, star = _label_blocks(magma, 4), _star(magma)
+    for spec in (*VARIANT_SPECS, "cro:2", "deg:3"):
+        var = variant(spec, magma)
+        ideal = verify_ideal(var, magma, 4)
+        if var.status == "suboperad":
+            assert not ideal.ok, spec
+        else:
+            assert ideal.ok, (spec, ideal.counterexample)
+            # no arc of a pentagon has three crossers: cro:2 takes all of arity 4
+            assert ideal.checked > 0 or spec == "cro:2", spec
+        if var.status == "quotient":
+            continue
+        members = {}
+        for n, block in blocks.items():
+            member, in_ambient = var._block_flags(n, block)
+            members[n] = block[member & in_ambient]
+        for n, m in composable_pairs(4):
+            for i in range(1, n + 1):
+                composed = _compose_block(members[n], n, members[m], m, i, star)
+                assert var._block_flags(n + m - 1, composed)[0].all(), (spec, n, m, i)
 
 
 def test_ideal_fails_over_unit_divisors(e1):
@@ -278,7 +302,7 @@ def test_inclusion_lemma_items(d0):
 def test_verify_inclusions_catches_a_widened_rule(d0, monkeypatch):
     # mutation: mot admits degree 2, so mot no longer sits inside deg:1
     rule = variants._conjunction(variants._crossing_rule(0), variants._degree_rule(2))
-    monkeypatch.setitem(variants._SKELETON_KINDS, "mot", ("quotient", rule, None))
+    monkeypatch.setitem(variants._KINDS, "mot", variants._KINDS["mot"]._replace(rule=rule))
     report = verify_inclusions(d0, 4)
     assert not report.ok
     assert report.checked > 0
@@ -293,7 +317,7 @@ def test_census_catches_a_widened_rule(d0, monkeypatch):
         return lambda mask, comp, j: (nest[j] & mask).bit_count() <= 1
 
     monkeypatch.setitem(
-        variants._SKELETON_KINDS, "nes", ("quotient", variants.Rule(one_nesting), None),
+        variants._KINDS, "nes", variants._KINDS["nes"]._replace(rule=variants.Rule(one_nesting)),
     )
     with pytest.raises(RuntimeError, match="closed formula"):
         count_by_enumeration("nes", d0, 4)
@@ -315,6 +339,39 @@ def test_census_catches_a_widened_label_table(d1, monkeypatch):
     monkeypatch.setattr(variants._LabelVariant, "_allowed", widened)
     with pytest.raises(RuntimeError, match="closed formula"):
         count_by_enumeration(spec, d1, 3)
+
+
+def test_malformed_specs_are_refused(d0):
+    # only cro and deg take a bound, written in ASCII decimal digits; the
+    # variant keeps the canonical spec kind:k
+    for spec in ("bub:3", "nes:junk", "grav:", "cro:", "cro:1_0", "deg: 2",
+                 "deg:+2", "cro:\u0661", "lab", "xyz"):
+        with pytest.raises(VariantError):
+            variant(spec, d0)
+    assert variant("cro:01", d0).spec == "cro:1"
+    assert variant(" deg:2 ", d0).spec == "deg:2"
+
+
+def test_readme_table_matches_the_kinds():
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Variant kinds", 1)[1].split("\n## ", 1)[0]
+    rows = {
+        cells[0].partition(":")[0]: cells[1:]
+        for line in section.splitlines() if line.startswith("| `")
+        for cells in [[cell.strip(" `") for cell in line.strip("|").split("|")]]
+    }
+    assert set(rows) == {*variants._KINDS, "lab"}
+    yes_no = {True: "yes", False: "no"}
+    for kind, (status, ambient, needs, formula) in rows.items():
+        row = variants._KINDS.get(kind, variants.Kind(variants._LabelVariant.status, None))
+        assert status == row.status, kind
+        assert ambient == ("all cliques" if row.ambient is None else "whi"), kind
+        if row.ambient is not None:
+            assert row.ambient is variants._KINDS["whi"].rule, kind
+        assert needs == yes_no[row.no_unit_divisors], kind
+        assert formula == yes_no[kind in enumeration._FORMULAS], kind
 
 
 def test_negative_rule_bounds_are_refused(d0):

@@ -406,7 +406,7 @@ def test_failing_inclusion_verdict_matches_its_reference(d0, monkeypatch, chunk)
     # mutation: for admits one crossing, so for leaves cro:0; a small chunk
     # puts the first failure past several label blocks
     rule = variants._conjunction(variants._crossing_rule(1), variants._acyclic_rule)
-    monkeypatch.setitem(variants._SKELETON_KINDS, "for", ("quotient", rule, None))
+    monkeypatch.setitem(variants._KINDS, "for", variants._KINDS["for"]._replace(rule=rule))
     if chunk is not None:
         monkeypatch.setattr(variants, "VECTOR_CHUNK", chunk)
     block = verify_inclusions(d0, 4)
@@ -498,7 +498,7 @@ def test_label_block_census_matches_streaming(spec, with_unit, without_unit):
 
 SKELETON_RULE_SPECS = (
     "cro:0", "cro:1", "cro:2", "deg:0", "deg:1", "deg:2", "deg:3",
-    *variants._SKELETON_KINDS,
+    *(kind for kind, row in variants._KINDS.items() if isinstance(row.rule, variants.Rule)),
 )
 
 
