@@ -5,9 +5,14 @@ labels.  Summing a clique's down-set (unsigned for the first order,
 signed by Hamming distance for the second) gives two triangular bases;
 Moebius inversion gives the inverse conversions; all four conversions
 are one down-set sum accumulated through operad.py's combination core.
-Closed composition
-formulas in both bases are implemented from their case analyses and are
-cross-checked against conversion through the fundamental basis.
+
+Composition in either basis is a glue rule: erasing p's edge i or q's
+base changes only the glued arc of p o_i q, so each basis lists the
+labels that arc takes, from a = p_i and b = q_0.  H: a * b; b when a is
+solid; a when b is solid; the unit when both are.  K: a * b; the unit
+when a * b is not.  `operad.compose_sum` sums the composites on label
+rows; the rules are cross-checked against conversion through the
+fundamental basis (acceptance criterion 4).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import combinations, repeat
 from math import comb
 
 from .clique import Clique, CliqueError, arc_class, arcs_of
-from .operad import LinComb, _accumulate, partial_compose, partial_compose_lin
+from .operad import LinComb, _accumulate, compose_sum, partial_compose_lin
 
 H_BASIS = "H"
 K_BASIS = "K"
@@ -69,18 +74,6 @@ def below_d(clique):
     return list(_erasure_downset(clique, _DIAGONAL))
 
 
-def d_base(clique):
-    """The clique with its base label replaced by the unit."""
-    return clique.with_label(1, clique.arity + 1, clique.magma.unit)
-
-
-def d_edge(clique, i):
-    """The clique with its i-th edge label replaced by the unit."""
-    if clique.arity < 2:
-        raise CliqueError("arity-1 clique has no edges")
-    return clique.with_label(i, i + 1, clique.magma.unit)
-
-
 def _downset_sum(f, mode, signed):
     """Replace each term by its down-set for the order `mode`, each element
     signed by the parity of the number of arcs it erases when `signed`."""
@@ -117,48 +110,46 @@ def to_K(f):
     return _downset_sum(f, _DIAGONAL, signed=False)
 
 
-def _reject_unit(p, q):
-    if p.arity == 1 or q.arity == 1:
-        raise CliqueError(
-            "composition in the H/K bases is undefined on the arity-1 clique"
-        )
+def _h_glues(magma, a, b):
+    """The H glue labels for a = p_i, b = q_0: a * b, then with p's edge i,
+    q's base, or both erased where solid."""
+    unit = magma.unit
+    glues = [magma.op(a, b)]
+    if a != unit:
+        glues.append(b)
+    if b != unit:
+        glues.append(a)
+    if a != unit and b != unit:
+        glues.append(unit)
+    return glues
 
 
-def compose_H(p, q, i):
-    """Composition of two basis elements in the H basis (four-case formula)."""
-    _reject_unit(p, q)
-    unit = p.magma.unit
-    p_solid = p.edge_label(i) != unit
-    q_solid = q.base_label != unit
-    terms = [partial_compose(p, q, i)]
-    if p_solid:
-        terms.append(partial_compose(d_edge(p, i), q, i))
-    if q_solid:
-        terms.append(partial_compose(p, d_base(q), i))
-    if p_solid and q_solid:
-        terms.append(partial_compose(d_edge(p, i), d_base(q), i))
-    # trusted: the composites share a space, but may coincide (over D:0
-    # the glued 0 * 0 is the unerased 0), so they are accumulated
-    return LinComb._unsafe((p.magma, p.arity + q.arity - 1), _accumulate(zip(terms, repeat(1))))
+def _k_glues(magma, a, b):
+    """The K glue labels for a = p_i, b = q_0: a * b, then with both
+    erased unless a * b is the unit."""
+    glue = magma.op(a, b)
+    return (glue,) if glue == magma.unit else (glue, magma.unit)
 
 
-def compose_K(p, q, i):
-    """Composition of two basis elements in the K basis (two-case formula)."""
-    _reject_unit(p, q)
-    terms = [partial_compose(p, q, i)]
-    if p.magma.op(p.edge_label(i), q.base_label) != p.magma.unit:
-        terms.append(partial_compose(d_edge(p, i), d_base(q), i))
-    return LinComb._unsafe((p.magma, p.arity + q.arity - 1), _accumulate(zip(terms, repeat(1))))
+_GLUES = {H_BASIS: _h_glues, K_BASIS: _k_glues}
 
 
 def compose_in_basis(f, g, i, basis):
     """Compose two combinations read in the given basis, returning the same basis."""
     if basis == FUNDAMENTAL:
         return partial_compose_lin(f, g, i)
-    rule = compose_H if basis == H_BASIS else compose_K
-    return LinComb._unsafe((f.magma, f.arity + g.arity - 1), _accumulate(
-        (r, a * b * c)
-        for p, a in f.terms.items()
-        for q, b in g.terms.items()
-        for r, c in rule(p, q, i).terms.items()
-    ))
+    if f.arity == 1 or g.arity == 1:
+        raise CliqueError(
+            "composition in the H/K bases is undefined on the arity-1 clique"
+        )
+    return compose_sum(f, g, i, _GLUES[basis])
+
+
+def compose_H(p, q, i):
+    """Composition of two basis elements in the H basis (four-case formula)."""
+    return compose_in_basis(LinComb.of(p), LinComb.of(q), i, H_BASIS)
+
+
+def compose_K(p, q, i):
+    """Composition of two basis elements in the K basis (two-case formula)."""
+    return compose_in_basis(LinComb.of(p), LinComb.of(q), i, K_BASIS)

@@ -457,7 +457,7 @@ def sequence_for(spec, magma, max_arity, budget=DEFAULT_BUDGET):
     ]
     has_formula = all(_closed_count(var, n) is not None for n, _ in entries)
     return SequenceRecord(
-        spec, magma.spec or magma.name, entries,
+        var.spec, magma.spec or magma.name, entries,
         "both" if has_formula else "enumeration",
     )
 

@@ -12,13 +12,14 @@ combinations carry exact rational coefficients; mixed-arity sums are
 rejected so index bugs surface early.
 
 `_Combination` is the exact free-module core shared by `LinComb` here
-and `RatElem` in ratfct.py: every sum, bilinear extension and basis
-conversion feeds its (element, coefficient) pairs to `_accumulate`.
-A coefficient has one normal form: an `int` when it is integral, a
-`Fraction` only when its denominator is above 1.  The bases' down-set
-sums and most products are integral, and `int` arithmetic is several
-times faster than `Fraction` arithmetic; both types agree on `==`,
-`hash` and `str`, so no output changes.
+and `RatElem` in ratfct.py: every sum and basis conversion feeds its
+(element, coefficient) pairs to `_accumulate`.  A coefficient has one
+normal form: an `int` when it is integral, a `Fraction` only when its
+denominator is above 1; both agree on `==`, `hash` and `str`.
+The bilinear products (`partial_compose_lin`, `compose_sum` for the H
+and K bases, `star_product` on combinations) sum label rows instead:
+`int` numerators over each side's lcm denominator, keyed by the result's
+label tuple, divided once and made one trusted `Clique` per distinct row.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import gcd, lcm
 from typing import Callable, NamedTuple
 
 from .clique import Clique, CliqueError, arc_index, arcs_of, index_plan
@@ -225,7 +227,9 @@ class LinComb(_Combination):
 
     @staticmethod
     def of(clique, coeff=1):
-        return LinComb(clique.magma, clique.arity, [(clique, coeff)])
+        # an int is already in normal form; Fraction() validates the rest
+        coeff = coeff if type(coeff) is int else _exact(Fraction(coeff))
+        return LinComb._unsafe((clique.magma, clique.arity), {clique: coeff} if coeff else {})
 
     @staticmethod
     def zero(magma, arity):
@@ -237,16 +241,69 @@ class LinComb(_Combination):
         return " + ".join(f"{v}*{c!r}" for c, v in self.items())
 
 
+def _numerators(f):
+    """f's terms as (labels, numerator) rows over one common denominator,
+    the lcm of f's denominators, and that denominator."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return [(p.labels, c.numerator * (den // c.denominator)) for p, c in f.terms.items()], den
+
+
+def _by_label(rows, index):
+    """The rows grouped by their label at `index`."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(row[0][index], []).append(row)
+    return groups
+
+
+def _from_rows(magma, arity, acc, den):
+    """The combination of {labels: numerator} over the denominator `den`,
+    each coefficient divided once into the normal form of `_exact`."""
+    terms = {}
+    for row, v in acc.items():
+        if v:
+            k = gcd(v, den)
+            terms[Clique._unsafe(magma, arity, row)] = v // k if k == den else Fraction(v // k, den // k)
+    return LinComb._unsafe((magma, arity), terms)
+
+
+def _glue(magma, a, b):
+    """The glued-arc label of p o_i q, a = p_i and b = q_0: p_i * q_0."""
+    return (magma.op(a, b),)
+
+
+def compose_sum(f, g, i, glues):
+    """The sum of a*b * (p o_i q with its glued arc labeled c) over the terms
+    a*p of f, b*q of g and the labels c in glues(magma, p_i, q_0).
+
+    p's edge i and q's base appear nowhere else in the composite, so the
+    glues are found once per pair of row groups: f's by p_i, g's by q_0.
+    """
+    magma = f.magma
+    if magma != g.magma:
+        raise CliqueError("cannot compose combinations over different magmas")
+    arity, _, pick, edge, base = composition_plan(f.arity, g.arity, i)
+    unit = magma.unit
+    rows_f, den_f = _numerators(f)
+    rows_g, den_g = _numerators(g)
+    by_base = _by_label(rows_g, base)
+    acc = {}
+    get = acc.get
+    for a_edge, p_rows in _by_label(rows_f, edge).items():
+        for b_base, q_rows in by_base.items():
+            for glue in glues(magma, a_edge, b_base):
+                tail = (glue, unit)
+                q_tails = [(b + tail, y) for b, y in q_rows]
+                for a, x in p_rows:
+                    for b, y in q_tails:
+                        row = pick(a + b)
+                        acc[row] = get(row, 0) + x * y
+    return _from_rows(magma, arity, acc, den_f * den_g)
+
+
 def partial_compose_lin(f, g, i):
     """Bilinear extension of partial composition, canonicalized."""
-    if f.magma != g.magma:
-        raise CliqueError("cannot compose combinations over different magmas")
-    if not 1 <= i <= f.arity:
-        raise CliqueError(f"index {i} out of range for arity {f.arity}")
-    return LinComb._unsafe((f.magma, f.arity + g.arity - 1), _accumulate(
-        (partial_compose(p, q, i), a * b)
-        for p, a in f.terms.items() for q, b in g.terms.items()
-    ))
+    return compose_sum(f, g, i, _glue)
 
 
 def star_product(f, g):
@@ -254,19 +311,23 @@ def star_product(f, g):
     if isinstance(f, Clique) and isinstance(g, Clique):
         if f.arity != g.arity or f.magma != g.magma:
             raise CliqueError("arcwise product needs equal arities and magmas")
-        op = f.magma.op
-        labels = tuple(op(a, b) for a, b in zip(f.labels, g.labels))
-        return Clique._unsafe(f.magma, f.arity, labels)
+        return Clique._unsafe(f.magma, f.arity, tuple(map(f.magma.op, f.labels, g.labels)))
     if isinstance(f, Clique):
         f = LinComb.of(f)
     if isinstance(g, Clique):
         g = LinComb.of(g)
     if f.arity != g.arity or f.magma != g.magma:
         raise CliqueError("arcwise product needs equal arities and magmas")
-    return LinComb._unsafe((f.magma, f.arity), _accumulate(
-        (star_product(p, q), a * b)
-        for p, a in f.terms.items() for q, b in g.terms.items()
-    ))
+    op = f.magma.op
+    rows_f, den_f = _numerators(f)
+    rows_g, den_g = _numerators(g)
+    acc = {}
+    get = acc.get
+    for a, x in rows_f:
+        for b, y in rows_g:
+            row = tuple(map(op, a, b))
+            acc[row] = get(row, 0) + x * y
+    return _from_rows(f.magma, f.arity, acc, den_f * den_g)
 
 
 def zip_cliques(product_magma, p1, p2):

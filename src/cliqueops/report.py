@@ -17,6 +17,8 @@ class VerifyReport:
 
     def describe(self):
         status = "ok" if self.ok else "FAILED"
+        if self.ok and not self.checked:
+            status += " (vacuous: nothing to check)"
         if not self.complete:
             status += " (incomplete: budget exhausted)"
         tail = f": {self.counterexample}" if self.counterexample else ""

@@ -4,7 +4,8 @@ import pytest
 
 from cliqueops import (
     Clique, CliqueError, LinComb, UnitaryMagma, below_be, below_d,
-    compose_H, compose_K, from_H, from_K, generate_cliques, to_H, to_K,
+    compose_H, compose_K, compose_in_basis, from_H, from_K, generate_cliques,
+    partial_compose_lin, star_product, to_H, to_K,
 )
 
 Z = UnitaryMagma.integers()
@@ -95,6 +96,37 @@ def test_unit_arguments_rejected(d0):
             fn(unit, other, 1)
         with pytest.raises(CliqueError):
             fn(other, unit, 1)
+
+
+def test_boundary_errors_are_clique_errors(d0, d1):
+    unit = LinComb.of(Clique.unit(d0))
+    f = LinComb.of(Clique.triangle(d0, 0, 1, 0)) - LinComb.of(Clique.triangle(d0, 1, 1, 1))
+    g = 2 * LinComb.of(Clique.from_arcs(d0, 3, {(1, 4): 1, (2, 3): 1}))
+    other = LinComb.of(Clique.triangle(d1, 1, 0, 1))
+    p, q = next(iter(f.terms)), next(iter(g.terms))
+    for basis in ("fundamental", "H", "K"):
+        for i in (0, 3):  # f has arity 2
+            with pytest.raises(CliqueError):
+                compose_in_basis(f, g, i, basis)
+        with pytest.raises(CliqueError):
+            compose_in_basis(f, other, 1, basis)
+        with pytest.raises(CliqueError):
+            compose_in_basis(other, f, 2, basis)
+    for basis in ("H", "K"):
+        with pytest.raises(CliqueError):
+            compose_in_basis(unit, g, 1, basis)
+        with pytest.raises(CliqueError):
+            compose_in_basis(g, unit, 2, basis)
+    for fn in (compose_H, compose_K):
+        with pytest.raises(CliqueError):
+            fn(p, q, 3)
+        with pytest.raises(CliqueError):
+            fn(p, next(iter(other.terms)), 1)
+    with pytest.raises(CliqueError):
+        partial_compose_lin(g, f, 4)
+    for left, right in ((f, g), (f, other), (p, q), (p, next(iter(other.terms))), (f, q)):
+        with pytest.raises(CliqueError):
+            star_product(left, right)
 
 
 def test_displayed_H_K_compositions_arity_two(z):

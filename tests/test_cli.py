@@ -124,6 +124,20 @@ def test_sequence_csv_and_json(capsys):
     assert payload["provenance"] == "both"
 
 
+@pytest.mark.parametrize("typed, recorded", [
+    (" cro:01 ", "cro:1"),
+    ("lab:0,\U0001d7d9;d_1,\U0001d7d9,0;0,\U0001d7d9,d_1",
+     "lab:0,\U0001d7d9;0,d_1,\U0001d7d9;0,d_1,\U0001d7d9"),
+], ids=["padded-bound", "unsorted-lab"])
+def test_sequence_records_the_variant_it_counted(capsys, typed, recorded):
+    code, out, _ = run(
+        capsys, "sequence", "--variant", typed, "--magma", "D:1",
+        "--max-arity", "2", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["variant"] == recorded
+
+
 def test_label_restricted_sequence_has_a_formula(capsys):
     code, out, _ = run(
         capsys, "sequence", "--variant", "lab:\U0001d7d9,0;\U0001d7d9,0,d_1;\U0001d7d9,0,d_1",
@@ -159,6 +173,20 @@ def test_verify_all_small(capsys):
     for token in ("axioms", "symmetries", "cyclic", "basic", "ideal:deg:1",
                   "inclusions", "ratfct-laws", "known-ops"):
         assert token in out
+
+
+def test_vacuous_verdicts_say_so(capsys):
+    # cro:1 and cro:2 have no non-member below arities 4 and 5
+    vacuous = "ok (vacuous: nothing to check), 0 instances checked"
+    code, out, _ = run(capsys, "verify", "ideal", "--magma", "D:0", "--max-arity", "3")
+    assert code == 0
+    assert f"ideal:cro:1: {vacuous}\n" in out.splitlines(keepends=True)
+    assert "ideal:cro:0: ok, 64 instances checked\n" in out.splitlines(keepends=True)
+    argv = ["verify", "ideal", "--magma", "D:0", "--variant", "cro:2", "--max-arity", "4"]
+    assert run(capsys, *argv) == (0, f"ideal:cro:2: {vacuous}\n", "")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert json.loads(out) == [{"name": "ideal:cro:2", "ok": True, "checked": 0,
+                                "complete": True, "counterexample": None}]
 
 
 def test_primes(capsys):

@@ -18,28 +18,40 @@ mutation tests of test_ratfct.py and test_knownops.py run against both.
 Both axiom engines share the plan-level unit law; its reference composes
 each clique with the unit one `partial_compose` call at a time, and must
 also agree on the count and the text of a failure.
+The bilinear products (`partial_compose_lin`, `star_product` on
+combinations and `compose_in_basis` in all three bases) sum label rows;
+their references compose one pair of cliques at a time and accumulate
+`Clique` keys, and the single-clique H and K compositions are checked
+against their case formulas built from `d_edge` and `d_base`.
 """
 
 import random
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliqueops import (
-    Clique, RankFunction, UnitaryMagma, VerifyReport, automorphisms,
-    count_by_enumeration, generate_cliques, interval_map, parse_magma_spec,
-    partial_compose, reflect, relabel, rotate, unzip_clique, variant,
-    verify_basic_set_operad, verify_cyclic, verify_ideal, verify_inclusions,
-    verify_product_iso, verify_rf_morphism, verify_symmetries, zip_cliques,
+    Clique, LinComb, RankFunction, UnitaryMagma, VerifyReport, automorphisms,
+    compose_H, compose_K, compose_in_basis, count_by_enumeration,
+    generate_cliques, interval_map, parse_magma_spec, partial_compose,
+    partial_compose_lin, reflect, relabel, rotate, star_product, unzip_clique,
+    variant, verify_basic_set_operad, verify_cyclic, verify_ideal,
+    verify_inclusions, verify_product_iso, verify_rf_morphism,
+    verify_symmetries, zip_cliques,
 )
-from cliqueops import enumeration, knownops, ratfct, variants
+from cliqueops import bases, enumeration, knownops, operad, ratfct, variants
 from cliqueops.clique import arcs_of, crossing, diagonals_of
 from cliqueops.knownops import verify_double_multitildes, verify_known_ops
 from cliqueops.operad import composable_pairs
 from cliqueops.verify import _compose_corrupt, _unit_law
 from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS, VARIANT_SPECS
+
+from test_verify import _LEFT_ZERO, unitary_magmas
 
 
 def reference_unit_law(magma, max_arity, compose=partial_compose):
@@ -603,3 +615,148 @@ def test_census_catches_a_merge_that_never_relabels(d0, monkeypatch, scalar_rows
     assert count_by_enumeration("acy", d0, 3) == count_by_streaming("acy", d0, 3)
     monkeypatch.setattr(variants, "_merge", lambda comp, x, y: comp)
     assert count_by_enumeration("acy", d0, 3) != count_by_streaming("acy", d0, 3)
+
+
+# -- bilinear products, one pair of cliques at a time --------------------------
+
+
+def d_base(clique):
+    """The clique with its base label replaced by the unit."""
+    return clique.with_label(1, clique.arity + 1, clique.magma.unit)
+
+
+def d_edge(clique, i):
+    """The clique with its i-th edge label replaced by the unit."""
+    return clique.with_label(i, i + 1, clique.magma.unit)
+
+
+def reference_compose_H(p, q, i):
+    """The four-case H formula: p o_i q, and the composites with p's edge,
+    q's base, or both erased, each erasure present when the label is solid."""
+    unit = p.magma.unit
+    p_solid, q_solid = p.edge_label(i) != unit, q.base_label != unit
+    terms = [partial_compose(p, q, i)]
+    if p_solid:
+        terms.append(partial_compose(d_edge(p, i), q, i))
+    if q_solid:
+        terms.append(partial_compose(p, d_base(q), i))
+    if p_solid and q_solid:
+        terms.append(partial_compose(d_edge(p, i), d_base(q), i))
+    return LinComb(p.magma, p.arity + q.arity - 1, [(t, 1) for t in terms])
+
+
+def reference_compose_K(p, q, i):
+    """The two-case K formula: p o_i q, and the composite with both p's edge
+    and q's base erased unless p_i * q_0 is the unit."""
+    terms = [partial_compose(p, q, i)]
+    if p.magma.op(p.edge_label(i), q.base_label) != p.magma.unit:
+        terms.append(partial_compose(d_edge(p, i), d_base(q), i))
+    return LinComb(p.magma, p.arity + q.arity - 1, [(t, 1) for t in terms])
+
+
+def reference_bilinear(f, g, arity, product):
+    """The sum of a*b*c * r over the terms a*p of f, b*q of g and c*r of
+    the combination product(p, q), accumulated on `Clique` keys."""
+    return LinComb(f.magma, arity, [
+        (r, a * b * c)
+        for p, a in f.terms.items() for q, b in g.terms.items()
+        for r, c in product(p, q).terms.items()
+    ])
+
+
+def reference_compose_in_basis(f, g, i, basis):
+    rule = {
+        "fundamental": lambda p, q: LinComb.of(partial_compose(p, q, i)),
+        "H": lambda p, q: reference_compose_H(p, q, i),
+        "K": lambda p, q: reference_compose_K(p, q, i),
+    }[basis]
+    return reference_bilinear(f, g, f.arity + g.arity - 1, rule)
+
+
+def reference_star_product(f, g):
+    op = f.magma.op
+
+    def arcwise(p, q):
+        return LinComb.of(Clique(p.magma, p.arity, [op(x, y) for x, y in zip(p.labels, q.labels)]))
+
+    return reference_bilinear(f, g, f.arity, arcwise)
+
+
+def _same_terms(got, want):
+    # equal coefficients of the same type: both routes store the normal form
+    assert got.terms == want.terms
+    assert {c: type(v) for c, v in got.terms.items()} == {c: type(v) for c, v in want.terms.items()}
+
+
+def assert_label_rows_match_references(f, g, i, h):
+    """Every label-row product of f and g (and of f and h, of f's arity)
+    equals its clique-at-a-time reference, the single-clique H and K
+    compositions included."""
+    _same_terms(partial_compose_lin(f, g, i), reference_compose_in_basis(f, g, i, "fundamental"))
+    _same_terms(star_product(f, h), reference_star_product(f, h))
+    if f.arity == 1 or g.arity == 1:
+        return
+    for basis in ("fundamental", "H", "K"):
+        _same_terms(compose_in_basis(f, g, i, basis), reference_compose_in_basis(f, g, i, basis))
+    for p in f.terms:
+        for q in g.terms:
+            _same_terms(compose_H(p, q, i), reference_compose_H(p, q, i))
+            _same_terms(compose_K(p, q, i), reference_compose_K(p, q, i))
+
+
+_Z = UnitaryMagma.integers()
+# integral and non-integral coefficients; negatives let terms cancel
+_COEFFICIENTS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-3, 4))
+
+
+@st.composite
+def _combinations(draw, magma, arity, labels):
+    size = len(arcs_of(arity))
+    cliques = st.lists(st.sampled_from(labels), min_size=size, max_size=size).map(
+        lambda drawn: Clique(magma, arity, drawn if arity > 1 else (magma.unit,)))
+    pairs = draw(st.lists(st.tuples(cliques, st.sampled_from(_COEFFICIENTS)), max_size=5))
+    # a negated copy of the first term cancels it in the input; the small
+    # label sets make distinct pairs meet on one composite, where signed
+    # coefficients can cancel in the product
+    if pairs and draw(st.booleans()):
+        clique, coeff = pairs[0]
+        pairs.append((clique, -coeff))
+    return LinComb(magma, arity, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_label_rows_match_the_clique_route(data):
+    magma = data.draw(st.one_of(unitary_magmas(max_size=3), st.just(_Z)), label="magma")
+    labels = list(magma.elements()) if magma.is_finite else [-1, 0, 1]
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    f = data.draw(_combinations(magma, n, labels), label="f")
+    g = data.draw(_combinations(magma, m, labels), label="g")
+    h = data.draw(_combinations(magma, n, labels), label="h")
+    assert_label_rows_match_references(f, g, data.draw(st.integers(1, n), label="i"), h)
+
+
+def _flipped_glue(magma, a, b):
+    return (magma.op(b, a),)
+
+
+def _flipped(rule):
+    # the first glue of both H and K rules is a * b: swapping the operands
+    # flips it to b * a and leaves the erased glues as they are
+    return lambda magma, a, b: rule(magma, b, a)
+
+
+@pytest.mark.parametrize("basis", ["fundamental", "H", "K"])
+def test_label_rows_catch_a_flipped_glue(monkeypatch, basis):
+    # mutation: glue q_0 * p_i instead of p_i * q_0; over the noncommutative
+    # left-zero magma (x * y = x for non-units) the composites differ
+    magma = UnitaryMagma.from_table_data(_LEFT_ZERO)
+    rng = random.Random(0)
+    f = LinComb(magma, 2, [(c, rng.choice(_COEFFICIENTS)) for c in generate_cliques(magma, 2)])
+    assert_label_rows_match_references(f, f, 1, f)
+    if basis == "fundamental":
+        monkeypatch.setattr(operad, "_glue", _flipped_glue)
+    else:
+        monkeypatch.setitem(bases._GLUES, basis, _flipped(bases._GLUES[basis]))
+    with pytest.raises(AssertionError):
+        assert_label_rows_match_references(f, f, 1, f)
