@@ -642,37 +642,3 @@ def verify_double_multitildes(arity_pairs):
         "double multi-tilde", arity_pairs, _clique_double_multitildes, phi_dmt,
         (_D0_SQUARED, lambda s: (s.mask1, s.mask2), (_FIRST, _SECOND), None),
     )
-
-
-# -- JSON ------------------------------------------------------------------
-
-
-def _json_fields(data, kind, fields):
-    if not isinstance(data, dict):
-        raise KnownOperadError(f"{kind} JSON must be an object, got {type(data).__name__}")
-    missing = [field for field in fields if field not in data]
-    if missing:
-        raise KnownOperadError(f"bad {kind} JSON: missing {', '.join(missing)}")
-    return [data[field] for field in fields]
-
-
-def multitilde_to_json(tilde):
-    return {"arity": tilde.arity, "pairs": sorted([x, y] for x, y in tilde.pairs)}
-
-
-def multitilde_from_json(data):
-    return MultiTilde(*_json_fields(data, "multi-tilde", ("arity", "pairs")))
-
-
-def double_multitilde_to_json(dmt):
-    return {
-        "arity": dmt.arity,
-        "pairs1": sorted([x, y] for x, y in dmt.pairs1),
-        "pairs2": sorted([x, y] for x, y in dmt.pairs2),
-    }
-
-
-def double_multitilde_from_json(data):
-    return DoubleMultiTilde(
-        *_json_fields(data, "double multi-tilde", ("arity", "pairs1", "pairs2"))
-    )

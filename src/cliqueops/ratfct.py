@@ -2,11 +2,15 @@
 
 Elements are rational combinations of products of interval sums
 (u_x + ... + u_{y-1}) raised to integer exponents; `RatElem` shares the
-exact combination core of operad.py with `LinComb`.  The fragment is
-closed under the substitution-based partial composition, carries the
-clique morphism built from a rank function, and admits an exact zero
-test by clearing denominators and expanding numerators as multivariate
-polynomials.
+exact combination core of operad.py with `LinComb`.  A product is its
+exponent row: the exponent of [x, y) for each arc (x, y) of `arcs_of`.
+Under the identity rank that row is a clique's label row, so
+`interval_map` is one `rank.of_labels` call; products multiply arcwise,
+and the substitution-based partial composition is one pick through
+`_row_plan`, the `_reindex` table compiled per shape.  The fragment
+carries the clique morphism built from a rank function, and admits an
+exact zero test by clearing denominators and expanding numerators as
+multivariate polynomials.
 """
 
 from __future__ import annotations
@@ -14,80 +18,98 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, product as iproduct
+from itertools import accumulate, compress, product as iproduct
+from operator import add, neg
 
-from .clique import Clique, arc_index, arcs_of, relabel
-from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
+from .clique import Clique, arcs_of, index_plan, relabel
+from .magma import (
+    MAX_TABLE_ENTRIES, MagmaError, MagmaMorphism, RankFunction, UnitaryMagma,
+)
 from .operad import (
-    LinComb, _accumulate, _Combination, star_product,
+    CompositionPlan, LinComb, _accumulate, _Combination, star_product,
 )
 from .report import VerifyReport
 
 
 class RatFctError(ValueError):
-    """Index out of range or objects from incompatible arities."""
+    """Index out of range, objects from incompatible arities, or a malformed product."""
 
 
 class IntervalProduct:
-    """A product of interval sums with nonzero integer exponents.
+    """A product of interval sums with integer exponents, stored as its
+    exponent row in `arcs_of(arity)` order (0 for an absent interval).
 
-    Two products are equal as rational functions iff their exponent maps
-    are equal, because distinct interval sums are pairwise
-    non-proportional irreducible linear forms.
+    Two products are equal as rational functions iff their rows are
+    equal, because distinct interval sums are pairwise non-proportional
+    irreducible linear forms.  `powers`, the sorted ((x, y), exponent)
+    pairs with a nonzero exponent, is a cached view of the row that
+    printing and the term order of `RatElem` read.  The constructor adds
+    the exponents of a repeated interval, takes `int`s only, and refuses
+    a row over `MAX_TABLE_ENTRIES` entries before allocating it.
     """
 
-    __slots__ = ("arity", "powers", "_hash")
+    __slots__ = ("arity", "row", "_powers", "_hash")
 
     def __init__(self, arity, powers):
-        cleaned = []
-        for (x, y), exponent in (powers.items() if isinstance(powers, dict) else powers):
-            if exponent == 0:
-                continue
-            if not 1 <= x < y <= arity + 1:
+        # `type(value) is int` refuses bools, floats and strings alike
+        if type(arity) is not int or arity < 1:
+            raise RatFctError(f"arity must be a positive int, not {arity!r}")
+        width = arity * (arity + 1) // 2
+        if width > MAX_TABLE_ENTRIES:
+            raise RatFctError(
+                f"arity {arity} needs a {width}-entry exponent row; "
+                f"at most {MAX_TABLE_ENTRIES} entries are supported"
+            )
+        row = [0] * width
+        for item in (powers.items() if isinstance(powers, dict) else powers):
+            try:
+                (x, y), exponent = item
+            except (TypeError, ValueError):
+                raise RatFctError(f"{item!r} is not an ((x, y), exponent) pair") from None
+            if type(exponent) is not int:
+                raise RatFctError(f"exponent {exponent!r} of {(x, y)} is not an int")
+            if not (type(x) is type(y) is int and 1 <= x < y <= arity + 1):
                 raise RatFctError(f"[{x},{y}) is not an interval at arity {arity}")
-            cleaned.append(((x, y), int(exponent)))
-        cleaned.sort()
+            # arcs_of order: each x' < x comes first, with arity + 1 - x' arcs
+            row[(x - 1) * (2 * arity + 2 - x) // 2 + y - x - 1] += exponent
         self.arity = arity
-        self.powers = tuple(cleaned)
-        self._hash = None
+        self.row = tuple(row)
+        self._powers = self._hash = None
 
     @staticmethod
     def one(arity):
         return IntervalProduct(arity, ())
 
     @classmethod
-    def _unsafe(cls, arity, sorted_powers):
-        # trusted fast path: powers already sorted, zero-free, in range
+    def _unsafe(cls, arity, row):
+        # trusted fast path: `row` is a tuple of ints in arcs_of(arity) order
         self = object.__new__(cls)
         self.arity = arity
-        self.powers = sorted_powers
-        self._hash = None
+        self.row = row
+        self._powers = self._hash = None
         return self
 
-    def exponent(self, interval):
-        for iv, e in self.powers:
-            if iv == interval:
-                return e
-        return 0
+    @property
+    def powers(self):
+        if self._powers is None:
+            self._powers = tuple(compress(zip(arcs_of(self.arity), self.row), self.row))
+        return self._powers
 
     def multiply(self, other):
         if self.arity != other.arity:
             raise RatFctError("cannot multiply products of different arities")
-        return IntervalProduct(self.arity, _accumulate(chain(self.powers, other.powers)))
+        return IntervalProduct._unsafe(self.arity, tuple(map(add, self.row, other.row)))
 
     def inverse(self):
-        return IntervalProduct(self.arity, {iv: -e for iv, e in self.powers})
+        return IntervalProduct._unsafe(self.arity, tuple(map(neg, self.row)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntervalProduct)
-            and self.arity == other.arity
-            and self.powers == other.powers
-        )
+        # rows of different arities differ in length, so the row decides
+        return isinstance(other, IntervalProduct) and self.row == other.row
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.arity, self.powers))
+            self._hash = hash(self.row)
         return self._hash
 
     def __repr__(self):
@@ -145,20 +167,33 @@ def _reindex(n, m, i):
     return outer, inner
 
 
+@lru_cache(maxsize=None)
+def _row_plan(n, m, i):
+    """`_reindex(n, m, i)` compiled into the plan of a composite's exponent
+    row over `a + b + (glue, 0)`, with a and b the two rows.  Both
+    reindexings are injective, so only the one outer and the one inner
+    interval sent to the same place meet; `edge` and `base` are their
+    indices in a and b, and the glue is a[edge] + b[base]."""
+    outer, inner = _reindex(n, m, i)
+    P, Q = len(outer), len(inner)
+    source = {outer[arc]: k for k, arc in enumerate(arcs_of(n))}
+    for k, arc in enumerate(arcs_of(m)):
+        target = inner[arc]
+        if target in source:
+            edge, base = source[target], k
+            source[target] = P + Q
+        else:
+            source[target] = P + k
+    return CompositionPlan(*index_plan(
+        n + m - 1, [source.get(arc, P + Q + 1) for arc in arcs_of(n + m - 1)],
+    ), edge, base)
+
+
 def _compose_product(prod, other, i):
-    """Substitute `other` (arity m) into slot i of `prod`, reindexing intervals."""
-    outer, inner = _reindex(prod.arity, other.arity, i)
-    # both reindexings are injective, so only an outer and an inner
-    # interval can meet (on the glued interval)
-    powers = {outer[iv]: e for iv, e in prod.powers}
-    for iv, e in other.powers:
-        key = inner[iv]
-        powers[key] = powers.get(key, 0) + e
-    if 0 in powers.values():
-        powers = {iv: e for iv, e in powers.items() if e}
-    return IntervalProduct._unsafe(
-        prod.arity + other.arity - 1, tuple(sorted(powers.items())),
-    )
+    """Substitute `other` (arity m) into slot i of `prod`: one pick."""
+    arity, _, pick, edge, base = _row_plan(prod.arity, other.arity, i)
+    a, b = prod.row, other.row
+    return IntervalProduct._unsafe(arity, pick(a + b + (a[edge] + b[base], 0)))
 
 
 def rf_compose(f, g, i):
@@ -172,13 +207,11 @@ def rf_compose(f, g, i):
 
 
 def interval_map(clique, rank):
-    """The map taking a clique to its single interval product under a rank function."""
+    """The map taking a clique to its single interval product under a rank
+    function: the row of exponents is the clique's row of ranks."""
     if rank.magma != clique.magma:
         raise MagmaError("rank function does not belong to the clique's magma")
-    exponents = rank.of_labels(clique.labels)
-    return IntervalProduct._unsafe(
-        clique.arity, tuple(compress(zip(arcs_of(clique.arity), exponents), exponents)),
-    )
+    return IntervalProduct._unsafe(clique.arity, rank.of_labels(clique.labels))
 
 
 def rf_image(f, rank):
@@ -251,31 +284,32 @@ def _poly_pow(base, exponent, arity):
 
 def rf_expand_cleared(f):
     """Clear denominators with the least common interval multiple, expand, and sum."""
-    need = {}
-    for prod in f.terms:
-        for iv, e in prod.powers:
-            if e < 0:
-                need[iv] = max(need.get(iv, 0), -e)
     arity = f.arity
+    need = (0,) * len(arcs_of(arity))
+    for prod in f.terms:
+        need = tuple(map(max, need, map(neg, prod.row)))
     pairs = []
     for prod, coeff in f.terms.items():
         poly = {(0,) * arity: coeff}
-        for iv, e in sorted(_accumulate(chain(need.items(), prod.powers)).items()):
+        for iv, e in zip(arcs_of(arity), map(add, need, prod.row)):
             if e < 0:
                 raise AssertionError("denominator clearing left a negative power")
-            poly = _poly_mul(poly, _poly_pow(_interval_poly(iv, arity), e, arity))
+            if e:
+                poly = _poly_mul(poly, _poly_pow(_interval_poly(iv, arity), e, arity))
         pairs.extend(poly.items())
     return _accumulate(pairs)
 
 
 def rf_evaluate(f, point):
     """Evaluate at a rational point; raises ZeroDivisionError on a pole."""
+    arcs = arcs_of(f.arity)
+    # the interval sum over [x, y) is prefix[y - 1] - prefix[x - 1]
+    prefix = list(accumulate(point, initial=Fraction(0)))
     total = Fraction(0)
     for prod, coeff in f.terms.items():
         value = coeff
-        for (x, y), e in prod.powers:
-            span = sum(point[x - 1:y - 1], Fraction(0))
-            value *= span ** e
+        for (x, y), e in compress(zip(arcs, prod.row), prod.row):
+            value *= (prefix[y - 1] - prefix[x - 1]) ** e
         total += value
     return total
 
@@ -328,10 +362,9 @@ class _ZSum:
 
 def _rf_vector(pools, arity_pairs):
     """Label blocks: under the identity rank an interval product's exponent
-    map is the clique's label vector over `arcs_of`.  The clique side
-    composes through `composition_plan` with glue p_i + q_0; the
-    rational-function side scatter-adds p's labels through `_reindex`'s
-    outer map and q's through its inner map."""
+    row is the clique's label row.  The clique side composes through
+    `composition_plan` with glue p_i + q_0; the rational-function side
+    selects the columns of `_row_plan`, compiled from `_reindex`."""
     # imported on first use, so that numpy loads last in the package
     # import: that keeps the peak memory of `import cliqueops` about 2 MB lower
     import numpy as np
@@ -349,14 +382,15 @@ def _rf_vector(pools, arity_pairs):
 
     def interval_side(n, m, i, rows):
         X, Y = blocks[n][rows], blocks[m]
-        outer, inner = _reindex(n, m, i)
-        column = arc_index(n + m - 1)
-        out = np.zeros((X.shape[0], Y.shape[0], len(column)), dtype=dtype)
-        for k, arc in enumerate(arcs_of(n)):
-            out[:, :, column[outer[arc]]] += X[:, k, None]
-        for k, arc in enumerate(arcs_of(m)):
-            out[:, :, column[inner[arc]]] += Y[None, :, k]
-        return out.reshape(-1, len(column))
+        _, source, _, edge, base = _row_plan(n, m, i)
+        source = np.array(source)
+        P, Q = X.shape[1], Y.shape[1]
+        out = np.zeros((X.shape[0], Y.shape[0], len(source)), dtype=dtype)
+        x, y = source < P, (P <= source) & (source < P + Q)
+        out[:, :, x] = X[:, None, source[x]]
+        out[:, :, y] = Y[None, :, source[y] - P]
+        out[:, :, source == P + Q] = (X[:, edge, None] + Y[None, :, base])[:, :, None]
+        return out.reshape(-1, len(source))
 
     return morphism_slabs(arity_pairs, pools, clique_side, interval_side)
 

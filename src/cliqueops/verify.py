@@ -392,7 +392,7 @@ def verify_operad_axioms(magma, max_arity, budget=None, engine="vector", corrupt
     if engine not in ("scalar", "vector"):
         raise ValueError(f"engine must be 'scalar' or 'vector', not {engine!r}")
     if not magma.is_finite:
-        raise ValueError("axiom verification enumerates a finite carrier")
+        raise MagmaError("axiom verification enumerates a finite carrier")
     if max_arity < 2:
         raise ValueError("max_arity must be at least 2")
     failure, unit_checked = _unit_law(magma, max_arity, budget, corrupt)
@@ -690,7 +690,7 @@ def is_associative_element(f):
     if f.arity != 2:
         raise ValueError("associativity is a property of arity-2 elements")
     if not f.magma.is_finite:
-        raise ValueError("the coefficient conditions need a finite magma")
+        raise MagmaError("the coefficient conditions need a finite magma")
     direct = _associative_direct(f)
     conditions = _associative_conditions(f)
     if direct != conditions:

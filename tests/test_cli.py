@@ -360,6 +360,8 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     (None, ["verify", "known-ops", "--max-arity", "-3"]),
     (None, ["verify", "ratfct", "--samples", "-1"]),
     (None, ["verify", "symmetries", "--magma", "D:0", "--samples", "0"]),
+    (None, ["verify", "axioms", "--magma", "Z"]),
+    (None, ["verify", "all", "--magma", "Z", "--max-arity", "3"]),
     *(
         (None, ["sequence", "--variant", spec, "--magma", "D:0", "--max-arity", "3",
                 "--format", "json"])
@@ -373,7 +375,8 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
         "threads-negative", "primes-over-budget", "infinite-coefficient",
         "negative-infinite-coefficient", "bool-coefficient", "ratfct-arity-zero",
         "axioms-arity-zero", "known-ops-arity-zero", "known-ops-arity-negative",
-        "ratfct-samples-negative", "symmetries-samples-zero", "bound-on-bub",
+        "ratfct-samples-negative", "symmetries-samples-zero", "axioms-over-Z",
+        "all-over-Z", "bound-on-bub",
         "junk-bound-on-nes", "empty-bound-on-grav", "underscored-bound",
         "spaced-bound"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):

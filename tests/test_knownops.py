@@ -11,9 +11,8 @@ from cliqueops import (
 )
 from cliqueops.clique import arc_index, arcs_of
 from cliqueops.knownops import (
-    all_double_multitildes, all_multitildes, double_multitilde_from_json,
-    gravity_diagrams, multitilde_from_json, multitilde_to_json,
-    phi_dmt_inverse, phi_mt_inverse,
+    all_double_multitildes, all_multitildes, gravity_diagrams, phi_dmt_inverse,
+    phi_mt_inverse,
 )
 from cliqueops.magma import pair_value
 from cliqueops.operad import composable_pairs
@@ -220,13 +219,6 @@ def test_lie_maximal():
     assert grav_check(grav_compose(a, b, 1))
 
 
-def test_multitilde_json_round_trip():
-    s = MultiTilde(4, {(1, 4), (2, 2)})
-    assert multitilde_from_json(multitilde_to_json(s)) == s
-    data = multitilde_to_json(s)
-    assert data == {"arity": 4, "pairs": [[1, 4], [2, 2]]}
-
-
 def _reflected_phi_mt(tilde):
     from cliqueops import reflect
 
@@ -343,18 +335,16 @@ def test_known_ops_totals(monkeypatch, max_arity, total, gravity):
     lambda: ChordDiagram(4, [(1.5, 3)]),
     lambda: ChordDiagram(4, [(1, "3")]),
     lambda: ChordDiagram(4, [(1, 3, 5)]),
-    lambda: multitilde_from_json({"arity": 2.5, "pairs": []}),
-    lambda: multitilde_from_json({"arity": True, "pairs": []}),
-    lambda: multitilde_from_json({"arity": "3", "pairs": []}),
-    lambda: multitilde_from_json({"arity": 3, "pairs": [[1.5, 2]]}),
-    lambda: multitilde_from_json({"arity": 3, "pairs": [[1, 2, 3]]}),
-    lambda: multitilde_from_json({"arity": 3, "pairs": "ab"}),
-    lambda: multitilde_from_json({"arity": 3}),
-    lambda: multitilde_from_json([3, []]),
-    lambda: double_multitilde_from_json({"arity": 2.0, "pairs1": [], "pairs2": []}),
-    lambda: double_multitilde_from_json({"arity": 3, "pairs1": [[1, 2]], "pairs2": [[1]]}),
-    lambda: double_multitilde_from_json({"arity": 3, "pairs1": [[1, True]], "pairs2": []}),
-    lambda: double_multitilde_from_json({"arity": 3, "pairs1": []}),
+    # the shapes a JSON decoder yields (lists for pairs), given to the constructors
+    lambda: MultiTilde(2.5, []),
+    lambda: MultiTilde(True, []),
+    lambda: MultiTilde("3", []),
+    lambda: MultiTilde(3, [[1.5, 2]]),
+    lambda: MultiTilde(3, [[1, 2, 3]]),
+    lambda: MultiTilde(3, "ab"),
+    lambda: DoubleMultiTilde(2.0, [], []),
+    lambda: DoubleMultiTilde(3, [[1, 2]], [[1]]),
+    lambda: DoubleMultiTilde(3, [[1, True]], []),
 ], ids=[
     "mt-float-arity", "mt-bool-arity", "mt-string-arity", "mt-float-coordinate",
     "mt-bool-coordinate", "mt-string-coordinate", "mt-triple", "mt-single",
@@ -362,9 +352,8 @@ def test_known_ops_totals(monkeypatch, max_arity, total, gravity):
     "dmt-float-coordinate", "dmt-triple", "chord-float-arity", "chord-bool-arity",
     "chord-float-coordinate", "chord-string-coordinate", "chord-triple",
     "json-float-arity", "json-bool-arity", "json-string-arity",
-    "json-float-coordinate", "json-triple", "json-pairs-string", "json-no-pairs",
-    "json-not-an-object", "dmt-json-float-arity", "dmt-json-single",
-    "dmt-json-bool-coordinate", "dmt-json-no-pairs2",
+    "json-float-coordinate", "json-triple", "json-pairs-string",
+    "dmt-json-float-arity", "dmt-json-single", "dmt-json-bool-coordinate",
 ])
 def test_known_operad_input_boundary_is_strict(build):
     with pytest.raises(KnownOperadError):
@@ -423,6 +412,7 @@ def test_one_substitution_rule_feeds_both_morphism_verifiers(monkeypatch):
     def clear():
         real.cache_clear()
         knownops._compose_tables.cache_clear()
+        ratfct._row_plan.cache_clear()
 
     assert verify_known_ops(3).ok and ratfct.verify_rf_morphism((0, 1), 2).ok
     clear()

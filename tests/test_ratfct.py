@@ -25,6 +25,77 @@ def test_interval_product_canonical():
     with pytest.raises(RatFctError):
         IntervalProduct(3, {(1, 5): 1})
     assert a.multiply(a.inverse()) == IntervalProduct.one(3)
+    # the exponents of a repeated interval add
+    assert IntervalProduct(3, [((2, 4), -1), ((1, 2), 1), ((2, 4), -1)]) == a
+
+
+@pytest.mark.parametrize("arity, powers", [
+    (2, {(1, 2): 1.5}),
+    (2, {(1, 2): True}),
+    (2, {(1, 2): Fraction(2)}),
+    (0, {}),
+    (-1, {}),
+    (True, {}),
+    (2.0, {}),
+    ("2", {}),
+    (2, {(1, 2, 3): 1}),
+    (2, {5: 1}),
+    (2, [((1, 2), 1, 5)]),
+    (2, [(1, 2)]),
+    (2, {(True, 2): 1}),
+    (2, {(1.0, 2): 1}),
+    (1448, {}),
+], ids=[
+    "fractional-exponent", "bool-exponent", "fraction-exponent", "arity-zero",
+    "arity-negative", "bool-arity", "float-arity", "string-arity", "triple-key",
+    "int-key", "triple-item", "bare-interval", "bool-coordinate",
+    "float-coordinate", "row-over-bound",
+])
+def test_interval_product_input_boundary_is_strict(arity, powers):
+    with pytest.raises(RatFctError):
+        IntervalProduct(arity, powers)
+
+
+def test_oversized_products_are_refused_before_allocating():
+    import tracemalloc
+
+    from cliqueops.magma import MAX_TABLE_ENTRIES
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(RatFctError, match="entry exponent row"):
+            IntervalProduct(10 ** 9, {(1, 2): 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the largest arity whose row fits the bound is accepted
+    assert 1447 * 1448 // 2 <= MAX_TABLE_ENTRIES < 1448 * 1449 // 2
+    big = IntervalProduct(1447, {(1, 1448): 2, (1447, 1448): -1})
+    assert big.powers == (((1, 1448), 2), ((1447, 1448), -1))
+
+
+def test_row_plan_matches_the_dict_rule():
+    # every (n, m, i) with n, m <= 5, arity 1 included; exponents -2..2, so
+    # the two glued exponents cancel in about a fifth of the draws
+    import random
+
+    from cliqueops import arcs_of
+    from test_verifier_references import reference_compose_product
+
+    rng = random.Random(21)
+    for n in range(1, 6):
+        for m in range(1, 6):
+            for i in range(1, n + 1):
+                for _ in range(6):
+                    drawn = [{iv: rng.randint(-2, 2) for iv in arcs_of(k)} for k in (n, m)]
+                    p, q = (IntervalProduct(k, d) for k, d in zip((n, m), drawn))
+                    assert p.powers == tuple(sorted(kv for kv in drawn[0].items() if kv[1]))
+                    want = reference_compose_product(p, q, i)
+                    got = ratfct._compose_product(p, q, i)
+                    assert got.powers == want, (n, m, i)
+                    assert got.row == IntervalProduct(n + m - 1, want).row
+                    assert repr(got) == f"IntervalProduct({n + m - 1}, {want})"
 
 
 def test_unit_composition():
@@ -170,18 +241,18 @@ def test_verify_rf_laws():
 
 
 def test_rf_morphism_verifier_catches_an_off_by_one_reindex(monkeypatch):
-    from cliqueops import ratfct
+    import test_verifier_references
     from test_verifier_references import reference_rf_morphism
 
-    real = ratfct._compose_product
+    real = test_verifier_references.reference_compose_product
 
     def off_by_one(prod, other, i):
         # substitutes into the slot after the requested one, when there is one
         return real(prod, other, min(i + 1, prod.arity))
 
-    # only the reference loop of the morphism law calls _compose_product
+    # the reference loop of the morphism law substitutes by this dict rule
     assert reference_rf_morphism((0, 1), 2).ok
-    monkeypatch.setattr(ratfct, "_compose_product", off_by_one)
+    monkeypatch.setattr(test_verifier_references, "reference_compose_product", off_by_one)
     report = reference_rf_morphism((0, 1), 2)
     assert not report.ok
     assert report.counterexample.startswith("image of")
@@ -202,13 +273,18 @@ def test_rf_morphism_engines_catch_an_off_by_one_reindex_table(monkeypatch, engi
         # the reindex table of the slot after the requested one, when there is one
         return real(n, m, min(i + 1, n))
 
+    def clear():
+        # a compiled row plan would hide the mutated table
+        real.cache_clear()
+        ratfct._row_plan.cache_clear()
+
     assert run((0, 1), 2).ok
-    real.cache_clear()
+    clear()
     monkeypatch.setattr(ratfct, "_reindex", off_by_one)
     try:
         report = run((0, 1), 2)
     finally:
-        real.cache_clear()
+        clear()
     assert not report.ok
     assert report.counterexample.startswith("image of")
     assert report.checked > 0

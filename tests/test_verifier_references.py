@@ -15,6 +15,8 @@ are its reference.
 The operad-morphism laws of ratfct.py and knownops.py run on the slab
 engine only; the one-instance loops below are their reference, and the
 mutation tests of test_ratfct.py and test_knownops.py run against both.
+The rational-function loop substitutes interval products by the dict
+rule of `reference_compose_product`, which `ratfct._row_plan` compiles.
 Both axiom engines share the plan-level unit law; its reference composes
 each clique with the unit one `partial_compose` call at a time, and must
 also agree on the count and the text of a failure.
@@ -294,6 +296,18 @@ def reference_double_multitildes(arity_pairs):
     )
 
 
+def reference_compose_product(prod, other, i):
+    """The substituted product as sorted ((x, y), exponent) pairs, the
+    powers of `ratfct._compose_product`: each interval goes through the
+    dicts of `ratfct._reindex`, the exponents that meet add, zeros drop."""
+    outer, inner = ratfct._reindex(prod.arity, other.arity, i)
+    powers = {outer[iv]: e for iv, e in prod.powers}
+    for iv, e in other.powers:
+        key = inner[iv]
+        powers[key] = powers.get(key, 0) + e
+    return tuple(sorted((iv, e) for iv, e in powers.items() if e))
+
+
 def reference_rf_morphism(labels, max_arity):
     """interval_map of each clique composite against the substituted
     interval products of the images, one instance at a time."""
@@ -309,8 +323,8 @@ def reference_rf_morphism(labels, max_arity):
                 for q, fq in zip(pools[m], images[m]):
                     for i in range(1, n + 1):
                         checked += 1
-                        if interval_map(partial_compose(p, q, i), rank) != \
-                                ratfct._compose_product(fp, fq, i):
+                        if interval_map(partial_compose(p, q, i), rank).powers != \
+                                reference_compose_product(fp, fq, i):
                             return VerifyReport(
                                 "ratfct-morphism", False, checked,
                                 f"image of {p!r} o_{i} {q!r} is not the "
