@@ -1,5 +1,11 @@
 """Operads of magma-decorated cliques: construction, bases, subfamilies,
-census tools, and embeddings of known operads."""
+census tools, and embeddings of known operads.
+
+numpy loads with the block engines: each function that works on label,
+mask or pattern blocks imports it itself, and only the threaded prime
+census imports the process pool.  So importing the package, and the
+element-level algebra, load neither.
+"""
 
 from .magma import (
     MagmaElem, MagmaError, MagmaMorphism, RankFunction, UnitaryMagma,
@@ -20,9 +26,6 @@ from .bases import (
     below_be, below_d, compose_H, compose_K, compose_in_basis,
     from_H, from_K, to_H, to_K,
 )
-# variants imports verify, which loads numpy: every module still to be
-# compiled after that raises the import's peak memory when no bytecode
-# cache is written, so the modules that do not need verify come first
 from .ratfct import (
     IntervalProduct, RatElem, RatFctError, compose_product, interval_map,
     rf_compose, rf_image, rf_is_zero, verify_rf_laws, verify_rf_morphism,

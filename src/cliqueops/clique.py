@@ -21,11 +21,27 @@ from itertools import compress, repeat
 from operator import itemgetter, ne
 from typing import Callable, NamedTuple
 
-from .magma import UnitaryMagma, parse_magma_spec
+from .magma import MAX_TABLE_ENTRIES, UnitaryMagma, parse_magma_spec
 
 
 class CliqueError(ValueError):
     """Ill-formed clique data or an inapplicable clique operation."""
+
+
+def row_width(arity, error=CliqueError, row="label"):
+    """The number of arcs at the arity, counted without building them.
+
+    Raises `error` when a row with one entry per arc would hold more than
+    MAX_TABLE_ENTRIES entries (an arity above 1447), so that a public
+    constructor refuses such an arity before building `arcs_of`.
+    """
+    width = arity * (arity + 1) // 2
+    if width > MAX_TABLE_ENTRIES:
+        raise error(
+            f"arity {arity} needs a {width}-entry {row} row; "
+            f"at most {MAX_TABLE_ENTRIES} entries are supported"
+        )
+    return width
 
 
 @lru_cache(maxsize=None)
@@ -82,10 +98,9 @@ class Clique:
         labels = tuple(labels)
         if arity < 1:
             raise CliqueError("arity must be positive")
-        if len(labels) != len(arcs_of(arity)):
-            raise CliqueError(
-                f"arity {arity} needs {len(arcs_of(arity))} labels, got {len(labels)}"
-            )
+        width = row_width(arity)
+        if len(labels) != width:
+            raise CliqueError(f"arity {arity} needs {width} labels, got {len(labels)}")
         for lab in labels:
             if not magma.contains(lab):
                 raise CliqueError(f"label {lab!r} is not an element of {magma.name}")
@@ -113,8 +128,8 @@ class Clique:
     @staticmethod
     def from_arcs(magma, arity, arc_labels):
         """Build a clique from a {(x, y): label} mapping; missing arcs get the unit."""
+        labels = [magma.unit] * row_width(arity)
         index = arc_index(arity)
-        labels = [magma.unit] * len(index)
         for (x, y), lab in arc_labels.items():
             if (x, y) not in index:
                 raise CliqueError(f"({x},{y}) is not an arc at arity {arity}")

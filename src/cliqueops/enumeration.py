@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -235,8 +234,6 @@ def _prime_patterns_chunk(args):
     exactly when the single-bit values among p & mask, over all masks,
     OR up to p.
     """
-    # numpy on first use: imported with this module, it would load before
-    # verify.py and raise the package import's peak memory (see __init__.py)
     import numpy as np
 
     arity, weight, lo, hi, want_minimal = args
@@ -267,6 +264,8 @@ def _prime_pattern_weight(magma, arity, want_minimal, budget, threads):
     size = 1 << diagonals
     weight = magma.size - 1
     if threads > 1 and size >= 1 << 10:
+        from concurrent.futures import ProcessPoolExecutor
+
         step = (size + threads - 1) // threads
         chunks = [
             (arity, weight, lo, min(lo + step, size), want_minimal)

@@ -31,11 +31,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
-from . import ratfct
-from .clique import Clique, arc_index, arcs_of
+from . import ratfct, variants
+from .clique import Clique, arc_index, arcs_of, row_width
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
 from .operad import composable_pairs, partial_compose
 from .report import VerifyReport
+from .verify import _compose_block, _label_dtype, morphism_slabs
 
 
 class KnownOperadError(ValueError):
@@ -57,6 +58,7 @@ def _arity(value, what):
         raise KnownOperadError(f"{what} arity must be an integer, got {value!r}")
     if value < 1:
         raise KnownOperadError(f"{what} arity must be positive")
+    row_width(value, KnownOperadError)
     return value
 
 
@@ -366,15 +368,6 @@ def phi_dmt_inverse(clique):
 # -- gravity ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _variants():
-    # imported on first use, as numpy in `_vector_morphism`: variants loads
-    # numpy through verify
-    from . import variants
-
-    return variants
-
-
 class ChordDiagram:
     """A gravity chord diagram: all edges and the base marked, plus a set of
     diagonals such that crossing diagonals (x,y), (x',y') with x < x' leave
@@ -388,7 +381,7 @@ class ChordDiagram:
         diagonals = frozenset(_coordinates(diagonals))
         if arity == 1 and diagonals:
             raise KnownOperadError("the arity-1 diagram has no diagonals")
-        index, variants = arc_index(arity), _variants()
+        index = arc_index(arity)
         mask = variants._frame_mask(arity)
         for x, y in diagonals:
             if (x, y) not in index or mask >> index[(x, y)] & 1:
@@ -416,7 +409,7 @@ class ChordDiagram:
 
     @property
     def diagonals(self):
-        arcs, mask = arcs_of(self.arity), self.mask & ~_variants()._frame_mask(self.arity)
+        arcs, mask = arcs_of(self.arity), self.mask & ~variants._frame_mask(self.arity)
         return frozenset(arcs[k] for k in range(mask.bit_length()) if mask >> k & 1)
 
     def __eq__(self, other):
@@ -441,7 +434,7 @@ def chord_compose(c, d, i):
     arity = c.arity + d.arity - 1
     outer, inner = _compose_tables(c.arity, d.arity, i)
     mask = _remap(c.mask, outer) | _remap(d.mask, inner)
-    if not _variants().gravity_member(arity, mask):
+    if not variants.gravity_member(arity, mask):
         raise _left_the_family(c, i, d)
     return ChordDiagram._unsafe(arity, mask)
 
@@ -463,7 +456,6 @@ def grav_check(clique):
     """The gravity condition over an arbitrary magma: the unit clique, or all
     edges and the base solid with crossing solid diagonals (x,y), (x',y'),
     x < x', forcing a non-solid (x', y)."""
-    variants = _variants()
     return variants.gravity_member(clique.arity, variants._solid_mask(clique))
 
 
@@ -486,7 +478,6 @@ def gravity_diagrams(arity):
     the `grav` rule, sorted.  Of two masks with as many bits, the one with
     the lowest differing bit comes first: the larger bit-reversed mask.
     """
-    variants = _variants()
     frame, width = variants._frame_mask(arity), len(arcs_of(arity))
     masks = []
     for block, _ in variants._skeleton_blocks(arity, variants._gravity_rule):
@@ -523,11 +514,7 @@ def _vector_morphism(arity_pairs, pools, images, magma, masks, values, member):
     flag tables; the clique side composes the images' labels with
     `_compose_block`.  `member(arity, *masks)`, when given, is asserted
     once per distinct composite in each slab."""
-    # imported on first use: numpy loading last in the package import keeps
-    # the peak memory of `import cliqueops` about 2 MB lower
     import numpy as np
-
-    from .verify import _compose_block, _label_dtype, morphism_slabs
 
     dtype = _label_dtype(magma)
     star = np.array(magma.table, dtype=dtype)
@@ -624,7 +611,7 @@ def verify_known_ops(max_arity):
         return tildes
     gravity = _morphism_report(
         "gravity", arity_pairs, gravity_diagrams, phi_grav,
-        (_D0, lambda c: (c.mask,), (_SOLID,), _variants().gravity_member),
+        (_D0, lambda c: (c.mask,), (_SOLID,), variants.gravity_member),
     )
     return VerifyReport(
         "known-ops", gravity.ok, tildes.checked + gravity.checked,

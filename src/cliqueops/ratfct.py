@@ -21,10 +21,8 @@ from functools import lru_cache
 from itertools import accumulate, compress, product as iproduct
 from operator import add, neg
 
-from .clique import Clique, arcs_of, index_plan, relabel
-from .magma import (
-    MAX_TABLE_ENTRIES, MagmaError, MagmaMorphism, RankFunction, UnitaryMagma,
-)
+from .clique import Clique, arcs_of, index_plan, relabel, row_width
+from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
 from .operad import (
     CompositionPlan, LinComb, _accumulate, _Combination, star_product,
 )
@@ -54,14 +52,14 @@ class IntervalProduct:
         # `type(value) is int` refuses bools, floats and strings alike
         if type(arity) is not int or arity < 1:
             raise RatFctError(f"arity must be a positive int, not {arity!r}")
-        width = arity * (arity + 1) // 2
-        if width > MAX_TABLE_ENTRIES:
+        row = [0] * row_width(arity, RatFctError, "exponent")
+        try:
+            items = iter(powers.items() if isinstance(powers, dict) else powers)
+        except TypeError:
             raise RatFctError(
-                f"arity {arity} needs a {width}-entry exponent row; "
-                f"at most {MAX_TABLE_ENTRIES} entries are supported"
-            )
-        row = [0] * width
-        for item in (powers.items() if isinstance(powers, dict) else powers):
+                f"powers must be a dict or an iterable of pairs, not {powers!r}"
+            ) from None
+        for item in items:
             try:
                 (x, y), exponent = item
             except (TypeError, ValueError):
@@ -365,10 +363,11 @@ def _rf_vector(pools, arity_pairs):
     row is the clique's label row.  The clique side composes through
     `composition_plan` with glue p_i + q_0; the rational-function side
     selects the columns of `_row_plan`, compiled from `_reindex`."""
-    # imported on first use, so that numpy loads last in the package
-    # import: that keeps the peak memory of `import cliqueops` about 2 MB lower
     import numpy as np
 
+    # not at module level: the package imports this module before
+    # variants.py, and the verify -> enumeration -> variants import cycle
+    # resolves only when it is entered at variants.py
     from .verify import _compose_block, morphism_slabs
 
     bound = max(abs(lab) for pool in pools.values() for p in pool for lab in p.labels)

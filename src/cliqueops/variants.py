@@ -30,10 +30,6 @@ from .verify import (
     morphism_slabs,
 )
 
-# numpy after the package modules: imported first, it would be loaded before
-# enumeration.py and verify.py are compiled (see __init__.py)
-import numpy as np  # noqa: E402
-
 
 class VariantError(ValueError):
     """Unknown variant spec or a variant over an inapplicable magma."""
@@ -77,6 +73,8 @@ def _merge(comp, x, y):
     x's label, in one mask's bytes or in every row of a block."""
     if isinstance(comp, bytes):
         return comp.replace(comp[y:y + 1], comp[x:x + 1])
+    import numpy as np
+
     return np.where(comp == comp[y], comp[x], comp)
 
 
@@ -301,6 +299,8 @@ MASK_BITS = 63  # bits per int64 word of a mask: all but the sign bit
 
 def _mask_words(masks, count):
     """Python int masks as a (count, len(masks)) array of MASK_BITS-bit words."""
+    import numpy as np
+
     low = (1 << MASK_BITS) - 1
     return np.array(
         [[m >> (w * MASK_BITS) & low for m in masks] for w in range(count)],
@@ -354,6 +354,8 @@ class _MaskBlock:
         return equal[0] if len(equal) == 1 else equal.all(axis=0)
 
     def bit_count(self):
+        import numpy as np
+
         counts = np.bitwise_count(self.words)
         return counts[0] if len(counts) == 1 else counts.sum(axis=0)
 
@@ -362,6 +364,8 @@ def _extend_block(arity, admits, masks, comp, live, j):
     """Children of a _MaskBlock from arc j on, all rows tested at once per
     arc, until SKELETON_BLOCK children wait.  Returns them, their count per
     arc and the next arc to try."""
+    import numpy as np
+
     arcs = arcs_of(arity)
     added = [0] * len(arcs)
     children, waiting = [], 0
@@ -408,6 +412,8 @@ def _extend_rows(arity, admits, masks, comp, live):
     masks = [m for m, _ in found]
     comp = None if comp is None else [c for _, c in found]
     if len(found) >= SCALAR_ROWS:  # the next extension tests them as a block
+        import numpy as np
+
         masks = _MaskBlock(_mask_words(masks, max(1, -(-width // MASK_BITS))))
         if comp is not None:
             comp = np.frombuffer(b"".join(comp), dtype=np.int8).reshape(len(found), -1)
@@ -531,6 +537,8 @@ class _SkeletonVariant(VariantPredicate):
     def _block_flags(self, arity, block):
         """`member` and `in_ambient` of every row of a label block, read from
         a per-arity table with one entry per solid-arc mask."""
+        import numpy as np
+
         table = _flag_table(arity, self.rule, self._ambient_rule)
         weights = 2 ** np.arange(block.shape[1], dtype=np.int64)
         flags = table[(block != self.magma.unit).astype(np.int64) @ weights]
@@ -540,6 +548,8 @@ class _SkeletonVariant(VariantPredicate):
 def _accepted(arity, rule):
     """1 for every solid-arc mask a downward-closed rule accepts, else 0:
     the masks the census walk reaches, with the rule's frame."""
+    import numpy as np
+
     accepted = np.zeros(1 << len(arcs_of(arity)), dtype=np.int8)
     frame = _frame(rule, arity)
     for masks, _ in _skeleton_blocks(arity, rule):
@@ -561,7 +571,7 @@ class _LabelVariant(VariantPredicate):
     """Label-restricted suboperad: the base, each edge and each diagonal take
     labels from their own set.
 
-    Its one rule is a per-arity table `allowed[arc, label]`; `member` reads a
+    Its one rule is a per-arity table `allowed[arc][label]`; `member` reads a
     clique's labels from it and `_block_flags` a whole block at once.
     """
 
@@ -572,30 +582,31 @@ class _LabelVariant(VariantPredicate):
     def __init__(self, spec, magma, base_set, edge_set, diag_set):
         super().__init__(spec, magma)
         self._class_sets = {"base": base_set, "edge": edge_set, "diagonal": diag_set}
-        self._allowed_tables = {}  # arity -> allowed[arc, label], built on first use
+        self._allowed_tables = {}  # arity -> allowed[arc][label], built on first use
         self.label_set_sizes = (len(base_set), len(edge_set), len(diag_set))
 
     def _member(self, clique):
-        return all(map(list.__getitem__, self._allowed(clique.arity)[1], clique.labels))
+        return all(map(list.__getitem__, self._allowed(clique.arity), clique.labels))
 
     def in_ambient(self, clique):
         return True
 
     def _allowed(self, arity):
-        """allowed[arc, label] as a numpy table, and as nested lists for
-        looking up one clique's labels."""
-        tables = self._allowed_tables.get(arity)
-        if tables is None:
-            arcs = arcs_of(arity)
-            table = np.zeros((len(arcs), self.magma.size), dtype=bool)
-            for j, (x, y) in enumerate(arcs):
-                table[j, list(self._class_sets[arc_class(arity, x, y)])] = True
-            tables = self._allowed_tables[arity] = (table, table.tolist())
-        return tables
+        """allowed[arc][label] as nested lists, for looking up one clique's
+        labels."""
+        table = self._allowed_tables.get(arity)
+        if table is None:
+            sets = [self._class_sets[arc_class(arity, x, y)] for x, y in arcs_of(arity)]
+            table = self._allowed_tables[arity] = [
+                [label in allowed for label in range(self.magma.size)] for allowed in sets
+            ]
+        return table
 
     def _block_flags(self, arity, block):
         """`member` and `in_ambient` of every row of a label block."""
-        table = self._allowed(arity)[0]
+        import numpy as np
+
+        table = np.array(self._allowed(arity), dtype=bool)
         return (table[np.arange(len(table)), block].all(axis=1),
                 np.ones(len(block), dtype=bool))
 
@@ -738,6 +749,8 @@ def verify_ideal(var, magma, max_arity):
     no composite of a non-member with an ambient clique, in either order, is
     a member.  Runs on label blocks, reading membership from the variant's
     flag tables."""
+    import numpy as np
+
     if magma != var.magma:
         raise VariantError("clique magma does not match the variant's magma")
     outside, ambient = {}, {}
@@ -831,6 +844,8 @@ def verify_inclusions(magma, max_arity):
     implication, in the order of `generate_cliques` and then of
     INCLUSION_IMPLICATIONS.
     """
+    import numpy as np
+
     if has_nontrivial_unit_divisors(magma):
         raise VariantError(
             "the inclusion diagrams need a magma without nontrivial unit divisors"

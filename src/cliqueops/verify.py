@@ -34,8 +34,6 @@ import math
 import random
 from functools import partial
 
-import numpy as np
-
 from . import clique as _clique
 from .clique import Clique, CliqueError, arcs_of, reflect, rotate
 from .enumeration import clique_space_size, generate_cliques
@@ -119,17 +117,23 @@ def _scalar_axioms(magma, max_arity, budget, compose):
 
 def _label_dtype(magma):
     """The smallest unsigned dtype that holds every label of the magma."""
+    import numpy as np
+
     return np.min_scalar_type(magma.size - 1)
 
 
 def _star(magma):
     """The operation table of a finite magma as a label array."""
+    import numpy as np
+
     return np.array(magma.table, dtype=_label_dtype(magma))
 
 
 def _label_block(magma, arity, rows=None):
     """Every clique of the arity as one row of labels, in the order of
     `generate_cliques`; only the rows in the slice `rows` when given."""
+    import numpy as np
+
     if not magma.is_finite:
         raise MagmaError("cannot enumerate cliques over an infinite magma")
     dtype = _label_dtype(magma)
@@ -147,6 +151,8 @@ def _label_block(magma, arity, rows=None):
 
 def _compose_block(X, nx, Y, ny, i, star):
     """All pairwise compositions of two label blocks; rows ordered (x, y)."""
+    import numpy as np
+
     plan = composition_plan(nx, ny, i)
     Nx, Ny = X.shape[0], Y.shape[0]
     P, Q = X.shape[1], Y.shape[1]
@@ -176,6 +182,8 @@ def _row_clique(magma, row):
 
 
 def _first_mismatch(lhs, rhs, shape):
+    import numpy as np
+
     diff = (lhs != rhs).any(axis=-1).reshape(shape)
     where = np.argwhere(diff)
     return tuple(int(v) for v in where[0])
@@ -198,6 +206,8 @@ def morphism_slabs(arity_pairs, pools, lhs, rhs, right_pools=None):
     (checked, (x, i, y)) for the first disagreeing pair of the first
     failing slab, which `checked` counts.
     """
+    import numpy as np
+
     right_pools = pools if right_pools is None else right_pools
     checked = 0
     for n, m in arity_pairs:
@@ -283,6 +293,8 @@ def _evaluated(lhs, rhs):
 
 def _differs(evaluated, columns, star, shape):
     """Where the two sides of the evaluated entries differ on a slab."""
+    import numpy as np
+
     diff = np.zeros(shape, dtype=bool)
     for a, b in evaluated:
         diff |= _evaluate(a, columns, star) != _evaluate(b, columns, star)
@@ -346,6 +358,8 @@ def _vector_axioms(magma, max_arity, budget, corrupt=False):
     entry, and every entry whose two sides differ, is evaluated through the
     star table on each instance of the (x, y, z) grid, in slabs of at most
     VECTOR_CHUNK instances."""
+    import numpy as np
+
     star = _star(magma)
     needed = {a for config in _axiom_configs(max_arity) for a in config}
     blocks = {n: _label_block(magma, n) for n in needed}
@@ -443,6 +457,8 @@ def verify_symmetries(magma, max_arity, samples=1000, seed=0):
 def _block_symmetries(magma, max_arity):
     """reflect(p o_i q) = reflect(p) o_{n-i+1} reflect(q), then
     theta(p o_i q) = theta(p) o_i theta(q) for each automorphism theta."""
+    import numpy as np
+
     pairs = composable_pairs(max_arity)
     star = _star(magma)
     X = _label_blocks(magma, max_arity)
@@ -502,6 +518,8 @@ def verify_cyclic(magma, max_arity):
     arity pair: i, then p, then q), not in the clique-at-a-time order
     (p, q, i), so the two counts differ.
     """
+    import numpy as np
+
     unit = Clique.unit(magma)
     if rotate(unit) != unit:
         return VerifyReport("cyclic", False, 1, "rotation moves the unit clique")
@@ -553,6 +571,8 @@ def _key_words(rows, bits):
     """The radix keys of the label rows along the last axis, `bits` bits
     per label, as int64 words of at most 63 bits each: one word while a
     row fits, more once it outgrows one.  Equal rows have equal words."""
+    import numpy as np
+
     per_word = 63 // bits
     words = []
     for lo in range(0, rows.shape[-1], per_word):
@@ -568,6 +588,8 @@ def _first_collision(X, n, Y, m, star):
     scan order q, i, p, as row indices (p, p2, q, i): p2 is the first p
     whose composite repeats an earlier one, p that earlier row; None if
     every map is injective."""
+    import numpy as np
+
     Nx, Ny = len(X), len(Y)
     if Nx < 2:
         return None
@@ -708,6 +730,8 @@ def verify_product_iso(product_magma, max_arity):
     """zip/unzip are mutually inverse and commute with composition, on label
     blocks: the projections of every product composite against the
     compositions in the factors."""
+    import numpy as np
+
     if product_magma.factors is None:
         raise CliqueError(f"{product_magma.name} is not a product magma")
     m1, m2 = product_magma.factors

@@ -426,6 +426,52 @@ def test_huge_spaces_are_refused_before_allocating(capsys, argv):
     assert elapsed < 1 and peak < 1 << 20
 
 
+def test_oversized_clique_file_is_refused_before_allocating(capsys, tmp_path):
+    import time
+    import tracemalloc
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"magma": "D:0", "arity": 3000, "labels": {}}))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compose", "--magma", "D:0", "--lhs", str(path),
+                             "--rhs", str(path), "--index", "1")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: arity 3000 needs a 4501500-entry label row")
+    assert elapsed < 1 and peak < 1 << 20
+
+
+def test_import_loads_neither_numpy_nor_a_process_pool():
+    # a fresh interpreter: this test process has loaded numpy already
+    import os
+    import subprocess
+    import sys
+
+    import cliqueops
+
+    script = (
+        "import sys\n"
+        "import cliqueops, cliqueops.cli\n"
+        "heavy = ('numpy', 'concurrent.futures', 'multiprocessing')\n"
+        "loaded = [name for name in heavy if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "report = cliqueops.verify_operad_axioms(cliqueops.parse_magma_spec('D:0'), 3)\n"
+        "assert report.ok and report.checked > 0, report\n"
+    )
+    src = os.path.dirname(os.path.dirname(cliqueops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_primes_budget_option(capsys):
     code, _, err = run(capsys, "primes", "--magma", "D:0", "--max-size", "5",
                        "--budget", "100")

@@ -9,7 +9,7 @@ from cliqueops import (
     is_prime, is_triangle, is_white, partial_compose, reflect, relabel,
     rotate, split_along_diagonal,
 )
-from cliqueops.clique import nested_in
+from cliqueops.clique import nested_in, row_width
 
 D0 = UnitaryMagma.zero_product(0)
 Z = UnitaryMagma.integers()
@@ -244,6 +244,27 @@ def test_json_round_trip(d0, z, tmp_path):
     assert clique_from_json({"magma": "D:0", "arity": 2}) == Clique.from_arcs(d0, 2, {})
     with pytest.raises(CliqueError):
         clique_from_json({"magma": "D:0", "arity": 2, "labels": {"9,1": "0"}})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Clique(D0, 3000, ()),
+    lambda: Clique.from_arcs(D0, 3000, {}),
+    lambda: clique_from_json({"magma": "D:0", "arity": 3000, "labels": {"1,2": "0"}}),
+    lambda: Clique(D0, 1448, ()),
+], ids=["constructor", "from-arcs", "json", "first-arity-over-bound"])
+def test_oversized_arities_are_refused_before_allocating(make):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CliqueError, match="entry label row"):
+            make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the bound is the one interval products apply: arity 1447 fits it
+    assert row_width(1447) == 1447 * 1448 // 2
 
 
 def pairwise_nesting_free(clique):

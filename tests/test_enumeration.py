@@ -177,7 +177,9 @@ def test_minimal_primes_are_white(d0):
 
 
 def test_census_threads_deterministic(d0):
-    assert count_white_prime(d0, 5, threads=2) == count_white_prime(d0, 5)
+    # 2^14 diagonal patterns at arity 6: over the 2^10 threshold, so the
+    # census splits them across a process pool
+    assert count_white_prime(d0, 6, threads=2) == count_white_prime(d0, 6)
 
 
 def test_dyck_encode_examples(d0):

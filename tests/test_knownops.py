@@ -61,6 +61,24 @@ def test_phi_mt_display_and_exclusion(d0):
         phi_mt(MultiTilde(1, {(1, 1)}))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MultiTilde(3000, ()),
+    lambda: DoubleMultiTilde(3000, (), ()),
+    lambda: ChordDiagram(3000, ()),
+], ids=["multi-tilde", "double-multi-tilde", "chord-diagram"])
+def test_oversized_arities_are_refused_before_allocating(make):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(KnownOperadError, match="entry label row"):
+            make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_phi_mt_round_trip_and_morphism():
     excluded = MultiTilde(1, {(1, 1)})
     for n in (1, 2, 3):

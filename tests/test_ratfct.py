@@ -45,11 +45,15 @@ def test_interval_product_canonical():
     (2, {(True, 2): 1}),
     (2, {(1.0, 2): 1}),
     (1448, {}),
+    (2, 5),
+    (2, None),
+    (2, 2.5),
 ], ids=[
     "fractional-exponent", "bool-exponent", "fraction-exponent", "arity-zero",
     "arity-negative", "bool-arity", "float-arity", "string-arity", "triple-key",
     "int-key", "triple-item", "bare-interval", "bool-coordinate",
-    "float-coordinate", "row-over-bound",
+    "float-coordinate", "row-over-bound", "int-powers", "none-powers",
+    "float-powers",
 ])
 def test_interval_product_input_boundary_is_strict(arity, powers):
     with pytest.raises(RatFctError):

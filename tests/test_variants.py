@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from cliqueops import (
@@ -324,15 +323,18 @@ def test_census_catches_a_widened_rule(d0, monkeypatch):
 
 
 def test_census_catches_a_widened_label_table(d1, monkeypatch):
-    # mutation: the allowed[arc, label] table of lab: admits one more label
+    # mutation: the allowed[arc][label] table of lab: admits one more label
     # on one arc; the block census then disagrees with the closed formula
     real = variants._LabelVariant._allowed
 
     def widened(self, arity):
-        table = real(self, arity)[0].copy()
-        arc, label = np.argwhere(~table)[0]
-        table[arc, label] = True
-        return table, table.tolist()
+        table = [row.copy() for row in real(self, arity)]
+        arc, label = next(
+            (arc, label) for arc, row in enumerate(table)
+            for label, allowed in enumerate(row) if not allowed
+        )
+        table[arc][label] = True
+        return table
 
     spec = "lab:\U0001d7d9,0;\U0001d7d9,0;\U0001d7d9,0"
     assert count_by_enumeration(spec, d1, 3) == 2 ** 6
