@@ -14,9 +14,10 @@ from .magma import (
 )
 from .clique import (
     Clique, CliqueError, arcs_of, clique_from_json, clique_to_json,
-    crossing_number, degree, format_clique, hamming, is_acyclic, is_bubble,
-    is_minimal_prime, is_nesting_free, is_noncrossing, is_prime, is_triangle,
-    is_white, reflect, relabel, rotate, split_along_diagonal,
+    crossing_number, degree, format_clique, generate_cliques, hamming,
+    is_acyclic, is_bubble, is_minimal_prime, is_nesting_free, is_noncrossing,
+    is_prime, is_triangle, is_white, reflect, relabel, rotate,
+    split_along_diagonal,
 )
 from .operad import (
     LinComb, partial_compose, partial_compose_lin, star_product,
@@ -42,8 +43,7 @@ from .variants import (
 from .enumeration import (
     BudgetError, ColoredDyckWord, SequenceRecord, count_by_enumeration,
     count_minimal_prime, count_prime, count_white_prime, dim_formula,
-    dyck_decode, dyck_encode, export_sequence, generate_cliques, narayana,
-    sequence_for,
+    dyck_decode, dyck_encode, export_sequence, narayana, sequence_for,
 )
 from .verify import (
     is_associative_element, verify_basic_set_operad, verify_cyclic,

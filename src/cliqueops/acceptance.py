@@ -12,10 +12,10 @@ import random
 from fractions import Fraction
 
 from .bases import compose_H, compose_K, from_H, from_K
-from .clique import Clique
+from .clique import Clique, generate_cliques
 from .enumeration import (
     count_by_enumeration, count_minimal_prime, count_prime,
-    count_white_prime, dim_formula, generate_cliques, narayana,
+    count_white_prime, dim_formula, narayana,
 )
 from .knownops import (
     ChordDiagram, DoubleMultiTilde, MultiTilde, chord_compose, dmt_compose,

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from . import bases, enumeration, knownops, ratfct, variants, verify
 from .clique import (
-    CliqueError, clique_from_json, clique_to_json, format_clique,
+    CliqueError, _label_count, clique_from_json, clique_to_json, format_clique,
+    generate_cliques, row_width,
 )
 from .magma import (
     MagmaError, has_nontrivial_unit_divisors,
@@ -132,10 +133,11 @@ def cmd_enumerate(args):
     magma = parse_magma_spec(args.magma)
     var = variants.variant(args.variant, magma) if args.variant else None
     enumeration._check_budget(
-        magma.size, enumeration._label_count(args.arity), "cliques", args.arity, args.budget,
+        magma.size, _label_count(args.arity), "cliques", args.arity, args.budget,
     )
+    row_width(args.arity, UsageError)  # a one-element carrier passes any budget
     rows = []
-    for clique in enumeration.generate_cliques(magma, args.arity):
+    for clique in generate_cliques(magma, args.arity):
         if var is None or (var.in_ambient(clique) and var.member(clique)):
             rows.append(clique)
     if args.json:
@@ -410,6 +412,9 @@ def main(argv=None):
         raise exc
     try:
         args.threads = _positive_threads(args.threads)
+        if getattr(args, "max_arity", None) is not None:
+            # the library's arity bound, before any table is built
+            row_width(args.max_arity, UsageError)
         return args.fn(args)
     except (UsageError, MagmaError, CliqueError, variants.VariantError,
             enumeration.BudgetError, knownops.KnownOperadError,

@@ -17,11 +17,11 @@ labels from a source tuple in a single C call.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, product as iproduct, repeat
 from operator import itemgetter, ne
 from typing import Callable, NamedTuple
 
-from .magma import MAX_TABLE_ENTRIES, UnitaryMagma, parse_magma_spec
+from .magma import MAX_TABLE_ENTRIES, MagmaError, UnitaryMagma, parse_magma_spec
 
 
 class CliqueError(ValueError):
@@ -210,6 +210,37 @@ class Clique:
         return f"Clique[{self.magma.name}|{self.arity}|{solid or 'all-unit'}]"
 
 
+def _label_count(arity):
+    """How many free labels a clique of the arity has: one per arc,
+    n(n+1)/2, counted without building the arcs; none at arity 1, whose
+    only clique is the unit."""
+    return arity * (arity + 1) // 2 if arity > 1 else 0
+
+
+def clique_space_size(magma, arity):
+    return magma.size ** _label_count(arity)
+
+
+def generate_cliques(magma, arity):
+    """All cliques of the given arity, in lexicographic label order, each once."""
+    if not magma.is_finite:
+        raise MagmaError("cannot enumerate cliques over an infinite magma")
+    if arity < 1:
+        raise CliqueError("arity must be positive")
+    if arity == 1:
+        yield Clique.unit(magma)
+        return
+    new = object.__new__
+    for labels in iproduct(range(magma.size), repeat=len(arcs_of(arity))):
+        # the slots of `Clique._unsafe`, filled in the census loop itself
+        clique = new(Clique)
+        clique.magma = magma
+        clique.arity = arity
+        clique.labels = labels
+        clique._hash = None
+        yield clique
+
+
 def iter_solid_arcs(clique):
     """The solid arcs of a clique in lexicographic order, one at a time."""
     return compress(
@@ -273,7 +304,8 @@ def is_nesting_free(clique):
     increase along them: a repeated start or a non-increasing end is a
     nesting, and two arcs increasing in both cannot nest."""
     last_x = last_y = 0
-    for x, y in iter_solid_arcs(clique):
+    unit = clique.magma.unit
+    for x, y in compress(arcs_of(clique.arity), map(ne, clique.labels, repeat(unit))):
         if x <= last_x or y <= last_y:
             return False
         last_x, last_y = x, y

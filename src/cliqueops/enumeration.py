@@ -1,5 +1,7 @@
-"""Census engines: clique generation, dimension formulas, prime counts,
-the Dyck-path bijection for nesting-free cliques, and sequence export.
+"""Census engines: dimension formulas, prime counts, the Dyck-path
+bijection for nesting-free cliques, and sequence export.  Clique
+generation itself (`generate_cliques`) lives in clique.py, so that the
+verifiers and variants, which this module imports, need not import it.
 
 Counting a label-blind variant goes over solid-arc masks (bit j is
 arcs_of(arity)[j]) and weights each accepted mask by (m-1)^#arcs.  Its
@@ -28,13 +30,14 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .clique import (
-    Clique, CliqueError, arcs_of, crossing, diagonals_of, is_nesting_free,
+    Clique, CliqueError, _label_count, arcs_of, clique_space_size, crossing,
+    diagonals_of, is_nesting_free,
 )
-from .magma import MagmaError, has_nontrivial_unit_divisors
-from . import variants  # a module import: variants.py imports this module
+from .magma import has_nontrivial_unit_divisors
+from . import variants
+from .verify import VECTOR_CHUNK, _label_block
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -43,20 +46,9 @@ class BudgetError(RuntimeError):
     """The requested enumeration exceeds the configured size budget."""
 
 
-def _label_count(arity):
-    """How many free labels a clique of the arity has: one per arc,
-    n(n+1)/2, counted without building the arcs; none at arity 1, whose
-    only clique is the unit."""
-    return arity * (arity + 1) // 2 if arity > 1 else 0
-
-
 def _diagonal_count(arity):
     """len(diagonals_of(arity)): every arc but the n edges and the base."""
     return _label_count(arity) - arity - 1 if arity > 1 else 0
-
-
-def clique_space_size(magma, arity):
-    return magma.size ** _label_count(arity)
 
 
 def _check_budget(base, exponent, unit, arity, budget):
@@ -74,19 +66,6 @@ def _check_budget(base, exponent, unit, arity, budget):
             f"{base}^{exponent} {unit} at arity {arity} exceed the budget "
             f"{budget}; raise it explicitly to proceed"
         )
-
-
-def generate_cliques(magma, arity):
-    """All cliques of the given arity, in lexicographic label order, each once."""
-    if not magma.is_finite:
-        raise MagmaError("cannot enumerate cliques over an infinite magma")
-    if arity < 1:
-        raise CliqueError("arity must be positive")
-    if arity == 1:
-        yield Clique.unit(magma)
-        return
-    for labels in iproduct(range(magma.size), repeat=len(arcs_of(arity))):
-        yield Clique._unsafe(magma, arity, labels)
 
 
 # -- closed dimension formulas ----------------------------------------------
@@ -159,8 +138,6 @@ def _census_skeletons(arity, weight, rule):
 def _count_label_blocks(var, magma, arity):
     """Members of a label-sensitive variant, counted over label blocks of at
     most VECTOR_CHUNK cells."""
-    from .verify import VECTOR_CHUNK, _label_block  # verify.py imports this module
-
     step = max(1, VECTOR_CHUNK // len(arcs_of(arity)))
     count = 0
     for lo in range(0, clique_space_size(magma, arity), step):

@@ -13,12 +13,21 @@ rational functions (`ratfct._reindex`: insert a block of m slots at slot
 i), not from transporting through cliques: the rule is applied to every
 bit once per (n, m, i), cached as bit-remap tables, and a composition
 remaps the masks through them.  The morphism checks therefore compare
-two independent computations.
+two independent computations.  Each shape's remap is compiled once
+(`_composer`): two table lookups when both operands have arity 3 or
+less, the chunk loop otherwise.
+
+The images in clique operads are label rows read from flag tables: one
+lookup returns a shared row when the masks fit one chunk (arity 3 or
+less for `phi_mt`, `phi_grav` and `phi_dmt`), and the chunks' rows are
+concatenated otherwise.
 
 A gravity chord diagram is the mask of its marked arcs (edges, base and
 diagonals), bit k for arc k.  It composes by the multi-tilde remap,
 which moves each arc as `ratfct._reindex` does.  The gravity condition
-is the `grav` rule of variants.py, which every gravity path reads.
+is the per-arc test table of the `grav` rule of variants.py
+(`variants._gravity_tests`): the census walk folds it over partial
+masks, and `variants.gravity_member` reads it against a whole mask.
 
 Public constructors validate their input: arities and coordinates must
 be `int`s (bools, floats and strings are refused) and pairs must have two
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product as iproduct
+from operator import add
 
 from . import ratfct, variants
 from .clique import Clique, arc_index, arcs_of, row_width
@@ -148,22 +158,42 @@ def _flags(mask, width, value):
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(width):
-    """For each 4-bit chunk of a width-bit mask pair (mask1, mask2), the
-    pair labels of `phi_dmt` for every chunk value c1 << 4 | c2, low bit
-    first: _FIRST where only mask1 has the bit, _SECOND where only mask2
-    has it, their sum where both do."""
-    tables = []
-    for lo in range(0, width, 4):
-        size = min(4, width - lo)
-        tables.append(tuple(
-            tuple(
-                (_FIRST if c1 >> b & 1 else 0) + (_SECOND if c2 >> b & 1 else 0)
-                for b in range(size)
-            )
-            for c1 in range(16) for c2 in range(16)
-        ))
-    return tuple(tables)
+def _solid_flags(arity):
+    """The label row of `phi_mt` and `phi_grav`, as a function of the mask:
+    a lookup of a shared row in the one flag table when the arity's arcs fit
+    one chunk (arity 3 or less), else `_flags`."""
+    width = len(arcs_of(arity))
+    tables = _flag_tables(width, _SOLID)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    return lambda mask: _flags(mask, width, _SOLID)
+
+
+_PAIR_BITS = 6  # bits per chunk of each mask in the `phi_dmt` tables
+
+
+@lru_cache(maxsize=None)
+def _pair_chunk(size):
+    """The `phi_dmt` labels of a size-bit chunk of a mask pair, for every
+    chunk value c1 << _PAIR_BITS | c2, low bit first: _FIRST where only
+    mask1 has the bit, _SECOND where only mask2 has it, their sum where both
+    do."""
+    first = [tuple(_FIRST if c >> b & 1 else 0 for b in range(size)) for c in range(1 << size)]
+    second = [tuple(_SECOND if c >> b & 1 else 0 for b in range(size)) for c in range(1 << size)]
+    table = [()] * (1 << 2 * _PAIR_BITS)
+    for c1, row1 in enumerate(first):
+        for c2, row2 in enumerate(second):
+            table[c1 << _PAIR_BITS | c2] = tuple(map(add, row1, row2))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(arity):
+    """The `_pair_chunk` of each chunk of the arity's masks; one table, and
+    so one lookup per image, up to arity 3."""
+    width = len(arcs_of(arity))
+    return tuple(_pair_chunk(min(_PAIR_BITS, width - lo))
+                 for lo in range(0, width, _PAIR_BITS))
 
 
 def _masks(arity):
@@ -227,18 +257,30 @@ def _compose_tables(n, m, i):
             _chunk_tables([1 << index[inner[arc]] for arc in arcs_of(m)]))
 
 
-def _check_index(arity, i):
-    if not 1 <= i <= arity:
-        raise KnownOperadError(f"index {i} out of range for arity {arity}")
+@lru_cache(maxsize=None)
+def _composer(n, m, i):
+    """(n + m - 1, remap) for s o_i t at arities n, m, with `i` checked:
+    `remap(a, b)` is the composite of an outer mask a and an inner mask b
+    through `_compose_tables`, two lookups when both sides fit one chunk
+    (arity 3 or less), else the chunk loop of `_remap`."""
+    if not 1 <= i <= n:
+        raise KnownOperadError(f"index {i} out of range for arity {n}")
+    outer, inner = _compose_tables(n, m, i)
+    if len(outer) == 1 and len(inner) == 1:
+        outer, inner = outer[0], inner[0]
+
+        def remap(a, b):
+            return outer[a] | inner[b]
+    else:
+        def remap(a, b):
+            return _remap(a, outer) | _remap(b, inner)
+    return n + m - 1, remap
 
 
 def mt_compose(s, t, i):
     """Partial composition of multi-tildes via the two shift rules."""
-    _check_index(s.arity, i)
-    outer, inner = _compose_tables(s.arity, t.arity, i)
-    return MultiTilde._unsafe(
-        s.arity + t.arity - 1, _remap(s.mask, outer) | _remap(t.mask, inner)
-    )
+    arity, remap = _composer(s.arity, t.arity, i)
+    return MultiTilde._unsafe(arity, remap(s.mask, t.mask))
 
 
 def all_multitildes(arity):
@@ -253,8 +295,7 @@ def phi_mt(tilde):
         raise KnownOperadError(
             "the nontrivial arity-1 multi-tilde has no clique counterpart"
         )
-    width = len(arcs_of(tilde.arity))
-    return Clique._unsafe(_D0, tilde.arity, _flags(tilde.mask, width, _SOLID))
+    return Clique._unsafe(_D0, tilde.arity, _solid_flags(tilde.arity)(tilde.mask))
 
 
 def phi_mt_inverse(clique):
@@ -323,12 +364,9 @@ class DoubleMultiTilde:
 
 def dmt_compose(s, t, i):
     """Componentwise composition of double multi-tildes."""
-    _check_index(s.arity, i)
-    outer, inner = _compose_tables(s.arity, t.arity, i)
+    arity, remap = _composer(s.arity, t.arity, i)
     return DoubleMultiTilde._unsafe(
-        s.arity + t.arity - 1,
-        _remap(s.mask1, outer) | _remap(t.mask1, inner),
-        _remap(s.mask2, outer) | _remap(t.mask2, inner),
+        arity, remap(s.mask1, t.mask1), remap(s.mask2, t.mask2),
     )
 
 
@@ -345,12 +383,15 @@ def phi_dmt(dmt):
         raise KnownOperadError(
             "the three nontrivial arity-1 double multi-tildes have no clique counterpart"
         )
-    labels = ()
+    tables = _pair_tables(dmt.arity)
     mask1, mask2 = dmt.mask1, dmt.mask2
-    for table in _pair_tables(len(arcs_of(dmt.arity))):
-        labels += table[(mask1 & 0xF) << 4 | mask2 & 0xF]
-        mask1 >>= 4
-        mask2 >>= 4
+    if len(tables) == 1:
+        return Clique._unsafe(_D0_SQUARED, dmt.arity, tables[0][mask1 << _PAIR_BITS | mask2])
+    labels, low = (), (1 << _PAIR_BITS) - 1
+    for table in tables:
+        labels += table[(mask1 & low) << _PAIR_BITS | mask2 & low]
+        mask1 >>= _PAIR_BITS
+        mask2 >>= _PAIR_BITS
     return Clique._unsafe(_D0_SQUARED, dmt.arity, labels)
 
 
@@ -430,10 +471,8 @@ def chord_compose(c, d, i):
     """Glue d's base onto c's i-th edge by the multi-tilde remap, which sends
     both to the glued arc (i, i+m), so it stays marked.  Closure (the result
     meets the gravity condition) is asserted."""
-    _check_index(c.arity, i)
-    arity = c.arity + d.arity - 1
-    outer, inner = _compose_tables(c.arity, d.arity, i)
-    mask = _remap(c.mask, outer) | _remap(d.mask, inner)
+    arity, remap = _composer(c.arity, d.arity, i)
+    mask = remap(c.mask, d.mask)
     if not variants.gravity_member(arity, mask):
         raise _left_the_family(c, i, d)
     return ChordDiagram._unsafe(arity, mask)
@@ -448,8 +487,7 @@ def _left_the_family(c, i, d):
 
 def phi_grav(diagram):
     """The zero-product-magma clique with every marked arc solid."""
-    width = len(arcs_of(diagram.arity))
-    return Clique._unsafe(_D0, diagram.arity, _flags(diagram.mask, width, _SOLID))
+    return Clique._unsafe(_D0, diagram.arity, _solid_flags(diagram.arity)(diagram.mask))
 
 
 def grav_check(clique):

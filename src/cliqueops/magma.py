@@ -121,6 +121,8 @@ class UnitaryMagma:
         except (KeyError, TypeError) as exc:
             raise MagmaError(f"table data must carry elements/unit/table: {exc}")
         size = len(names)
+        if not all(isinstance(name, str) for name in names):
+            raise MagmaError(f"element names must be strings, got {names!r}")
         if len(set(names)) != size:
             raise MagmaError("duplicate element names in table data")
         if unit_name not in names:
@@ -129,7 +131,7 @@ class UnitaryMagma:
             raise MagmaError(f"table must have {size * size} entries, got {len(flat)}")
         pos = {nm: i for i, nm in enumerate(names)}
         for entry in flat:
-            if entry not in pos:
+            if not isinstance(entry, str) or entry not in pos:
                 raise MagmaError(f"table entry {entry!r} not among elements")
         # renumber so the unit sits at index 0
         order = [unit_name] + [nm for nm in names if nm != unit_name]

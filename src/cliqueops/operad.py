@@ -82,6 +82,9 @@ def composable_pairs(max_arity):
     ]
 
 
+_new = object.__new__
+
+
 def partial_compose(p, q, i):
     """The clique p o_i q of arity |p| + |q| - 1."""
     magma = p.magma
@@ -89,9 +92,17 @@ def partial_compose(p, q, i):
         raise CliqueError("cannot compose cliques over different magmas")
     arity, _, pick, edge, base = composition_plan(p.arity, q.arity, i)
     a, b = p.labels, q.labels
-    return Clique._unsafe(
-        magma, arity, pick(a + b + (magma.op(a[edge], b[base]), magma.unit)),
-    )
+    # the kernel of every composition loop, so it reads a finite carrier's
+    # table, which `magma.op` reads too, and fills the slots of
+    # `Clique._unsafe` itself
+    table = magma.table
+    glue = table[a[edge]][b[base]] if table is not None else magma.op(a[edge], b[base])
+    result = _new(Clique)
+    result.magma = magma
+    result.arity = arity
+    result.labels = pick(a + b + (glue, magma.unit))
+    result._hash = None
+    return result
 
 
 def compose_glued(p, q, i, glue):

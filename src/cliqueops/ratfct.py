@@ -27,6 +27,7 @@ from .operad import (
     CompositionPlan, LinComb, _accumulate, _Combination, star_product,
 )
 from .report import VerifyReport
+from .verify import _compose_block, morphism_slabs
 
 
 class RatFctError(ValueError):
@@ -207,7 +208,7 @@ def rf_compose(f, g, i):
 def interval_map(clique, rank):
     """The map taking a clique to its single interval product under a rank
     function: the row of exponents is the clique's row of ranks."""
-    if rank.magma != clique.magma:
+    if rank.magma is not clique.magma and rank.magma != clique.magma:
         raise MagmaError("rank function does not belong to the clique's magma")
     return IntervalProduct._unsafe(clique.arity, rank.of_labels(clique.labels))
 
@@ -364,11 +365,6 @@ def _rf_vector(pools, arity_pairs):
     `composition_plan` with glue p_i + q_0; the rational-function side
     selects the columns of `_row_plan`, compiled from `_reindex`."""
     import numpy as np
-
-    # not at module level: the package imports this module before
-    # variants.py, and the verify -> enumeration -> variants import cycle
-    # resolves only when it is entered at variants.py
-    from .verify import _compose_block, morphism_slabs
 
     bound = max(abs(lab) for pool in pools.values() for p in pool for lab in p.labels)
     dtype = np.min_scalar_type(-2 * bound - 1)

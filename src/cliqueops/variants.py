@@ -20,8 +20,7 @@ from itertools import accumulate, compress, repeat
 from operator import ne
 from typing import Callable, NamedTuple
 
-from .clique import arc_class, arc_index, arcs_of, crossing, nested_in
-from .enumeration import clique_space_size
+from .clique import arc_class, arc_index, arcs_of, clique_space_size, crossing, nested_in
 from .magma import has_nontrivial_unit_divisors
 from .operad import LinComb, composable_pairs, partial_compose_lin
 from .report import VerifyReport
@@ -198,24 +197,38 @@ def _bubble_at(arity):
     return admits
 
 
-def _gravity_at(arity):
-    """grav -- the arc is a diagonal (x', y'), and no y with x' < y < y' has
-    (x', y) marked (always, for the edge y = x'+1) together with a marked
-    diagonal (x, y), x < x'.  (x', y') is the last of the three in arc order."""
+@lru_cache(maxsize=None)
+def _gravity_tests(arity):
+    """grav, per arc: None for an edge or the base, which the rule refuses,
+    and for a diagonal (x', y') the pair (edge_left, middles) that says no y
+    with x' < y < y' has (x', y) marked (always, for the edge y = x'+1)
+    together with a marked diagonal (x, y), x < x'.  With x < x'
+    throughout, `edge_left` is the mask of the (x, x'+1) and `middles`
+    holds, for each y > x'+1, the bit of (x', y) with the mask of the
+    (x, y).  Every arc a test reads is a diagonal before (x', y') in arc
+    order."""
     index, diagonal = arc_index(arity), _diagonal_flags(arity)
-    # per arc (x', y'), x < x' throughout: the mask of the (x, x'+1), then
-    # for each y > x'+1 the bit of (x', y) with the mask of the (x, y)
     tests = []
-    for xp, yp in arcs_of(arity):
+    for (xp, yp), is_diagonal in zip(arcs_of(arity), diagonal):
+        if not is_diagonal:
+            tests.append(None)
+            continue
         left = {y: sum(1 << index[(x, y)] for x in range(1, xp)) for y in range(xp + 1, yp)}
-        tests.append((left.get(xp + 1, 0), tuple(
+        tests.append((left[xp + 1], tuple(
             (1 << index[(xp, y)], left[y]) for y in range(xp + 2, yp) if left[y]
         )))
+    return tuple(tests)
+
+
+def _gravity_at(arity):
+    """grav -- the arc passes its `_gravity_tests` against the accepted arcs."""
+    tests = _gravity_tests(arity)
 
     def admits(mask, comp, j):
-        if not diagonal[j]:
+        test = tests[j]
+        if test is None:
             return False
-        edge_left, middles = tests[j]
+        edge_left, middles = test
         ok = (mask & edge_left) == 0
         for middle, left in middles:
             ok = ok & (((mask & middle) == 0) | ((mask & left) == 0))
@@ -261,31 +274,58 @@ def _frame(rule, arity):
 def _accepts(rule, arity, mask):
     """Whether a rule accepts a whole solid-arc mask: its frame is solid (a
     frame arc missing from the mask is a set bit that the rule refuses),
-    and the fold accepts the other arcs."""
-    return _fold(rule, arity, mask ^ _frame(rule, arity))
+    and every other arc, taken in arc order, joins the arcs before it."""
+    mask ^= _frame(rule, arity)
+    admits = rule.at(arity)
+    if rule.forest:
+        return _forest_fold(admits, arity, mask)
+    accepted = 0
+    while mask:
+        low = mask & -mask
+        if not admits(accepted, None, low.bit_length() - 1):
+            return False
+        accepted |= low
+        mask ^= low
+    return True
 
 
-def gravity_member(arity, mask):
-    """The gravity condition on a mask of marked arcs, bit j for arc j."""
-    return _accepts(_gravity_rule, arity, mask)
-
-
-def _fold(rule, arity, mask):
-    """Whether a downward-closed rule accepts a mask: every arc, taken in arc
-    order, joins the arcs before it."""
-    arcs, admits = arcs_of(arity), rule.at(arity)
-    comp = _start_labels(arity) if rule.forest else None
+def _forest_fold(admits, arity, mask):
+    """The fold of `_accepts` for a forest rule, which carries the component
+    labels of the accepted arcs."""
+    arcs, comp = arcs_of(arity), _start_labels(arity)
     accepted = 0
     while mask:
         low = mask & -mask
         j = low.bit_length() - 1
         if not admits(accepted, comp, j):
             return False
-        if comp is not None:  # _merge, inlined: member is called per clique
-            x, y = arcs[j]
-            comp = comp.replace(comp[y:y + 1], comp[x:x + 1])
+        x, y = arcs[j]  # _merge, inlined: member is called per clique
+        comp = comp.replace(comp[y:y + 1], comp[x:x + 1])
         accepted |= low
         mask ^= low
+    return True
+
+
+def gravity_member(arity, mask):
+    """The gravity condition on a mask of marked arcs, bit j for arc j, in
+    one pass: every bit of mask ^ frame, an unmarked edge or base or a
+    marked diagonal, must pass its `_gravity_tests`, which refuse the frame.
+    A test reads only diagonals before its arc, so it reads the whole mask
+    and the pass gives the verdict of `_accepts`."""
+    rest = mask ^ _frame_mask(arity)
+    tests = _gravity_tests(arity)
+    while rest:
+        low = rest & -rest
+        test = tests[low.bit_length() - 1]
+        if test is None:
+            return False
+        edge_left, middles = test
+        if mask & edge_left:
+            return False
+        for middle, left in middles:
+            if mask & middle and mask & left:
+                return False
+        rest ^= low
     return True
 
 

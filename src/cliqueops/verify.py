@@ -35,8 +35,9 @@ import random
 from functools import partial
 
 from . import clique as _clique
-from .clique import Clique, CliqueError, arcs_of, reflect, rotate
-from .enumeration import clique_space_size, generate_cliques
+from .clique import (
+    Clique, CliqueError, arcs_of, clique_space_size, generate_cliques, reflect, rotate,
+)
 from .magma import (
     MagmaError, UnitaryMagma, automorphisms, is_right_cancelable, pair_value,
     unpair_value,

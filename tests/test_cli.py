@@ -446,6 +446,41 @@ def test_oversized_clique_file_is_refused_before_allocating(capsys, tmp_path):
     assert elapsed < 1 and peak < 1 << 20
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--magma", "trivial", "--arity", "1448"],
+    ["sequence", "--variant", "bub", "--magma", "D:0", "--max-arity", "1448"],
+    ["verify", "known-ops", "--max-arity", "1448"],
+    ["verify", "axioms", "--magma", "D:0", "--max-arity", "3000"],
+    ["verify", "all", "--max-arity", "3000"],
+], ids=["enumerate", "sequence", "known-ops", "axioms", "battery"])
+def test_oversized_arity_flags_are_refused_before_allocating(capsys, monkeypatch, argv):
+    # above arity 1447 a label row exceeds MAX_TABLE_ENTRIES (`row_width`);
+    # the commands' work stands replaced, so that a missed bound fails at once
+    import time
+    import tracemalloc
+
+    from cliqueops import acceptance, cli, enumeration, knownops, verify
+
+    def ran(*args, **kwargs):
+        pytest.fail("the command ran past the arity bound")
+
+    for module, name in ((cli, "generate_cliques"), (enumeration, "sequence_for"),
+                         (knownops, "verify_known_ops"), (verify, "verify_operad_axioms"),
+                         (acceptance, "run_all")):
+        monkeypatch.setattr(module, name, ran)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: arity {argv[-1]} needs a ")
+    assert elapsed < 1 and peak < 1 << 20
+
+
 def test_import_loads_neither_numpy_nor_a_process_pool():
     # a fresh interpreter: this test process has loaded numpy already
     import os
@@ -468,6 +503,36 @@ def test_import_loads_neither_numpy_nor_a_process_pool():
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_module_imports_first():
+    # in one fresh interpreter, each module is imported with every cliqueops
+    # module dropped and a bare package in place of __init__.py, so that
+    # neither the package's import order nor an earlier import hides a cycle
+    import os
+    import subprocess
+    import sys
+
+    import cliqueops
+
+    script = (
+        "import importlib, pkgutil, sys, types\n"
+        "path = sys.argv[1:]\n"
+        "names = sorted(info.name for info in pkgutil.iter_modules(path))\n"
+        "assert 'verify' in names and 'variants' in names, names\n"
+        "for name in names:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'cliqueops']:\n"
+        "        del sys.modules[key]\n"
+        "    package = types.ModuleType('cliqueops')\n"
+        "    package.__path__ = path\n"
+        "    sys.modules['cliqueops'] = package\n"
+        "    importlib.import_module('cliqueops.' + name)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(cliqueops.__file__)],
+        capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
 

@@ -279,3 +279,68 @@ def test_nesting_free_matches_its_pairwise_definition(clique):
     solid = clique.solid_arcs()
     assert list(solid) == sorted(solid)  # the one pass relies on arc order
     assert is_nesting_free(clique) == pairwise_nesting_free(clique)
+
+
+# -- the clique reader under drawn input ----------------------------------------
+
+_JSON_SCALARS = st.sampled_from([None, True, False, -1, 0, 2, 7, 1.0, 2.5, "", "x", "1,2"])
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
+
+
+def _rarely(draw):
+    """True about one time in ten."""
+    return draw(st.sampled_from([False] * 9 + [True]))
+
+
+@st.composite
+def table_objects(draw):
+    """A table-file object of a drawn size: mostly well-shaped (names, a
+    unit among them, a square table of names), with drawn damage."""
+    names = draw(st.lists(st.sampled_from(["u", "a", "b", "c", "0", "\U0001d7d9", ""]),
+                          min_size=1, max_size=4, unique=True))
+    if _rarely(draw):
+        names = draw(st.lists(_JSON_VALUES, max_size=4))
+    entry = st.sampled_from(names) if names else _JSON_VALUES
+    junk = st.one_of(entry, _JSON_VALUES)
+    unit = draw(junk if _rarely(draw) else entry)
+    count = draw(st.integers(0, 17)) if _rarely(draw) else len(names) ** 2
+    table = draw(st.lists(junk if _rarely(draw) else entry, min_size=count, max_size=count))
+    data = {"elements": names, "unit": unit, "table": table}
+    return {k: v for k, v in data.items() if not _rarely(draw)}
+
+
+@st.composite
+def clique_objects(draw):
+    """A clique JSON value: a magma field (a spec, a table object or junk),
+    an arity of a drawn size (small, or above the bound of `row_width`) and
+    labels keyed by drawn arcs, each field sometimes damaged or missing."""
+    if _rarely(draw):
+        return draw(_JSON_VALUES)
+    specs = st.sampled_from(["D:0", "D:2", "N:3", "E:1", "Z", "prod(D:0,N:2)"])
+    junk = st.one_of(st.sampled_from(["D:-1", "Q"]), _JSON_VALUES)
+    magma = draw(junk if _rarely(draw) else st.one_of(specs, table_objects()))
+    arity = draw(st.one_of(st.integers(1448, 10 ** 12), _JSON_SCALARS)
+                 if _rarely(draw) else st.integers(-1, 6))
+    coordinate = st.integers(-1, 8)
+    key = st.builds("{},{}".format, coordinate, coordinate)
+    if _rarely(draw):
+        key = st.sampled_from(["", "1", "1,2,3", "a,b", " 1, 3", "1;2", "\u0661,\u0662"])
+    name = st.sampled_from(["0", "1", "\U0001d7d9", "d1", "d_2", "e1", "2", "-1", "a"])
+    if _rarely(draw):
+        name = _JSON_VALUES
+    labels = draw(_JSON_VALUES if _rarely(draw) else st.dictionaries(key, name, max_size=4))
+    data = {"magma": magma, "arity": arity, "labels": labels}
+    return {k: v for k, v in data.items() if not _rarely(draw)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(clique_objects())
+def test_clique_reader_reads_or_refuses(data):
+    from cliqueops import MagmaError
+
+    try:
+        clique = clique_from_json(data)
+    except (CliqueError, MagmaError):
+        return
+    assert clique.arity == data["arity"]
+    assert clique_from_json(clique_to_json(clique)) == clique

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -268,7 +269,7 @@ def test_known_ops_verifier_catches_a_broken_morphism(
 
 @pytest.mark.parametrize("engine", ["vector", "scalar"])
 @pytest.mark.parametrize("family", ["multi-tilde", "double multi-tilde", "gravity"])
-def test_known_ops_engines_catch_a_shifted_inner_table(monkeypatch, engine, family):
+def test_known_ops_engines_catch_a_shifted_inner_table(monkeypatch, request, engine, family):
     from cliqueops import knownops
     from test_verifier_references import reference_double_multitildes, reference_known_ops
 
@@ -294,6 +295,10 @@ def test_known_ops_engines_catch_a_shifted_inner_table(monkeypatch, engine, fami
         monkeypatch.setattr(knownops, "_clique_multitildes", lambda arity: ())
     assert verify().ok
     monkeypatch.setattr(knownops, "_compose_tables", shifted)
+    # the compositions read the tables through `_composer`, whose cached
+    # remaps would hide the shift; after the test they would keep it
+    knownops._composer.cache_clear()
+    request.addfinalizer(knownops._composer.cache_clear)
     if family == "gravity":
         # the shifted composite of two triangles leaves the family before
         # any image is compared
@@ -430,6 +435,7 @@ def test_one_substitution_rule_feeds_both_morphism_verifiers(monkeypatch):
     def clear():
         real.cache_clear()
         knownops._compose_tables.cache_clear()
+        knownops._composer.cache_clear()
         ratfct._row_plan.cache_clear()
 
     assert verify_known_ops(3).ok and ratfct.verify_rf_morphism((0, 1), 2).ok
@@ -548,3 +554,30 @@ def test_gravity_rule_catches_a_misread_middle_arc(monkeypatch):
     assert any(found[n] != _brute_force_gravity(n) for n in found)
     # the misread rule admits the crossing pair (1,3), (2,4) under edge (2,3)
     assert ((1, 3), (2, 4)) in found[4]
+
+
+def test_whole_mask_gravity_test_equals_the_rule_fold():
+    # `gravity_member` reads each marked arc's test against the whole mask;
+    # `_accepts` folds the census rule over the marked arcs in arc order
+    from cliqueops import variants
+
+    def fold(arity, mask):
+        return variants._accepts(variants._gravity_rule, arity, mask)
+
+    for n in range(1, 6):
+        for mask in range(1 << len(arcs_of(n))):
+            assert variants.gravity_member(n, mask) == fold(n, mask), (n, mask)
+    rng, verdicts = random.Random(6), set()
+    for k in range(20000):
+        n = 6 + k % 2
+        frame, width = variants._frame_mask(n), len(arcs_of(n))
+        # framed masks with few diagonals pass as often as they fail; one in
+        # ten also loses or gains a random arc
+        density = rng.choice((0.1, 0.2, 0.3))
+        mask = frame | sum(1 << j for j in range(width) if rng.random() < density)
+        if rng.random() < 0.1:
+            mask ^= 1 << rng.randrange(width)
+        verdict = variants.gravity_member(n, mask)
+        assert verdict == fold(n, mask), (n, mask)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliqueops import (
     Clique, CliqueError, MagmaElem, MagmaError, MagmaMorphism, RankFunction,
@@ -143,6 +145,17 @@ def test_parse_magma_spec(tmp_path):
         parse_magma_spec(f"table:{path}")
 
 
+@pytest.mark.parametrize("data", [
+    {"elements": ["u", ["a"]], "unit": "u", "table": ["u", ["a"], ["a"], "u"]},
+    {"elements": ["u", 1], "unit": "u", "table": ["u", 1, 1, "u"]},
+    {"elements": ["u", "a"], "unit": "u", "table": ["u", "a", "a", ["u"]]},
+], ids=["list-name", "int-name", "list-entry"])
+def test_table_names_and_entries_are_strings(data):
+    # a table file is JSON, whose lists are unhashable
+    with pytest.raises(MagmaError, match="strings|not among elements"):
+        UnitaryMagma.from_table_data(data)
+
+
 def test_rank_function_validation(n2, z):
     identity = RankFunction.identity()
     assert identity(-4) == -4
@@ -197,3 +210,77 @@ def test_bool_is_not_a_label(z, d0):
         assert not magma.contains(True) and not magma.contains(False)
         with pytest.raises(CliqueError):
             Clique(magma, 2, [True, 0, 0])
+
+
+# -- the spec parser under drawn input ------------------------------------------
+
+_FAMILY_SIZES = {"N:": lambda k: k if k >= 1 else None,
+                 "D:": lambda k: k + 2 if k >= 0 else None,
+                 "E:": lambda k: k + 1 if k >= 0 else None}
+_BUILT = 36  # carriers up to this size are built, larger ones only read
+
+
+@st.composite
+def magma_specs(draw, depth=2):
+    """A well-formed spec text and its carrier size: "Z" for the integers,
+    None when the spec must be refused.  Parameters are small or have at
+    least ten digits, and products nest up to `depth` levels."""
+    if depth and draw(st.booleans()):
+        (left, a), (right, b) = draw(magma_specs(depth - 1)), draw(magma_specs(depth - 1))
+        finite = None not in (a, b) and "Z" not in (a, b)
+        size = a * b if finite and a * b <= 1024 else None
+        return f"prod({left},{right})", size
+    kind = draw(st.sampled_from(["Z", "trivial", *_FAMILY_SIZES]))
+    if kind == "Z":
+        return "Z", "Z"
+    if kind == "trivial":
+        return "trivial", 1
+    k = draw(st.one_of(st.integers(-2, 5), st.integers(10 ** 9, 10 ** 30)))
+    size = _FAMILY_SIZES[kind](k)
+    return f"{kind}{k}", size if size is not None and size <= 1024 else None
+
+
+@st.composite
+def damaged(draw, text):
+    """`text` with one to three characters deleted, inserted or replaced."""
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(chars)))
+        new = draw(st.sampled_from("():,-+_ 0123456789NDEZprodtrivialx\u0663"))
+        action = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if action == "insert" or not chars:
+            chars.insert(at, new)
+        elif action == "delete":
+            del chars[min(at, len(chars) - 1)]
+        else:
+            chars[min(at, len(chars) - 1)] = new
+    return "".join(chars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(magma_specs(), st.data())
+def test_spec_parser_states_the_size_or_refuses(drawn, data):
+    # reading a spec states its carrier size without building a table; the
+    # small carriers are built as well
+    from cliqueops.magma import _read_spec
+
+    text, size = drawn
+    if size is None:
+        with pytest.raises(MagmaError):
+            parse_magma_spec(text)
+    elif size == "Z":
+        assert parse_magma_spec(text).kind == "int"
+    else:
+        read, build = _read_spec(text)
+        assert read == size
+        if size <= _BUILT:
+            assert build().size == size
+    # damaged, a spec is read or refused with MagmaError; `table:` reads a
+    # file, so damage that spells it out is left aside
+    broken = data.draw(damaged(text).filter(lambda t: "table:" not in t))
+    try:
+        read, build = _read_spec(broken)
+        if read is not None and read <= _BUILT:
+            assert build().size == read
+    except MagmaError:
+        pass

@@ -140,12 +140,13 @@ def test_compose_block_keeps_the_glue_operand_order():
 
 
 @st.composite
-def unitary_magmas(draw, max_size=4):
+def unitary_magmas(draw, max_size=4, unit_divisors=True):
     """A table magma of 2 to `max_size` (at most 4) elements with unit "u"
     and every product of two non-units drawn: in general neither
-    commutative nor associative."""
+    commutative nor associative.  Without `unit_divisors` no such product
+    is the unit."""
     names = ["u", "a", "b", "c"][:draw(st.integers(2, max_size))]
-    entries = st.sampled_from(names)
+    entries = st.sampled_from(names if unit_divisors else names[1:])
     table = [y if x == "u" else x if y == "u" else draw(entries)
              for x in names for y in names]
     return UnitaryMagma.from_table_data({"elements": names, "unit": "u", "table": table})
@@ -218,6 +219,37 @@ def test_block_verifiers_match_their_references_over_random_magmas(magma, other)
         assert (block.ok, block.counterexample) == (reference.ok, reference.counterexample)
     product = magma_product(magma, other)
     _same(verify_product_iso(product, 2), reference_product_iso(product, 2))
+
+
+@settings(max_examples=4, deadline=None)
+@given(unitary_magmas(max_size=3))
+def test_ideal_verifier_matches_its_reference_over_random_magmas(magma):
+    # the quotients that need a carrier without nontrivial unit divisors
+    # are built unchecked: over a carrier with some, both scans may fail,
+    # each at the first failure in its own order
+    from test_verifier_references import _same, reference_ideal
+
+    from cliqueops import has_nontrivial_unit_divisors, variant, verify_ideal
+    from cliqueops.variants import QUOTIENT_SPECS
+
+    for spec in QUOTIENT_SPECS:
+        var = variant(spec, magma, unchecked=True)
+        block, reference = verify_ideal(var, magma, 3), reference_ideal(var, magma, 3)
+        if block.ok and reference.ok:
+            _same(block, reference)
+        else:
+            assert not block.ok and not reference.ok, spec
+            assert has_nontrivial_unit_divisors(magma) and block.checked > 0
+
+
+@settings(max_examples=4, deadline=None)
+@given(unitary_magmas(max_size=3, unit_divisors=False))
+def test_inclusion_verifier_matches_its_reference_over_random_magmas(magma):
+    from test_verifier_references import _same, reference_inclusions
+
+    from cliqueops import verify_inclusions
+
+    _same(verify_inclusions(magma, 3), reference_inclusions(magma, 3))
 
 
 # -- definitional references for the kernel ------------------------------------
