@@ -37,10 +37,19 @@ class UsageError(Exception):
     pass
 
 
+def _read_json(path, **options):
+    """The JSON document of a file named on the command line; a directory
+    or a file that cannot be read as UTF-8 is a usage error."""
+    try:
+        with open(path) as handle:
+            return json.load(handle, **options)
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
 def _load_lincomb(path, magma):
-    with open(path) as handle:
-        # JSON decimals are read exactly: a coefficient 0.1 is 1/10
-        data = json.load(handle, parse_float=Fraction)
+    # JSON decimals are read exactly: a coefficient 0.1 is 1/10
+    data = _read_json(path, parse_float=Fraction)
     if isinstance(data, dict):
         clique = clique_from_json(data, magma=magma)
         return LinComb.of(clique)
@@ -194,8 +203,7 @@ def cmd_primes(args):
 def cmd_dyck(args):
     magma = parse_magma_spec(args.magma)
     if args.encode:
-        with open(args.encode) as handle:
-            clique = clique_from_json(json.load(handle), magma=magma)
+        clique = clique_from_json(_read_json(args.encode), magma=magma)
         word = enumeration.dyck_encode(clique)
         print(str(word))
         return 0

@@ -13,7 +13,8 @@ rational functions (`ratfct._reindex`: insert a block of m slots at slot
 i), not from transporting through cliques: the rule is applied to every
 bit once per (n, m, i), cached as bit-remap tables, and a composition
 remaps the masks through them.  The morphism checks therefore compare
-two independent computations.  Each shape's remap is compiled once
+two independent computations, as laws of the slab engine
+`verify.slab_laws`.  Each shape's remap is compiled once
 (`_composer`): two table lookups when both operands have arity 3 or
 less, the chunk loop otherwise.
 
@@ -45,8 +46,7 @@ from . import ratfct, variants
 from .clique import Clique, arc_index, arcs_of, row_width
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
 from .operad import composable_pairs, partial_compose
-from .report import VerifyReport
-from .verify import _compose_block, _label_dtype, morphism_slabs
+from .verify import _compose_block, _label_dtype, _star, slab_laws
 
 
 class KnownOperadError(ValueError):
@@ -546,20 +546,31 @@ def lie_maximal(arity):
 # -- morphism checks -------------------------------------------------------
 
 
-def _vector_morphism(arity_pairs, pools, images, magma, masks, values, member):
-    """Label blocks over the pools' masks, one column per component.  The
-    family side remaps the masks through `_compose_tables` and reads the
-    flag tables; the clique side composes the images' labels with
-    `_compose_block`.  `member(arity, *masks)`, when given, is asserted
-    once per distinct composite in each slab."""
+def _morphism_law(family, arity_pairs, pool, phi, encoding):
+    """The slab law phi(a o_i b) == phi(a) o_i phi(b) over every pair
+    (a, b) from the pools of the given arity pairs and every i.  Each
+    arity's pool and images are built once.
+
+    `encoding` is the family's mask encoding: the clique magma, the masks
+    of an element, the label of each mask's bits, and the family's
+    membership test of a composite's masks (None when every mask is a
+    member).  The label blocks hold one column per component.  The family
+    side remaps the masks through `_compose_tables` and reads the flag
+    tables; the clique side composes the images' labels with
+    `_compose_block`.  The membership test, when given, is asserted once
+    per distinct composite in each slab.
+    """
     import numpy as np
 
+    magma, masks, values, member = encoding
+    arities = {n for pair in arity_pairs for n in pair}
+    pools = {n: list(pool(n)) for n in arities}
     dtype = _label_dtype(magma)
-    star = np.array(magma.table, dtype=dtype)
+    star = _star(magma)
     bits = {n: np.array([masks(a) for a in pool], dtype=np.int64)
             for n, pool in pools.items()}
-    labels = {n: np.array([image.labels for image in images[n]], dtype=dtype)
-              for n in images}
+    labels = {n: np.array([phi(a).labels for a in pool], dtype=dtype)
+              for n, pool in pools.items()}
 
     def remap(masks, tables):
         # `_remap` over a mask array
@@ -591,32 +602,15 @@ def _vector_morphism(arity_pairs, pools, images, magma, masks, values, member):
         width = len(arcs_of(n + m - 1))
         return sum(flags(composed[:, c], width, value) for c, value in enumerate(values))
 
-    def clique_side(n, m, i, rows):
-        return _compose_block(labels[n][rows], n, labels[m], m, i, star)
+    def broken(n, m, i, rows):
+        return family_side(n, m, i, rows) != _compose_block(
+            labels[n][rows], n, labels[m], m, i, star,
+        )
 
-    return morphism_slabs(arity_pairs, pools, family_side, clique_side)
+    def describe(a, i, b):
+        return f"{family} morphism fails on {a!r} o_{i} {b!r}"
 
-
-def _morphism_report(family, arity_pairs, pool, phi, encoding):
-    """Count the instances phi(a o_i b) == phi(a) o_i phi(b) over every pair
-    (a, b) from the pools of the given arity pairs and every i, stopping at
-    the first failure.  Each arity's pool and images are built once.
-
-    `encoding` is the family's mask encoding for the slab engine: the
-    clique magma, the masks of an element, the label of each mask's bits,
-    and the family's membership test of a composite's masks (None when
-    every mask is a member).
-    """
-    arities = {n for pair in arity_pairs for n in pair}
-    pools = {n: list(pool(n)) for n in arities}
-    images = {n: [phi(a) for a in pools[n]] for n in pools}
-    checked, failure = _vector_morphism(arity_pairs, pools, images, *encoding)
-    if failure is None:
-        return VerifyReport("known-ops", True, checked, None)
-    a, i, b = failure
-    return VerifyReport(
-        "known-ops", False, checked, f"{family} morphism fails on {a!r} o_{i} {b!r}",
-    )
+    return arity_pairs, pools, pools, broken, describe
 
 
 def _clique_multitildes(arity):
@@ -641,20 +635,12 @@ def verify_known_ops(max_arity):
     closed as well: gravity closure is asserted throughout.
     """
     arity_pairs = composable_pairs(max_arity)
-    tildes = _morphism_report(
-        "multi-tilde", arity_pairs, _clique_multitildes, phi_mt,
-        (_D0, lambda s: (s.mask,), (_SOLID,), None),
-    )
-    if not tildes.ok:
-        return tildes
-    gravity = _morphism_report(
-        "gravity", arity_pairs, gravity_diagrams, phi_grav,
-        (_D0, lambda c: (c.mask,), (_SOLID,), variants.gravity_member),
-    )
-    return VerifyReport(
-        "known-ops", gravity.ok, tildes.checked + gravity.checked,
-        gravity.counterexample,
-    )
+    return slab_laws("known-ops", (_morphism_law(*law) for law in (
+        ("multi-tilde", arity_pairs, _clique_multitildes, phi_mt,
+         (_D0, lambda s: (s.mask,), (_SOLID,), None)),
+        ("gravity", arity_pairs, gravity_diagrams, phi_grav,
+         (_D0, lambda c: (c.mask,), (_SOLID,), variants.gravity_member)),
+    )))
 
 
 def verify_double_multitildes(arity_pairs):
@@ -663,7 +649,7 @@ def verify_double_multitildes(arity_pairs):
     arity-1 double multi-tildes, which have no clique, excluded), on label
     blocks as in `verify_known_ops`.
     """
-    return _morphism_report(
+    return slab_laws("known-ops", [_morphism_law(
         "double multi-tilde", arity_pairs, _clique_double_multitildes, phi_dmt,
         (_D0_SQUARED, lambda s: (s.mask1, s.mask2), (_FIRST, _SECOND), None),
-    )
+    )])

@@ -331,8 +331,11 @@ def _read_spec(text):
         return size, lambda: magma_product(build1(), build2())
     if text.startswith("table:"):
         path = text[len("table:"):]
-        with open(path) as handle:
-            data = json.load(handle)
+        try:
+            with open(path) as handle:
+                data = json.load(handle)
+        except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+            raise MagmaError(f"cannot read magma table {path}: {exc}") from None
         magma = UnitaryMagma.from_table_data(data, spec=text, name=path)
         return magma.size, lambda: magma
     raise MagmaError(f"unrecognized magma spec {text!r}")

@@ -8,8 +8,10 @@ Under the identity rank that row is a clique's label row, so
 `interval_map` is one `rank.of_labels` call; products multiply arcwise,
 and the substitution-based partial composition is one pick through
 `_row_plan`, the `_reindex` table compiled per shape.  The fragment
-carries the clique morphism built from a rank function, and admits an
-exact zero test by clearing denominators and expanding numerators as
+carries the clique morphism built from a rank function, which
+`verify_rf_morphism` checks on label blocks through `verify.slab_laws`,
+scattering `_row_plan` with `verify._apply_plan`.  It admits an exact
+zero test by clearing denominators and expanding numerators as
 multivariate polynomials.
 """
 
@@ -27,7 +29,7 @@ from .operad import (
     CompositionPlan, LinComb, _accumulate, _Combination, star_product,
 )
 from .report import VerifyReport
-from .verify import _compose_block, morphism_slabs
+from .verify import _apply_plan, _compose_block, slab_laws
 
 
 class RatFctError(ValueError):
@@ -349,7 +351,7 @@ def compose_product(prod, other, i):
 
 
 class _ZSum:
-    """The star table of integer addition for `_compose_block`: indexing it
+    """The star table of integer addition for `_apply_plan`: indexing it
     with two label arrays adds them, in a dtype that holds every sum."""
 
     def __init__(self, dtype):
@@ -359,42 +361,19 @@ class _ZSum:
         return pair[0] + pair[1]
 
 
-def _rf_vector(pools, arity_pairs):
-    """Label blocks: under the identity rank an interval product's exponent
-    row is the clique's label row.  The clique side composes through
-    `composition_plan` with glue p_i + q_0; the rational-function side
-    selects the columns of `_row_plan`, compiled from `_reindex`."""
-    import numpy as np
-
-    bound = max(abs(lab) for pool in pools.values() for p in pool for lab in p.labels)
-    dtype = np.min_scalar_type(-2 * bound - 1)
-    blocks = {n: np.array([p.labels for p in pool], dtype=dtype)
-              for n, pool in pools.items()}
-    star = _ZSum(dtype)
-
-    def clique_side(n, m, i, rows):
-        return _compose_block(blocks[n][rows], n, blocks[m], m, i, star)
-
-    def interval_side(n, m, i, rows):
-        X, Y = blocks[n][rows], blocks[m]
-        _, source, _, edge, base = _row_plan(n, m, i)
-        source = np.array(source)
-        P, Q = X.shape[1], Y.shape[1]
-        out = np.zeros((X.shape[0], Y.shape[0], len(source)), dtype=dtype)
-        x, y = source < P, (P <= source) & (source < P + Q)
-        out[:, :, x] = X[:, None, source[x]]
-        out[:, :, y] = Y[None, :, source[y] - P]
-        out[:, :, source == P + Q] = (X[:, edge, None] + Y[None, :, base])[:, :, None]
-        return out.reshape(-1, len(source))
-
-    return morphism_slabs(arity_pairs, pools, clique_side, interval_side)
-
-
 def verify_rf_morphism(labels=(-1, 0, 1), max_arity=3):
     """Exhaustively check image(p o_i q) = image(p) o_i image(q) on integer
     cliques with the given labels, all arities up to the bound, all i,
     comparing label blocks slab by slab.
+
+    Under the identity rank an interval product's exponent row is the
+    clique's label row.  Both sides scatter the two label blocks with
+    `_apply_plan` and the glue p_i + q_0: the clique side through
+    `composition_plan`, the rational-function side through `_row_plan`,
+    compiled from `_reindex`.
     """
+    import numpy as np
+
     z = UnitaryMagma.integers()
     pools = {1: [Clique.unit(z)]}
     for n in range(2, max_arity + 1):
@@ -402,14 +381,21 @@ def verify_rf_morphism(labels=(-1, 0, 1), max_arity=3):
             Clique._unsafe(z, n, labs)
             for labs in iproduct(labels, repeat=len(arcs_of(n)))
         ]
-    checked, failure = _rf_vector(pools, [(n, m) for n in pools for m in pools])
-    if failure is None:
-        return VerifyReport("ratfct-morphism", True, checked, None)
-    p, i, q = failure
-    return VerifyReport(
-        "ratfct-morphism", False, checked,
-        f"image of {p!r} o_{i} {q!r} is not the composition of the images",
-    )
+    bound = max(abs(lab) for pool in pools.values() for p in pool for lab in p.labels)
+    star = _ZSum(np.min_scalar_type(-2 * bound - 1))
+    blocks = {n: np.array([p.labels for p in pool], dtype=star.dtype)
+              for n, pool in pools.items()}
+
+    def broken(n, m, i, rows):
+        X, Y = blocks[n][rows], blocks[m]
+        return _compose_block(X, n, Y, m, i, star) != _apply_plan(X, Y, _row_plan(n, m, i), star)
+
+    def describe(p, i, q):
+        return f"image of {p!r} o_{i} {q!r} is not the composition of the images"
+
+    return slab_laws("ratfct-morphism", [
+        ([(n, m) for n in pools for m in pools], pools, pools, broken, describe),
+    ])
 
 
 def verify_rf_laws(max_arity=4, samples=500, seed=0):

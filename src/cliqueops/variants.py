@@ -26,7 +26,7 @@ from .operad import LinComb, composable_pairs, partial_compose_lin
 from .report import VerifyReport
 from .verify import (
     VECTOR_CHUNK, _compose_block, _label_block, _label_blocks, _row_clique, _star,
-    morphism_slabs,
+    slab_laws,
 )
 
 
@@ -789,8 +789,6 @@ def verify_ideal(var, magma, max_arity):
     no composite of a non-member with an ambient clique, in either order, is
     a member.  Runs on label blocks, reading membership from the variant's
     flag tables."""
-    import numpy as np
-
     if magma != var.magma:
         raise VariantError("clique magma does not match the variant's magma")
     outside, ambient = {}, {}
@@ -800,44 +798,27 @@ def verify_ideal(var, magma, max_arity):
         ambient[n] = block[in_ambient]
     star = _star(magma)
 
-    def absorbed(left, right):
-        # the two sides of the law: member flags of every composite, all false
-        def members(n, m, i, rows):
+    def members(left, right):
+        # the law breaks where a composite is a member
+        def flags(n, m, i, rows):
             composed = _compose_block(left[n][rows], n, right[m], m, i, star)
-            return var._block_flags(n + m - 1, composed)[0][:, None]
+            return var._block_flags(n + m - 1, composed)[0]
 
-        def none(n, m, i, rows):
-            return np.zeros(((rows.stop - rows.start) * len(right[m]), 1), dtype=bool)
-
-        return members, none
+        return flags
 
     def clique(row):
         return _row_clique(magma, row)
 
-    name = f"ideal:{var.spec}"
-    checked = 0
-    for a, b in composable_pairs(max_arity):
-        more, failure = morphism_slabs(
-            [(a, b)], outside, *absorbed(outside, ambient), right_pools=ambient,
-        )
-        checked += more
-        if failure is not None:
-            p, i, q = failure
-            return VerifyReport(
-                name, False, checked,
-                f"non-member {clique(p)!r} o_{i} {clique(q)!r} re-entered {var.spec}",
-            )
-        more, failure = morphism_slabs(
-            [(b, a)], ambient, *absorbed(ambient, outside), right_pools=outside,
-        )
-        checked += more
-        if failure is not None:
-            q, i, p = failure
-            return VerifyReport(
-                name, False, checked,
-                f"{clique(q)!r} o_{i} non-member {clique(p)!r} re-entered {var.spec}",
-            )
-    return VerifyReport(name, True, checked, None)
+    outside_first = (outside, ambient, members(outside, ambient), lambda p, i, q: (
+        f"non-member {clique(p)!r} o_{i} {clique(q)!r} re-entered {var.spec}"
+    ))
+    ambient_first = (ambient, outside, members(ambient, outside), lambda q, i, p: (
+        f"{clique(q)!r} o_{i} non-member {clique(p)!r} re-entered {var.spec}"
+    ))
+    return slab_laws(f"ideal:{var.spec}", [
+        law for a, b in composable_pairs(max_arity)
+        for law in (([(a, b)], *outside_first), ([(b, a)], *ambient_first))
+    ])
 
 
 # The containments behind the morphism diagrams, written as membership

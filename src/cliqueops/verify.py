@@ -17,15 +17,17 @@ is one plan-level law that both engines share, the deliberately broken
 clique of an arity up to UNIT_LAW_CAP, and checks the plans alone beyond.
 
 The same label blocks check every other composition law exhaustively:
-`morphism_slabs` compares two block computations of a law slab by slab.
-It runs the reflection, automorphism and rotation laws (the last holds
-over commutative magmas only; see `verify_cyclic`), the product
-isomorphism and the ideal law of variants.py.  It is the only engine of
-the operad-morphism laws of ratfct.py and knownops.py (rational
-functions, multi-tildes, double multi-tildes and gravity); their
-one-instance-at-a-time loops are kept as test references.  The
-injectivity scan of the basic-set basis composes label blocks too, and
-finds a repeated composite by its radix key.
+`slab_laws` runs a list of laws slab by slab, each flagging the pairs
+that break it, and builds the report.  It runs the reflection,
+automorphism and rotation laws (the last holds over commutative magmas
+only; see `verify_cyclic`), the product isomorphism and the ideal law of
+variants.py.  It is the only engine of the operad-morphism laws of
+ratfct.py and knownops.py (rational functions, multi-tildes, double
+multi-tildes and gravity); their one-instance-at-a-time loops are kept
+as test references.  A block composite is one scatter, `_apply_plan`, of
+an index plan over two label blocks.  The injectivity scan of the
+basic-set basis composes label blocks too, and finds a repeated
+composite by its radix key.
 """
 
 from __future__ import annotations
@@ -150,17 +152,17 @@ def _label_block(magma, arity, rows=None):
     return out
 
 
-def _compose_block(X, nx, Y, ny, i, star):
-    """All pairwise compositions of two label blocks; rows ordered (x, y)."""
+def _apply_plan(X, Y, plan, star):
+    """The scatter of an index plan over every pair of rows of two label
+    blocks, rows ordered (x, y): plan entries below P (X's width) copy X,
+    below P + Q copy Y, P + Q is the glue star[x[edge], y[base]], and the
+    unit entry P + Q + 1 is 0."""
     import numpy as np
 
-    plan = composition_plan(nx, ny, i)
     Nx, Ny = X.shape[0], Y.shape[0]
     P, Q = X.shape[1], Y.shape[1]
     width = len(plan.source)
     out = np.zeros((Nx, Ny, width), dtype=star.dtype)
-    # plan entries below P read X, below P + Q read Y, P + Q is the glued
-    # arc; the unit entry P + Q + 1 is the 0 already in place
     for r, src in enumerate(plan.source):
         if src < P:
             out[:, :, r] = X[:, src][:, None]
@@ -169,6 +171,11 @@ def _compose_block(X, nx, Y, ny, i, star):
         elif src == P + Q:
             out[:, :, r] = star[X[:, plan.edge][:, None], Y[:, plan.base][None, :]]
     return out.reshape(Nx * Ny, width)
+
+
+def _compose_block(X, nx, Y, ny, i, star):
+    """All pairwise compositions of two label blocks; rows ordered (x, y)."""
+    return _apply_plan(X, Y, composition_plan(nx, ny, i), star)
 
 
 def _label_blocks(magma, max_arity):
@@ -182,51 +189,40 @@ def _row_clique(magma, row):
     return Clique._unsafe(magma, arity, tuple(row.tolist()))
 
 
-def _first_mismatch(lhs, rhs, shape):
-    import numpy as np
+def slab_laws(name, laws):
+    """The slab engine of the exhaustive composition laws: the report
+    `name` of the laws, run in order until one breaks.
 
-    diff = (lhs != rhs).any(axis=-1).reshape(shape)
-    where = np.argwhere(diff)
-    return tuple(int(v) for v in where[0])
-
-
-def morphism_slabs(arity_pairs, pools, lhs, rhs, right_pools=None):
-    """The slab engine of the exhaustive composition laws: compare two
-    label-block computations of one law on every pair of every arity pair
-    and slot.
-
-    `pools` maps an arity to its sequence of elements; the y side reads
-    `right_pools` instead when given (the ideal law pairs non-members with
-    ambient cliques).  For each arity pair (n, m), each i in 1..n and each
-    slice `rows` of the arity-n pool, `lhs(n, m, i, rows)` and
-    `rhs(n, m, i, rows)` return one label row per pair (x, y), x in `rows`
-    and y in the whole arity-m pool, rows ordered (x, y).  A slice holds at
-    most VECTOR_CHUNK result cells.
-
-    Returns (checked, None) when the two sides agree everywhere, else
-    (checked, (x, i, y)) for the first disagreeing pair of the first
-    failing slab, which `checked` counts.
+    A law is (arity_pairs, pools, right_pools, broken, describe).  The
+    pools map an arity to its sequence of elements, x from `pools` and y
+    from `right_pools`.  For each arity pair (n, m), each i in 1..n and
+    each slice `rows` of the arity-n pool, `broken(n, m, i, rows)` returns
+    one flag, or one row of flags, per pair (x, y), x in `rows` and y in
+    the whole arity-m right pool, rows ordered (x, y): the pair breaks the
+    law when any of its flags is set.  A comparison flags `lhs != rhs`.
+    A slice holds at most VECTOR_CHUNK result cells.  `describe(x, i, y)`
+    words the first broken pair of the first failing slab, which `checked`
+    counts.  `laws` may be lazy: a law is built once those before it hold.
     """
-    import numpy as np
-
-    right_pools = pools if right_pools is None else right_pools
     checked = 0
-    for n, m in arity_pairs:
-        Nx, Ny = len(pools[n]), len(right_pools[m])
-        if not (Nx and Ny):
-            continue
-        step = max(1, VECTOR_CHUNK // (Ny * len(arcs_of(n + m - 1))))
-        for i in range(1, n + 1):
-            for lo in range(0, Nx, step):
-                rows = slice(lo, min(lo + step, Nx))
-                left, right = lhs(n, m, i, rows), rhs(n, m, i, rows)
-                if not np.array_equal(left, right):
-                    (k,) = _first_mismatch(left, right, (-1,))
-                    return checked + k + 1, (
-                        pools[n][lo + k // Ny], i, right_pools[m][k % Ny],
-                    )
-                checked += (rows.stop - lo) * Ny
-    return checked, None
+    for arity_pairs, pools, right_pools, broken, describe in laws:
+        for n, m in arity_pairs:
+            Nx, Ny = len(pools[n]), len(right_pools[m])
+            if not (Nx and Ny):
+                continue
+            step = max(1, VECTOR_CHUNK // (Ny * len(arcs_of(n + m - 1))))
+            for i in range(1, n + 1):
+                for lo in range(0, Nx, step):
+                    rows = slice(lo, min(lo + step, Nx))
+                    size = (rows.stop - lo) * Ny
+                    flags = broken(n, m, i, rows)
+                    if flags.any():
+                        k = int(flags.reshape(size, -1).any(axis=1).argmax())
+                        return VerifyReport(name, False, checked + k + 1, describe(
+                            pools[n][lo + k // Ny], i, right_pools[m][k % Ny],
+                        ))
+                    checked += size
+    return VerifyReport(name, True, checked, None)
 
 
 _UNIT = ("unit",)
@@ -468,34 +464,28 @@ def _block_symmetries(magma, max_arity):
     def composed(n, m, i, rows):
         return _compose_block(X[n][rows], n, X[m], m, i, star)
 
-    def failed(checked, failure, law):
-        p, i, q = failure
-        return VerifyReport(
-            "symmetries", False, checked,
-            f"{law} fails on {_row_clique(magma, p)!r} o_{i} {_row_clique(magma, q)!r}",
-        )
+    def reflection(n, m, i, rows):
+        lhs = composed(n, m, i, rows)[:, _clique._reflect_plan(n + m - 1).source]
+        return lhs != _compose_block(R[n][rows], n, R[m], m, n - i + 1, star)
 
-    def reflected_composite(n, m, i, rows):
-        return composed(n, m, i, rows)[:, _clique._reflect_plan(n + m - 1).source]
-
-    checked, failure = morphism_slabs(
-        pairs, X, reflected_composite,
-        lambda n, m, i, rows: _compose_block(R[n][rows], n, R[m], m, n - i + 1, star),
-    )
-    if failure is not None:
-        return failed(checked, failure, "reflection")
-    for theta in automorphisms(magma):
-        values = np.array([theta(v) for v in magma.elements()], dtype=star.dtype)
+    def relabeling(values):
         T = {n: values[block] for n, block in X.items()}
-        more, failure = morphism_slabs(
-            pairs, X,
-            lambda n, m, i, rows: values[composed(n, m, i, rows)],
-            lambda n, m, i, rows: _compose_block(T[n][rows], n, T[m], m, i, star),
+        return lambda n, m, i, rows: (
+            values[composed(n, m, i, rows)] != _compose_block(T[n][rows], n, T[m], m, i, star)
         )
-        checked += more
-        if failure is not None:
-            return failed(checked, failure, "automorphism relabeling")
-    return VerifyReport("symmetries", True, checked, None)
+
+    def fails(law):
+        return lambda p, i, q: (
+            f"{law} fails on {_row_clique(magma, p)!r} o_{i} {_row_clique(magma, q)!r}"
+        )
+
+    def laws():
+        yield pairs, X, X, reflection, fails("reflection")
+        for theta in automorphisms(magma):
+            values = np.array([theta(v) for v in magma.elements()], dtype=star.dtype)
+            yield pairs, X, X, relabeling(values), fails("automorphism relabeling")
+
+    return slab_laws("symmetries", laws())
 
 
 def _random_integer_clique(rng, arity):
@@ -541,31 +531,23 @@ def verify_cyclic(magma, max_arity):
         checked += len(block)
     star = _star(magma)
 
-    def rotated_composite(n, m, i, rows):
-        composed = _compose_block(X[n][rows], n, X[m], m, i, star)
-        return composed[:, _clique._rotate_plan(n + m - 1).source]
-
-    def composite_of_rotated(n, m, i, rows):
-        # rotate(p) o_{i-1} q, and for i = 1 rotate(q) o_m rotate(p), whose
-        # rows come out ordered (y, x)
+    def rotation(n, m, i, rows):
+        # rotate(p o_i q) against rotate(p) o_{i-1} q, and for i = 1 against
+        # rotate(q) o_m rotate(p), whose rows come out ordered (y, x)
+        lhs = _compose_block(X[n][rows], n, X[m], m, i, star)
+        lhs = lhs[:, _clique._rotate_plan(n + m - 1).source]
         if i > 1:
-            return _compose_block(turned[n][rows], n, X[m], m, i - 1, star)
+            return lhs != _compose_block(turned[n][rows], n, X[m], m, i - 1, star)
         yx = _compose_block(turned[m], m, turned[n][rows], n, m, star)
         width = yx.shape[1]
-        return yx.reshape(len(X[m]), -1, width).transpose(1, 0, 2).reshape(-1, width)
+        return lhs != yx.reshape(len(X[m]), -1, width).transpose(1, 0, 2).reshape(-1, width)
 
-    more, failure = morphism_slabs(
-        composable_pairs(max_arity), X, rotated_composite, composite_of_rotated,
-    )
-    checked += more
-    if failure is not None:
-        p, i, q = failure
-        return VerifyReport(
-            "cyclic", False, checked,
-            f"rotation law fails on {_row_clique(magma, p)!r} o_{i} "
-            f"{_row_clique(magma, q)!r}",
-        )
-    return VerifyReport("cyclic", True, checked, None)
+    def describe(p, i, q):
+        return f"rotation law fails on {_row_clique(magma, p)!r} o_{i} {_row_clique(magma, q)!r}"
+
+    report = slab_laws("cyclic", [(composable_pairs(max_arity), X, X, rotation, describe)])
+    report.checked += checked
+    return report
 
 
 def _key_words(rows, bits):
@@ -748,34 +730,28 @@ def verify_product_iso(product_magma, max_arity):
     X1 = {n: first[block] for n, block in X.items()}
     X2 = {n: second[block] for n, block in X.items()}
 
-    def projected(n, m, i, rows):
+    def noncommuting(n, m, i, rows):
+        # the projections of every product composite against the factors'
         composed = _compose_block(X[n][rows], n, X[m], m, i, star)
-        return np.concatenate([first[composed], second[composed]], axis=1)
-
-    def factorwise(n, m, i, rows):
-        return np.concatenate([
-            _compose_block(X1[n][rows], n, X1[m], m, i, star1),
-            _compose_block(X2[n][rows], n, X2[m], m, i, star2),
-        ], axis=1)
-
-    checked = 0
-    pairs = composable_pairs(max_arity)
-    for n, block in X.items():
-        broken = np.flatnonzero((pair[X1[n], X2[n]] != block).any(axis=1))
-        if broken.size:
-            return VerifyReport(
-                "product-iso", False, checked,
-                f"unzip/zip round trip fails on {_row_clique(product_magma, block[broken[0]])!r}",
-            )
-        more, failure = morphism_slabs(
-            [(k, m) for k, m in pairs if k == n], X, projected, factorwise,
+        return (
+            (first[composed] != _compose_block(X1[n][rows], n, X1[m], m, i, star1))
+            | (second[composed] != _compose_block(X2[n][rows], n, X2[m], m, i, star2))
         )
-        checked += more
-        if failure is not None:
-            p, i, q = failure
-            return VerifyReport(
-                "product-iso", False, checked,
-                f"pairing does not commute with o_{i} on "
-                f"{_row_clique(product_magma, p)!r}, {_row_clique(product_magma, q)!r}",
-            )
-    return VerifyReport("product-iso", True, checked, None)
+
+    def describe(p, i, q):
+        return (f"pairing does not commute with o_{i} on "
+                f"{_row_clique(product_magma, p)!r}, {_row_clique(product_magma, q)!r}")
+
+    # the round trip of an arity is checked before the composites of that
+    # arity: the commute law runs on the arities below the first failure
+    trips = {n: (pair[X1[n], X2[n]] != block).any(axis=1) for n, block in X.items()}
+    bad = next((n for n, broken in trips.items() if broken.any()), max_arity + 1)
+    pairs = [(n, m) for n, m in composable_pairs(max_arity) if n < bad]
+    report = slab_laws("product-iso", [(pairs, X, X, noncommuting, describe)])
+    if not report.ok or bad > max_arity:
+        return report
+    row = X[bad][trips[bad].argmax()]
+    return VerifyReport(
+        "product-iso", False, report.checked,
+        f"unzip/zip round trip fails on {_row_clique(product_magma, row)!r}",
+    )

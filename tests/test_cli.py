@@ -362,6 +362,12 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     (None, ["verify", "symmetries", "--magma", "D:0", "--samples", "0"]),
     (None, ["verify", "axioms", "--magma", "Z"]),
     (None, ["verify", "all", "--magma", "Z", "--max-arity", "3"]),
+    # {dir} is a directory and {latin} a file that is not UTF-8
+    *((None, ["magma-check", "--magma", f"table:{path}"]) for path in ("{dir}", "{latin}")),
+    *((None, ["compose", "--magma", "Z", side, path, other, "{clique}", "--index", "1"])
+      for side, other in (("--lhs", "--rhs"), ("--rhs", "--lhs"))
+      for path in ("{dir}", "{latin}")),
+    *((None, ["dyck", "--magma", "D:0", "--encode", path]) for path in ("{dir}", "{latin}")),
     *(
         (None, ["sequence", "--variant", spec, "--magma", "D:0", "--max-arity", "3",
                 "--format", "json"])
@@ -376,10 +382,19 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
         "negative-infinite-coefficient", "bool-coefficient", "ratfct-arity-zero",
         "axioms-arity-zero", "known-ops-arity-zero", "known-ops-arity-negative",
         "ratfct-samples-negative", "symmetries-samples-zero", "axioms-over-Z",
-        "all-over-Z", "bound-on-bub",
+        "all-over-Z", "table-directory", "table-not-utf8", "lhs-directory",
+        "lhs-not-utf8", "rhs-directory", "rhs-not-utf8", "encode-directory",
+        "encode-not-utf8", "bound-on-bub",
         "junk-bound-on-nes", "empty-bound-on-grav", "underscored-bound",
         "spaced-bound"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe\x00")
+    clique = tmp_path / "clique.json"
+    clique.write_text(json.dumps(_CLIQUE))
+    paths = {"{dir}": tmp_path, "{latin}": latin, "{clique}": clique}
+    for key, path in paths.items():
+        argv = argv and [arg.replace(key, str(path)) for arg in argv]
     if argv is None:
         lhs = tmp_path / "lhs.json"
         lhs.write_text(json.dumps(payload))
@@ -751,3 +766,77 @@ def test_colored_word_parser_decodes_or_refuses(text):
         return
     assert is_nesting_free(clique)
     assert dyck_encode(clique) == word
+
+
+def unless_clean(clean, good, *bad):
+    """`good`, or when not `clean` either `good` or one of the `bad` values."""
+    return good if clean else st.one_of(good, st.sampled_from(bad))
+
+
+@st.composite
+def combination_cliques(draw, clean, arity):
+    """A D:1 clique object of the arity with labels on some of its arcs;
+    unless `clean`, maybe with a bad arity, label or arc key, or with a
+    key missing."""
+    arity = draw(unless_clean(clean, st.just(arity), 0, -1, True, 2.5, "3", 5))
+    # the one arc of arity 1 is the unit's
+    arcs = arcs_of(arity) if arity in range(2, 6) else []
+    keys = [f"{x},{y}" for x, y in arcs] + ([] if clean else ["9,9", "1;3", "1,2"])
+    # the unit, 0 and d_1 by name; an alias, a name D:1 lacks and non-names
+    label = unless_clean(clean, st.sampled_from(["\U0001d7d9", "0", "d_1"]),
+                         "d1", "x", 3, None)
+    data = {"magma": "D:1", "arity": arity, "labels": draw(
+        st.dictionaries(st.sampled_from(keys), label, max_size=4)) if keys else {}}
+    for missing in draw(unless_clean(clean, st.just(()), ("arity",), ("labels",))):
+        del data[missing]
+    return data
+
+
+@st.composite
+def combination_files(draw, clean, arity):
+    """One clique, or a list of terms: cliques with exact coefficients
+    (integers, JSON decimals and fraction strings); unless `clean`, maybe
+    with bad terms, coefficients or a key missing, or no term at all."""
+    if draw(st.booleans()):
+        return draw(combination_cliques(clean, arity))
+    coefficient = unless_clean(
+        clean, st.one_of(st.integers(-1000, 1000), st.floats(-100, 100), st.just("-3/4")),
+        True, float("nan"), float("inf"), float("-inf"), None, [1], "e", "1/0",
+    )
+    term = st.fixed_dictionaries({
+        "clique": combination_cliques(clean, arity), "coefficient": coefficient,
+    }).flatmap(lambda term: unless_clean(
+        clean, st.just(term), *({k: v for k, v in term.items() if k != key} for key in term),
+    ))
+    return draw(unless_clean(
+        clean, st.lists(unless_clean(clean, term, "x", 5), min_size=1, max_size=3), [],
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_combination_files_compose_or_exit_two(tmp_path_factory, data):
+    import contextlib
+    import io
+
+    clean = data.draw(st.booleans(), label="clean")
+    n, m = data.draw(st.integers(1, 4), label="n"), data.draw(st.integers(1, 4), label="m")
+    index = data.draw(unless_clean(clean, st.integers(1, n), 0, n + 1), label="index")
+    basis = data.draw(unless_clean(clean, st.just("fundamental"), "H", "K"), label="basis")
+    folder = tmp_path_factory.mktemp("combinations")
+    paths = []
+    for name, arity in (("lhs", n), ("rhs", m)):
+        path = folder / f"{name}.json"
+        # NaN and infinities are written as JSON's extensions
+        path.write_text(json.dumps(data.draw(combination_files(clean, arity), label=name)))
+        paths.append(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compose", "--magma", "D:1", "--lhs", paths[0], "--rhs", paths[1],
+                     "--index", str(index), "--basis", basis])
+    if clean:
+        assert (code, err.getvalue()) == (0, "")
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 2 and err.getvalue().startswith("error:")

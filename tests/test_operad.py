@@ -222,9 +222,33 @@ def test_product_iso_catches_a_swapped_pair(monkeypatch, d0sq):
 
     monkeypatch.setattr(verify, "unpair_value", swapped)
     report = verify_product_iso(d0sq, 3)
-    assert not report.ok
-    assert report.counterexample.startswith("unzip/zip round trip fails on ")
-    assert report.checked > 0
+    # the round trip of arity 2 fails after the commute law of arity 1 ran
+    assert (report.ok, report.checked, report.counterexample) == (
+        False, 4161, "unzip/zip round trip fails on Clique[D_0xD_0|2|(2,3)=(𝟙,0)]",
+    )
+
+
+def test_product_iso_catches_a_pairing_that_does_not_commute(monkeypatch, d0sq):
+    import numpy as np
+
+    from cliqueops import verify
+
+    real = verify._star
+
+    def forgetting_the_edge(magma):
+        # mutation: the product's table reads a * b = b; the factors keep theirs
+        table = real(magma)
+        if magma.factors is None:
+            return table
+        return np.tile(np.arange(magma.size, dtype=table.dtype), (magma.size, 1))
+
+    monkeypatch.setattr(verify, "_star", forgetting_the_edge)
+    report = verify_product_iso(d0sq, 3)
+    assert (report.ok, report.checked, report.counterexample) == (
+        False, 4178,
+        "pairing does not commute with o_1 on Clique[D_0xD_0|2|(1,2)=(𝟙,0)], "
+        "Clique[D_0xD_0|1|all-unit]",
+    )
 
 
 def test_associative_elements_displayed(n2, d0):

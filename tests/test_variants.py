@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cliqueops import (
@@ -6,6 +7,7 @@ from cliqueops import (
     variant, variant_compose, verify_ideal, verify_inclusions,
 )
 from cliqueops import count_by_enumeration, enumeration, parse_magma_spec, variants
+from cliqueops.clique import arcs_of
 from cliqueops.operad import composable_pairs
 from cliqueops.variants import VARIANT_SPECS
 from cliqueops.verify import _compose_block, _label_blocks, _star
@@ -257,6 +259,32 @@ def test_ideal_fails_over_unit_divisors(e1):
     assert report.counterexample.startswith("non-member Clique[E_1|")
     assert report.counterexample.endswith(" re-entered deg:1")
     assert report.checked > 0
+
+
+class _UnitBase:
+    """Not a variant kind: the members are the cliques with a unit base.
+    A non-member of arity 2 or more keeps its base as the base of p o_i q,
+    so non-members absorb on the left; q o_i p takes q's base, so they do
+    not absorb on the right."""
+
+    spec = "unit-base"
+
+    def __init__(self, magma):
+        self.magma = magma
+
+    def _block_flags(self, arity, block):
+        base = arcs_of(arity).index((1, arity + 1))
+        return block[:, base] == 0, np.ones(len(block), dtype=bool)
+
+
+def test_ideal_catches_a_failure_on_the_ambient_side(d0):
+    # every non-member-first composite passes, so the first failure is an
+    # ambient clique composed with a non-member
+    report = verify_ideal(_UnitBase(d0), d0, 3)
+    assert (report.ok, report.checked, report.counterexample) == (
+        False, 77,
+        "Clique[D_0|2|all-unit] o_1 non-member Clique[D_0|2|(1,3)=0] re-entered unit-base",
+    )
 
 
 def test_quotient_axioms_inherited(d0):

@@ -53,7 +53,7 @@ from cliqueops.operad import composable_pairs
 from cliqueops.verify import _compose_corrupt, _unit_law
 from cliqueops.variants import INCLUSION_IMPLICATIONS, QUOTIENT_SPECS, VARIANT_SPECS
 
-from test_verify import _LEFT_ZERO, unitary_magmas
+from magma_strategies import _LEFT_ZERO, unitary_magmas
 
 
 def reference_unit_law(magma, max_arity, compose=partial_compose):

@@ -11,6 +11,13 @@ from cliqueops import (
 from cliqueops.operad import composable_pairs
 from cliqueops.verify import _compose_corrupt
 
+from magma_strategies import _LEFT_ZERO, unitary_magmas
+from test_verifier_references import (
+    _same, assert_unit_law_matches_its_reference, reference_basic_set_operad,
+    reference_cyclic, reference_ideal, reference_inclusions, reference_product_iso,
+    reference_symmetries, reference_unit_law,
+)
+
 
 def test_axioms_pass_small(n2, d0, e1):
     for magma in (n2, d0, e1):
@@ -56,14 +63,6 @@ def test_corrupted_rule_keeps_the_series_and_parallel_laws(d0):
     assert _compose_exprs(x, y, 2, 2, 1, corrupt=False)[glued] == ("*", ("x", 0), ("y", 1))
     assert _vector_axioms(d0, 4, None, corrupt=True) == (None, 2560)
     assert _scalar_axioms(d0, 4, None, _compose_corrupt) == (None, 2560)
-
-
-# a noncommutative unitary magma: x * y = x for x, y non-units
-_LEFT_ZERO = {
-    "elements": ["u", "a", "b"],
-    "unit": "u",
-    "table": ["u", "a", "b", "a", "a", "a", "b", "b", "b"],
-}
 
 
 def test_flipped_glue_is_not_a_counterexample():
@@ -139,19 +138,6 @@ def test_compose_block_keeps_the_glue_operand_order():
     assert _block_rows_match_partial_compose(magma, _star(magma))
 
 
-@st.composite
-def unitary_magmas(draw, max_size=4, unit_divisors=True):
-    """A table magma of 2 to `max_size` (at most 4) elements with unit "u"
-    and every product of two non-units drawn: in general neither
-    commutative nor associative.  Without `unit_divisors` no such product
-    is the unit."""
-    names = ["u", "a", "b", "c"][:draw(st.integers(2, max_size))]
-    entries = st.sampled_from(names if unit_divisors else names[1:])
-    table = [y if x == "u" else x if y == "u" else draw(entries)
-             for x in names for y in names]
-    return UnitaryMagma.from_table_data({"elements": names, "unit": "u", "table": table})
-
-
 @settings(max_examples=15, deadline=None)
 @given(unitary_magmas())
 def test_compose_block_matches_partial_compose_over_random_magmas(magma):
@@ -167,8 +153,6 @@ def test_engines_and_injectivity_scan_agree_over_random_magmas(magma):
     # arity 4 and the clique-at-a-time injectivity reference composes up to
     # 4 * 10^5 pairs, so carriers stop at 3 elements and the reference
     # runs at arity 3
-    from test_verifier_references import reference_basic_set_operad
-
     from cliqueops.verify import _scalar_axioms, _vector_axioms
 
     scalar = _scalar_axioms(magma, 4, None, partial_compose)
@@ -187,8 +171,6 @@ def test_engines_and_injectivity_scan_agree_over_random_magmas(magma):
 @settings(max_examples=10, deadline=None)
 @given(unitary_magmas())
 def test_unit_law_matches_its_reference_over_random_magmas(magma):
-    from test_verifier_references import assert_unit_law_matches_its_reference
-
     assert assert_unit_law_matches_its_reference(magma, 3, corrupt=False).ok
     assert_unit_law_matches_its_reference(magma, 3, corrupt=True)
 
@@ -204,10 +186,6 @@ def test_block_verifiers_match_their_references_over_random_magmas(magma, other)
     # the rotation law at slot 1 needs p_1 * q_0 = q_0 * p_1, so over a
     # noncommutative carrier both cyclic scans fail on the same pair; they
     # count that failure in different scan orders
-    from test_verifier_references import (
-        _same, reference_cyclic, reference_product_iso, reference_symmetries,
-    )
-
     from cliqueops import magma_product, verify_product_iso
 
     _same(verify_symmetries(magma, 3), reference_symmetries(magma, 3))
@@ -227,8 +205,6 @@ def test_ideal_verifier_matches_its_reference_over_random_magmas(magma):
     # the quotients that need a carrier without nontrivial unit divisors
     # are built unchecked: over a carrier with some, both scans may fail,
     # each at the first failure in its own order
-    from test_verifier_references import _same, reference_ideal
-
     from cliqueops import has_nontrivial_unit_divisors, variant, verify_ideal
     from cliqueops.variants import QUOTIENT_SPECS
 
@@ -245,8 +221,6 @@ def test_ideal_verifier_matches_its_reference_over_random_magmas(magma):
 @settings(max_examples=4, deadline=None)
 @given(unitary_magmas(max_size=3, unit_divisors=False))
 def test_inclusion_verifier_matches_its_reference_over_random_magmas(magma):
-    from test_verifier_references import _same, reference_inclusions
-
     from cliqueops import verify_inclusions
 
     _same(verify_inclusions(magma, 3), reference_inclusions(magma, 3))
@@ -403,8 +377,6 @@ def test_cyclic(d0, n2):
 def test_cyclic_law_needs_a_commutative_magma():
     # at slot 1 the rotation law compares p_1 * q_0 with q_0 * p_1; over the
     # left-zero magma (x * y = x for x != u) a * b = a but b * a = b
-    from test_verifier_references import reference_cyclic
-
     magma = UnitaryMagma.from_table_data({
         "elements": ["u", "a", "b"], "unit": "u",
         "table": ["u", "a", "b", "a", "a", "a", "b", "b", "b"],
@@ -519,8 +491,6 @@ def _swap_first_entries_of_plan_3_1_2(monkeypatch):
 
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_vector_unit_law_catches_a_broken_plan(monkeypatch, d0, engine):
-    from test_verifier_references import reference_unit_law
-
     assert verify_operad_axioms(d0, 4, engine=engine).ok
     _swap_first_entries_of_plan_3_1_2(monkeypatch)
     report = verify_operad_axioms(d0, 4, engine=engine)
@@ -635,6 +605,20 @@ def test_symmetry_verifiers_catch_a_broken_permutation(
     assert not report.ok
     assert report.counterexample.startswith(message)
     assert report.checked > 0
+
+
+def test_automorphism_law_catches_a_non_automorphism(monkeypatch):
+    # mutation: the automorphism search offers 2 <-> 3 over N:4, which is
+    # no automorphism (1 + 1 = 2 goes to 3, while 1 + 1 stays 2); the
+    # reflection law passes first and counts its whole scan
+    from cliqueops import parse_magma_spec, verify
+
+    monkeypatch.setattr(verify, "automorphisms", lambda magma: [(0, 1, 3, 2).__getitem__])
+    report = verify_symmetries(parse_magma_spec("N:4"), 3)
+    assert (report.ok, report.checked, report.counterexample) == (
+        False, 30087,
+        "automorphism relabeling fails on Clique[N_4|2|(1,2)=1] o_1 Clique[N_4|2|(1,3)=1]",
+    )
 
 
 def _table_forgetting_the_edge(magma):
