@@ -47,9 +47,32 @@ def _read_json(path, **options):
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
+# Every number of a combination file has at most this many digits, and a
+# decimal exponent at most this size: an admitted coefficient's numerator and
+# denominator have at most twice as many digits, so a product of two stays
+# within the 4300 digits Python converts between int and str.
+MAX_COEFFICIENT_DIGITS = 1000
+
+
+def _bounded(text):
+    """A number literal of a combination file (a JSON number, or a
+    coefficient string), refused before it is expanded when it has more
+    than MAX_COEFFICIENT_DIGITS digits or a larger decimal exponent."""
+    _, _, exponent = text.lower().partition("e")
+    if (sum(map(str.isdigit, text)) > MAX_COEFFICIENT_DIGITS
+            or exponent and abs(int(exponent)) > MAX_COEFFICIENT_DIGITS):
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise UsageError(
+            f"number {shown} has more than {MAX_COEFFICIENT_DIGITS} digits "
+            f"or an exponent past {MAX_COEFFICIENT_DIGITS}"
+        )
+    return text
+
+
 def _load_lincomb(path, magma):
     # JSON decimals are read exactly: a coefficient 0.1 is 1/10
-    data = _read_json(path, parse_float=Fraction)
+    data = _read_json(path, parse_float=lambda text: Fraction(_bounded(text)),
+                      parse_int=lambda text: int(_bounded(text)))
     if isinstance(data, dict):
         clique = clique_from_json(data, magma=magma)
         return LinComb.of(clique)
@@ -61,7 +84,8 @@ def _load_lincomb(path, magma):
             clique_data, coeff = entry["clique"], entry["coefficient"]
             if isinstance(coeff, bool):
                 raise TypeError("a boolean is not a coefficient")
-            coeff = Fraction(coeff)  # refuses NaN and, by OverflowError, infinities
+            # refuses NaN and, by OverflowError, infinities
+            coeff = Fraction(_bounded(coeff) if isinstance(coeff, str) else coeff)
         except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise UsageError(
                 f"combination term {entry!r} needs a clique and a rational "

@@ -18,10 +18,19 @@ two independent computations, as laws of the slab engine
 (`_composer`): two table lookups when both operands have arity 3 or
 less, the chunk loop otherwise.
 
-The images in clique operads are label rows read from flag tables: one
-lookup returns a shared row when the masks fit one chunk (arity 3 or
-less for `phi_mt`, `phi_grav` and `phi_dmt`), and the chunks' rows are
-concatenated otherwise.
+The images in clique operads are label rows read from flag tables, one
+row per 8-bit (`phi_mt`, `phi_grav`) or 6-bit (`phi_dmt`) chunk of the
+masks, concatenated.
+
+Values are shared where a family is small.  A family with at most 4096
+values at an arity (multi-tildes up to arity 4, double multi-tildes up to
+arity 3, gravity diagrams up to arity 7) has one table there, built on
+first use and never at import, of its instances and one of their images,
+each entry built by the general path above.  Compositions, images and
+pools read those tables and build nothing; a gravity composite absent
+from its arity's table has left the family, and raises.  Above the bound
+each call builds its value.  Instances are immutable by contract, like
+cliques, so sharing them is safe.
 
 A gravity chord diagram is the mask of its marked arcs (edges, base and
 diagonals), bit k for arc k.  It composes by the multi-tilde remap,
@@ -32,14 +41,14 @@ masks, and `variants.gravity_member` reads it against a whole mask.
 
 Public constructors validate their input: arities and coordinates must
 be `int`s (bools, floats and strings are refused) and pairs must have two
-entries.  Enumeration and composition build results on trusted `_unsafe`
-paths.
+entries, and build a new instance.  Enumeration and composition read the
+shared instances or build results on trusted `_unsafe` paths.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations, islice, product as iproduct
 from operator import add
 
 from . import ratfct, variants
@@ -157,18 +166,6 @@ def _flags(mask, width, value):
     return out
 
 
-@lru_cache(maxsize=None)
-def _solid_flags(arity):
-    """The label row of `phi_mt` and `phi_grav`, as a function of the mask:
-    a lookup of a shared row in the one flag table when the arity's arcs fit
-    one chunk (arity 3 or less), else `_flags`."""
-    width = len(arcs_of(arity))
-    tables = _flag_tables(width, _SOLID)
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    return lambda mask: _flags(mask, width, _SOLID)
-
-
 _PAIR_BITS = 6  # bits per chunk of each mask in the `phi_dmt` tables
 
 
@@ -189,8 +186,7 @@ def _pair_chunk(size):
 
 @lru_cache(maxsize=None)
 def _pair_tables(arity):
-    """The `_pair_chunk` of each chunk of the arity's masks; one table, and
-    so one lookup per image, up to arity 3."""
+    """The `_pair_chunk` of each chunk of the arity's masks."""
     width = len(arcs_of(arity))
     return tuple(_pair_chunk(min(_PAIR_BITS, width - lo))
                  for lo in range(0, width, _PAIR_BITS))
@@ -203,6 +199,100 @@ def _masks(arity):
     for size in range(width + 1):
         for chosen in combinations(range(width), size):
             yield sum(1 << k for k in chosen)
+
+
+# -- shared values ---------------------------------------------------------
+
+# A family with at most _TABLE_BOUND values at an arity, the size of one
+# `_pair_chunk` table, shares them there: its instances and their images are
+# read from tables built on first use, one per family and arity, whose
+# entries the general path builds.  Above the bound, each call builds its
+# value.
+_TABLE_BITS = 2 * _PAIR_BITS
+_TABLE_BOUND = 1 << _TABLE_BITS
+
+
+def _solid_clique(arity, mask):
+    """The zero-product-magma clique with the mask's arcs solid: the image
+    of `phi_mt` and `phi_grav`."""
+    return Clique._unsafe(_D0, arity, _flags(mask, len(arcs_of(arity)), _SOLID))
+
+
+def _pair_clique(arity, mask1, mask2):
+    """The pair-magma clique of two masks: the image of `phi_dmt`."""
+    labels, low = (), (1 << _PAIR_BITS) - 1
+    for table in _pair_tables(arity):
+        labels += table[(mask1 & low) << _PAIR_BITS | mask2 & low]
+        mask1 >>= _PAIR_BITS
+        mask2 >>= _PAIR_BITS
+    return Clique._unsafe(_D0_SQUARED, arity, labels)
+
+
+def _tabled_masks(arity, components):
+    """The masks of an arity, range(2^width), when a family of values made
+    of `components` masks has at most _TABLE_BOUND of them there; else None."""
+    width = len(arcs_of(arity))
+    return range(1 << width) if components * width <= _TABLE_BITS else None
+
+
+@lru_cache(maxsize=None)
+def _multitildes(arity):
+    """The shared multi-tildes of an arity (4 or less), by mask; else None."""
+    masks = _tabled_masks(arity, 1)
+    return None if masks is None else tuple(MultiTilde._unsafe(arity, mask) for mask in masks)
+
+
+@lru_cache(maxsize=None)
+def _multitilde_images(arity):
+    """The shared `phi_mt` images of an arity (4 or less), by mask; else None."""
+    masks = _tabled_masks(arity, 1)
+    return None if masks is None else tuple(_solid_clique(arity, mask) for mask in masks)
+
+
+@lru_cache(maxsize=None)
+def _double_multitildes(arity):
+    """The shared double multi-tildes of an arity (3 or less), by mask1 and
+    then mask2; else None."""
+    masks = _tabled_masks(arity, 2)
+    return None if masks is None else tuple(
+        tuple(DoubleMultiTilde._unsafe(arity, mask1, mask2) for mask2 in masks)
+        for mask1 in masks
+    )
+
+
+@lru_cache(maxsize=None)
+def _double_multitilde_images(arity):
+    """The shared `phi_dmt` images of an arity (3 or less), by mask1 and then
+    mask2; else None."""
+    masks = _tabled_masks(arity, 2)
+    return None if masks is None else tuple(
+        tuple(_pair_clique(arity, mask1, mask2) for mask2 in masks) for mask1 in masks
+    )
+
+
+def _gravity_masks(arity):
+    """The diagonal masks of the census walk of the `grav` rule, unsorted."""
+    for block, _ in variants._skeleton_blocks(arity, variants._gravity_rule):
+        yield from block.ints() if isinstance(block, variants._MaskBlock) else block
+
+
+@lru_cache(maxsize=None)
+def _gravity_family(arity):
+    """The shared gravity diagrams of an arity (7 or less), marked-arc mask
+    to diagram in `gravity_diagrams` order; else None.  The census walk
+    stops at the first mask past the bound."""
+    masks = list(islice(_gravity_masks(arity), _TABLE_BOUND + 1))
+    if len(masks) > _TABLE_BOUND:
+        return None
+    return {diagram.mask: diagram for diagram in _sorted_diagrams(arity, masks)}
+
+
+@lru_cache(maxsize=None)
+def _gravity_images(arity):
+    """The shared `phi_grav` images of an arity (7 or less), by marked-arc
+    mask; else None."""
+    family = _gravity_family(arity)
+    return None if family is None else {mask: _solid_clique(arity, mask) for mask in family}
 
 
 # -- multi-tildes ----------------------------------------------------------
@@ -280,13 +370,15 @@ def _composer(n, m, i):
 def mt_compose(s, t, i):
     """Partial composition of multi-tildes via the two shift rules."""
     arity, remap = _composer(s.arity, t.arity, i)
-    return MultiTilde._unsafe(arity, remap(s.mask, t.mask))
+    mask, values = remap(s.mask, t.mask), _multitildes(arity)
+    return MultiTilde._unsafe(arity, mask) if values is None else values[mask]
 
 
 def all_multitildes(arity):
     """Every multi-tilde of the given arity (2^(n(n+1)/2) of them)."""
+    values = _multitildes(arity)
     for mask in _masks(arity):
-        yield MultiTilde._unsafe(arity, mask)
+        yield MultiTilde._unsafe(arity, mask) if values is None else values[mask]
 
 
 def phi_mt(tilde):
@@ -295,7 +387,8 @@ def phi_mt(tilde):
         raise KnownOperadError(
             "the nontrivial arity-1 multi-tilde has no clique counterpart"
         )
-    return Clique._unsafe(_D0, tilde.arity, _solid_flags(tilde.arity)(tilde.mask))
+    images = _multitilde_images(tilde.arity)
+    return _solid_clique(tilde.arity, tilde.mask) if images is None else images[tilde.mask]
 
 
 def phi_mt_inverse(clique):
@@ -365,16 +458,19 @@ class DoubleMultiTilde:
 def dmt_compose(s, t, i):
     """Componentwise composition of double multi-tildes."""
     arity, remap = _composer(s.arity, t.arity, i)
-    return DoubleMultiTilde._unsafe(
-        arity, remap(s.mask1, t.mask1), remap(s.mask2, t.mask2),
-    )
+    mask1, mask2 = remap(s.mask1, t.mask1), remap(s.mask2, t.mask2)
+    values = _double_multitildes(arity)
+    if values is None:
+        return DoubleMultiTilde._unsafe(arity, mask1, mask2)
+    return values[mask1][mask2]
 
 
 def all_double_multitildes(arity):
-    masks = list(_masks(arity))
+    values, masks = _double_multitildes(arity), list(_masks(arity))
     for mask1 in masks:
         for mask2 in masks:
-            yield DoubleMultiTilde._unsafe(arity, mask1, mask2)
+            yield (DoubleMultiTilde._unsafe(arity, mask1, mask2) if values is None
+                   else values[mask1][mask2])
 
 
 def phi_dmt(dmt):
@@ -383,16 +479,10 @@ def phi_dmt(dmt):
         raise KnownOperadError(
             "the three nontrivial arity-1 double multi-tildes have no clique counterpart"
         )
-    tables = _pair_tables(dmt.arity)
-    mask1, mask2 = dmt.mask1, dmt.mask2
-    if len(tables) == 1:
-        return Clique._unsafe(_D0_SQUARED, dmt.arity, tables[0][mask1 << _PAIR_BITS | mask2])
-    labels, low = (), (1 << _PAIR_BITS) - 1
-    for table in tables:
-        labels += table[(mask1 & low) << _PAIR_BITS | mask2 & low]
-        mask1 >>= _PAIR_BITS
-        mask2 >>= _PAIR_BITS
-    return Clique._unsafe(_D0_SQUARED, dmt.arity, labels)
+    images = _double_multitilde_images(dmt.arity)
+    if images is None:
+        return _pair_clique(dmt.arity, dmt.mask1, dmt.mask2)
+    return images[dmt.mask1][dmt.mask2]
 
 
 def phi_dmt_inverse(clique):
@@ -470,12 +560,17 @@ class ChordDiagram:
 def chord_compose(c, d, i):
     """Glue d's base onto c's i-th edge by the multi-tilde remap, which sends
     both to the glued arc (i, i+m), so it stays marked.  Closure (the result
-    meets the gravity condition) is asserted."""
+    meets the gravity condition) is asserted: by a lookup in the family of
+    the composite's arity when it is tabled, else by `gravity_member`."""
     arity, remap = _composer(c.arity, d.arity, i)
-    mask = remap(c.mask, d.mask)
-    if not variants.gravity_member(arity, mask):
-        raise _left_the_family(c, i, d)
-    return ChordDiagram._unsafe(arity, mask)
+    mask, family = remap(c.mask, d.mask), _gravity_family(arity)
+    if family is not None:
+        diagram = family.get(mask)
+        if diagram is not None:
+            return diagram
+    elif variants.gravity_member(arity, mask):
+        return ChordDiagram._unsafe(arity, mask)
+    raise _left_the_family(c, i, d)
 
 
 def _left_the_family(c, i, d):
@@ -487,7 +582,8 @@ def _left_the_family(c, i, d):
 
 def phi_grav(diagram):
     """The zero-product-magma clique with every marked arc solid."""
-    return Clique._unsafe(_D0, diagram.arity, _solid_flags(diagram.arity)(diagram.mask))
+    images = _gravity_images(diagram.arity)
+    return _solid_clique(diagram.arity, diagram.mask) if images is None else images[diagram.mask]
 
 
 def grav_check(clique):
@@ -513,13 +609,18 @@ def grav_compose(p, q, i):
 def gravity_diagrams(arity):
     """All gravity chord diagrams of an arity, by number of diagonals and
     then in lexicographic order of the chosen diagonals: the census walk of
-    the `grav` rule, sorted.  Of two masks with as many bits, the one with
-    the lowest differing bit comes first: the larger bit-reversed mask.
-    """
+    the `grav` rule, sorted."""
+    family = _gravity_family(arity)
+    if family is not None:
+        return list(family.values())
+    return _sorted_diagrams(arity, list(_gravity_masks(arity)))
+
+
+def _sorted_diagrams(arity, masks):
+    """The diagrams of diagonal masks in `gravity_diagrams` order.  Of two
+    masks with as many bits, the one with the lowest differing bit comes
+    first: the larger bit-reversed mask."""
     frame, width = variants._frame_mask(arity), len(arcs_of(arity))
-    masks = []
-    for block, _ in variants._skeleton_blocks(arity, variants._gravity_rule):
-        masks += block.ints() if isinstance(block, variants._MaskBlock) else block
     masks.sort(key=lambda mask: (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)))
     return [ChordDiagram._unsafe(arity, frame | mask) for mask in masks]
 

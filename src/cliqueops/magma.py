@@ -334,8 +334,10 @@ def _read_spec(text):
         try:
             with open(path) as handle:
                 data = json.load(handle)
-        except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MagmaError(f"cannot read magma table {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise MagmaError(f"magma table {path} is not JSON: {exc}") from None
         magma = UnitaryMagma.from_table_data(data, spec=text, name=path)
         return magma.size, lambda: magma
     raise MagmaError(f"unrecognized magma spec {text!r}")

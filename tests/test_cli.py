@@ -368,6 +368,13 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
       for side, other in (("--lhs", "--rhs"), ("--rhs", "--lhs"))
       for path in ("{dir}", "{latin}")),
     *((None, ["dyck", "--magma", "D:0", "--encode", path]) for path in ("{dir}", "{latin}")),
+    # coefficients past cli.MAX_COEFFICIENT_DIGITS, refused before they are
+    # expanded; a string payload is the file's text, for JSON numbers that a
+    # Python float cannot hold
+    *((f'[{{"clique": {json.dumps(_CLIQUE)}, "coefficient": {number}}}]', None)
+      for number in ("1e5000", "1e30000000", "7" * 5000, "1" + "0" * 1000)),
+    ([{"clique": _CLIQUE, "coefficient": "1e4000"}],
+     ["compose", "--magma", "Z", "--lhs", "{payload}", "--rhs", "{payload}", "--index", "1"]),
     *(
         (None, ["sequence", "--variant", spec, "--magma", "D:0", "--max-arity", "3",
                 "--format", "json"])
@@ -384,27 +391,31 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
         "ratfct-samples-negative", "symmetries-samples-zero", "axioms-over-Z",
         "all-over-Z", "table-directory", "table-not-utf8", "lhs-directory",
         "lhs-not-utf8", "rhs-directory", "rhs-not-utf8", "encode-directory",
-        "encode-not-utf8", "bound-on-bub",
+        "encode-not-utf8", "decimal-coefficient-1e5000",
+        "decimal-coefficient-1e30000000", "5000-digit-coefficient",
+        "1001-digit-coefficient", "string-coefficient-1e4000-squared", "bound-on-bub",
         "junk-bound-on-nes", "empty-bound-on-grav", "underscored-bound",
         "spaced-bound"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
+    import time
+
     latin = tmp_path / "latin.json"
     latin.write_bytes(b"\xff\xfe\x00")
     clique = tmp_path / "clique.json"
     clique.write_text(json.dumps(_CLIQUE))
-    paths = {"{dir}": tmp_path, "{latin}": latin, "{clique}": clique}
+    lhs = tmp_path / "lhs.json"
+    lhs.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    paths = {"{dir}": tmp_path, "{latin}": latin, "{clique}": clique, "{payload}": lhs}
     for key, path in paths.items():
         argv = argv and [arg.replace(key, str(path)) for arg in argv]
     if argv is None:
-        lhs = tmp_path / "lhs.json"
-        lhs.write_text(json.dumps(payload))
-        rhs = tmp_path / "rhs.json"
-        rhs.write_text(json.dumps(_CLIQUE))
-        argv = ["compose", "--magma", "Z", "--lhs", str(lhs), "--rhs", str(rhs),
+        argv = ["compose", "--magma", "Z", "--lhs", str(lhs), "--rhs", str(clique),
                 "--index", "1"]
+    started = time.perf_counter()
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+    assert time.perf_counter() - started < 1
 
 
 def test_bad_threads_variable_exits_two(capsys, monkeypatch):
@@ -697,6 +708,28 @@ def test_compose_output_is_pinned(capsys, tmp_path, option):
     assert run(capsys, *argv, "--json") == (0, expected, "")
 
 
+def test_largest_coefficients_compose_and_print(capsys, tmp_path):
+    # the most digits and the largest exponent cli.MAX_COEFFICIENT_DIGITS
+    # admits, as a JSON decimal and as a string: their product prints
+    from cliqueops.cli import MAX_COEFFICIENT_DIGITS as most
+
+    mantissa = "9" * (most - len(str(most)))
+    lhs, rhs = tmp_path / "lhs.json", tmp_path / "rhs.json"
+    lhs.write_text(f'[{{"clique": {json.dumps(_CLIQUE)}, "coefficient": {mantissa}e{most}}}]')
+    rhs.write_text(json.dumps([{"clique": _CLIQUE, "coefficient": f"{mantissa}e{most}"}]))
+    code, out, _ = run(capsys, "compose", "--magma", "Z", "--lhs", str(lhs),
+                       "--rhs", str(rhs), "--index", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["terms"][0]["coefficient"] == (
+        f"{int(mantissa) ** 2 * 10 ** (2 * most)}/1"
+    )
+    rhs.write_text(json.dumps([{"clique": _CLIQUE, "coefficient": f"-{mantissa}e-{most}"}]))
+    code, out, _ = run(capsys, "compose", "--magma", "Z", "--lhs", str(lhs),
+                       "--rhs", str(rhs), "--index", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["terms"][0]["coefficient"] == f"-{int(mantissa) ** 2}/1"
+
+
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     from cliqueops import cli
 
@@ -739,23 +772,26 @@ WORD_CHARS = ["a", "b", "[", "]", "0", "d_1", "d1", "\U0001d7d9", "x"]
 
 @st.composite
 def encoded_words(draw):
-    """The word of a nesting-free D:1 clique, maybe with one token spliced in."""
-    n = draw(st.integers(min_value=2, max_value=6))
-    arcs = draw(st.lists(st.sampled_from(arcs_of(n)), max_size=4, unique=True))
+    """The word of a nesting-free D:1 clique of arity up to 12, maybe with a
+    few tokens spliced in."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    arcs = draw(st.lists(st.sampled_from(arcs_of(n)), max_size=n, unique=True))
     arcs.sort()
     kept = [arc for k, arc in enumerate(arcs)  # starts and ends increasing
             if all(a[0] < arc[0] and a[1] < arc[1] for a in arcs[:k])]
     labels = draw(st.lists(st.sampled_from([D1.elem("0"), D1.elem("d_1")]),
                            min_size=len(kept), max_size=len(kept)))
     text = str(dyck_encode(Clique.from_arcs(D1, n, dict(zip(kept, labels)))))
-    at = draw(st.integers(min_value=0, max_value=len(text)))
-    splice = draw(st.sampled_from([""] * 3 + WORD_CHARS))
-    return text[:at] + splice + text[at:]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(st.sampled_from(WORD_CHARS)) + text[at:]
+    return text
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.lists(st.sampled_from(WORD_CHARS), max_size=24).map("".join),
+    st.lists(st.sampled_from(WORD_CHARS), min_size=25, max_size=200).map("".join),
     encoded_words(),
 ))
 def test_colored_word_parser_decodes_or_refuses(text):

@@ -545,11 +545,15 @@ def _misread_gravity_at(arity):
     return admits
 
 
-def test_gravity_rule_catches_a_misread_middle_arc(monkeypatch):
-    from cliqueops import variants
+def test_gravity_rule_catches_a_misread_middle_arc(monkeypatch, request):
+    from cliqueops import knownops, variants
 
     misread = variants._rule(_misread_gravity_at, framed=True)
     monkeypatch.setattr(variants, "_gravity_rule", misread)
+    # the shared diagrams cache the walk of the rule; after the test they
+    # would keep the misread one
+    knownops._gravity_family.cache_clear()
+    request.addfinalizer(knownops._gravity_family.cache_clear)
     found = {n: [tuple(sorted(d.diagonals)) for d in gravity_diagrams(n)] for n in (4, 5, 6)}
     assert any(found[n] != _brute_force_gravity(n) for n in found)
     # the misread rule admits the crossing pair (1,3), (2,4) under edge (2,3)
@@ -581,3 +585,176 @@ def test_whole_mask_gravity_test_equals_the_rule_fold():
         assert verdict == fold(n, mask), (n, mask)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# -- shared values -----------------------------------------------------------
+
+
+def _general_composite(s_mask, t_mask, n, m, i):
+    # the chunk loop of `_remap` over `_compose_tables`, whatever the arity
+    from cliqueops import knownops
+
+    outer, inner = knownops._compose_tables(n, m, i)
+    return knownops._remap(s_mask, outer) | knownops._remap(t_mask, inner)
+
+
+def test_shared_multitildes_are_the_general_path():
+    from cliqueops import knownops
+
+    for n in range(1, 5):
+        values, width = knownops._multitildes(n), len(arcs_of(n))
+        assert len(values) == 1 << width
+        for mask, value in enumerate(values):
+            assert value == MultiTilde._unsafe(n, mask)
+            if n > 1 or not mask:  # the nontrivial arity-1 one has no image
+                image = phi_mt(value)
+                assert image is phi_mt(MultiTilde._unsafe(n, mask))
+                assert image == Clique._unsafe(
+                    knownops._D0, n, knownops._flags(mask, width, knownops._SOLID),
+                )
+        assert [s.mask for s in all_multitildes(n)] == list(knownops._masks(n))
+        assert all(s is values[s.mask] for s in all_multitildes(n))
+    assert knownops._multitildes(5) is None and knownops._multitilde_images(5) is None
+    pools = {n: list(all_multitildes(n)) for n in range(1, 5)}
+    for n, m in composable_pairs(4):
+        values = knownops._multitildes(n + m - 1)
+        for s in pools[n]:
+            for t in pools[m]:
+                for i in range(1, n + 1):
+                    composed = mt_compose(s, t, i)
+                    general = _general_composite(s.mask, t.mask, n, m, i)
+                    assert composed is values[general], (s, t, i)
+                    assert composed == MultiTilde._unsafe(n + m - 1, general)
+
+
+def test_shared_double_multitildes_are_the_general_path():
+    from operator import add
+
+    from cliqueops import knownops
+
+    for n in range(1, 4):
+        values, width = knownops._double_multitildes(n), len(arcs_of(n))
+        assert [len(row) for row in values] == [1 << width] * (1 << width)
+        for mask1, row in enumerate(values):
+            for mask2, value in enumerate(row):
+                assert value == DoubleMultiTilde._unsafe(n, mask1, mask2)
+                if n > 1 or not (mask1 or mask2):
+                    image = phi_dmt(value)
+                    assert image is phi_dmt(DoubleMultiTilde._unsafe(n, mask1, mask2))
+                    assert image == Clique._unsafe(knownops._D0_SQUARED, n, tuple(map(
+                        add, knownops._flags(mask1, width, knownops._FIRST),
+                        knownops._flags(mask2, width, knownops._SECOND),
+                    )))
+        masks = list(knownops._masks(n))
+        pool = list(all_double_multitildes(n))
+        assert [(d.mask1, d.mask2) for d in pool] == [(a, b) for a in masks for b in masks]
+        assert all(d is values[d.mask1][d.mask2] for d in pool)
+    assert knownops._double_multitildes(4) is None
+    assert knownops._double_multitilde_images(4) is None
+    pools = {n: list(all_double_multitildes(n)) for n in range(1, 4)}
+    for n, m in composable_pairs(3):
+        values = knownops._double_multitildes(n + m - 1)
+        for s in pools[n]:
+            for t in pools[m]:
+                for i in range(1, n + 1):
+                    composed = dmt_compose(s, t, i)
+                    assert composed is dmt_compose(s, t, i)
+                    first = _general_composite(s.mask1, t.mask1, n, m, i)
+                    second = _general_composite(s.mask2, t.mask2, n, m, i)
+                    assert composed is values[first][second], (s, t, i)
+                    assert composed == DoubleMultiTilde._unsafe(n + m - 1, first, second)
+
+
+def test_shared_gravity_diagrams_are_the_general_path():
+    from cliqueops import knownops, variants
+
+    for n in range(1, 8):
+        family, width = knownops._gravity_family(n), len(arcs_of(n))
+        diagrams = gravity_diagrams(n)
+        assert list(family) == [d.mask for d in diagrams]
+        assert all(d is family[d.mask] for d in diagrams)
+        # the general path: the whole walk, sorted
+        general = knownops._sorted_diagrams(n, list(knownops._gravity_masks(n)))
+        assert diagrams == general
+        for d in diagrams:
+            assert phi_grav(d) is phi_grav(ChordDiagram._unsafe(n, d.mask))
+            assert phi_grav(d) == Clique._unsafe(
+                knownops._D0, n, knownops._flags(d.mask, width, knownops._SOLID),
+            )
+    # 20160 diagrams at arity 8, past the bound
+    assert knownops._gravity_family(8) is None and knownops._gravity_images(8) is None
+    pools = {n: gravity_diagrams(n) for n in range(1, 8)}
+    for n, m in composable_pairs(7):
+        family = knownops._gravity_family(n + m - 1)
+        for c in pools[n]:
+            for d in pools[m]:
+                for i in range(1, n + 1):
+                    general = _general_composite(c.mask, d.mask, n, m, i)
+                    assert variants.gravity_member(n + m - 1, general)
+                    assert chord_compose(c, d, i) is family[general], (c, d, i)
+
+
+def test_untabled_arities_take_the_general_path():
+    # composites past the bound are built per call, equal but not shared
+    s, t = MultiTilde(4, {(1, 4), (2, 3)}), MultiTilde(2, {(1, 2)})
+    assert mt_compose(s, t, 2) == mt_compose(s, t, 2)
+    assert mt_compose(s, t, 2) is not mt_compose(s, t, 2)
+    a, b = DoubleMultiTilde(3, {(2, 2)}, {(1, 3)}), DoubleMultiTilde(2, {(1, 1)}, ())
+    assert dmt_compose(a, b, 1) == dmt_compose(a, b, 1)
+    assert dmt_compose(a, b, 1) is not dmt_compose(a, b, 1)
+    assert phi_dmt(dmt_compose(a, b, 1)) == partial_compose(phi_dmt(a), phi_dmt(b), 1)
+    c, d = ChordDiagram(5, {(1, 4), (2, 5)}), ChordDiagram(4, {(1, 3)})
+    composed = chord_compose(c, d, 3)
+    assert composed.arity == 8 and composed is not chord_compose(c, d, 3)
+    assert phi_grav(composed) == grav_compose(phi_grav(c), phi_grav(d), 3)
+
+
+def test_chord_compose_asserts_closure_at_a_tabled_arity(monkeypatch, request):
+    from cliqueops import knownops
+
+    edge = ChordDiagram(2, ())
+    assert chord_compose(edge, edge, 1) is knownops._gravity_family(3)[
+        chord_compose(edge, edge, 1).mask
+    ]
+    real = knownops._compose_tables
+
+    def shifted(n, m, i):
+        # the inner remap of the slot after the requested one, when there is one
+        return real(n, m, i)[0], real(n, m, min(i + 1, n))[1]
+
+    monkeypatch.setattr(knownops, "_compose_tables", shifted)
+    knownops._composer.cache_clear()
+    request.addfinalizer(knownops._composer.cache_clear)
+    # the shifted composite leaves edge (1, 2) unmarked: a miss in the table
+    with pytest.raises(RuntimeError, match="composing chord diagrams left the family"):
+        chord_compose(edge, edge, 1)
+
+
+def test_import_builds_no_table():
+    # a fresh interpreter: this test process has built the tables already
+    import os
+    import subprocess
+    import sys
+
+    import cliqueops
+
+    script = (
+        "import cliqueops\n"
+        "from cliqueops import knownops\n"
+        "tables = [knownops._multitildes, knownops._multitilde_images,\n"
+        "          knownops._double_multitildes, knownops._double_multitilde_images,\n"
+        "          knownops._gravity_family, knownops._gravity_images]\n"
+        "# the public constructors build no table either\n"
+        "cliqueops.MultiTilde(3, {(1, 2)})\n"
+        "cliqueops.DoubleMultiTilde(3, {(1, 2)}, {(2, 3)})\n"
+        "cliqueops.ChordDiagram(5, {(1, 4)})\n"
+        "built = [f.__name__ for f in tables if f.cache_info().currsize]\n"
+        "assert not built, built\n"
+    )
+    src = os.path.dirname(os.path.dirname(cliqueops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -145,6 +145,16 @@ def test_parse_magma_spec(tmp_path):
         parse_magma_spec(f"table:{path}")
 
 
+@pytest.mark.parametrize("content", [None, '{"elements": ["u", "a"], "unit": "u", "tab'],
+                         ids=["missing-file", "truncated-json"])
+def test_unreadable_table_files_are_magma_errors(tmp_path, content):
+    path = tmp_path / "m.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(MagmaError, match="magma table"):
+        parse_magma_spec(f"table:{path}")
+
+
 @pytest.mark.parametrize("data", [
     {"elements": ["u", ["a"]], "unit": "u", "table": ["u", ["a"], ["a"], "u"]},
     {"elements": ["u", 1], "unit": "u", "table": ["u", 1, 1, "u"]},

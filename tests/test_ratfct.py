@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -303,3 +304,50 @@ def test_rf_laws_verifier_catches_a_lossy_star_product(monkeypatch):
     assert not report.ok
     assert report.checked > 0
     assert report.counterexample.startswith("multiplicativity fails on ")
+
+
+def _random_rat_elem(rng, arity, terms):
+    intervals = [(x, y) for x in range(1, arity + 1) for y in range(x + 1, arity + 2)]
+    out = []
+    for _ in range(terms):
+        chosen = rng.sample(intervals, rng.randint(0, min(3, len(intervals))))
+        powers = {iv: rng.choice((-2, -1, 1, 2)) for iv in chosen}
+        out.append((IntervalProduct(arity, powers),
+                    Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))))
+    return RatElem(arity, out)
+
+
+def _sympy_value(sympy, f):
+    """f as a sympy expression in u_1, ..., u_arity."""
+    u = sympy.symbols(f"u1:{f.arity + 1}")
+    total = sympy.Integer(0)
+    for prod, coeff in f.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for (x, y), exponent in prod.powers:
+            term *= sympy.Add(*u[x - 1:y - 1]) ** exponent
+        total += term
+    return total
+
+
+def test_zero_test_agrees_with_sympy():
+    # an independent oracle: sympy's `cancel` brings f to one reduced fraction
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    kernels = [rf_image(example, RANK) for example in ratfct.kernel_examples()]
+    elements = list(kernels)
+    for k in range(4):
+        # kernel composites vanish; a monomial added makes them nonzero
+        kernel, g = rng.choice(kernels), _random_rat_elem(rng, rng.randint(1, 2), 2)
+        if k % 2:
+            zero = rf_compose(kernel, g, rng.randint(1, kernel.arity))
+        else:
+            zero = rf_compose(g, kernel, rng.randint(1, g.arity))
+        monomial = _random_rat_elem(rng, zero.arity, 1)
+        elements += [zero, zero + monomial,
+                     _random_rat_elem(rng, rng.randint(1, 3), rng.randint(1, 4))]
+    verdicts = []
+    for f in elements:
+        verdict = rf_is_zero(f)
+        assert verdict == (sympy.cancel(_sympy_value(sympy, f)) == 0), format_rat_elem(f)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
