@@ -29,7 +29,7 @@ from .magma import (
     MagmaError, has_nontrivial_unit_divisors,
     is_right_cancelable, parse_magma_spec,
 )
-from .operad import LinComb
+from .operad import LinComb, decimal
 from .report import VerifyReport
 
 
@@ -48,9 +48,9 @@ def _read_json(path, **options):
 
 
 # Every number of a combination file has at most this many digits, and a
-# decimal exponent at most this size: an admitted coefficient's numerator and
-# denominator have at most twice as many digits, so a product of two stays
-# within the 4300 digits Python converts between int and str.
+# decimal exponent at most this size, so reading one stays within the 4300
+# digits Python converts from str to int.  Sums and products can grow past
+# that; results are written by `decimal`, which no such limit governs.
 MAX_COEFFICIENT_DIGITS = 1000
 
 
@@ -99,7 +99,8 @@ def _load_lincomb(path, magma):
 
 def _dump_lincomb(comb):
     return [
-        {"coefficient": f"{v.numerator}/{v.denominator}", "clique": clique_to_json(c)}
+        {"coefficient": f"{decimal(v.numerator)}/{decimal(v.denominator)}",
+         "clique": clique_to_json(c)}
         for c, v in comb.items()
     ]
 
@@ -150,8 +151,8 @@ def cmd_compose(args):
         result = bases.compose_in_basis(lhs, rhs, args.index, args.basis)
     payload = {"basis": args.basis, "terms": _dump_lincomb(result)}
     human = "\n".join(
-        f"{v} * <{', '.join(f'({x},{y})={result.magma.elem_name(c.label(x, y))}' for (x, y) in _solid(c))}>"
-        if _solid(c) else f"{v} * <all-unit arity {c.arity}>"
+        f"{decimal(v)} * <{', '.join(f'({x},{y})={result.magma.elem_name(c.label(x, y))}' for (x, y) in _solid(c))}>"
+        if _solid(c) else f"{decimal(v)} * <all-unit arity {c.arity}>"
         for c, v in result.items()
     ) or "0"
     _emit(args, payload, human)

@@ -63,8 +63,10 @@ class UnitaryMagma:
 
     @staticmethod
     def integers():
-        """The additive unitary magma on all integers."""
-        return UnitaryMagma("int", "Z", spec="Z")
+        """The additive unitary magma on all integers: one shared instance,
+        so magma checks between integer cliques, ranks and morphisms pass
+        on identity."""
+        return _INTEGERS
 
     @staticmethod
     def trivial():
@@ -243,6 +245,9 @@ class UnitaryMagma:
 
     def __repr__(self):
         return f"UnitaryMagma({self.name})"
+
+
+_INTEGERS = UnitaryMagma("int", "Z", spec="Z")
 
 
 def magma_product(m1, m2):

@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import add, getitem
 from typing import Callable, NamedTuple
 
 from .clique import Clique, CliqueError, arc_index, arcs_of, index_plan
@@ -117,6 +118,27 @@ def compose_glued(p, q, i, glue):
 def _exact(value):
     """An `int` or `Fraction` in normal form: an `int` when it is integral."""
     return value.numerator if value.denominator == 1 else value
+
+
+def decimal(value):
+    """The `str` of an int or a `Fraction`, exact at any size.
+
+    Python refuses to convert an int of more than 4300 digits (by default)
+    to a string.  An int of at most 2000 bits has at most 603 digits, under
+    the least value that limit may be set to (640), and is written by
+    `str`; a larger one is split by `divmod` with a power of ten and each
+    part written on its own, so no process-wide setting is read or changed.
+    """
+    if value.denominator != 1:
+        return f"{decimal(value.numerator)}/{decimal(value.denominator)}"
+    value = value.numerator
+    if value < 0:
+        return "-" + decimal(-value)
+    if value.bit_length() <= 2000:
+        return str(value)
+    digits = value.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
+    high, low = divmod(value, 10 ** digits)
+    return decimal(high) + decimal(low).zfill(digits)
 
 
 def _accumulate(pairs):
@@ -249,7 +271,7 @@ class LinComb(_Combination):
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{v}*{c!r}" for c, v in self.items())
+        return " + ".join(f"{decimal(v)}*{c!r}" for c, v in self.items())
 
 
 def _numerators(f):
@@ -317,26 +339,37 @@ def partial_compose_lin(f, g, i):
     return compose_sum(f, g, i, _glue)
 
 
+def _left_factor(magma, labels):
+    """(left, op) with tuple(map(op, left, b)) the arcwise product of the label
+    row `labels` with b: the table rows of a finite carrier, read once, or the
+    integers added."""
+    table = magma.table
+    if table is None:
+        return labels, add
+    return tuple(map(table.__getitem__, labels)), getitem
+
+
 def star_product(f, g):
     """Arcwise magma product, extended bilinearly to combinations."""
     if isinstance(f, Clique) and isinstance(g, Clique):
         if f.arity != g.arity or f.magma != g.magma:
             raise CliqueError("arcwise product needs equal arities and magmas")
-        return Clique._unsafe(f.magma, f.arity, tuple(map(f.magma.op, f.labels, g.labels)))
+        left, op = _left_factor(f.magma, f.labels)
+        return Clique._unsafe(f.magma, f.arity, tuple(map(op, left, g.labels)))
     if isinstance(f, Clique):
         f = LinComb.of(f)
     if isinstance(g, Clique):
         g = LinComb.of(g)
     if f.arity != g.arity or f.magma != g.magma:
         raise CliqueError("arcwise product needs equal arities and magmas")
-    op = f.magma.op
     rows_f, den_f = _numerators(f)
     rows_g, den_g = _numerators(g)
     acc = {}
     get = acc.get
     for a, x in rows_f:
+        left, op = _left_factor(f.magma, a)
         for b, y in rows_g:
-            row = tuple(map(op, a, b))
+            row = tuple(map(op, left, b))
             acc[row] = get(row, 0) + x * y
     return _from_rows(f.magma, f.arity, acc, den_f * den_g)
 

@@ -11,8 +11,11 @@ and the substitution-based partial composition is one pick through
 carries the clique morphism built from a rank function, which
 `verify_rf_morphism` checks on label blocks through `verify.slab_laws`,
 scattering `_row_plan` with `verify._apply_plan`.  It admits an exact
-zero test by clearing denominators and expanding numerators as
-multivariate polynomials.
+zero test: evaluation at a random point of F_p, p = 2^61 - 1, can only
+prove an element nonzero (a nonzero residue is a nonzero value), and
+"zero" is decided by clearing denominators and expanding the numerator
+as a multivariate polynomial with `int` coefficients and packed `int`
+monomial keys.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, product as iproduct
+from math import lcm
 from operator import add, neg
 
 from .clique import Clique, arcs_of, index_plan, relabel, row_width
 from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
 from .operad import (
-    CompositionPlan, LinComb, _accumulate, _Combination, star_product,
+    CompositionPlan, LinComb, _accumulate, _Combination, _new, star_product,
 )
 from .report import VerifyReport
 from .verify import _apply_plan, _compose_block, slab_laws
@@ -194,7 +198,13 @@ def _compose_product(prod, other, i):
     """Substitute `other` (arity m) into slot i of `prod`: one pick."""
     arity, _, pick, edge, base = _row_plan(prod.arity, other.arity, i)
     a, b = prod.row, other.row
-    return IntervalProduct._unsafe(arity, pick(a + b + (a[edge] + b[base], 0)))
+    # fills the slots of `IntervalProduct._unsafe` itself, as
+    # `partial_compose` does for `Clique`
+    result = _new(IntervalProduct)
+    result.arity = arity
+    result.row = pick(a + b + (a[edge] + b[base], 0))
+    result._powers = result._hash = None
+    return result
 
 
 def rf_compose(f, g, i):
@@ -212,7 +222,11 @@ def interval_map(clique, rank):
     function: the row of exponents is the clique's row of ranks."""
     if rank.magma is not clique.magma and rank.magma != clique.magma:
         raise MagmaError("rank function does not belong to the clique's magma")
-    return IntervalProduct._unsafe(clique.arity, rank.of_labels(clique.labels))
+    result = _new(IntervalProduct)
+    result.arity = clique.arity
+    result.row = rank.of_labels(clique.labels)
+    result._powers = result._hash = None
+    return result
 
 
 def rf_image(f, rank):
@@ -221,7 +235,7 @@ def rf_image(f, rank):
         return RatElem._unsafe((f.arity,), _accumulate(
             (interval_map(clique, rank), coeff) for clique, coeff in f.terms.items()
         ))
-    return RatElem.of(interval_map(f, rank))
+    return RatElem._unsafe((f.arity,), {interval_map(f, rank): 1})
 
 
 def kernel_examples():
@@ -258,47 +272,66 @@ def verify_rf_kernel():
 # -- exact zero test -----------------------------------------------------------
 
 
-def _interval_poly(interval, arity):
-    """The linear form u_x + ... + u_{y-1} as an exponent-vector polynomial."""
-    x, y = interval
-    poly = {}
-    for var in range(x, y):
-        exps = [0] * arity
-        exps[var - 1] = 1
-        poly[tuple(exps)] = 1
-    return poly
-
-
-def _poly_mul(p, q):
-    return _accumulate(
-        (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
-        for ea, ca in p.items() for eb, cb in q.items()
-    )
-
-
-def _poly_pow(base, exponent, arity):
-    result = {(0,) * arity: 1}
-    for _ in range(exponent):
-        result = _poly_mul(result, base)
-    return result
-
-
 def rf_expand_cleared(f):
-    """Clear denominators with the least common interval multiple, expand, and sum."""
+    """Clear denominators with the least common interval multiple, expand, and
+    sum: the numerator polynomial as {exponent tuple: coefficient}.
+
+    Coefficients are summed as `int`s over their lcm denominator and divided
+    once at the end.  A monomial is keyed by one `int` packing its exponent
+    vector in fields of `width` bits, wide enough for the largest total
+    degree, so adding two keys adds their exponent vectors without a carry.
+    Interval powers are expanded once per call.
+    """
     arity = f.arity
-    need = (0,) * len(arcs_of(arity))
+    arcs = arcs_of(arity)
+    need = (0,) * len(arcs)
     for prod in f.terms:
         need = tuple(map(max, need, map(neg, prod.row)))
-    pairs = []
-    for prod, coeff in f.terms.items():
-        poly = {(0,) * arity: coeff}
-        for iv, e in zip(arcs_of(arity), map(add, need, prod.row)):
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    cleared = [(tuple(map(add, need, prod.row)), c.numerator * (den // c.denominator))
+               for prod, c in f.terms.items()]
+    width = max((sum(row) for row, _ in cleared), default=0).bit_length() or 1
+    powers = {}  # (arc index, exponent) -> {key: int}
+
+    def power(k, e):
+        poly = powers.get((k, e))
+        if poly is None:
+            x, y = arcs[k]
+            poly = dict.fromkeys([1 << (width * (var - 1)) for var in range(x, y)], 1)
+            if e > 1:
+                poly = _poly_times(power(k, e - 1), poly)
+            powers[k, e] = poly
+        return poly
+
+    acc = {}
+    get = acc.get
+    for row, coeff in cleared:
+        poly = {0: coeff}
+        for k, e in enumerate(row):
             if e < 0:
                 raise AssertionError("denominator clearing left a negative power")
             if e:
-                poly = _poly_mul(poly, _poly_pow(_interval_poly(iv, arity), e, arity))
-        pairs.extend(poly.items())
-    return _accumulate(pairs)
+                poly = _poly_times(poly, power(k, e))
+        for key, value in poly.items():
+            acc[key] = get(key, 0) + value
+    mask = (1 << width) - 1
+    shifts = range(0, width * arity, width)
+    return {
+        tuple((key >> shift) & mask for shift in shifts):
+            value // den if value % den == 0 else Fraction(value, den)
+        for key, value in acc.items() if value
+    }
+
+
+def _poly_times(p, q):
+    """The product of two polynomials keyed by packed exponent vectors."""
+    product = {}
+    get = product.get
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            key = ka + kb
+            product[key] = get(key, 0) + ca * cb
+    return product
 
 
 def rf_evaluate(f, point):
@@ -315,30 +348,75 @@ def rf_evaluate(f, point):
     return total
 
 
+# the Mersenne prime 2^61 - 1: the field of the nonzero certificate
+_P = (1 << 61) - 1
+
+
+def _draw_point(rng, arity):
+    """A random point of F_p^arity, as 61-bit ints."""
+    return [rng.getrandbits(61) for _ in range(arity)]
+
+
 def rf_probably_zero(f, samples=20, seed=0):
-    """Evaluate at `samples` random rational points, redrawing on pole hits."""
+    """False when evaluating f at one of `samples` random points of F_p,
+    p = 2^61 - 1, gives a nonzero residue; True when none does.
+
+    False is a proof that f is not zero.  Reduction mod p is a ring map
+    from the rationals whose denominators p does not divide onto F_p, so
+    at an integer point where no interval sum with a negative exponent
+    vanishes mod p, f's value lies in that ring and its residue is the
+    residue computed here; a nonzero residue means a nonzero value.
+    A point where such an interval sum vanishes mod p is redrawn, and a
+    coefficient denominator that p divides gives no certificate (True).
+    True is only evidence: a nonzero f whose cleared numerator has degree
+    d vanishes at a random point with probability about d/p at most.
+    """
+    p = _P
+    arcs = arcs_of(f.arity)
+    width = len(arcs)
+    terms = []  # (coefficient mod p, factors); factor (k, e) reads bases[k] ** e
+    for prod, coeff in f.terms.items():
+        den = coeff.denominator
+        if den % p == 0:
+            return True
+        terms.append((coeff.numerator * pow(den, -1, p) if den > 1 else coeff, [
+            # bases[k] is arc k's value and bases[width + k] its inverse
+            (k, e) if e > 0 else (width + k, -e)
+            for k, e in compress(enumerate(prod.row), prod.row)
+        ]))
+    poles = sorted({k - width for _, factors in terms for k, _ in factors if k >= width})
     rng = random.Random(seed)
     for _ in range(samples):
         for _attempt in range(100):
-            point = [
-                Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(f.arity)
-            ]
-            try:
-                if rf_evaluate(f, point) != 0:
-                    return False
+            # the interval sum over [x, y) is prefix[y - 1] - prefix[x - 1]
+            prefix = list(accumulate(_draw_point(rng, f.arity), initial=0))
+            values = [(prefix[y - 1] - prefix[x - 1]) % p for x, y in arcs]
+            if all(values[k] for k in poles):
                 break
-            except ZeroDivisionError:
-                continue
         else:
             raise RuntimeError("could not find a pole-free evaluation point")
+        bases = values + values
+        for k in poles:
+            bases[width + k] = pow(values[k], -1, p)
+        total = 0
+        for value, factors in terms:
+            for k, e in factors:
+                value *= bases[k] if e == 1 else pow(bases[k], e, p)
+            total += value % p
+        if total % p:
+            return False
     return True
 
 
 def rf_is_zero(f, seed=0):
-    """Exact zero decision, with a probabilistic pre-check for early exits."""
+    """Exact zero decision.  A nonzero residue mod p at one random point
+    (`rf_probably_zero`) proves f nonzero; otherwise the cleared numerator
+    is expanded.  More points would only catch the nonzero f that vanish
+    at the first, with probability at most deg/p, which the expansion
+    decides anyway."""
     if not f.terms:
         return True
-    if not rf_probably_zero(f, samples=5, seed=seed):
+    if not rf_probably_zero(f, samples=1, seed=seed):
         return False
     return not rf_expand_cleared(f)
 

@@ -655,6 +655,7 @@ def _associative_direct(f):
 
 def _associative_conditions(f):
     magma = f.magma
+    table = magma.table
     unit = magma.unit
     support = [
         ((p.base_label, p.edge_label(1), p.edge_label(2)), coeff)
@@ -664,16 +665,18 @@ def _associative_conditions(f):
     acc2 = {}
     acc3 = {}
     for (p0, p1, p2), lam_p in support:
+        # the products p1 * - and p2 * -, read from two rows of the table
+        row1, row2 = table[p1], table[p2]
         for (q0, q1, q2), lam_q in support:
             weight = lam_p * lam_q
-            delta = magma.op(p1, q0)
+            delta = row1[q0]
             if delta != unit:
                 key = (p0, p2, q1, q2, delta)
                 acc1[key] = acc1.get(key, 0) + weight
             else:
                 key = (p0, p2, q1, q2)
                 acc2[key] = acc2.get(key, 0) + weight
-            delta = magma.op(p2, q0)
+            delta = row2[q0]
             if delta != unit:
                 key = (p0, p1, q1, q2, delta)
                 acc3[key] = acc3.get(key, 0) + weight

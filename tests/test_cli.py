@@ -730,6 +730,35 @@ def test_largest_coefficients_compose_and_print(capsys, tmp_path):
     assert json.loads(out)["terms"][0]["coefficient"] == f"-{int(mantissa) ** 2}/1"
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_summed_coefficients_past_the_int_str_limit_print(capsys, tmp_path, fmt):
+    # one Z clique four times with coefficients 1/(10^998 + k): each literal
+    # is admitted, but the loaded sum and its square have denominators of
+    # about 4000 and 8000 digits
+    import sys
+    from fractions import Fraction
+
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([
+        {"clique": _CLIQUE, "coefficient": f"1/{10 ** 998 + k}"} for k in range(4)
+    ]))
+    code, out, err = run(capsys, "compose", "--magma", "Z", "--lhs", str(path),
+                         "--rhs", str(path), "--index", "1", *fmt)
+    assert (code, err) == (0, "")
+    square = sum(Fraction(1, 10 ** 998 + k) for k in range(4)) ** 2
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # for the reference conversion only
+    try:
+        want = f"{square.numerator}/{square.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 8000
+    if fmt:
+        assert [t["coefficient"] for t in json.loads(out)["terms"]] == [want]
+    else:
+        assert out == f"{want} * <(1,3)=1, (1,4)=1>\n"
+
+
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     from cliqueops import cli
 

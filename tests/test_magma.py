@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from cliqueops import (
     Clique, CliqueError, MagmaElem, MagmaError, MagmaMorphism, RankFunction,
-    UnitaryMagma, automorphisms, has_nontrivial_unit_divisors,
-    is_right_cancelable, magma_product, op, parse_magma_spec,
+    UnitaryMagma, automorphisms, clique_from_json, clique_to_json,
+    has_nontrivial_unit_divisors, is_right_cancelable, magma_product, op,
+    parse_magma_spec,
 )
 
 
@@ -212,6 +213,30 @@ def test_structural_equality_and_rendering(tmp_path):
     d1 = parse_magma_spec("D:1")
     assert d1.elem_name(d1.elem("d_1")) == "d_1"
     assert d1.elem_name(d1.unit) == "\U0001d7d9"
+
+
+def test_one_integer_magma(tmp_path):
+    z = UnitaryMagma.integers()
+    assert parse_magma_spec("Z") is z is RankFunction.identity().magma
+    negate = MagmaMorphism.negation()
+    assert negate.source is z and negate.target is z
+    # the JSON of an integer clique is unchanged
+    clique = Clique.from_arcs(z, 3, {(1, 2): -2, (2, 4): 5})
+    assert clique_to_json(clique) == {
+        "magma": "Z", "arity": 3, "labels": {"1,2": "-2", "2,4": "5"},
+    }
+    assert clique_from_json(clique_to_json(clique)).magma is z
+    # only the integers are shared: a table file equal to D:0 still
+    # serializes as the table it was read from
+    path = tmp_path / "d0.json"
+    data = UnitaryMagma.zero_product(0).table_data()
+    path.write_text(json.dumps(data))
+    table = parse_magma_spec(f"table:{path}")
+    assert table == parse_magma_spec("D:0") and table is not parse_magma_spec("D:0")
+    row = {"magma": f"table:{path}", "arity": 2, "labels": {"1,3": "0"}}
+    assert clique_to_json(Clique.from_arcs(table, 2, {(1, 3): 1})) == row
+    unnamed = Clique.from_arcs(UnitaryMagma.from_table_data(data), 2, {(1, 3): 1})
+    assert clique_to_json(unnamed) == dict(row, magma=data)
 
 
 def test_bool_is_not_a_label(z, d0):

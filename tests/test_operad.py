@@ -187,6 +187,28 @@ def test_star_product(z, d0):
     assert lhs == 6 * LinComb.of(star_product(a, b))
 
 
+def test_decimal_is_str_at_any_size(z):
+    import sys
+
+    from cliqueops.operad import decimal
+
+    rng = random.Random(17)
+    ints = [0, 1, -1, 10 ** 5000, -(10 ** 5000) + 1, 10 ** 602, 10 ** 603 - 1]
+    for bits in (1, 64, 1999, 2000, 2001, 2100, 14000, 14300, 40000):
+        ints += [rng.getrandbits(bits), -rng.getrandbits(bits), 1 << bits]
+    values = ints + [Fraction(a, b) for a, b in zip(ints[1:], ints[2:] + [7]) if b]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # for the reference conversion only
+    try:
+        want = [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [decimal(v) for v in values] == want
+    assert max(map(len, want)) > 4300
+    big = LinComb.of(Clique.unit(z), Fraction(1, 10 ** 5000 + 1))
+    assert repr(big) == f"1/1{'0' * 4999}1*{Clique.unit(z)!r}"
+
+
 def test_fundamental_basis_closed_under_composition(d0):
     for p in generate_cliques(d0, 2):
         for q in generate_cliques(d0, 2):

@@ -5,7 +5,7 @@ import pytest
 
 from cliqueops import (
     Clique, IntervalProduct, LinComb, MagmaMorphism, RankFunction, RatElem,
-    RatFctError, UnitaryMagma, compose_product, interval_map, relabel,
+    RatFctError, UnitaryMagma, arcs_of, compose_product, interval_map, relabel,
     rf_compose, rf_image, rf_is_zero, star_product, verify_rf_laws,
     verify_rf_morphism,
 )
@@ -351,3 +351,95 @@ def test_zero_test_agrees_with_sympy():
         assert verdict == (sympy.cancel(_sympy_value(sympy, f)) == 0), format_rat_elem(f)
         verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+def test_pole_draws_are_redrawn_not_counted(monkeypatch):
+    # 1/(u_1 + u_2): the first draw puts the interval sum on 0 mod p
+    p = ratfct._P
+    f = RatElem.of(IntervalProduct(2, {(1, 3): -1}))
+    draws = [[1, p - 1], [1, 2]]
+    monkeypatch.setattr(ratfct, "_draw_point", lambda rng, arity: draws.pop(0))
+    # one sample: only the redrawn point can be the one that certifies
+    assert rf_probably_zero(f, samples=1) is False
+    assert draws == []
+
+
+def _reference_expansion(f):
+    """rf_expand_cleared by hand: Fraction coefficients, exponent tuples, and
+    each interval power multiplied out one linear factor at a time."""
+    arcs = arcs_of(f.arity)
+    need = {iv: max(0, *(-dict(p.powers).get(iv, 0) for p in f.terms)) for iv in arcs}
+    total = {}
+    for prod, coeff in f.terms.items():
+        poly = {(0,) * f.arity: Fraction(coeff)}
+        for (x, y) in arcs:
+            for _ in range(need[(x, y)] + dict(prod.powers).get((x, y), 0)):
+                product = {}
+                for mono, c in poly.items():
+                    for var in range(x, y):
+                        key = mono[:var - 1] + (mono[var - 1] + 1,) + mono[var:]
+                        product[key] = product.get(key, 0) + c
+                poly = product
+        for mono, c in poly.items():
+            total[mono] = total.get(mono, 0) + c
+    return {mono: c for mono, c in total.items() if c}
+
+
+def test_expand_cleared_matches_a_reference():
+    rng = random.Random(41)
+    kernels = [rf_image(example, RANK) for example in ratfct.kernel_examples()]
+    elements = []
+    for arity in range(1, 5):
+        for _ in range(12):
+            elements.append(_random_rat_elem(rng, arity, rng.randint(1, 5)))
+    for kernel in kernels:
+        g = _random_rat_elem(rng, 2, 3)
+        composite = rf_compose(g, kernel, 2)
+        elements += [rf_compose(kernel, g, 1),
+                     composite + _random_rat_elem(rng, composite.arity, 2)]
+    assert any(any(c.denominator > 1 for c in f.terms.values()) for f in elements)
+    assert any(min(p.row) < 0 for f in elements for p in f.terms)
+    for f in elements:
+        got = rf_expand_cleared(f)
+        assert got == _reference_expansion(f), format_rat_elem(f)
+        # coefficients in normal form: an int when integral
+        assert all(type(c) is int or c.denominator > 1 for c in got.values())
+
+
+def test_certificate_never_calls_a_kernel_composite_nonzero():
+    kernels = [rf_image(example, RANK) for example in ratfct.kernel_examples()]
+    for seed in range(50):
+        rng = random.Random(seed)
+        for kernel in kernels:
+            g = _random_rat_elem(rng, rng.randint(1, 2), rng.randint(1, 3))
+            composites = [rf_compose(kernel, g, i) for i in range(1, kernel.arity + 1)]
+            composites += [rf_compose(g, kernel, i) for i in range(1, g.arity + 1)]
+            for zero in composites:
+                assert zero.terms
+                assert rf_probably_zero(zero, samples=2, seed=seed), (seed, zero)
+
+
+def test_certificate_reduces_mixed_denominators():
+    # u_1/s + u_2/s - 1 and s/u_1 - 1 - u_2/u_1 vanish, s = u_1 + u_2; they
+    # share the term 1, so (1/2) r1 + (1/3) r2 has the coefficients 1/2 and
+    # 1/3 and -5/6, and only exact inverses of 2, 3 and 6 mod p cancel it
+    def term(powers):
+        return IntervalProduct(2, powers)
+
+    s, u1, u2 = (1, 3), (1, 2), (2, 3)
+    r1 = RatElem(2, [(term({u1: 1, s: -1}), 1), (term({u2: 1, s: -1}), 1),
+                     (term({}), -1)])
+    r2 = RatElem(2, [(term({s: 1, u1: -1}), 1), (term({}), -1),
+                     (term({u2: 1, u1: -1}), -1)])
+    zero = Fraction(1, 2) * r1 + Fraction(1, 3) * r2
+    assert zero.coefficient(term({})) == Fraction(-5, 6) and rf_is_zero(zero)
+    nonzero = zero + RatElem.of(term({s: -2}), Fraction(1, 7))
+    for seed in range(20):
+        assert rf_probably_zero(zero, samples=3, seed=seed)
+        assert not rf_probably_zero(nonzero, samples=1, seed=seed)
+
+
+def test_a_denominator_divisible_by_p_gives_no_certificate():
+    f = RatElem.of(IntervalProduct(1, {(1, 2): 1}), Fraction(1, ratfct._P))
+    assert rf_probably_zero(f)
+    assert not rf_is_zero(f)
