@@ -305,19 +305,22 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(stream=None):
+def run_all(stream=None, as_json=False):
     """Run every criterion and return overall success.
 
     `stream` (stdout by default) gets one timing-free verdict line per
-    criterion, so identical runs print identical bytes; a criterion over
-    its bound is flagged there and fails the run.  Stderr gets each
-    criterion's elapsed time, bound and headroom.
+    criterion, or with `as_json` one JSON list of
+    {"criterion", "ok", "detail"} records at the end, so identical runs
+    print identical bytes; a criterion over its bound is flagged there and
+    fails the run.  Stderr gets each criterion's elapsed time, bound and
+    headroom.
     """
+    import json
     import sys
     import time
 
     stream = stream or sys.stdout
-    all_ok = True
+    records = []
     for number, fn in ALL_CRITERIA:
         bound, _ = CRITERIA_BOUNDS[number]
         started = time.monotonic()
@@ -327,11 +330,17 @@ def run_all(stream=None):
             status, text = "FAIL", exc
         elapsed = time.monotonic() - started
         flag = "" if elapsed < bound else f" (EXCEEDS {bound}s bound)"
-        all_ok = all_ok and status == "PASS" and not flag
-        print(f"criterion {number:2d}: {status}{flag}: {text}", file=stream)
+        records.append({
+            "criterion": number, "ok": status == "PASS" and not flag,
+            "detail": f"{text}{flag}",
+        })
+        if not as_json:
+            print(f"criterion {number:2d}: {status}{flag}: {text}", file=stream)
         print(
             f"criterion {number:2d}: elapsed_s={elapsed:.3f} bound_s={bound} "
             f"headroom_s={bound - elapsed:.3f}",
             file=sys.stderr,
         )
-    return all_ok
+    if as_json:
+        print(json.dumps(records, indent=2), file=stream)
+    return all(record["ok"] for record in records)

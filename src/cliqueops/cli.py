@@ -5,7 +5,9 @@ runs the verifiers `what` names over M, at arities up to `--max-arity`;
 `verify ratfct` and `verify known-ops` need no magma and print the same
 with or without one. Every such run prints one `describe()` line per
 report, or under `--json` a list of report objects. `verify all` without
-`--magma` runs the acceptance battery instead.
+`--magma` runs the acceptance battery instead: one verdict line per
+criterion, or under `--json` a list of {criterion, ok, detail} objects,
+with each criterion's timing on stderr.
 
 Exit codes: 0 success, 1 a verification found a counterexample or a
 golden value mismatched, 2 usage error (bad flags, inapplicable magma or
@@ -324,7 +326,7 @@ def cmd_verify(args):
     if args.magma is None and args.what == "all":
         from . import acceptance
 
-        return 0 if acceptance.run_all() else 1
+        return 0 if acceptance.run_all(as_json=args.json) else 1
     reports = _verify_reports(args)
     if args.json:
         print(json.dumps(

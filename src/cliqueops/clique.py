@@ -17,8 +17,8 @@ labels from a source tuple in a single C call.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, product as iproduct, repeat
-from operator import itemgetter, ne
+from itertools import compress, product as iproduct
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .magma import MAX_TABLE_ENTRIES, MagmaError, UnitaryMagma, parse_magma_spec
@@ -243,9 +243,7 @@ def generate_cliques(magma, arity):
 
 def iter_solid_arcs(clique):
     """The solid arcs of a clique in lexicographic order, one at a time."""
-    return compress(
-        arcs_of(clique.arity), map(ne, clique.labels, repeat(clique.magma.unit)),
-    )
+    return compress(arcs_of(clique.arity), clique.labels)  # solid = truthy
 
 
 class IndexPlan(NamedTuple):
@@ -304,8 +302,7 @@ def is_nesting_free(clique):
     increase along them: a repeated start or a non-increasing end is a
     nesting, and two arcs increasing in both cannot nest."""
     last_x = last_y = 0
-    unit = clique.magma.unit
-    for x, y in compress(arcs_of(clique.arity), map(ne, clique.labels, repeat(unit))):
+    for x, y in compress(arcs_of(clique.arity), clique.labels):
         if x <= last_x or y <= last_y:
             return False
         last_x, last_y = x, y

@@ -10,17 +10,18 @@ rule is one downward-closed test per arc (the rules of the kinds in
 accepted masks, block by block: a block holds masks with the same arc
 count, and the rule tests all its rows at once, one arc after another
 (small blocks one mask at a time).  The count adds block size times
-(m-1)^k in Python ints, so its cost scales with the answer and no budget
-applies.  grav's n + 1 edges and base are solid in every member and left
-out of the walk, which they multiply by (m-1)^(n+1).  Label-sensitive
+(m-1)^k in Python ints, so its cost scales with the number of accepted
+masks, and its budget counts those masks as the walk yields them.
+grav's n + 1 edges and base are solid in every member and left out of
+the walk, which they multiply by (m-1)^(n+1).  Label-sensitive
 variants (lab:) are counted over numpy label blocks of the dense label
 space, one `_block_flags` call per block, under the clique budget m^#arcs.
 
 The prime census runs over the 2^#diagonals diagonal-solidity patterns in
 numpy blocks, and its budget is measured in patterns.  It is the one
 census path that splits across processes when given a parallelism
-degree.  Both budgets count their space from the arity alone, without
-building any arc, and state it as a power.
+degree.  The pattern and clique budgets count their space from the arity
+alone, without building any arc, and state it as a power.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 from .clique import (
-    Clique, CliqueError, _label_count, arcs_of, clique_space_size, crossing,
-    diagonals_of, is_nesting_free,
+    Clique, CliqueError, _label_count, arc_index, arcs_of, clique_space_size,
+    crossing, diagonals_of, is_nesting_free,
 )
 from .magma import has_nontrivial_unit_divisors
 from . import variants
@@ -127,12 +130,20 @@ def dim_formula(spec, m_or_bed, n):
 # -- weighted skeleton census -------------------------------------------------
 
 
-def _census_skeletons(arity, weight, rule):
-    """Sum weight^#arcs over the masks a downward-closed rule accepts."""
-    # Python ints: the weights outgrow int64
-    return sum(
-        len(masks) * weight ** k for masks, k in variants._skeleton_blocks(arity, rule)
-    )
+def _census_skeletons(arity, weight, rule, budget):
+    """Sum weight^#arcs over the masks a downward-closed rule accepts,
+    refusing the walk once it has yielded more than `budget` masks (checked
+    once per block; None for no budget)."""
+    total = walked = 0
+    for masks, k in variants._skeleton_blocks(arity, rule):
+        walked += len(masks)
+        if budget is not None and walked > budget:
+            raise BudgetError(
+                f"the walk passed {walked} skeleton masks at arity {arity}, over "
+                f"the budget {budget}; raise it explicitly to proceed"
+            )
+        total += len(masks) * weight ** k  # Python ints: the weights outgrow int64
+    return total
 
 
 def _count_label_blocks(var, magma, arity):
@@ -160,9 +171,9 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     """Number of arity-n members of the variant, with formula cross-check.
 
     A label-blind variant is counted over solid-arc masks, each weighted by
-    (m-1)^#arcs, by the pruned walk of its rule (and its frame).  A
-    label-sensitive variant is counted over label blocks of the full clique
-    space, under the clique budget.
+    (m-1)^#arcs, by the pruned walk of its rule (and its frame), under a
+    budget in walked masks.  A label-sensitive variant is counted over
+    label blocks of the full clique space, under the clique budget.
     """
     var = variants.variant(spec, magma)
     if arity == 1:
@@ -170,7 +181,9 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     weight = magma.size - 1
     if var.label_blind:
         frame = variants._frame(var.rule, arity)
-        count = weight ** frame.bit_count() * _census_skeletons(arity, weight, var.rule)
+        count = weight ** frame.bit_count() * _census_skeletons(
+            arity, weight, var.rule, budget,
+        )
     else:
         _check_budget(magma.size, _label_count(arity), "cliques", arity, budget)
         count = _count_label_blocks(var, magma, arity)
@@ -189,7 +202,10 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
 PATTERN_BLOCK = 1 << 20  # int64 patterns per numpy block of the prime census
 
 
+@lru_cache(maxsize=None)
 def _diagonal_cross_masks(arity):
+    """The diagonals of the arity and, per diagonal, the mask of the
+    diagonals crossing it (bit j for diagonals_of(arity)[j])."""
     diags = diagonals_of(arity)
     masks = []
     for d in diags:
@@ -198,7 +214,7 @@ def _diagonal_cross_masks(arity):
             if crossing(d, e):
                 mask |= 1 << j
         masks.append(mask)
-    return diags, masks
+    return diags, tuple(masks)
 
 
 def _prime_patterns_chunk(args):
@@ -347,10 +363,11 @@ def dyck_encode(clique):
         )
     if not is_nesting_free(clique):
         raise CliqueError("clique is not nesting-free")
+    labels = clique.labels
     outgoing = {}
     incoming = set()
-    for (x, y) in clique.solid_arcs():
-        outgoing[x] = clique.label(x, y)
+    for (x, y), lab in compress(zip(arcs_of(clique.arity), labels), labels):
+        outgoing[x] = lab
         incoming.add(y)
     letters = []
     colors = {}
@@ -380,11 +397,11 @@ def dyck_decode(word):
     if arity < 1:
         raise CliqueError("word too short for a clique")
     starts = []  # start vertices waiting for an end, in order
-    arc_labels = {}
+    index = arc_index(arity)
+    labels = [word.magma.unit] * len(index)
+    letters = word.letters
     for vertex in range(1, vertex_count + 1):
-        first = word.letters[2 * vertex - 2]
-        second = word.letters[2 * vertex - 1]
-        pair = first + second
+        pair = letters[2 * vertex - 2] + letters[2 * vertex - 1]
         if pair == "ab":
             continue
         if pair in ("bb", "ba"):
@@ -393,12 +410,12 @@ def dyck_decode(word):
             src, lab = starts.pop(0)
             if vertex <= src:
                 raise CliqueError("arc closes before it opens")
-            arc_labels[(src, vertex)] = lab
+            labels[index[(src, vertex)]] = lab
         if pair in ("aa", "ba"):
             starts.append((vertex, word.colors[2 * vertex]))
     if starts:
         raise CliqueError("word leaves an arc open")
-    clique = Clique.from_arcs(word.magma, arity, arc_labels)
+    clique = Clique(word.magma, arity, labels)
     if not is_nesting_free(clique):
         raise CliqueError("decoded arc set is not nesting-free")
     return clique

@@ -4,6 +4,12 @@ A unitary magma is a set with a binary operation admitting a two-sided
 unit; associativity is never assumed.  Finite magmas are stored as dense
 operation tables indexed by element position, with element 0 always the
 unit.  The additive integers are the single rule-defined infinite magma.
+
+Every magma has `unit == 0`: `UnitaryMagma.__init__` sets it, a table
+file is renumbered so that its unit comes first, a product puts
+(unit, unit) at index 0, and `Z` adds integers.  Labels are ints, so a
+label is solid (not the unit) exactly when it is truthy, and the census
+kernels test solidity by truthiness.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
-from operator import ne
+from itertools import accumulate, compress
 from typing import Callable, NamedTuple
 
 from .clique import arc_class, arc_index, arcs_of, clique_space_size, crossing, nested_in
@@ -516,9 +515,7 @@ def _arc_bits(arity):
 
 def _solid_mask(clique):
     """The solid-arc mask of a clique: bit j set when arcs_of(arity)[j] is solid."""
-    return sum(compress(
-        _arc_bits(clique.arity), map(ne, clique.labels, repeat(clique.magma.unit)),
-    ))
+    return sum(compress(_arc_bits(clique.arity), clique.labels))  # solid = truthy
 
 
 class VariantPredicate:
@@ -643,12 +640,15 @@ class _LabelVariant(VariantPredicate):
         return table
 
     def _block_flags(self, arity, block):
-        """`member` and `in_ambient` of every row of a label block."""
+        """`member` and `in_ambient` of every row of a label block: one
+        lookup of each column in its arc's row of `allowed`, ANDed."""
         import numpy as np
 
         table = np.array(self._allowed(arity), dtype=bool)
-        return (table[np.arange(len(table)), block].all(axis=1),
-                np.ones(len(block), dtype=bool))
+        member = table[0][block[:, 0]]
+        for col in range(1, len(table)):
+            member &= table[col][block[:, col]]
+        return member, np.ones(len(block), dtype=bool)
 
 
 def make_lab(magma, base_set, edge_set, diag_set, unchecked=False):

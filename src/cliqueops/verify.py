@@ -38,7 +38,8 @@ from functools import partial
 
 from . import clique as _clique
 from .clique import (
-    Clique, CliqueError, arcs_of, clique_space_size, generate_cliques, reflect, rotate,
+    Clique, CliqueError, _label_count, arcs_of, clique_space_size, generate_cliques,
+    reflect, rotate,
 )
 from .magma import (
     MagmaError, UnitaryMagma, automorphisms, is_right_cancelable, pair_value,
@@ -134,21 +135,41 @@ def _star(magma):
 
 def _label_block(magma, arity, rows=None):
     """Every clique of the arity as one row of labels, in the order of
-    `generate_cliques`; only the rows in the slice `rows` when given."""
+    `generate_cliques`; only the rows in the contiguous slice `rows` when
+    given.
+
+    Row r holds the w base-m digits of r, one per arc (w = 0 at arity 1,
+    whose one row is the unit).  Column c changes every power = m^(w-1-c)
+    rows, so it is built from runs, in the label dtype: the slice's runs
+    read their digits from one tiled digit range, and each is repeated
+    `power` times and cut to the slice.  A slice shorter than a run meets
+    at most two runs, which are written as two constant pieces.
+    """
     import numpy as np
 
     if not magma.is_finite:
         raise MagmaError("cannot enumerate cliques over an infinite magma")
     dtype = _label_dtype(magma)
-    if arity == 1:
-        return np.zeros((1, 1), dtype=dtype)
-    width = len(arcs_of(arity))
-    m = magma.size
-    idx = np.arange(*(rows or slice(None)).indices(m ** width))
-    out = np.empty((len(idx), width), dtype=dtype)
-    for col in range(width):
-        power = m ** (width - 1 - col)
-        out[:, col] = (idx // power) % m
+    m, free = magma.size, _label_count(arity)  # no free label at arity 1
+    lo, hi, _ = (rows or slice(None)).indices(m ** free)
+    size = max(hi - lo, 0)
+    out = np.zeros((size, len(arcs_of(arity))), dtype=dtype)
+    if not (size and free):
+        return out
+    digits = np.arange(m, dtype=dtype)[None, :]
+    cycle = np.repeat(digits, size // m + 2, axis=0).ravel()  # cycle[k] = k % m
+    for col in range(free):
+        power = m ** (free - 1 - col)
+        first = lo // power  # the first run meeting the slice
+        start = first % m
+        if power > size:
+            cut = min(power * (first + 1) - lo, size)
+            out[:cut, col] = cycle[start]
+            out[cut:, col] = cycle[start + 1]
+        else:
+            runs = cycle[start:start + (hi - 1) // power - first + 1]
+            offset = lo - first * power
+            out[:, col] = np.repeat(runs, power)[offset:offset + size]
     return out
 
 

@@ -793,6 +793,44 @@ def test_verify_all_stdout_is_timing_free(capsys, monkeypatch):
     assert "bound_s=60" in timings[1]
 
 
+def test_verify_all_json_lists_the_criteria(capsys, monkeypatch):
+    from cliqueops import acceptance
+
+    def passing():
+        return "cheap detail"
+
+    def failing():
+        raise AssertionError("stated outcome not met")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [(1, passing), (7, failing)])
+    code, out, err = run(capsys, "verify", "all", "--json")
+    assert code == 1
+    assert json.loads(out) == [
+        {"criterion": 1, "ok": True, "detail": "cheap detail"},
+        {"criterion": 7, "ok": False, "detail": "stated outcome not met"},
+    ]
+    assert run(capsys, "verify", "all", "--json")[1] == out
+    timings = err.splitlines()
+    assert [line.split(":")[0] for line in timings] == ["criterion  1", "criterion  7"]
+    assert all("elapsed_s=" in line for line in timings)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [(1, passing)])
+    assert run(capsys, "verify", "all", "--json")[0] == 0
+
+
+def test_census_walk_over_budget_exits_two_quickly(capsys):
+    # cro:0 over D:0 walks 211,044,352 masks at arity 10; the budget
+    # refuses the walk at arity 5, its first arity past 1000 masks
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sequence", "--variant", "cro:0", "--magma", "D:0",
+                         "--max-arity", "10", "--budget", "1000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the walk passed ")
+    assert "at arity 5, over the budget 1000;" in err
+
+
 D1 = parse_magma_spec("D:1")
 # letters, brackets and label names of D:1 (the unit, 0, d_1 and an alias),
 # and a name D:1 lacks

@@ -11,6 +11,8 @@ from cliqueops import (
 )
 from cliqueops.clique import nested_in, row_width
 
+from magma_strategies import unitary_magmas
+
 D0 = UnitaryMagma.zero_product(0)
 Z = UnitaryMagma.integers()
 
@@ -290,6 +292,42 @@ _JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
 def _rarely(draw):
     """True about one time in ten."""
     return draw(st.sampled_from([False] * 9 + [True]))
+
+
+@st.composite
+def labeled_cliques(draw):
+    """A clique over a drawn table magma or over Z (labels -3..3), with a
+    few solid arcs or with every label drawn."""
+    magma = draw(st.one_of(unitary_magmas(), st.just(Z)))
+    n = draw(st.integers(1, 7))
+    if n == 1:
+        return Clique.unit(magma)
+    arcs = arcs_of(n)
+    if magma.is_finite:
+        labels, solid = st.sampled_from(magma.elements()), magma.nonunit_elements()
+    else:
+        labels, solid = st.integers(-3, 3), [-3, -2, -1, 1, 2, 3]
+    if draw(st.booleans()):
+        return Clique(magma, n, draw(st.tuples(*[labels] * len(arcs))))
+    chosen = draw(st.lists(st.sampled_from(arcs), max_size=4, unique=True))
+    return Clique.from_arcs(magma, n, {arc: draw(st.sampled_from(solid)) for arc in chosen})
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_cliques())
+def test_solid_tests_read_label_truthiness(clique):
+    # reference: a label is solid when it differs from the magma's unit
+    from cliqueops.clique import iter_solid_arcs
+    from cliqueops.variants import _solid_mask
+
+    unit = clique.magma.unit
+    labels = clique.labels
+    solid = tuple(arc for arc, lab in zip(arcs_of(clique.arity), labels) if lab != unit)
+    assert tuple(iter_solid_arcs(clique)) == solid
+    assert _solid_mask(clique) == sum(1 << j for j, lab in enumerate(labels) if lab != unit)
+    assert is_nesting_free(clique) == (
+        not any(a != b and nested_in(a, b) for a in solid for b in solid)
+    )
 
 
 @st.composite

@@ -107,6 +107,19 @@ def test_streaming_budget(d1):
         count_by_enumeration(spec, d1, 5, budget=100)
 
 
+def test_skeleton_walk_budget(d0):
+    # the walk counts the masks it yields: cro:0 accepts 352 masks at
+    # arity 4, so a budget of 352 lets it finish and 351 refuses it
+    assert count_by_enumeration("cro:0", d0, 4, budget=352) == 352
+    with pytest.raises(BudgetError, match=r"352 skeleton masks at arity 4, over the budget 351;"):
+        count_by_enumeration("cro:0", d0, 4, budget=351)
+    # grav's frame is left out of the walk: 2520 diagonal masks at arity 7
+    assert count_by_enumeration("grav", d0, 7, budget=2520) == 2520
+    with pytest.raises(BudgetError):
+        count_by_enumeration("grav", d0, 7, budget=2519)
+    assert count_by_enumeration("cro:0", d0, 4, budget=None) == 352
+
+
 def test_grav_census_counts_the_gravity_diagrams(d0, d1):
     # the census walks the diagonal masks alone, so no clique budget stops
     # it: over D:1 each diagram's 7 frame arcs and its diagonals take one of

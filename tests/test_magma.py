@@ -146,6 +146,25 @@ def test_parse_magma_spec(tmp_path):
         parse_magma_spec(f"table:{path}")
 
 
+def test_every_magma_has_its_unit_at_zero(tmp_path):
+    # the census kernels read a label as solid exactly when it is truthy
+    path = tmp_path / "unit-last.json"
+    path.write_text(json.dumps({
+        "elements": ["a", "b", "u"], "unit": "u",
+        "table": ["b", "u", "a", "u", "a", "b", "a", "b", "u"],
+    }))
+    specs = ["D:0", "D:3", "E:0", "E:2", "N:1", "N:4", "trivial", "Z",
+             "prod(D:1,E:1)", "prod(N:2,prod(D:0,E:1))", f"table:{path}"]
+    for spec in specs:
+        magma = parse_magma_spec(spec)
+        assert magma.unit == 0, spec
+        if magma.is_finite:
+            assert all(magma.op(0, x) == x == magma.op(x, 0) for x in magma.elements())
+    table = parse_magma_spec(f"table:{path}")
+    assert table.names[0] == "u" and table.elem("u") == 0
+    assert magma_product(table, UnitaryMagma.cyclic(3)).elem("(u,0)") == 0
+
+
 @pytest.mark.parametrize("content", [None, '{"elements": ["u", "a"], "unit": "u", "tab'],
                          ids=["missing-file", "truncated-json"])
 def test_unreadable_table_files_are_magma_errors(tmp_path, content):

@@ -467,6 +467,53 @@ def test_vector_engine_labels_do_not_wrap():
         assert composed.max() >= 256
 
 
+@pytest.mark.parametrize("spec", ["D:0", "D:1", "D:2"])  # sizes 2, 3 and 4
+def test_label_block_rows_are_base_m_digits(spec):
+    # uneven slices: empty, past the end, and straddling a column period
+    from cliqueops import parse_magma_spec
+    from cliqueops.verify import _label_block, _label_dtype
+
+    magma = parse_magma_spec(spec)
+    m = magma.size
+    for n in range(1, 5):
+        free = n * (n + 1) // 2 if n > 1 else 0
+        space = m ** free
+        slices = [(0, 0), (5, 5), (space - 3, space + 7), (space + 2, space + 9),
+                  (m * m - 2, m * m + 3), (m ** 3 - 1, m ** 4 + 2), (1, 2 * m + 1),
+                  (space // 2 - 1, space // 2 + 1)]
+        if space <= 4096:
+            slices.append((0, space))
+        for lo, hi in slices:
+            block = _label_block(magma, n, slice(lo, hi))
+            assert block.dtype == _label_dtype(magma)
+            want = [[(v // m ** (free - 1 - c)) % m for c in range(free)] or [0]
+                    for v in range(space)[lo:hi]]
+            assert block.shape == (len(want), len(arcs_of(n)))
+            assert block.tolist() == want, (n, lo, hi)
+
+
+@pytest.mark.parametrize("spec, lab", [
+    ("D:1", "lab:\U0001d7d9,0;\U0001d7d9,0,d_1;\U0001d7d9,0,d_1"),
+    ("E:2", "lab:\U0001d7d9;e_1,e_2;\U0001d7d9,e_1,e_2"),
+])
+def test_lab_block_flags_match_member(spec, lab):
+    import warnings
+
+    from cliqueops import parse_magma_spec, variant
+    from cliqueops.verify import _label_block, _row_clique
+
+    magma = parse_magma_spec(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the unit is not an edge label of E:2's spec
+        var = variant(lab, magma)
+    for n, rows in ((1, None), (2, None), (3, None), (4, slice(3 ** 9 + 500, 3 ** 9 + 2500))):
+        block = _label_block(magma, n, rows)
+        member, in_ambient = var._block_flags(n, block)
+        assert member.tolist() == [var.member(_row_clique(magma, row)) for row in block]
+        assert in_ambient.all()
+        assert 0 < member.sum() < len(block) or n == 1
+
+
 def _swap_first_entries_of_plan_3_1_2(monkeypatch):
     # mutation: arcs (1,2) and (1,3) of x o_2 unit at arity 3 trade sources,
     # in the index tuple and the picker alike, so `partial_compose` and the
