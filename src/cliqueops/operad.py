@@ -20,15 +20,17 @@ The bilinear products (`partial_compose_lin`, `compose_sum` for the H
 and K bases, `star_product` on combinations) sum label rows instead:
 `int` numerators over each side's lcm denominator, keyed by the result's
 label tuple, divided once and made one trusted `Clique` per distinct row.
+`_numerators` and `_from_rows` take the row accessor and the element
+class, so the products of ratfct.py sum exponent rows the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, lcm
-from operator import add, getitem
+from operator import add, attrgetter, getitem
 from typing import Callable, NamedTuple
 
 from .clique import Clique, CliqueError, arc_index, arcs_of, index_plan
@@ -274,11 +276,15 @@ class LinComb(_Combination):
         return " + ".join(f"{decimal(v)}*{c!r}" for c, v in self.items())
 
 
-def _numerators(f):
-    """f's terms as (labels, numerator) rows over one common denominator,
-    the lcm of f's denominators, and that denominator."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return [(p.labels, c.numerator * (den // c.denominator)) for p, c in f.terms.items()], den
+_LABELS, _DENOMINATOR = attrgetter("labels"), attrgetter("denominator")
+
+
+def _numerators(f, row=_LABELS):
+    """f's terms as (row, numerator) pairs over one common denominator, the
+    lcm of f's denominators, and that denominator; `row` reads a term's row
+    of ints (a clique's labels, an interval product's exponents)."""
+    den = lcm(*map(_DENOMINATOR, f.terms.values()))
+    return [(row(p), c.numerator * (den // c.denominator)) for p, c in f.terms.items()], den
 
 
 def _by_label(rows, index):
@@ -289,15 +295,17 @@ def _by_label(rows, index):
     return groups
 
 
-def _from_rows(magma, arity, acc, den):
-    """The combination of {labels: numerator} over the denominator `den`,
-    each coefficient divided once into the normal form of `_exact`."""
+def _from_rows(combination, element, space, acc, den):
+    """The `combination` over `space` of {row: numerator} over the
+    denominator `den`: each nonzero numerator divided once into the normal
+    form of `_exact`, on the term `element._unsafe(*space, row)`."""
+    make = partial(element._unsafe, *space)
     terms = {}
     for row, v in acc.items():
         if v:
             k = gcd(v, den)
-            terms[Clique._unsafe(magma, arity, row)] = v // k if k == den else Fraction(v // k, den // k)
-    return LinComb._unsafe((magma, arity), terms)
+            terms[make(row)] = v // k if k == den else Fraction(v // k, den // k)
+    return combination._unsafe(space, terms)
 
 
 def _glue(magma, a, b):
@@ -331,7 +339,7 @@ def compose_sum(f, g, i, glues):
                     for b, y in q_tails:
                         row = pick(a + b)
                         acc[row] = get(row, 0) + x * y
-    return _from_rows(magma, arity, acc, den_f * den_g)
+    return _from_rows(LinComb, Clique, (magma, arity), acc, den_f * den_g)
 
 
 def partial_compose_lin(f, g, i):
@@ -371,7 +379,7 @@ def star_product(f, g):
         for b, y in rows_g:
             row = tuple(map(op, left, b))
             acc[row] = get(row, 0) + x * y
-    return _from_rows(f.magma, f.arity, acc, den_f * den_g)
+    return _from_rows(LinComb, Clique, (f.magma, f.arity), acc, den_f * den_g)
 
 
 def zip_cliques(product_magma, p1, p2):

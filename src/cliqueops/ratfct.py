@@ -7,15 +7,17 @@ exponent row: the exponent of [x, y) for each arc (x, y) of `arcs_of`.
 Under the identity rank that row is a clique's label row, so
 `interval_map` is one `rank.of_labels` call; products multiply arcwise,
 and the substitution-based partial composition is one pick through
-`_row_plan`, the `_reindex` table compiled per shape.  The fragment
-carries the clique morphism built from a rank function, which
-`verify_rf_morphism` checks on label blocks through `verify.slab_laws`,
-scattering `_row_plan` with `verify._apply_plan`.  It admits an exact
-zero test: evaluation at a random point of F_p, p = 2^61 - 1, can only
-prove an element nonzero (a nonzero residue is a nonzero value), and
-"zero" is decided by clearing denominators and expanding the numerator
-as a multivariate polynomial with `int` coefficients and packed `int`
-monomial keys.
+`_row_plan`, the `_reindex` table compiled per shape.  `rf_compose` and
+`RatElem` products sum `int` numerators keyed by exponent row, through the
+row helpers of operad.py; a product with a one-term side has nothing to
+sum.  The fragment carries the clique morphism built from a rank
+function, which `verify_rf_morphism` checks on label blocks through
+`verify.slab_laws`, scattering `_row_plan` with `verify._apply_plan`.
+It admits an exact zero test: evaluation at a random point of F_p,
+p = 2^61 - 1, can only prove an element nonzero (a nonzero residue is a
+nonzero value), and "zero" is decided by clearing denominators and
+expanding the numerator as a multivariate polynomial with `int`
+coefficients and packed `int` monomial keys.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, product as iproduct
 from math import lcm
-from operator import add, neg
+from operator import add, attrgetter, neg
 
 from .clique import Clique, arcs_of, index_plan, relabel, row_width
 from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
 from .operad import (
-    CompositionPlan, LinComb, _accumulate, _Combination, _new, star_product,
+    CompositionPlan, LinComb, _accumulate, _Combination, _exact, _from_rows,
+    _new, _numerators, star_product,
 )
 from .report import VerifyReport
 from .verify import _apply_plan, _compose_block, slab_laws
@@ -121,6 +124,9 @@ class IntervalProduct:
         return f"IntervalProduct({self.arity}, {self.powers})"
 
 
+_ROW = attrgetter("row")
+
+
 class RatElem(_Combination):
     """A finite rational combination of interval products, one arity."""
 
@@ -147,10 +153,23 @@ class RatElem(_Combination):
     def __mul__(self, other):
         if self.arity != other.arity:
             raise RatFctError("cannot multiply rational elements of different arities")
-        return RatElem._unsafe((self.arity,), _accumulate(
-            (p.multiply(q), a * b)
-            for p, a in self.terms.items() for q, b in other.terms.items()
-        ))
+        f, g = (other, self) if len(other.terms) == 1 else (self, other)
+        if len(f.terms) == 1:
+            # multiplying by one product is injective, so no two terms meet
+            # and nothing needs summing
+            (p, a), = f.terms.items()
+            return RatElem._unsafe((self.arity,), {
+                p.multiply(q): _exact(a * b) for q, b in g.terms.items()
+            })
+        rows_f, den_f = _numerators(f, _ROW)
+        rows_g, den_g = _numerators(g, _ROW)
+        acc = {}
+        get = acc.get
+        for a, x in rows_f:
+            for b, y in rows_g:
+                row = tuple(map(add, a, b))
+                acc[row] = get(row, 0) + x * y
+        return _from_rows(RatElem, IntervalProduct, (self.arity,), acc, den_f * den_g)
 
     def __repr__(self):
         return format_rat_elem(self)
@@ -208,13 +227,25 @@ def _compose_product(prod, other, i):
 
 
 def rf_compose(f, g, i):
-    """Partial composition: substitute the sum block for slot i and multiply."""
+    """Partial composition: substitute the sum block for slot i and multiply.
+
+    As `operad.compose_sum` does for cliques, the coefficients are summed as
+    `int` numerators over each side's lcm denominator, keyed by the
+    composite's exponent row, and divided once per distinct row.
+    """
     if not 1 <= i <= f.arity:
         raise RatFctError(f"index {i} out of range for arity {f.arity}")
-    return RatElem._unsafe((f.arity + g.arity - 1,), _accumulate(
-        (_compose_product(p, q, i), a * b)
-        for p, a in f.terms.items() for q, b in g.terms.items()
-    ))
+    arity, _, pick, edge, base = _row_plan(f.arity, g.arity, i)
+    rows_f, den_f = _numerators(f, _ROW)
+    rows_g, den_g = _numerators(g, _ROW)
+    acc = {}
+    get = acc.get
+    for a, x in rows_f:
+        a_edge = a[edge]
+        for b, y in rows_g:
+            row = pick(a + b + (a_edge + b[base], 0))
+            acc[row] = get(row, 0) + x * y
+    return _from_rows(RatElem, IntervalProduct, (arity,), acc, den_f * den_g)
 
 
 def interval_map(clique, rank):

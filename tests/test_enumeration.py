@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -6,8 +7,8 @@ from cliqueops import (
     BudgetError, Clique, ColoredDyckWord, SequenceRecord,
     count_by_enumeration, count_minimal_prime, count_prime,
     count_white_prime, dim_formula, dyck_decode, dyck_encode,
-    export_sequence, generate_cliques, is_minimal_prime, is_nesting_free,
-    is_prime, narayana, sequence_for,
+    export_sequence, generate_cliques, has_nontrivial_unit_divisors,
+    is_minimal_prime, is_nesting_free, is_prime, narayana, sequence_for,
 )
 from cliqueops.knownops import gravity_diagrams
 from cliqueops.variants import VARIANT_SPECS, VariantError
@@ -286,3 +287,93 @@ def test_sequence_for_provenance(d0):
     assert [count for _, count in record.entries] == [1, 5, 14, 42]
     record2 = sequence_for("mot", d0, 3)
     assert record2.provenance == "enumeration"
+
+
+# -- shared clique spaces --------------------------------------------------
+
+
+def _spaces_under_the_cap():
+    from cliqueops.clique import _SHARED_SPACE_CAP, clique_space_size
+    from cliqueops import parse_magma_spec
+
+    return [
+        (spec, n) for spec in ("D:0", "D:1", "N:2", "E:1") for n in range(1, 6)
+        if clique_space_size(parse_magma_spec(spec), n) <= _SHARED_SPACE_CAP
+    ]
+
+
+@pytest.mark.parametrize("spec, arity", _spaces_under_the_cap())
+def test_shared_spaces_are_the_stream(spec, arity):
+    from cliqueops import parse_magma_spec
+    from cliqueops.clique import _stream_cliques
+
+    magma = parse_magma_spec(spec)
+    shared = list(generate_cliques(magma, arity))
+    assert shared == list(_stream_cliques(magma, arity))  # arity, labels and magma
+    assert all(c.magma is magma for c in shared)
+    # a second enumeration yields the same instances and builds none
+    again = list(generate_cliques(magma, arity))
+    assert len(again) == len(shared) and all(map(operator.is_, again, shared))
+
+
+def test_shared_spaces_stay_with_their_magma(tmp_path):
+    import json
+
+    from cliqueops import UnitaryMagma, parse_magma_spec
+
+    d0 = UnitaryMagma.zero_product(0)
+    key = hash(d0)
+    path = tmp_path / "d0.json"
+    path.write_text(json.dumps(d0.table_data()))
+    copy = parse_magma_spec(f"table:{path}")
+    assert copy == d0 and copy is not d0
+    ours = list(generate_cliques(d0, 3))
+    theirs = list(generate_cliques(copy, 3))
+    # equal magmas, equal cliques, but each clique keeps the magma it was asked for
+    assert theirs == ours
+    assert all(c.magma is copy for c in theirs)
+    assert all(c.magma is d0 for c in generate_cliques(d0, 3))
+    # the shared spaces and the unit-divisor answer stay out of == and hash
+    assert not has_nontrivial_unit_divisors(d0)
+    assert hash(d0) == key == hash(copy) and d0 == copy
+
+
+def test_spaces_over_the_cap_are_not_held():
+    import tracemalloc
+
+    from cliqueops import UnitaryMagma
+    from cliqueops.clique import _SHARED_SPACE_CAP, clique_space_size
+
+    magma = UnitaryMagma.zero_product(0)
+    assert clique_space_size(magma, 6) > _SHARED_SPACE_CAP
+    tracemalloc.start()
+    try:
+        seen = 0
+        for clique in generate_cliques(magma, 6):
+            seen += 1
+            if seen == 20000:
+                break
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == 20000 and clique.labels == tuple(map(int, f"{19999:021b}"))
+    assert peak < 1 << 20  # 20,000 held cliques of arity 6 take about 5 MiB
+    assert magma._spaces == {}
+
+
+def test_enumeration_errors_wait_for_iteration(z, d0):
+    from cliqueops import CliqueError, MagmaError
+
+    over_z, arity_zero = generate_cliques(z, 2), generate_cliques(d0, 0)
+    with pytest.raises(MagmaError, match="infinite magma"):
+        next(over_z)
+    with pytest.raises(CliqueError, match="arity must be positive"):
+        next(arity_zero)
+
+
+@pytest.mark.parametrize("color", [99, True, -1, "d_1"])
+def test_dyck_words_refuse_colors_outside_the_magma(d1, color):
+    from cliqueops import CliqueError
+
+    with pytest.raises(CliqueError, match="is not an element of D_1"):
+        ColoredDyckWord(d1, ("a", "a", "b", "b", "a", "b"), {2: color})

@@ -189,6 +189,35 @@ def test_gravity_condition_examples(d0, d1):
     assert grav_check(labeled)
 
 
+def test_grav_check_lookup_agrees_with_the_gravity_rule(d1):
+    """At every arity where the gravity family is tabled (1 to 7),
+    `grav_check` looks the solid-arc mask up in it; the lookup must give
+    the verdict of `gravity_member` on every mask at arities 1 to 5, and on
+    every member and every mask one arc away from one at arities 6 and 7,
+    which have 2^21 and 2^28 masks in all."""
+    from cliqueops import variants
+    from cliqueops.knownops import _gravity_family
+
+    assert _gravity_family(8) is None
+    for n in range(1, 8):
+        family = _gravity_family(n)
+        width = len(arcs_of(n))
+        if n <= 5:
+            masks = range(1 << width)
+        else:
+            masks = {mask ^ bit for mask in family for bit in (0, *(1 << j for j in range(width)))}
+        for mask in masks:
+            assert (mask in family) == variants.gravity_member(n, mask), (n, mask)
+    # grav_check reads a clique's solid arcs, whatever their labels
+    for diagram in gravity_diagrams(4):
+        clique = Clique._unsafe(d1, 4, tuple(
+            d1.elem("d_1") if diagram.mask >> k & 1 else 0 for k in range(10)
+        ))
+        assert grav_check(clique)
+        flipped = clique.with_label(1, 5, 0)
+        assert not grav_check(flipped)
+
+
 def test_displayed_gravity_composition():
     c = ChordDiagram(5, {(1, 4), (2, 5)})
     d = ChordDiagram(3, {(1, 3)})

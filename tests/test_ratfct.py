@@ -317,6 +317,35 @@ def _random_rat_elem(rng, arity, terms):
     return RatElem(arity, out)
 
 
+def test_products_and_compositions_match_their_termwise_sums():
+    # the integer-numerator sums of `RatElem.__mul__` and `rf_compose` against
+    # the constructor's sum of every pairwise term, coefficient by coefficient
+    rng = random.Random(41)
+    merged = 0  # results with fewer terms than pairs: coinciding rows were summed
+    for _ in range(100):
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        f, g = _random_rat_elem(rng, n, 4), _random_rat_elem(rng, m, 4)
+        h = _random_rat_elem(rng, n, 4)
+        i = rng.randint(1, n)
+        if rng.random() < 0.3:  # one side of a single term
+            h = RatElem.of(*rng.choice(list(h.terms.items())))
+            f, h = (h, f) if rng.random() < 0.5 else (f, h)
+        composed = RatElem(n + m - 1, [
+            (compose_product(p, q, i), a * b)
+            for p, a in f.terms.items() for q, b in g.terms.items()
+        ])
+        multiplied = RatElem(n, [
+            (p.multiply(q), a * b) for p, a in f.terms.items() for q, b in h.terms.items()
+        ])
+        for got, want, other in ((rf_compose(f, g, i), composed, g), (f * h, multiplied, h)):
+            assert got == want
+            assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                       for c in got.terms.values())
+            merged += len(got.terms) < len(f.terms) * len(other.terms)
+    assert merged > 20
+    assert rf_compose(RatElem(2), RatElem.one(2), 1) == RatElem(3)
+
+
 def _sympy_value(sympy, f):
     """f as a sympy expression in u_1, ..., u_arity."""
     u = sympy.symbols(f"u1:{f.arity + 1}")
