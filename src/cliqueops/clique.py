@@ -229,6 +229,16 @@ def clique_space_size(magma, arity):
 _SHARED_SPACE_CAP = 1 << 16
 
 
+def _shares_space(magma, arity):
+    """Whether clique_space_size(magma, arity) <= _SHARED_SPACE_CAP.  For
+    m >= 2, m^e exceeds the cap as soon as e reaches its bit length, so the
+    power is only built when it is small (as in the census budgets)."""
+    exponent = _label_count(arity)
+    if magma.size > 1 and exponent >= _SHARED_SPACE_CAP.bit_length():
+        return False
+    return magma.size ** exponent <= _SHARED_SPACE_CAP
+
+
 def generate_cliques(magma, arity):
     """All cliques of the given arity, in lexicographic label order, each once.
 
@@ -245,7 +255,7 @@ def generate_cliques(magma, arity):
         raise MagmaError("cannot enumerate cliques over an infinite magma")
     if arity < 1:
         raise CliqueError("arity must be positive")
-    if clique_space_size(magma, arity) > _SHARED_SPACE_CAP:
+    if not _shares_space(magma, arity):
         yield from _stream_cliques(magma, arity)
         return
     space = magma._spaces.get(arity)

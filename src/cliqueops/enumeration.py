@@ -9,19 +9,26 @@ rule is one downward-closed test per arc (the rules of the kinds in
 `variants._KINDS`), and the walk `variants._skeleton_blocks` extends only
 accepted masks, block by block: a block holds masks with the same arc
 count, and the rule tests all its rows at once, one arc after another
-(small blocks one mask at a time).  The count adds block size times
-(m-1)^k in Python ints, so its cost scales with the number of accepted
-masks, and its budget counts those masks as the walk yields them.
-grav's n + 1 edges and base are solid in every member and left out of
-the walk, which they multiply by (m-1)^(n+1).  Label-sensitive
-variants (lab:) are counted over numpy label blocks of the dense label
-space, one `_block_flags` call per block, under the clique budget m^#arcs.
+(small blocks one mask at a time).  The walk's result is a histogram of
+accepted masks by arc count, which no magma enters: it is kept once per
+arity and rule (`_SKELETON_HISTOGRAMS`), and each count weights it by
+(m-1)^k in Python ints.  The budget counts walked masks as the walk
+yields them; a kept histogram serves a call only when its total, the
+masks the walk yielded, fits that call's budget, and otherwise the walk
+runs again and refuses as before.  grav's n + 1 edges and base are solid
+in every member and left out of the walk, which they multiply by
+(m-1)^(n+1).  Label-sensitive variants (lab:) are counted over numpy
+label blocks of the dense label space, one `_block_flags` call per
+block, under the clique budget m^#arcs.
 
 The prime census runs over the 2^#diagonals diagonal-solidity patterns in
-numpy blocks, and its budget is measured in patterns.  It is the one
-census path that splits across processes when given a parallelism
-degree.  The pattern and clique budgets count their space from the arity
-alone, without building any arc, and state it as a power.
+numpy blocks, and its budget is measured in patterns.  Its result is also
+a histogram, of kept patterns by solid-diagonal count, kept once per size
+and minimality (`_PRIME_HISTOGRAMS`) and weighted per magma; the budget is
+checked before the histogram is read or built.  It is the one census
+path that splits across processes when given a parallelism degree.  The
+pattern and clique budgets count their space from the arity alone,
+without building any arc, and state it as a power.
 """
 
 from __future__ import annotations
@@ -130,11 +137,31 @@ def dim_formula(spec, m_or_bed, n):
 # -- weighted skeleton census -------------------------------------------------
 
 
-def _census_skeletons(arity, weight, rule, budget):
-    """Sum weight^#arcs over the masks a downward-closed rule accepts,
-    refusing the walk once it has yielded more than `budget` masks (checked
-    once per block; None for no budget)."""
-    total = walked = 0
+# (arity, rule) -> accepted masks per arc count k; its sum is the masks walked
+_SKELETON_HISTOGRAMS = {}
+
+
+def _weigh(histogram, weight):
+    """Sum weight^k over a histogram of items by k, in Python ints: the
+    weights outgrow int64."""
+    return sum(h * weight ** k for k, h in enumerate(histogram))
+
+
+def _census_skeletons(arity, rule, budget):
+    """How many masks the downward-closed rule accepts, per arc count.
+
+    The walk runs once per (arity, rule) and its histogram is kept.  It
+    refuses to pass more than `budget` masks (checked once per block; None
+    for no budget), so a kept histogram serves only a budget its total fits
+    in; under a smaller one the walk runs again and refuses at the block,
+    and with the message, of a walk with nothing kept.
+    """
+    key = (arity, rule)
+    histogram = _SKELETON_HISTOGRAMS.get(key)
+    if histogram is not None and (budget is None or sum(histogram) <= budget):
+        return histogram
+    counts = [0] * (len(arcs_of(arity)) + 1)
+    walked = 0
     for masks, k in variants._skeleton_blocks(arity, rule):
         walked += len(masks)
         if budget is not None and walked > budget:
@@ -142,8 +169,9 @@ def _census_skeletons(arity, weight, rule, budget):
                 f"the walk passed {walked} skeleton masks at arity {arity}, over "
                 f"the budget {budget}; raise it explicitly to proceed"
             )
-        total += len(masks) * weight ** k  # Python ints: the weights outgrow int64
-    return total
+        counts[k] += len(masks)
+    histogram = _SKELETON_HISTOGRAMS[key] = tuple(counts)
+    return histogram
 
 
 def _count_label_blocks(var, magma, arity):
@@ -181,8 +209,8 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     weight = magma.size - 1
     if var.label_blind:
         frame = variants._frame(var.rule, arity)
-        count = weight ** frame.bit_count() * _census_skeletons(
-            arity, weight, var.rule, budget,
+        count = weight ** frame.bit_count() * _weigh(
+            _census_skeletons(arity, var.rule, budget), weight,
         )
     else:
         _check_budget(magma.size, _label_count(arity), "cliques", arity, budget)
@@ -217,9 +245,14 @@ def _diagonal_cross_masks(arity):
     return diags, tuple(masks)
 
 
+# (arity, want_minimal) -> kept diagonal patterns per solid-diagonal count
+_PRIME_HISTOGRAMS = {}
+
+
 def _prime_patterns_chunk(args):
-    """Sum weight^#solid over the prime (or minimal prime) diagonal patterns
-    in [lo, hi), taken in numpy blocks of at most PATTERN_BLOCK patterns.
+    """How many prime (or minimal prime) diagonal patterns in [lo, hi) have
+    each number of solid diagonals, taken in numpy blocks of at most
+    PATTERN_BLOCK patterns.
 
     A pattern is prime when it meets every diagonal's crossing mask.  A
     prime pattern p is minimal when no solid diagonal can be dropped: b can
@@ -229,7 +262,7 @@ def _prime_patterns_chunk(args):
     """
     import numpy as np
 
-    arity, weight, lo, hi, want_minimal = args
+    arity, lo, hi, want_minimal = args
     diags, masks = _diagonal_cross_masks(arity)
     histogram = np.zeros(len(diags) + 1, dtype=np.int64)  # kept patterns by #solid
     for start in range(lo, hi, PATTERN_BLOCK):
@@ -243,30 +276,41 @@ def _prime_patterns_chunk(args):
                 sole |= np.where((crossers & (crossers - 1)) == 0, crossers, 0)
             patterns = patterns[sole == patterns]
         histogram += np.bincount(np.bitwise_count(patterns), minlength=len(histogram))
-    # Python ints: the weights outgrow int64
-    return sum(h * weight ** k for k, h in enumerate(histogram.tolist()))
+    return histogram.tolist()
 
 
-def _prime_pattern_weight(magma, arity, want_minimal, budget, threads):
-    # A clique is prime iff every diagonal is crossed by a solid diagonal,
-    # so primality is a property of the diagonal-solidity pattern alone.
-    if arity < 2:
-        return 0
-    diagonals = _diagonal_count(arity)
-    _check_budget(2, diagonals, "diagonal patterns", arity, budget)
-    size = 1 << diagonals
-    weight = magma.size - 1
+def _prime_histogram(arity, want_minimal, threads):
+    """`_prime_patterns_chunk` over all 2^#diagonals patterns, split across
+    `threads` processes when there are enough patterns."""
+    size = 1 << _diagonal_count(arity)
     if threads > 1 and size >= 1 << 10:
         from concurrent.futures import ProcessPoolExecutor
 
         step = (size + threads - 1) // threads
         chunks = [
-            (arity, weight, lo, min(lo + step, size), want_minimal)
+            (arity, lo, min(lo + step, size), want_minimal)
             for lo in range(0, size, step)
         ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(_prime_patterns_chunk, chunks))
-    return _prime_patterns_chunk((arity, weight, 0, size, want_minimal))
+            return [sum(column) for column in zip(*pool.map(_prime_patterns_chunk, chunks))]
+    return _prime_patterns_chunk((arity, 0, size, want_minimal))
+
+
+def _prime_pattern_weight(magma, arity, want_minimal, budget, threads):
+    # A clique is prime iff every diagonal is crossed by a solid diagonal,
+    # so primality is a property of the diagonal-solidity pattern alone,
+    # and the scan of the patterns is kept per (arity, want_minimal).  The
+    # budget counts the whole pattern space, so it is checked first.
+    if arity < 2:
+        return 0
+    _check_budget(2, _diagonal_count(arity), "diagonal patterns", arity, budget)
+    key = (arity, want_minimal)
+    histogram = _PRIME_HISTOGRAMS.get(key)
+    if histogram is None:
+        histogram = _PRIME_HISTOGRAMS[key] = tuple(
+            _prime_histogram(arity, want_minimal, threads)
+        )
+    return _weigh(histogram, magma.size - 1)
 
 
 def count_white_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):

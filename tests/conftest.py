@@ -2,6 +2,8 @@ import pytest
 
 from cliqueops import UnitaryMagma, magma_product
 
+from magma_strategies import D0, D1
+
 
 @pytest.fixture(scope="session")
 def z():
@@ -10,12 +12,12 @@ def z():
 
 @pytest.fixture(scope="session")
 def d0():
-    return UnitaryMagma.zero_product(0)
+    return D0
 
 
 @pytest.fixture(scope="session")
 def d1():
-    return UnitaryMagma.zero_product(1)
+    return D1
 
 
 @pytest.fixture(scope="session")
@@ -45,5 +47,4 @@ def n3():
 
 @pytest.fixture(scope="session")
 def d0sq():
-    m = UnitaryMagma.zero_product(0)
-    return magma_product(m, m)
+    return magma_product(D0, D0)

@@ -4,6 +4,12 @@ from hypothesis import strategies as st
 
 from cliqueops import UnitaryMagma
 
+# The one D:0 and the one D:1 object of a test session, behind the `d0` and
+# `d1` fixtures and the modules that need them outside a test: each magma
+# object keeps its own shared clique spaces.
+D0 = UnitaryMagma.zero_product(0)
+D1 = UnitaryMagma.zero_product(1)
+
 # a noncommutative unitary magma: x * y = x for x, y non-units
 _LEFT_ZERO = {
     "elements": ["u", "a", "b"],

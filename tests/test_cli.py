@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from cliqueops import (
     Clique, CliqueError, MagmaError, arcs_of, dyck_decode, dyck_encode,
-    is_nesting_free, parse_magma_spec,
+    is_nesting_free,
 )
 from cliqueops.cli import UsageError, _parse_colored_word, main
+
+from magma_strategies import D1
 
 
 def run(capsys, *argv):
@@ -831,7 +833,20 @@ def test_census_walk_over_budget_exits_two_quickly(capsys):
     assert "at arity 5, over the budget 1000;" in err
 
 
-D1 = parse_magma_spec("D:1")
+def test_census_budget_refusal_outlives_a_kept_histogram(capsys, monkeypatch, d0):
+    # a default-budget count keeps the 2880 masks cro:0 accepts at arity 5;
+    # under the budget 1000 the walk runs again and refuses as it did cold
+    from cliqueops import count_by_enumeration, enumeration
+
+    monkeypatch.setattr(enumeration, "_SKELETON_HISTOGRAMS", {})
+    argv = ("sequence", "--variant", "cro:0", "--magma", "D:0", "--max-arity", "10",
+            "--budget", "1000")
+    cold = run(capsys, *argv)
+    assert cold[:2] == (2, "")
+    assert count_by_enumeration("cro:0", d0, 5) == 2880
+    assert run(capsys, *argv) == cold
+
+
 # letters, brackets and label names of D:1 (the unit, 0, d_1 and an alias),
 # and a name D:1 lacks
 WORD_CHARS = ["a", "b", "[", "]", "0", "d_1", "d1", "\U0001d7d9", "x"]

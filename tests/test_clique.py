@@ -11,9 +11,8 @@ from cliqueops import (
 )
 from cliqueops.clique import nested_in, row_width
 
-from magma_strategies import unitary_magmas
+from magma_strategies import D0, unitary_magmas
 
-D0 = UnitaryMagma.zero_product(0)
 Z = UnitaryMagma.integers()
 
 

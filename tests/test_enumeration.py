@@ -12,7 +12,9 @@ from cliqueops import (
 )
 from cliqueops.knownops import gravity_diagrams
 from cliqueops.variants import VARIANT_SPECS, VariantError
-from test_verifier_references import count_by_streaming, generate_white_cliques
+from test_verifier_references import (
+    count_by_streaming, fresh_census_walks, generate_white_cliques,
+)
 
 
 def test_generate_cliques_counts(d0, n3):
@@ -377,3 +379,73 @@ def test_dyck_words_refuse_colors_outside_the_magma(d1, color):
 
     with pytest.raises(CliqueError, match="is not an element of D_1"):
         ColoredDyckWord(d1, ("a", "a", "b", "b", "a", "b"), {2: color})
+
+
+# -- kept census histograms ------------------------------------------------
+
+
+KEPT_SPECS = VARIANT_SPECS + ("cro:2", "deg:3")  # grav among them
+
+
+def test_kept_skeleton_histograms_count_as_a_fresh_walk(d0, d1, d2, monkeypatch):
+    # a histogram walked under one magma weights every other magma's count:
+    # counts read from the store equal counts walked afresh, whichever magma
+    # walks first
+    from cliqueops import enumeration
+
+    cases = [(spec, n) for spec in KEPT_SPECS for n in range(1, 7)]
+    cold = {}
+    for magma in (d0, d1, d2):
+        for spec, n in cases:
+            monkeypatch.setattr(enumeration, "_SKELETON_HISTOGRAMS", {})
+            cold[spec, magma.name, n] = count_by_enumeration(spec, magma, n)
+    for order in ((d0, d1, d2), (d2, d1, d0)):
+        monkeypatch.setattr(enumeration, "_SKELETON_HISTOGRAMS", {})
+        warm = {(spec, magma.name, n): count_by_enumeration(spec, magma, n)
+                for magma in order for spec, n in cases}
+        assert warm == cold, order
+
+
+def test_a_second_magma_walks_nothing(d0, d1, monkeypatch):
+    walks = fresh_census_walks(monkeypatch)
+    for spec in KEPT_SPECS:
+        count_by_enumeration(spec, d0, 5)
+    assert len(walks) == len(KEPT_SPECS)
+    for spec in KEPT_SPECS:
+        count_by_enumeration(spec, d1, 5)
+    assert len(walks) == len(KEPT_SPECS)
+    # a budget that fits the kept histogram's total reads it too
+    assert count_by_enumeration("cro:0", d1, 4, budget=352) == count_by_enumeration(
+        "cro:0", d1, 4,
+    )
+    assert len(walks) == len(KEPT_SPECS) + 1
+
+
+def test_kept_prime_histograms_count_as_a_fresh_scan(d0, d1, d2, monkeypatch):
+    # with two threads the size-6 scans split across a process pool
+    from cliqueops import enumeration
+
+    censuses = (count_prime, count_white_prime, count_minimal_prime)
+    cases = [(census, magma, n) for magma in (d0, d1, d2) for census in censuses
+             for n in range(1, 7)]
+    cold = []
+    for census, magma, n in cases:
+        monkeypatch.setattr(enumeration, "_PRIME_HISTOGRAMS", {})
+        cold.append(census(magma, n))
+    for threads in (1, 2):
+        monkeypatch.setattr(enumeration, "_PRIME_HISTOGRAMS", {})
+        assert [census(magma, n, threads=threads) for census, magma, n in cases] == cold
+        assert len(enumeration._PRIME_HISTOGRAMS) == 10  # sizes 2..6, white and minimal
+
+
+def test_shared_space_decision_needs_no_power():
+    from cliqueops import UnitaryMagma
+    from cliqueops.clique import _SHARED_SPACE_CAP, _shares_space, clique_space_size
+
+    magmas = [UnitaryMagma.trivial()] + [UnitaryMagma.zero_product(k) for k in range(5)]
+    assert [m.size for m in magmas] == [1, 2, 3, 4, 5, 6]
+    for magma in magmas:
+        for n in range(1, 41):
+            assert _shares_space(magma, n) == (
+                clique_space_size(magma, n) <= _SHARED_SPACE_CAP
+            ), (magma.size, n)

@@ -16,7 +16,8 @@ from cliqueops import (
     star_product, to_H, to_K,
 )
 
-D1 = UnitaryMagma.zero_product(1)
+from magma_strategies import D1
+
 Z = UnitaryMagma.integers()
 RANK = RankFunction.identity()
 # integers, integral Fractions, halves and a third: the cliques are drawn

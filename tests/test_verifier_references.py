@@ -471,7 +471,8 @@ def reference_prime_patterns(arity, weight, want_minimal):
 
 def _block_prime_patterns(arity, weight, want_minimal):
     size = 1 << len(diagonals_of(arity))
-    return enumeration._prime_patterns_chunk((arity, weight, 0, size, want_minimal))
+    histogram = enumeration._prime_patterns_chunk((arity, 0, size, want_minimal))
+    return enumeration._weigh(histogram, weight)
 
 
 @pytest.mark.parametrize("weight", [1, 2])
@@ -602,6 +603,21 @@ def test_census_walk_reaches_the_masks_member_accepts(spec, monkeypatch):
             assert walked_masks(arity, var.rule) == accepted, arity
 
 
+def fresh_census_walks(monkeypatch):
+    """Empty skeleton histograms for the rest of the test, so each count
+    walks under the patches made so far and none of their results outlives
+    the test; returns the (arity, rule) of every walk from now on."""
+    monkeypatch.setattr(enumeration, "_SKELETON_HISTOGRAMS", {})
+    walks, real = [], variants._skeleton_blocks
+
+    def counted(arity, rule):
+        walks.append((arity, rule))
+        return real(arity, rule)
+
+    monkeypatch.setattr(variants, "_skeleton_blocks", counted)
+    return walks
+
+
 @pytest.mark.parametrize("scalar_rows", [None, 0], ids=["default", "all-blocks"])
 def test_census_is_independent_of_the_block_cap(d0, d1, monkeypatch, scalar_rows):
     cases = [(spec, magma, n) for spec in VARIANT_SPECS for magma in (d0, d1)
@@ -611,7 +627,11 @@ def test_census_is_independent_of_the_block_cap(d0, d1, monkeypatch, scalar_rows
     if scalar_rows is not None:
         monkeypatch.setattr(variants, "SCALAR_ROWS", scalar_rows)
     assert max(len(masks) for masks, _ in variants._skeleton_blocks(5, _rule("acy"))) == 3
+    walks = fresh_census_walks(monkeypatch)
     assert [count_by_enumeration(*case) for case in cases] == want
+    # the recount walked every rule at every arity under the cap, once
+    assert len(walks) == len(set(walks))
+    assert set(walks) == {(n, _rule(spec)) for spec, _, n in cases}
 
 
 def test_census_counts_masks_wider_than_one_word(d0):
@@ -628,7 +648,9 @@ def test_census_catches_a_merge_that_never_relabels(d0, monkeypatch, scalar_rows
         monkeypatch.setattr(variants, "SCALAR_ROWS", scalar_rows)
     assert count_by_enumeration("acy", d0, 3) == count_by_streaming("acy", d0, 3)
     monkeypatch.setattr(variants, "_merge", lambda comp, x, y: comp)
+    walks = fresh_census_walks(monkeypatch)
     assert count_by_enumeration("acy", d0, 3) != count_by_streaming("acy", d0, 3)
+    assert walks == [(3, _rule("acy"))]
 
 
 # -- bilinear products, one pair of cliques at a time --------------------------
