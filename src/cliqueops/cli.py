@@ -153,16 +153,18 @@ def cmd_compose(args):
         result = bases.compose_in_basis(lhs, rhs, args.index, args.basis)
     payload = {"basis": args.basis, "terms": _dump_lincomb(result)}
     human = "\n".join(
-        f"{decimal(v)} * <{', '.join(f'({x},{y})={result.magma.elem_name(c.label(x, y))}' for (x, y) in _solid(c))}>"
-        if _solid(c) else f"{decimal(v)} * <all-unit arity {c.arity}>"
-        for c, v in result.items()
+        _term_line(result.magma, c, v) for c, v in result.items()
     ) or "0"
     _emit(args, payload, human)
     return 0
 
 
-def _solid(clique):
-    return clique.solid_arcs()
+def _term_line(magma, clique, coefficient):
+    solid = clique.solid_arcs()
+    if not solid:
+        return f"{decimal(coefficient)} * <all-unit arity {clique.arity}>"
+    labels = ", ".join(f"({x},{y})={magma.elem_name(clique.label(x, y))}" for x, y in solid)
+    return f"{decimal(coefficient)} * <{labels}>"
 
 
 def cmd_enumerate(args):
@@ -187,6 +189,8 @@ def cmd_enumerate(args):
 
 
 def cmd_sequence(args):
+    if args.max_arity < 1:
+        raise UsageError(f"--max-arity must be at least 1, not {args.max_arity}")
     magma = parse_magma_spec(args.magma)
     record = enumeration.sequence_for(
         args.variant, magma, args.max_arity, budget=args.budget,
@@ -196,6 +200,8 @@ def cmd_sequence(args):
 
 
 def cmd_primes(args):
+    if args.max_size < 1:
+        raise UsageError(f"--max-size must be at least 1, not {args.max_size}")
     magma = parse_magma_spec(args.magma)
     # the largest size has the most patterns: refuse it before counting any
     enumeration._check_budget(
@@ -440,11 +446,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        raise exc
+    args = parser.parse_args(argv)  # argparse exits 2 on usage errors itself
     try:
         args.threads = _positive_threads(args.threads)
         if getattr(args, "max_arity", None) is not None:

@@ -229,14 +229,17 @@ def clique_space_size(magma, arity):
 _SHARED_SPACE_CAP = 1 << 16
 
 
+def _power_exceeds(base, exponent, bound):
+    """Whether base^exponent > bound, exactly.  For base >= 2 the power
+    exceeds the bound as soon as the exponent reaches the bound's bit
+    length, so it is only built when it is small: built in full, a huge
+    power costs more than the space it measures."""
+    return (base > 1 and exponent >= bound.bit_length()) or base ** exponent > bound
+
+
 def _shares_space(magma, arity):
-    """Whether clique_space_size(magma, arity) <= _SHARED_SPACE_CAP.  For
-    m >= 2, m^e exceeds the cap as soon as e reaches its bit length, so the
-    power is only built when it is small (as in the census budgets)."""
-    exponent = _label_count(arity)
-    if magma.size > 1 and exponent >= _SHARED_SPACE_CAP.bit_length():
-        return False
-    return magma.size ** exponent <= _SHARED_SPACE_CAP
+    """Whether clique_space_size(magma, arity) <= _SHARED_SPACE_CAP."""
+    return not _power_exceeds(magma.size, _label_count(arity), _SHARED_SPACE_CAP)
 
 
 def generate_cliques(magma, arity):

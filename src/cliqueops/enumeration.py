@@ -42,8 +42,8 @@ from functools import lru_cache
 from itertools import compress
 
 from .clique import (
-    Clique, CliqueError, _label_count, arc_index, arcs_of, clique_space_size,
-    crossing, diagonals_of, is_nesting_free,
+    Clique, CliqueError, _label_count, _power_exceeds, arc_index, arcs_of,
+    clique_space_size, crossing, diagonals_of, is_nesting_free,
 )
 from .magma import has_nontrivial_unit_divisors
 from . import variants
@@ -62,16 +62,9 @@ def _diagonal_count(arity):
 
 
 def _check_budget(base, exponent, unit, arity, budget):
-    """Refuse a space of base^exponent `unit` at an arity over the budget.
-
-    The comparison is exact.  For base >= 2, base^exponent > budget as soon
-    as exponent reaches the bit length of the budget, so the power is only
-    built when it is small: built or printed in full, a huge space costs
-    more than the census it refuses.
-    """
-    if budget is None:
-        return
-    if (base > 1 and exponent >= budget.bit_length()) or base ** exponent > budget:
+    """Refuse a space of base^exponent `unit` at an arity over the budget,
+    by the exact `clique._power_exceeds`, which builds no huge power."""
+    if budget is not None and _power_exceeds(base, exponent, budget):
         raise BudgetError(
             f"{base}^{exponent} {unit} at arity {arity} exceed the budget "
             f"{budget}; raise it explicitly to proceed"

@@ -35,9 +35,10 @@ cliques, so sharing them is safe.
 A gravity chord diagram is the mask of its marked arcs (edges, base and
 diagonals), bit k for arc k.  It composes by the multi-tilde remap,
 which moves each arc as `ratfct._reindex` does.  The gravity condition
-is the per-arc test table of the `grav` rule of variants.py
-(`variants._gravity_tests`): the census walk folds it over partial
-masks, and `variants.gravity_member` reads it against a whole mask.
+is the `grav` rule of variants.py (`variants._gravity_rule`, whose
+per-arc tests are `variants._gravity_tests`): the census walk folds it
+over partial masks, and every whole-mask question that the tabled
+families do not answer folds it with `variants._accepts`.
 
 Public constructors validate their input: arities and coordinates must
 be `int`s (bools, floats and strings are refused) and pairs must have two
@@ -47,7 +48,7 @@ shared instances or build results on trusted `_unsafe` paths.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, islice, product as iproduct
 from operator import add
 
@@ -394,10 +395,7 @@ def phi_mt(tilde):
 def phi_mt_inverse(clique):
     if clique.magma != _D0:
         raise KnownOperadError("expected a clique over the two-element zero-product magma")
-    unit = _D0.unit
-    return MultiTilde._unsafe(clique.arity, sum(
-        1 << k for k, lab in enumerate(clique.labels) if lab != unit
-    ))
+    return MultiTilde._unsafe(clique.arity, variants._solid_mask(clique))
 
 
 # -- double multi-tildes ---------------------------------------------------
@@ -518,7 +516,7 @@ class ChordDiagram:
             if (x, y) not in index or mask >> index[(x, y)] & 1:
                 raise KnownOperadError(f"({x},{y}) is not a diagonal at arity {arity}")
             mask |= 1 << index[(x, y)]
-        if not variants.gravity_member(arity, mask):
+        if not variants._accepts(variants._gravity_rule, arity, mask):
             raise KnownOperadError(
                 f"diagonals {sorted(diagonals)} break the gravity condition: "
                 "a crossing pair (x,y), (x',y') with x < x' has (x',y) marked"
@@ -561,14 +559,14 @@ def chord_compose(c, d, i):
     """Glue d's base onto c's i-th edge by the multi-tilde remap, which sends
     both to the glued arc (i, i+m), so it stays marked.  Closure (the result
     meets the gravity condition) is asserted: by a lookup in the family of
-    the composite's arity when it is tabled, else by `gravity_member`."""
+    the composite's arity when it is tabled, else by the `grav` rule."""
     arity, remap = _composer(c.arity, d.arity, i)
     mask, family = remap(c.mask, d.mask), _gravity_family(arity)
     if family is not None:
         diagram = family.get(mask)
         if diagram is not None:
             return diagram
-    elif variants.gravity_member(arity, mask):
+    elif variants._accepts(variants._gravity_rule, arity, mask):
         return ChordDiagram._unsafe(arity, mask)
     raise _left_the_family(c, i, d)
 
@@ -590,10 +588,10 @@ def grav_check(clique):
     """The gravity condition over an arbitrary magma: the unit clique, or all
     edges and the base solid with crossing solid diagonals (x,y), (x',y'),
     x < x', forcing a non-solid (x', y).  The solid-arc mask is looked up in
-    the family of its arity when it is tabled, else read by `gravity_member`."""
+    the family of its arity when it is tabled, else folded by the `grav` rule."""
     mask, family = variants._solid_mask(clique), _gravity_family(clique.arity)
     if family is None:
-        return variants.gravity_member(clique.arity, mask)
+        return variants._accepts(variants._gravity_rule, clique.arity, mask)
     return mask in family
 
 
@@ -632,12 +630,15 @@ def _sorted_diagrams(arity, masks):
 def gravity_cliques(magma, arity):
     """All cliques over a finite magma satisfying the gravity condition: each
     diagram's marked arcs take every non-unit labeling."""
-    nonunit = list(magma.nonunit_elements())
+    nonunit, width = list(magma.nonunit_elements()), len(arcs_of(arity))
     out = []
     for diagram in gravity_diagrams(arity):
-        marked = [arc for k, arc in enumerate(arcs_of(arity)) if diagram.mask >> k & 1]
+        marked = [k for k in range(width) if diagram.mask >> k & 1]
+        row = [magma.unit] * width
         for labeling in iproduct(nonunit, repeat=len(marked)):
-            out.append(Clique.from_arcs(magma, arity, dict(zip(marked, labeling))))
+            for k, label in zip(marked, labeling):
+                row[k] = label
+            out.append(Clique._unsafe(magma, arity, tuple(row)))
     return out
 
 
@@ -744,7 +745,8 @@ def verify_known_ops(max_arity):
         ("multi-tilde", arity_pairs, _clique_multitildes, phi_mt,
          (_D0, lambda s: (s.mask,), (_SOLID,), None)),
         ("gravity", arity_pairs, gravity_diagrams, phi_grav,
-         (_D0, lambda c: (c.mask,), (_SOLID,), variants.gravity_member)),
+         (_D0, lambda c: (c.mask,), (_SOLID,),
+          partial(variants._accepts, variants._gravity_rule))),
     )))
 
 

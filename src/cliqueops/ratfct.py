@@ -213,8 +213,11 @@ def _row_plan(n, m, i):
     ), edge, base)
 
 
-def _compose_product(prod, other, i):
-    """Substitute `other` (arity m) into slot i of `prod`: one pick."""
+def compose_product(prod, other, i):
+    """Partial composition of two single interval products: substitute
+    `other` (arity m) into slot i of `prod`, one pick."""
+    if not 1 <= i <= prod.arity:
+        raise RatFctError(f"index {i} out of range for arity {prod.arity}")
     arity, _, pick, edge, base = _row_plan(prod.arity, other.arity, i)
     a, b = prod.row, other.row
     # fills the slots of `IntervalProduct._unsafe` itself, as
@@ -450,13 +453,6 @@ def rf_is_zero(f, seed=0):
     if not rf_probably_zero(f, samples=1, seed=seed):
         return False
     return not rf_expand_cleared(f)
-
-
-def compose_product(prod, other, i):
-    """Partial composition of two single interval products."""
-    if not 1 <= i <= prod.arity:
-        raise RatFctError(f"index {i} out of range for arity {prod.arity}")
-    return _compose_product(prod, other, i)
 
 
 class _ZSum:

@@ -273,58 +273,23 @@ def _frame(rule, arity):
 def _accepts(rule, arity, mask):
     """Whether a rule accepts a whole solid-arc mask: its frame is solid (a
     frame arc missing from the mask is a set bit that the rule refuses),
-    and every other arc, taken in arc order, joins the arcs before it."""
+    and every other arc, taken in arc order, joins the arcs before it.  A
+    forest rule's fold also carries the component labels of the accepted
+    arcs.  This is the one whole-mask test of every skeleton rule."""
     mask ^= _frame(rule, arity)
-    admits = rule.at(arity)
-    if rule.forest:
-        return _forest_fold(admits, arity, mask)
-    accepted = 0
-    while mask:
-        low = mask & -mask
-        if not admits(accepted, None, low.bit_length() - 1):
-            return False
-        accepted |= low
-        mask ^= low
-    return True
-
-
-def _forest_fold(admits, arity, mask):
-    """The fold of `_accepts` for a forest rule, which carries the component
-    labels of the accepted arcs."""
-    arcs, comp = arcs_of(arity), _start_labels(arity)
+    admits, forest = rule.at(arity), rule.forest
+    arcs, comp = (arcs_of(arity), _start_labels(arity)) if forest else (None, None)
     accepted = 0
     while mask:
         low = mask & -mask
         j = low.bit_length() - 1
         if not admits(accepted, comp, j):
             return False
-        x, y = arcs[j]  # _merge, inlined: member is called per clique
-        comp = comp.replace(comp[y:y + 1], comp[x:x + 1])
+        if forest:
+            x, y = arcs[j]  # _merge, inlined: member is called per clique
+            comp = comp.replace(comp[y:y + 1], comp[x:x + 1])
         accepted |= low
         mask ^= low
-    return True
-
-
-def gravity_member(arity, mask):
-    """The gravity condition on a mask of marked arcs, bit j for arc j, in
-    one pass: every bit of mask ^ frame, an unmarked edge or base or a
-    marked diagonal, must pass its `_gravity_tests`, which refuse the frame.
-    A test reads only diagonals before its arc, so it reads the whole mask
-    and the pass gives the verdict of `_accepts`."""
-    rest = mask ^ _frame_mask(arity)
-    tests = _gravity_tests(arity)
-    while rest:
-        low = rest & -rest
-        test = tests[low.bit_length() - 1]
-        if test is None:
-            return False
-        edge_left, middles = test
-        if mask & edge_left:
-            return False
-        for middle, left in middles:
-            if mask & middle and mask & left:
-                return False
-        rest ^= low
     return True
 
 
@@ -560,16 +525,12 @@ class _SkeletonVariant(VariantPredicate):
         self._ambient_rule = ambient_rule
 
     def _member(self, clique):
-        return self.mask_member(clique.arity, _solid_mask(clique))
+        return _accepts(self.rule, clique.arity, _solid_mask(clique))
 
     def in_ambient(self, clique):
         """Whether the clique lies in the ambient operad the variant is cut from."""
         return (self._ambient_rule is None
                 or _accepts(self._ambient_rule, clique.arity, _solid_mask(clique)))
-
-    def mask_member(self, arity, mask):
-        """Membership of the cliques whose solid-arc mask is `mask`."""
-        return _accepts(self.rule, arity, mask)
 
     def _block_flags(self, arity, block):
         """`member` and `in_ambient` of every row of a label block, read from

@@ -382,6 +382,9 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
                 "--format", "json"])
         for spec in ("bub:3", "nes:junk", "grav:", "cro:1_0", "deg: 2")
     ),
+    *((None, ["sequence", "--variant", "nes", "--magma", "D:0", "--max-arity", bound])
+      for bound in ("0", "-2")),
+    *((None, ["primes", "--magma", "D:0", "--max-size", bound]) for bound in ("0", "-1")),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
@@ -397,7 +400,8 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
         "decimal-coefficient-1e30000000", "5000-digit-coefficient",
         "1001-digit-coefficient", "string-coefficient-1e4000-squared", "bound-on-bub",
         "junk-bound-on-nes", "empty-bound-on-grav", "underscored-bound",
-        "spaced-bound"])
+        "spaced-bound", "sequence-arity-zero", "sequence-arity-negative",
+        "primes-size-zero", "primes-size-negative"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     import time
 

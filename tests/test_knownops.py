@@ -1,4 +1,3 @@
-import random
 from itertools import combinations
 
 import numpy as np
@@ -192,7 +191,7 @@ def test_gravity_condition_examples(d0, d1):
 def test_grav_check_lookup_agrees_with_the_gravity_rule(d1):
     """At every arity where the gravity family is tabled (1 to 7),
     `grav_check` looks the solid-arc mask up in it; the lookup must give
-    the verdict of `gravity_member` on every mask at arities 1 to 5, and on
+    the verdict of the `grav` rule's fold on every mask at arities 1 to 5, and on
     every member and every mask one arc away from one at arities 6 and 7,
     which have 2^21 and 2^28 masks in all."""
     from cliqueops import variants
@@ -207,7 +206,8 @@ def test_grav_check_lookup_agrees_with_the_gravity_rule(d1):
         else:
             masks = {mask ^ bit for mask in family for bit in (0, *(1 << j for j in range(width)))}
         for mask in masks:
-            assert (mask in family) == variants.gravity_member(n, mask), (n, mask)
+            assert (mask in family) == variants._accepts(variants._gravity_rule, n, mask), (
+                n, mask)
     # grav_check reads a clique's solid arcs, whatever their labels
     for diagram in gravity_diagrams(4):
         clique = Clique._unsafe(d1, 4, tuple(
@@ -249,6 +249,18 @@ def test_gravity_cliques_enumeration(d0, d1):
     assert len(gravity_cliques(d1, 2)) == sum(
         2 ** (3 + len(d.diagonals)) for d in diagrams
     )
+
+
+def test_gravity_cliques_are_the_cliques_grav_check_accepts(d0, d1):
+    # the trusted label rows of `gravity_cliques` are exactly the cliques of
+    # the whole space that meet the gravity condition, each once
+    from cliqueops import generate_cliques
+
+    for magma in (d0, d1):
+        for n in range(1, 5):
+            found = gravity_cliques(magma, n)
+            assert len(set(found)) == len(found), (magma.name, n)
+            assert set(found) == {c for c in generate_cliques(magma, n) if grav_check(c)}
 
 
 def test_lie_maximal():
@@ -343,10 +355,10 @@ def test_known_ops_engines_catch_a_shifted_inner_table(monkeypatch, request, eng
 def test_known_ops_asserts_gravity_closure(monkeypatch):
     from cliqueops import knownops, variants
 
-    real = variants.gravity_member
+    real = variants._accepts
     # mutation: every composite of arity 4 or more is refused
     monkeypatch.setattr(
-        variants, "gravity_member", lambda arity, mask: arity < 4 and real(arity, mask),
+        variants, "_accepts", lambda rule, arity, mask: arity < 4 and real(rule, arity, mask),
     )
     assert knownops.verify_known_ops(3).ok
     with pytest.raises(RuntimeError, match=(
@@ -589,33 +601,6 @@ def test_gravity_rule_catches_a_misread_middle_arc(monkeypatch, request):
     assert ((1, 3), (2, 4)) in found[4]
 
 
-def test_whole_mask_gravity_test_equals_the_rule_fold():
-    # `gravity_member` reads each marked arc's test against the whole mask;
-    # `_accepts` folds the census rule over the marked arcs in arc order
-    from cliqueops import variants
-
-    def fold(arity, mask):
-        return variants._accepts(variants._gravity_rule, arity, mask)
-
-    for n in range(1, 6):
-        for mask in range(1 << len(arcs_of(n))):
-            assert variants.gravity_member(n, mask) == fold(n, mask), (n, mask)
-    rng, verdicts = random.Random(6), set()
-    for k in range(20000):
-        n = 6 + k % 2
-        frame, width = variants._frame_mask(n), len(arcs_of(n))
-        # framed masks with few diagonals pass as often as they fail; one in
-        # ten also loses or gains a random arc
-        density = rng.choice((0.1, 0.2, 0.3))
-        mask = frame | sum(1 << j for j in range(width) if rng.random() < density)
-        if rng.random() < 0.1:
-            mask ^= 1 << rng.randrange(width)
-        verdict = variants.gravity_member(n, mask)
-        assert verdict == fold(n, mask), (n, mask)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
 # -- shared values -----------------------------------------------------------
 
 
@@ -719,7 +704,7 @@ def test_shared_gravity_diagrams_are_the_general_path():
             for d in pools[m]:
                 for i in range(1, n + 1):
                     general = _general_composite(c.mask, d.mask, n, m, i)
-                    assert variants.gravity_member(n + m - 1, general)
+                    assert variants._accepts(variants._gravity_rule, n + m - 1, general)
                     assert chord_compose(c, d, i) is family[general], (c, d, i)
 
 

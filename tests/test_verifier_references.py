@@ -298,7 +298,7 @@ def reference_double_multitildes(arity_pairs):
 
 def reference_compose_product(prod, other, i):
     """The substituted product as sorted ((x, y), exponent) pairs, the
-    powers of `ratfct._compose_product`: each interval goes through the
+    powers of `ratfct.compose_product`: each interval goes through the
     dicts of `ratfct._reindex`, the exponents that meet add, zeros drop."""
     outer, inner = ratfct._reindex(prod.arity, other.arity, i)
     powers = {outer[iv]: e for iv, e in prod.powers}
@@ -595,7 +595,8 @@ def test_census_walk_reaches_the_masks_member_accepts(spec, monkeypatch):
     for arity in range(1, 6):
         frame = variants._frame(var.rule, arity)
         accepted = sorted(
-            m ^ frame for m in range(1 << len(arcs_of(arity))) if var.mask_member(arity, m)
+            m ^ frame for m in range(1 << len(arcs_of(arity)))
+            if variants._accepts(var.rule, arity, m)
         )
         assert walked_masks(arity, var.rule) == accepted, arity
         with monkeypatch.context() as patch:
