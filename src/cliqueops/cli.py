@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bases, enumeration, knownops, ratfct, variants, verify
 from .clique import (
@@ -365,20 +366,23 @@ def _positive_threads(text):
 
 
 def build_parser():
+    """The argument parser of `main`.  It holds no function and reads no
+    environment: `main` dispatches on the command's name and reads
+    CLIQUEOPS_THREADS each time it runs, so one parser serves every call."""
     parser = argparse.ArgumentParser(
         prog="cliqueops",
         description="operads of magma-decorated cliques: compose, enumerate, verify",
     )
     parser.add_argument(
-        "--threads", default=os.environ.get("CLIQUEOPS_THREADS", "1"),
-        help="number of processes for the prime census (a positive integer)",
+        "--threads", default=None,
+        help="number of processes for the prime census (a positive integer; "
+             "default: CLIQUEOPS_THREADS, or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("magma-check", help="validate a magma spec and print its table")
     p.add_argument("--magma", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_magma_check)
 
     p = sub.add_parser("compose", help="compose two combinations from JSON files")
     p.add_argument("--magma", required=True)
@@ -388,7 +392,6 @@ def build_parser():
     p.add_argument("--basis", choices=["fundamental", "H", "K"], default="fundamental")
     p.add_argument("--variant", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("enumerate", help="list cliques (optionally variant members)")
     p.add_argument("--magma", required=True)
@@ -396,7 +399,6 @@ def build_parser():
     p.add_argument("--variant", default=None)
     p.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("sequence", help="dimension sequence of a variant")
     p.add_argument("--variant", required=True)
@@ -404,7 +406,6 @@ def build_parser():
     p.add_argument("--max-arity", type=int, required=True)
     p.add_argument("--format", choices=["b", "csv", "json"], default="b")
     p.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET)
-    p.set_defaults(fn=cmd_sequence)
 
     p = sub.add_parser(
         "verify",
@@ -425,34 +426,39 @@ def build_parser():
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("primes", help="prime / white / minimal prime census")
     p.add_argument("--magma", required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--budget", type=int, default=enumeration.DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_primes)
 
     p = sub.add_parser("dyck", help="encode or decode nesting-free cliques")
     p.add_argument("--magma", required=True)
     p.add_argument("--encode", default=None, metavar="CLIQUE_JSON")
     p.add_argument("--decode", default=None, metavar="WORD")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_dyck)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    # built by the first `main` call, not at import, and reused by the rest
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)  # argparse exits 2 on usage errors itself
+    args = _parser().parse_args(argv)  # argparse exits 2 on usage errors itself
     try:
+        if args.threads is None:
+            args.threads = os.environ.get("CLIQUEOPS_THREADS", "1")
         args.threads = _positive_threads(args.threads)
         if getattr(args, "max_arity", None) is not None:
             # the library's arity bound, before any table is built
             row_width(args.max_arity, UsageError)
-        return args.fn(args)
+        # looked up per call, so a replaced `cmd_*` is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, MagmaError, CliqueError, variants.VariantError,
             enumeration.BudgetError, knownops.KnownOperadError,
             FileNotFoundError, json.JSONDecodeError) as exc:

@@ -243,17 +243,28 @@ def _shares_space(magma, arity):
 
 
 def generate_cliques(magma, arity):
-    """All cliques of the given arity, in lexicographic label order, each once.
+    """An iterator over all cliques of the given arity, in lexicographic
+    label order, each once.
 
     A space of at most `_SHARED_SPACE_CAP` cliques (2^16; such a space
     holds at most 10.8 MiB) is built once per magma object and arity, on
     first use, and kept on the magma (`_spaces`) for the magma's lifetime:
-    every later call yields the same `Clique` instances, which are
-    immutable by contract, and builds none.  Equal magmas keep their own
-    spaces, so each clique's `.magma` is the magma it was asked for.  A
-    larger space streams, one new clique at a time, and is never held.
-    Errors are raised at the first `next()`.
+    every later call returns an iterator over the same `Clique` instances,
+    which are immutable by contract, and builds none.  Equal magmas keep
+    their own spaces, so each clique's `.magma` is the magma it was asked
+    for.  A larger space streams, one new clique at a time, and is never
+    held.  Errors (an infinite magma, an arity below 1) are raised at the
+    first `next()`, not by the call.
     """
+    space = magma._spaces.get(arity)
+    if space is not None:
+        return iter(space)  # no generator frame resumed per clique
+    return _first_enumeration(magma, arity)
+
+
+def _first_enumeration(magma, arity):
+    """`generate_cliques` before the space is kept: checks the arguments,
+    then streams the space or builds, keeps and yields it."""
     if not magma.is_finite:
         raise MagmaError("cannot enumerate cliques over an infinite magma")
     if arity < 1:
@@ -343,9 +354,14 @@ def is_nesting_free(clique):
     """No solid arc nested in another.  Solid arcs come in lexicographic
     order, so that holds iff their starts and their ends both strictly
     increase along them: a repeated start or a non-increasing end is a
-    nesting, and two arcs increasing in both cannot nest."""
+    nesting, and two arcs increasing in both cannot nest.  Their starts lie
+    in 1..arity, so more solid arcs than the arity prove a nesting before
+    the pass (the unit is 0: the non-zero labels are the solid arcs)."""
+    labels = clique.labels
+    if len(labels) - labels.count(0) > clique.arity:
+        return False
     last_x = last_y = 0
-    for x, y in compress(arcs_of(clique.arity), clique.labels):
+    for x, y in compress(arcs_of(clique.arity), labels):
         if x <= last_x or y <= last_y:
             return False
         last_x, last_y = x, y

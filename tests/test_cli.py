@@ -776,6 +776,29 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
         main(["magma-check", "--magma", "D:0"])
 
 
+def test_one_parser_serves_calls_made_after_a_change(capsys, monkeypatch):
+    # the parser of the first call is reused: CLIQUEOPS_THREADS and the
+    # command functions are read when each call runs, not when it was built
+    from cliqueops import cli
+
+    monkeypatch.delenv("CLIQUEOPS_THREADS", raising=False)
+    assert run(capsys, "magma-check", "--magma", "D:0")[0] == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("a second parser"))
+    seen = []
+    monkeypatch.setattr(cli, "cmd_primes", lambda args: seen.append(args.threads) or 0)
+    primes = ("primes", "--magma", "D:0", "--max-size", "3")
+    monkeypatch.setenv("CLIQUEOPS_THREADS", "abc")
+    code, out, err = run(capsys, *primes)
+    assert (code, out, seen) == (2, "", [])
+    assert "CLIQUEOPS_THREADS" in err
+    monkeypatch.setenv("CLIQUEOPS_THREADS", "2")
+    assert run(capsys, *primes)[0] == 0
+    assert run(capsys, "--threads", "3", *primes)[0] == 0
+    monkeypatch.delenv("CLIQUEOPS_THREADS")
+    assert run(capsys, *primes)[0] == 0
+    assert seen == [2, 3, 1]
+
+
 def test_verify_all_stdout_is_timing_free(capsys, monkeypatch):
     from cliqueops import acceptance
 

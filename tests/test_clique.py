@@ -282,6 +282,29 @@ def test_nesting_free_matches_its_pairwise_definition(clique):
     assert is_nesting_free(clique) == pairwise_nesting_free(clique)
 
 
+def test_nesting_free_matches_its_pairwise_definition_on_dense_cliques(d1):
+    # every D:1 clique of arity 3 and D:0 clique of arity 4, and Z cliques
+    # with negative labels: most have more solid arcs than the arity, the
+    # count that rejects before the one pass
+    import random
+
+    from cliqueops import generate_cliques
+
+    rng = random.Random(0)
+    cliques = [*generate_cliques(d1, 3), *generate_cliques(D0, 4)] + [
+        Clique(Z, n, [rng.choice((-2, -1, 0, 0, 0, 1, 3)) for _ in arcs_of(n)])
+        for n in range(2, 7) for _ in range(60)
+    ]
+    assert len(cliques) == 729 + 1024 + 300
+    counted = [len(c.solid_arcs()) > c.arity for c in cliques]
+    assert 1000 < sum(counted) < len(cliques) - 300
+    free = [is_nesting_free(c) for c in cliques]
+    assert free == [pairwise_nesting_free(c) for c in cliques]
+    assert not any(f for f, more in zip(free, counted) if more)
+    # the pass below the count both accepts and rejects
+    assert {f for f, more in zip(free, counted) if not more} == {True, False}
+
+
 # -- the clique reader under drawn input ----------------------------------------
 
 _JSON_SCALARS = st.sampled_from([None, True, False, -1, 0, 2, 7, 1.0, 2.5, "", "x", "1,2"])

@@ -363,14 +363,27 @@ def test_spaces_over_the_cap_are_not_held():
     assert magma._spaces == {}
 
 
-def test_enumeration_errors_wait_for_iteration(z, d0):
-    from cliqueops import CliqueError, MagmaError
+def test_enumeration_errors_wait_for_iteration(z):
+    from cliqueops import CliqueError, MagmaError, UnitaryMagma
 
-    over_z, arity_zero = generate_cliques(z, 2), generate_cliques(d0, 0)
-    with pytest.raises(MagmaError, match="infinite magma"):
-        next(over_z)
-    with pytest.raises(CliqueError, match="arity must be positive"):
-        next(arity_zero)
+    magma = UnitaryMagma.zero_product(0)  # a new object keeps no space yet
+    shared = None
+    for kept in (False, True):
+        assert (2 in magma._spaces) is kept
+        calls = generate_cliques(z, 2), generate_cliques(magma, 0), generate_cliques(magma, -1)
+        with pytest.raises(MagmaError, match="infinite magma"):
+            next(calls[0])
+        for below_one in calls[1:]:
+            with pytest.raises(CliqueError, match="arity must be positive"):
+                next(below_one)
+        # two calls made before either is iterated yield one kept space's
+        # instances, and every call after it is kept yields them again
+        first, second = generate_cliques(magma, 2), generate_cliques(magma, 2)
+        once, again = list(first), list(second)
+        shared = shared or once
+        assert len(once) == 8
+        assert all(map(operator.is_, once, shared)) and all(map(operator.is_, again, shared))
+    assert z._spaces == {}
 
 
 @pytest.mark.parametrize("color", [99, True, -1, "d_1"])
