@@ -273,6 +273,10 @@ def _parse_colored_word(magma, text):
     return enumeration.ColoredDyckWord(magma, tuple(letters), colors)
 
 
+# `verify` targets that build label blocks over a finite --magma
+_BLOCK_VERIFIERS = ("symmetries", "cyclic", "basic", "ideal", "inclusions", "product", "all")
+
+
 def _verify_reports(args):
     what = args.what
     # below these every verifier either raises or checks nothing
@@ -283,6 +287,13 @@ def _verify_reports(args):
     if args.magma is None and what not in ("ratfct", "known-ops"):
         raise UsageError(f"verify {what} needs --magma")
     magma = None if args.magma is None else parse_magma_spec(args.magma)
+    # the block verifiers build label blocks of the max arity's clique space,
+    # over D:0 and its square for known-ops: refuse one over the default
+    # budget before any block is built
+    if what == "known-ops" or what in _BLOCK_VERIFIERS and magma.is_finite:
+        size = 2 if what == "known-ops" else max(magma.size, 2)
+        enumeration._check_budget(size, _label_count(args.max_arity), "cliques",
+                                  args.max_arity, enumeration.DEFAULT_BUDGET)
     reports = []
     if what in ("axioms", "all"):
         reports.append(verify.verify_operad_axioms(

@@ -38,7 +38,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 from .clique import (
@@ -223,7 +222,6 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
 PATTERN_BLOCK = 1 << 20  # int64 patterns per numpy block of the prime census
 
 
-@lru_cache(maxsize=None)
 def _diagonal_cross_masks(arity):
     """The diagonals of the arity and, per diagonal, the mask of the
     diagonals crossing it (bit j for diagonals_of(arity)[j])."""

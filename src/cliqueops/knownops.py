@@ -19,8 +19,8 @@ two independent computations, as laws of the slab engine
 less, the chunk loop otherwise.
 
 The images in clique operads are label rows read from flag tables, one
-row per 8-bit (`phi_mt`, `phi_grav`) or 6-bit (`phi_dmt`) chunk of the
-masks, concatenated.
+row per 8-bit chunk of a mask, concatenated; a `phi_dmt` image is the
+arcwise sum of the rows of its two masks.
 
 Values are shared where a family is small.  A family with at most 4096
 values at an arity (multi-tildes up to arity 4, double multi-tildes up to
@@ -167,32 +167,6 @@ def _flags(mask, width, value):
     return out
 
 
-_PAIR_BITS = 6  # bits per chunk of each mask in the `phi_dmt` tables
-
-
-@lru_cache(maxsize=None)
-def _pair_chunk(size):
-    """The `phi_dmt` labels of a size-bit chunk of a mask pair, for every
-    chunk value c1 << _PAIR_BITS | c2, low bit first: _FIRST where only
-    mask1 has the bit, _SECOND where only mask2 has it, their sum where both
-    do."""
-    first = [tuple(_FIRST if c >> b & 1 else 0 for b in range(size)) for c in range(1 << size)]
-    second = [tuple(_SECOND if c >> b & 1 else 0 for b in range(size)) for c in range(1 << size)]
-    table = [()] * (1 << 2 * _PAIR_BITS)
-    for c1, row1 in enumerate(first):
-        for c2, row2 in enumerate(second):
-            table[c1 << _PAIR_BITS | c2] = tuple(map(add, row1, row2))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _pair_tables(arity):
-    """The `_pair_chunk` of each chunk of the arity's masks."""
-    width = len(arcs_of(arity))
-    return tuple(_pair_chunk(min(_PAIR_BITS, width - lo))
-                 for lo in range(0, width, _PAIR_BITS))
-
-
 def _masks(arity):
     """Every mask of an arity by size, then in lexicographic order of the
     chosen pairs: the order of `combinations` over the pair universe."""
@@ -204,12 +178,11 @@ def _masks(arity):
 
 # -- shared values ---------------------------------------------------------
 
-# A family with at most _TABLE_BOUND values at an arity, the size of one
-# `_pair_chunk` table, shares them there: its instances and their images are
-# read from tables built on first use, one per family and arity, whose
-# entries the general path builds.  Above the bound, each call builds its
-# value.
-_TABLE_BITS = 2 * _PAIR_BITS
+# A family with at most _TABLE_BOUND values at an arity shares them there:
+# its instances and their images are read from tables built on first use,
+# one per family and arity, whose entries the general path builds.  Above
+# the bound, each call builds its value.
+_TABLE_BITS = 12
 _TABLE_BOUND = 1 << _TABLE_BITS
 
 
@@ -220,13 +193,13 @@ def _solid_clique(arity, mask):
 
 
 def _pair_clique(arity, mask1, mask2):
-    """The pair-magma clique of two masks: the image of `phi_dmt`."""
-    labels, low = (), (1 << _PAIR_BITS) - 1
-    for table in _pair_tables(arity):
-        labels += table[(mask1 & low) << _PAIR_BITS | mask2 & low]
-        mask1 >>= _PAIR_BITS
-        mask2 >>= _PAIR_BITS
-    return Clique._unsafe(_D0_SQUARED, arity, labels)
+    """The pair-magma clique of two masks, the image of `phi_dmt`: _FIRST
+    where only mask1 has the arc, _SECOND where only mask2 has it, their sum
+    where both do."""
+    width = len(arcs_of(arity))
+    return Clique._unsafe(_D0_SQUARED, arity, tuple(map(
+        add, _flags(mask1, width, _FIRST), _flags(mask2, width, _SECOND),
+    )))
 
 
 def _tabled_masks(arity, components):

@@ -175,7 +175,6 @@ class RatElem(_Combination):
         return format_rat_elem(self)
 
 
-@lru_cache(maxsize=None)
 def _reindex(n, m, i):
     """Where substituting an arity-m block into slot i of arity n sends the
     intervals of the outer product and those of the inner one."""

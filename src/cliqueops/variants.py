@@ -89,23 +89,20 @@ def _arc_masks(arity, related):
     )
 
 
-@lru_cache(maxsize=None)
 def _cross_masks(arity):
     """Per arc, the arcs crossing it (only diagonals ever cross)."""
     return _arc_masks(arity, crossing)
 
 
-@lru_cache(maxsize=None)
-def _cross_bits(arity):
-    """Per arc, (bit, crossing mask) of every arc that could cross it."""
-    cross = _cross_masks(arity)
+def _cross_bits(cross):
+    """Per arc, (bit, crossing mask) of every arc that could cross it, from
+    the arcs' `_cross_masks`."""
     return tuple(
         tuple((1 << c, cross[c]) for c in range(len(cross)) if mask >> c & 1)
         for mask in cross
     )
 
 
-@lru_cache(maxsize=None)
 def _nest_masks(arity):
     """Per arc, the other arcs nested in it or around it."""
     return _arc_masks(
@@ -113,7 +110,6 @@ def _nest_masks(arity):
     )
 
 
-@lru_cache(maxsize=None)
 def _incidence_masks(arity):
     """Per vertex 0..arity+1, the arcs meeting it."""
     arcs = arcs_of(arity)
@@ -123,7 +119,6 @@ def _incidence_masks(arity):
     )
 
 
-@lru_cache(maxsize=None)
 def _diagonal_flags(arity):
     return tuple(arc_class(arity, x, y) == "diagonal" for x, y in arcs_of(arity))
 
@@ -147,7 +142,8 @@ def _crossing_rule(k):
     """cro:k -- the arc meets at most k accepted crossers, and each of them
     meets fewer than k."""
     def at(arity):
-        cross, crossers = _cross_masks(arity), _cross_bits(arity)
+        cross = _cross_masks(arity)
+        crossers = _cross_bits(cross)
 
         def admits(mask, comp, j):
             ok = (cross[j] & mask).bit_count() <= k
@@ -196,7 +192,6 @@ def _bubble_at(arity):
     return admits
 
 
-@lru_cache(maxsize=None)
 def _gravity_tests(arity):
     """grav, per arc: None for an edge or the base, which the rule refuses,
     and for a diagonal (x', y') the pair (edge_left, middles) that says no y

@@ -478,27 +478,57 @@ def test_oversized_clique_file_is_refused_before_allocating(capsys, tmp_path):
     assert elapsed < 1 and peak < 1 << 20
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "--magma", "trivial", "--arity", "1448"],
-    ["sequence", "--variant", "bub", "--magma", "D:0", "--max-arity", "1448"],
-    ["verify", "known-ops", "--max-arity", "1448"],
-    ["verify", "axioms", "--magma", "D:0", "--max-arity", "3000"],
-    ["verify", "all", "--max-arity", "3000"],
-], ids=["enumerate", "sequence", "known-ops", "axioms", "battery"])
-def test_oversized_arity_flags_are_refused_before_allocating(capsys, monkeypatch, argv):
-    # above arity 1447 a label row exceeds MAX_TABLE_ENTRIES (`row_width`);
-    # the commands' work stands replaced, so that a missed bound fails at once
+_ARITY_BOUND = "error: arity {} needs a "  # a label row over MAX_TABLE_ENTRIES
+_BLOCK_BUDGET = "error: 2^"  # a block verifier's clique space over the default budget
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    pytest.param(["enumerate", "--magma", "trivial", "--arity", "1448"], _ARITY_BOUND,
+                 id="enumerate"),
+    pytest.param(["sequence", "--variant", "bub", "--magma", "D:0", "--max-arity", "1448"],
+                 _ARITY_BOUND, id="sequence"),
+    pytest.param(["verify", "known-ops", "--max-arity", "1448"], _ARITY_BOUND,
+                 id="known-ops"),
+    pytest.param(["verify", "axioms", "--magma", "D:0", "--max-arity", "3000"], _ARITY_BOUND,
+                 id="axioms"),
+    pytest.param(["verify", "all", "--max-arity", "3000"], _ARITY_BOUND, id="battery"),
+    pytest.param(["verify", "symmetries", "--magma", "D:0", "--max-arity", "7"],
+                 _BLOCK_BUDGET, id="symmetries-budget"),
+    pytest.param(["verify", "cyclic", "--magma", "D:0", "--max-arity", "7"],
+                 _BLOCK_BUDGET, id="cyclic-budget"),
+    pytest.param(["verify", "basic", "--magma", "D:0", "--max-arity", "7"],
+                 _BLOCK_BUDGET, id="basic-budget"),
+    pytest.param(["verify", "ideal", "--magma", "trivial", "--max-arity", "8"],
+                 _BLOCK_BUDGET, id="ideal-budget"),
+    pytest.param(["verify", "inclusions", "--magma", "trivial", "--max-arity", "8"],
+                 _BLOCK_BUDGET, id="inclusions-budget"),
+    pytest.param(["verify", "product", "--magma", "prod(trivial,D:0)", "--max-arity", "7"],
+                 _BLOCK_BUDGET, id="product-budget"),
+    pytest.param(["verify", "known-ops", "--max-arity", "8"], _BLOCK_BUDGET,
+                 id="known-ops-budget"),
+    pytest.param(["verify", "all", "--magma", "D:0", "--max-arity", "7"], _BLOCK_BUDGET,
+                 id="all-budget"),
+])
+def test_oversized_arity_flags_are_refused_before_allocating(
+    capsys, monkeypatch, argv, refusal,
+):
+    # the arity bound and the block verifiers' budget are checked before
+    # any table is built; the commands' work stands replaced, so that a
+    # missed bound fails at once
     import time
     import tracemalloc
 
-    from cliqueops import acceptance, cli, enumeration, knownops, verify
+    from cliqueops import acceptance, cli, enumeration, knownops, variants, verify
 
     def ran(*args, **kwargs):
-        pytest.fail("the command ran past the arity bound")
+        pytest.fail("the command ran past its bound")
 
     for module, name in ((cli, "generate_cliques"), (enumeration, "sequence_for"),
                          (knownops, "verify_known_ops"), (verify, "verify_operad_axioms"),
-                         (acceptance, "run_all")):
+                         (acceptance, "run_all"), (verify, "verify_symmetries"),
+                         (verify, "verify_cyclic"), (verify, "verify_basic_set_operad"),
+                         (variants, "verify_ideal"), (variants, "verify_inclusions"),
+                         (verify, "verify_product_iso")):
         monkeypatch.setattr(module, name, ran)
     tracemalloc.start()
     try:
@@ -509,7 +539,7 @@ def test_oversized_arity_flags_are_refused_before_allocating(capsys, monkeypatch
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: arity {argv[-1]} needs a ")
+    assert err.startswith(refusal.format(argv[-1]))
     assert elapsed < 1 and peak < 1 << 20
 
 

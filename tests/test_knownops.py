@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -113,8 +114,6 @@ def test_displayed_dmt_composition():
 
 
 def test_dmt_is_componentwise_hadamard():
-    import random
-
     rng = random.Random(5)
     pool2 = list(all_double_multitildes(2))
     pool3 = list(all_double_multitildes(3))
@@ -474,7 +473,6 @@ def test_one_substitution_rule_feeds_both_morphism_verifiers(monkeypatch):
         return real(n, m, min(i + 1, n))
 
     def clear():
-        real.cache_clear()
         knownops._compose_tables.cache_clear()
         knownops._composer.cache_clear()
         ratfct._row_plan.cache_clear()
@@ -518,6 +516,23 @@ def test_encoding_matches_the_frozenset_reference(d0sq):
             assert list(phi_dmt(d).labels) == [
                 pair_value(d0sq, a, b) for a, b in zip(first, second)
             ]
+    # past the shared tables (multi-tildes above arity 4, double multi-tildes
+    # above arity 3) an image is read from its masks' 8-bit chunks: a seeded
+    # sample of the public constructors' values against the reference
+    rng = random.Random(32)
+    for n in (4, 5):
+        universe = [(x, y) for x in range(1, n + 1) for y in range(x, n + 1)]
+        for _ in range(200):
+            pairs1, pairs2 = ({p for p in universe if rng.random() < 0.5} for _ in "12")
+            if n == 5:
+                assert list(phi_mt(MultiTilde(n, pairs1)).labels) == _ref_flags(n, pairs1)
+            d = DoubleMultiTilde(n, pairs1, pairs2)
+            image = phi_dmt(d)
+            first, second = _ref_flags(n, pairs1), _ref_flags(n, pairs2)
+            assert list(image.labels) == [
+                pair_value(d0sq, a, b) for a, b in zip(first, second)
+            ]
+            assert phi_dmt_inverse(image) == d
     composed = {}
     for n, m in composable_pairs(3):
         for i in range(1, n + 1):

@@ -280,7 +280,6 @@ def test_rf_morphism_engines_catch_an_off_by_one_reindex_table(monkeypatch, engi
 
     def clear():
         # a compiled row plan would hide the mutated table
-        real.cache_clear()
         ratfct._row_plan.cache_clear()
 
     assert run((0, 1), 2).ok
