@@ -2,9 +2,9 @@
 census tools, and embeddings of known operads.
 
 numpy loads with the block engines: each function that works on label,
-mask or pattern blocks imports it itself, and only the threaded prime
-census imports the process pool.  So importing the package, and the
-element-level algebra, load neither.
+mask or pattern blocks imports it itself, and no module opens a process
+pool.  So importing the package, and the element-level algebra, load
+neither numpy nor a pool.
 """
 
 from .magma import (

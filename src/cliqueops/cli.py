@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from . import bases, enumeration, knownops, ratfct, variants, verify
 from .clique import (
-    CliqueError, _label_count, clique_from_json, clique_to_json, format_clique,
-    generate_cliques, row_width,
+    CliqueError, _label_count, _power_exceeds, clique_from_json, clique_to_json,
+    format_clique, generate_cliques, row_width,
 )
 from .magma import (
     MagmaError, has_nontrivial_unit_divisors,
@@ -209,15 +208,14 @@ def cmd_primes(args):
         2, enumeration._diagonal_count(args.max_size), "diagonal patterns",
         args.max_size, args.budget,
     )
-    census = {"budget": args.budget, "threads": args.threads}
     rows = []
     for n in range(1, args.max_size + 1):
-        white = enumeration.count_white_prime(magma, n, **census)
+        white = enumeration.count_white_prime(magma, n, budget=args.budget)
         rows.append((
             n,
             enumeration.prime_from_white(magma, n, white),
             white,
-            enumeration.count_minimal_prime(magma, n, **census),
+            enumeration.count_minimal_prime(magma, n, budget=args.budget),
         ))
     if args.json:
         print(json.dumps(
@@ -289,11 +287,16 @@ def _verify_reports(args):
     magma = None if args.magma is None else parse_magma_spec(args.magma)
     # the block verifiers build label blocks of the max arity's clique space,
     # over D:0 and its square for known-ops: refuse one over the default
-    # budget before any block is built
+    # budget before any block is built.  No verify option raises that budget
+    # (--budget reaches axioms alone), so the advice is a smaller arity.
     if what == "known-ops" or what in _BLOCK_VERIFIERS and magma.is_finite:
         size = 2 if what == "known-ops" else max(magma.size, 2)
-        enumeration._check_budget(size, _label_count(args.max_arity), "cliques",
-                                  args.max_arity, enumeration.DEFAULT_BUDGET)
+        cells, budget = _label_count(args.max_arity), enumeration.DEFAULT_BUDGET
+        if _power_exceeds(size, cells, budget):
+            raise UsageError(
+                f"{size}^{cells} cliques at arity {args.max_arity} exceed the "
+                f"budget {budget}; lower --max-arity to proceed"
+            )
     reports = []
     if what in ("axioms", "all"):
         reports.append(verify.verify_operad_axioms(
@@ -364,30 +367,31 @@ def cmd_verify(args):
 
 
 def _positive_threads(text):
-    # read here, not by argparse, so a bad CLIQUEOPS_THREADS is a usage error too
+    # read here, not by argparse, so a bad value exits 2 with an `error:` line
     try:
         threads = int(text)
     except ValueError:
         threads = 0
     if threads < 1:
         raise UsageError(
-            f"--threads (or CLIQUEOPS_THREADS) must be a positive integer, not {text!r}"
+            f"--threads must be a positive integer, not {text!r} "
+            "(it is accepted for compatibility and has no effect)"
         )
     return threads
 
 
 def build_parser():
     """The argument parser of `main`.  It holds no function and reads no
-    environment: `main` dispatches on the command's name and reads
-    CLIQUEOPS_THREADS each time it runs, so one parser serves every call."""
+    environment: `main` dispatches on the command's name each time it
+    runs, so one parser serves every call."""
     parser = argparse.ArgumentParser(
         prog="cliqueops",
         description="operads of magma-decorated cliques: compose, enumerate, verify",
     )
     parser.add_argument(
-        "--threads", default=None,
-        help="number of processes for the prime census (a positive integer; "
-             "default: CLIQUEOPS_THREADS, or 1)",
+        "--threads", default="1",
+        help="accepted for compatibility and has no effect: every command "
+             "runs in one process (a positive integer; default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -462,12 +466,12 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)  # argparse exits 2 on usage errors itself
     try:
-        if args.threads is None:
-            args.threads = os.environ.get("CLIQUEOPS_THREADS", "1")
         args.threads = _positive_threads(args.threads)
         if getattr(args, "max_arity", None) is not None:
             # the library's arity bound, before any table is built
             row_width(args.max_arity, UsageError)
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise UsageError(f"--budget must be at least 0, not {args.budget}")
         # looked up per call, so a replaced `cmd_*` is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, MagmaError, CliqueError, variants.VariantError,

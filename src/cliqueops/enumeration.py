@@ -21,12 +21,11 @@ in every member and left out of the walk, which they multiply by
 label blocks of the dense label space, one `_block_flags` call per
 block, under the clique budget m^#arcs.
 
-The prime census runs over the 2^#diagonals diagonal-solidity patterns in
-numpy blocks, and its budget is measured in patterns.  Its result is also
-a histogram, of kept patterns by solid-diagonal count, kept once per size
-and minimality (`_PRIME_HISTOGRAMS`) and weighted per magma; the budget is
-checked before the histogram is read or built.  It is the one census
-path that splits across processes when given a parallelism degree.  The
+The prime census scans the 2^#diagonals diagonal-solidity patterns in
+numpy blocks, in one process, and its budget is measured in patterns.
+Its result is also a histogram, of kept patterns by solid-diagonal count,
+kept once per size and minimality (`_PRIME_HISTOGRAMS`) and weighted per
+magma; the budget is checked before the histogram is read or built.  The
 pattern and clique budgets count their space from the arity alone,
 without building any arc, and state it as a power.
 """
@@ -240,10 +239,10 @@ def _diagonal_cross_masks(arity):
 _PRIME_HISTOGRAMS = {}
 
 
-def _prime_patterns_chunk(args):
-    """How many prime (or minimal prime) diagonal patterns in [lo, hi) have
-    each number of solid diagonals, taken in numpy blocks of at most
-    PATTERN_BLOCK patterns.
+def _prime_patterns(arity, want_minimal):
+    """How many prime (or minimal prime) diagonal patterns have each number
+    of solid diagonals, over all 2^#diagonals patterns taken in numpy
+    blocks of at most PATTERN_BLOCK patterns.
 
     A pattern is prime when it meets every diagonal's crossing mask.  A
     prime pattern p is minimal when no solid diagonal can be dropped: b can
@@ -253,11 +252,11 @@ def _prime_patterns_chunk(args):
     """
     import numpy as np
 
-    arity, lo, hi, want_minimal = args
     diags, masks = _diagonal_cross_masks(arity)
+    size = 1 << len(diags)
     histogram = np.zeros(len(diags) + 1, dtype=np.int64)  # kept patterns by #solid
-    for start in range(lo, hi, PATTERN_BLOCK):
-        patterns = np.arange(start, min(start + PATTERN_BLOCK, hi), dtype=np.int64)
+    for start in range(0, size, PATTERN_BLOCK):
+        patterns = np.arange(start, min(start + PATTERN_BLOCK, size), dtype=np.int64)
         for mask in masks:
             patterns = patterns[(patterns & mask) != 0]
         if want_minimal:
@@ -267,27 +266,10 @@ def _prime_patterns_chunk(args):
                 sole |= np.where((crossers & (crossers - 1)) == 0, crossers, 0)
             patterns = patterns[sole == patterns]
         histogram += np.bincount(np.bitwise_count(patterns), minlength=len(histogram))
-    return histogram.tolist()
+    return tuple(histogram.tolist())
 
 
-def _prime_histogram(arity, want_minimal, threads):
-    """`_prime_patterns_chunk` over all 2^#diagonals patterns, split across
-    `threads` processes when there are enough patterns."""
-    size = 1 << _diagonal_count(arity)
-    if threads > 1 and size >= 1 << 10:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = (size + threads - 1) // threads
-        chunks = [
-            (arity, lo, min(lo + step, size), want_minimal)
-            for lo in range(0, size, step)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return [sum(column) for column in zip(*pool.map(_prime_patterns_chunk, chunks))]
-    return _prime_patterns_chunk((arity, 0, size, want_minimal))
-
-
-def _prime_pattern_weight(magma, arity, want_minimal, budget, threads):
+def _prime_pattern_weight(magma, arity, want_minimal, budget):
     # A clique is prime iff every diagonal is crossed by a solid diagonal,
     # so primality is a property of the diagonal-solidity pattern alone,
     # and the scan of the patterns is kept per (arity, want_minimal).  The
@@ -298,15 +280,13 @@ def _prime_pattern_weight(magma, arity, want_minimal, budget, threads):
     key = (arity, want_minimal)
     histogram = _PRIME_HISTOGRAMS.get(key)
     if histogram is None:
-        histogram = _PRIME_HISTOGRAMS[key] = tuple(
-            _prime_histogram(arity, want_minimal, threads)
-        )
+        histogram = _PRIME_HISTOGRAMS[key] = _prime_patterns(arity, want_minimal)
     return _weigh(histogram, magma.size - 1)
 
 
-def count_white_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
+def count_white_prime(magma, arity, budget=DEFAULT_BUDGET):
     """Number of prime cliques with non-solid edges and base."""
-    return _prime_pattern_weight(magma, arity, False, budget, threads)
+    return _prime_pattern_weight(magma, arity, False, budget)
 
 
 def prime_from_white(magma, arity, white):
@@ -316,15 +296,15 @@ def prime_from_white(magma, arity, white):
     return magma.size ** (arity + 1) * white
 
 
-def count_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
+def count_prime(magma, arity, budget=DEFAULT_BUDGET):
     """Number of prime cliques."""
-    white = count_white_prime(magma, arity, budget=budget, threads=threads)
+    white = count_white_prime(magma, arity, budget=budget)
     return prime_from_white(magma, arity, white)
 
 
-def count_minimal_prime(magma, arity, budget=DEFAULT_BUDGET, threads=1):
+def count_minimal_prime(magma, arity, budget=DEFAULT_BUDGET):
     """Number of minimal prime cliques (all of them are white)."""
-    return _prime_pattern_weight(magma, arity, True, budget, threads)
+    return _prime_pattern_weight(magma, arity, True, budget)
 
 
 # -- Dyck-path bijection ---------------------------------------------------------

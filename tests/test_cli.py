@@ -206,9 +206,9 @@ def test_primes_counts_each_census_once_per_size(capsys, monkeypatch, fmt):
     real = enumeration._prime_pattern_weight
     calls = []
 
-    def counted(magma, arity, want_minimal, budget, threads):
+    def counted(magma, arity, want_minimal, budget):
         calls.append((arity, want_minimal))
-        return real(magma, arity, want_minimal, budget, threads)
+        return real(magma, arity, want_minimal, budget)
 
     monkeypatch.setattr(enumeration, "_prime_pattern_weight", counted)
     code, out, _ = run(capsys, "primes", "--magma", "D:0", "--max-size", "4", *fmt)
@@ -385,6 +385,8 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
     *((None, ["sequence", "--variant", "nes", "--magma", "D:0", "--max-arity", bound])
       for bound in ("0", "-2")),
     *((None, ["primes", "--magma", "D:0", "--max-size", bound]) for bound in ("0", "-1")),
+    *((None, ["verify", what, "--magma", "D:0", "--max-arity", "3", "--budget", "-1"])
+      for what in ("axioms", "all")),
 ], ids=["not-a-term", "bad-coefficient", "no-coefficient", "no-clique",
         "labels-not-an-object", "clique-not-an-object", "fractional-Z-label",
         "bool-Z-label", "fractional-arity", "bool-arity", "variant-argument",
@@ -401,7 +403,8 @@ _CLIQUE = {"magma": "Z", "arity": 2, "labels": {"1,3": "1"}}
         "1001-digit-coefficient", "string-coefficient-1e4000-squared", "bound-on-bub",
         "junk-bound-on-nes", "empty-bound-on-grav", "underscored-bound",
         "spaced-bound", "sequence-arity-zero", "sequence-arity-negative",
-        "primes-size-zero", "primes-size-negative"])
+        "primes-size-zero", "primes-size-negative", "axioms-budget-negative",
+        "all-budget-negative"])
 def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     import time
 
@@ -422,17 +425,6 @@ def test_bad_input_exits_two(capsys, tmp_path, payload, argv):
     assert code == 2
     assert err.startswith("error:")
     assert time.perf_counter() - started < 1
-
-
-def test_bad_threads_variable_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("CLIQUEOPS_THREADS", "abc")
-    code, out, err = run(capsys, "primes", "--magma", "D:0", "--max-size", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "CLIQUEOPS_THREADS" in err
-    monkeypatch.setenv("CLIQUEOPS_THREADS", "2")
-    code, out, _ = run(capsys, "primes", "--magma", "D:0", "--max-size", "4")
-    assert code == 0
-    assert out.splitlines()[1:] == ["1 0 0 0", "2 8 1 1", "3 16 1 1", "4 352 11 5"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -508,6 +500,9 @@ _BLOCK_BUDGET = "error: 2^"  # a block verifier's clique space over the default 
                  id="known-ops-budget"),
     pytest.param(["verify", "all", "--magma", "D:0", "--max-arity", "7"], _BLOCK_BUDGET,
                  id="all-budget"),
+    # --budget reaches axioms alone, so it does not lift the block refusal
+    pytest.param(["verify", "all", "--magma", "D:0", "--max-arity", "7",
+                  "--budget", "1000000000"], _BLOCK_BUDGET, id="all-budget-raised"),
 ])
 def test_oversized_arity_flags_are_refused_before_allocating(
     capsys, monkeypatch, argv, refusal,
@@ -540,6 +535,9 @@ def test_oversized_arity_flags_are_refused_before_allocating(
         tracemalloc.stop()
     assert (code, out) == (2, "")
     assert err.startswith(refusal.format(argv[-1]))
+    if refusal == _BLOCK_BUDGET:
+        # no verify option raises the block budget, so none is advised
+        assert "raise it" not in err and "--max-arity" in err
     assert elapsed < 1 and peak < 1 << 20
 
 
@@ -559,6 +557,20 @@ def test_import_loads_neither_numpy_nor_a_process_pool():
         "assert not loaded, loaded\n"
         "report = cliqueops.verify_operad_axioms(cliqueops.parse_magma_spec('D:0'), 3)\n"
         "assert report.ok and report.checked > 0, report\n"
+        # --threads is accepted and changes nothing: 2^14 patterns at size 6
+        # run in this process, and the output is that of --threads 1
+        "import contextlib, io\n"
+        "outs = []\n"
+        "for threads in ('1', '2'):\n"
+        "    cliqueops.enumeration._PRIME_HISTOGRAMS.clear()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cliqueops.cli.main(['--threads', threads, 'primes', '--magma',\n"
+        "                                   'D:0', '--max-size', '6'])\n"
+        "    assert code == 0, code\n"
+        "    outs.append(out.getvalue())\n"
+        "assert outs[0] == outs[1] and outs[0].count('\\n') == 7, outs\n"
+        "loaded = [name for name in heavy[1:] if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(cliqueops.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -807,26 +819,18 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_one_parser_serves_calls_made_after_a_change(capsys, monkeypatch):
-    # the parser of the first call is reused: CLIQUEOPS_THREADS and the
-    # command functions are read when each call runs, not when it was built
+    # the parser of the first call is reused: the command functions are
+    # looked up when each call runs, not when the parser was built
     from cliqueops import cli
 
-    monkeypatch.delenv("CLIQUEOPS_THREADS", raising=False)
     assert run(capsys, "magma-check", "--magma", "D:0")[0] == 0
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("a second parser"))
     seen = []
     monkeypatch.setattr(cli, "cmd_primes", lambda args: seen.append(args.threads) or 0)
     primes = ("primes", "--magma", "D:0", "--max-size", "3")
-    monkeypatch.setenv("CLIQUEOPS_THREADS", "abc")
-    code, out, err = run(capsys, *primes)
-    assert (code, out, seen) == (2, "", [])
-    assert "CLIQUEOPS_THREADS" in err
-    monkeypatch.setenv("CLIQUEOPS_THREADS", "2")
-    assert run(capsys, *primes)[0] == 0
     assert run(capsys, "--threads", "3", *primes)[0] == 0
-    monkeypatch.delenv("CLIQUEOPS_THREADS")
     assert run(capsys, *primes)[0] == 0
-    assert seen == [2, 3, 1]
+    assert seen == [3, 1]
 
 
 def test_verify_all_stdout_is_timing_free(capsys, monkeypatch):

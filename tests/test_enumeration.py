@@ -192,12 +192,6 @@ def test_minimal_primes_are_white(d0):
                 assert is_white(p)
 
 
-def test_census_threads_deterministic(d0):
-    # 2^14 diagonal patterns at arity 6: over the 2^10 threshold, so the
-    # census splits them across a process pool
-    assert count_white_prime(d0, 6, threads=2) == count_white_prime(d0, 6)
-
-
 def test_dyck_encode_examples(d0):
     allunit = Clique.from_arcs(d0, 3, {})
     assert "".join(dyck_encode(allunit).letters) == "abababab"
@@ -435,7 +429,6 @@ def test_a_second_magma_walks_nothing(d0, d1, monkeypatch):
 
 
 def test_kept_prime_histograms_count_as_a_fresh_scan(d0, d1, d2, monkeypatch):
-    # with two threads the size-6 scans split across a process pool
     from cliqueops import enumeration
 
     censuses = (count_prime, count_white_prime, count_minimal_prime)
@@ -445,10 +438,9 @@ def test_kept_prime_histograms_count_as_a_fresh_scan(d0, d1, d2, monkeypatch):
     for census, magma, n in cases:
         monkeypatch.setattr(enumeration, "_PRIME_HISTOGRAMS", {})
         cold.append(census(magma, n))
-    for threads in (1, 2):
-        monkeypatch.setattr(enumeration, "_PRIME_HISTOGRAMS", {})
-        assert [census(magma, n, threads=threads) for census, magma, n in cases] == cold
-        assert len(enumeration._PRIME_HISTOGRAMS) == 10  # sizes 2..6, white and minimal
+    monkeypatch.setattr(enumeration, "_PRIME_HISTOGRAMS", {})
+    assert [census(magma, n) for census, magma, n in cases] == cold
+    assert len(enumeration._PRIME_HISTOGRAMS) == 10  # sizes 2..6, white and minimal
 
 
 def test_shared_space_decision_needs_no_power():

@@ -470,8 +470,7 @@ def reference_prime_patterns(arity, weight, want_minimal):
 
 
 def _block_prime_patterns(arity, weight, want_minimal):
-    size = 1 << len(diagonals_of(arity))
-    histogram = enumeration._prime_patterns_chunk((arity, 0, size, want_minimal))
+    histogram = enumeration._prime_patterns(arity, want_minimal)
     return enumeration._weigh(histogram, weight)
 
 
