@@ -189,8 +189,6 @@ def cmd_enumerate(args):
 
 
 def cmd_sequence(args):
-    if args.max_arity < 1:
-        raise UsageError(f"--max-arity must be at least 1, not {args.max_arity}")
     magma = parse_magma_spec(args.magma)
     record = enumeration.sequence_for(
         args.variant, magma, args.max_arity, budget=args.budget,

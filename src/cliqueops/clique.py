@@ -31,10 +31,15 @@ class CliqueError(ValueError):
 def row_width(arity, error=CliqueError, row="label"):
     """The number of arcs at the arity, counted without building them.
 
-    Raises `error` when a row with one entry per arc would hold more than
-    MAX_TABLE_ENTRIES entries (an arity above 1447), so that a public
-    constructor refuses such an arity before building `arcs_of`.
+    The one arity check: `error` refuses anything but an `int` (a bool, a
+    float or a string), an arity below 1, and an arity whose row of one
+    entry per arc would pass MAX_TABLE_ENTRIES (an arity above 1447), so
+    that a public constructor refuses it before building `arcs_of`.
     """
+    if type(arity) is not int:
+        raise error(f"arity must be an int, not {arity!r}")
+    if arity < 1:
+        raise error(f"arity must be positive, not {arity}")
     width = arity * (arity + 1) // 2
     if width > MAX_TABLE_ENTRIES:
         raise error(
@@ -42,6 +47,19 @@ def row_width(arity, error=CliqueError, row="label"):
             f"at most {MAX_TABLE_ENTRIES} entries are supported"
         )
     return width
+
+
+def arc_position(arity, arc, error=CliqueError):
+    """The index of `arc` in `arcs_of(arity)`, from the arc alone.  The one
+    arc check: at an arity `row_width` passed, `error` refuses anything but
+    a pair (tuple or list) of `int`s x, y with 1 <= x < y <= arity + 1."""
+    if (not isinstance(arc, (tuple, list)) or len(arc) != 2
+            or type(arc[0]) is not int or type(arc[1]) is not int
+            or not 1 <= arc[0] < arc[1] <= arity + 1):
+        raise error(f"{arc!r} is not an arc at arity {arity}")
+    x, y = arc
+    # arcs_of order: each x' < x comes first, with arity + 1 - x' arcs
+    return (x - 1) * (2 * arity + 2 - x) // 2 + y - x - 1
 
 
 @lru_cache(maxsize=None)
@@ -95,10 +113,8 @@ class Clique:
     __slots__ = ("magma", "arity", "labels", "_hash")
 
     def __init__(self, magma, arity, labels):
-        labels = tuple(labels)
-        if arity < 1:
-            raise CliqueError("arity must be positive")
         width = row_width(arity)
+        labels = tuple(labels)
         if len(labels) != width:
             raise CliqueError(f"arity {arity} needs {width} labels, got {len(labels)}")
         for lab in labels:
@@ -129,11 +145,8 @@ class Clique:
     def from_arcs(magma, arity, arc_labels):
         """Build a clique from a {(x, y): label} mapping; missing arcs get the unit."""
         labels = [magma.unit] * row_width(arity)
-        index = arc_index(arity)
-        for (x, y), lab in arc_labels.items():
-            if (x, y) not in index:
-                raise CliqueError(f"({x},{y}) is not an arc at arity {arity}")
-            labels[index[(x, y)]] = lab
+        for arc, lab in arc_labels.items():
+            labels[arc_position(arity, arc)] = lab
         return Clique(magma, arity, labels)
 
     @staticmethod
@@ -144,10 +157,7 @@ class Clique:
     # -- access -----------------------------------------------------------
 
     def label(self, x, y):
-        index = arc_index(self.arity)
-        if (x, y) not in index:
-            raise CliqueError(f"({x},{y}) is not an arc at arity {self.arity}")
-        return self.labels[index[(x, y)]]
+        return self.labels[arc_position(self.arity, (x, y))]
 
     @property
     def base_label(self):
@@ -174,9 +184,8 @@ class Clique:
         )
 
     def with_label(self, x, y, lab):
-        idx = arc_index(self.arity)[(x, y)]
         labels = list(self.labels)
-        labels[idx] = lab
+        labels[arc_position(self.arity, (x, y))] = lab
         return Clique(self.magma, self.arity, labels)
 
     def skeleton(self):
@@ -253,11 +262,11 @@ def generate_cliques(magma, arity):
     which are immutable by contract, and builds none.  Equal magmas keep
     their own spaces, so each clique's `.magma` is the magma it was asked
     for.  A larger space streams, one new clique at a time, and is never
-    held.  Errors (an infinite magma, an arity below 1) are raised at the
-    first `next()`, not by the call.
+    held.  Errors (an infinite magma, an arity `row_width` refuses) are
+    raised at the first `next()`, not by the call.
     """
     space = magma._spaces.get(arity)
-    if space is not None:
+    if space is not None and type(arity) is int:  # 2.0 and True hash as 2 and 1
         return iter(space)  # no generator frame resumed per clique
     return _first_enumeration(magma, arity)
 
@@ -267,8 +276,7 @@ def _first_enumeration(magma, arity):
     then streams the space or builds, keeps and yields it."""
     if not magma.is_finite:
         raise MagmaError("cannot enumerate cliques over an infinite magma")
-    if arity < 1:
-        raise CliqueError("arity must be positive")
+    row_width(arity)
     if not _shares_space(magma, arity):
         yield from _stream_cliques(magma, arity)
         return
@@ -566,8 +574,6 @@ def clique_from_json(data, magma=None):
         else:
             raise CliqueError("clique JSON needs a magma spec or table object")
     arity = data.get("arity")
-    if not isinstance(arity, int) or isinstance(arity, bool):
-        raise CliqueError(f"clique JSON needs an integer arity, got {arity!r}")
     labels = data.get("labels", {})
     if not isinstance(labels, dict):
         raise CliqueError(f"clique JSON labels must be an object, got {type(labels).__name__}")

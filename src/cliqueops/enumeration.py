@@ -41,7 +41,7 @@ from itertools import compress
 
 from .clique import (
     Clique, CliqueError, _label_count, _power_exceeds, arc_index, arcs_of,
-    clique_space_size, crossing, diagonals_of, is_nesting_free,
+    clique_space_size, crossing, diagonals_of, is_nesting_free, row_width,
 )
 from .magma import has_nontrivial_unit_divisors
 from . import variants
@@ -119,6 +119,7 @@ _FORMULAS = {
 
 def dim_formula(spec, m_or_bed, n):
     """Closed dimension for the variants that have one; others are rejected."""
+    row_width(n)
     formula = _FORMULAS.get(spec.partition(":")[0])
     if formula is None:
         raise variants.VariantError(f"no closed dimension formula for {spec!r}")
@@ -194,6 +195,7 @@ def count_by_enumeration(spec, magma, arity, budget=DEFAULT_BUDGET):
     budget in walked masks.  A label-sensitive variant is counted over
     label blocks of the full clique space, under the clique budget.
     """
+    row_width(arity)
     var = variants.variant(spec, magma)
     if arity == 1:
         return 1
@@ -274,6 +276,7 @@ def _prime_pattern_weight(magma, arity, want_minimal, budget):
     # so primality is a property of the diagonal-solidity pattern alone,
     # and the scan of the patterns is kept per (arity, want_minimal).  The
     # budget counts the whole pattern space, so it is checked first.
+    row_width(arity)
     if arity < 2:
         return 0
     _check_budget(2, _diagonal_count(arity), "diagonal patterns", arity, budget)
@@ -412,11 +415,9 @@ def dyck_decode(word):
         raise CliqueError("colored word length must be even")
     vertex_count = length // 2
     arity = vertex_count - 1
-    if arity < 1:
-        raise CliqueError("word too short for a clique")
+    labels = [word.magma.unit] * row_width(arity)
     starts = []  # start vertices waiting for an end, in order
     index = arc_index(arity)
-    labels = [word.magma.unit] * len(index)
     letters = word.letters
     for vertex in range(1, vertex_count + 1):
         pair = letters[2 * vertex - 2] + letters[2 * vertex - 1]
@@ -458,6 +459,7 @@ class SequenceRecord:
 
 def sequence_for(spec, magma, max_arity, budget=DEFAULT_BUDGET):
     """Counts for arities 1..max_arity, with provenance recorded."""
+    row_width(max_arity)
     var = variants.variant(spec, magma)
     if not var.label_blind:
         # the largest arity has the most cliques: refuse it before counting any

@@ -40,10 +40,10 @@ per-arc tests are `variants._gravity_tests`): the census walk folds it
 over partial masks, and every whole-mask question that the tabled
 families do not answer folds it with `variants._accepts`.
 
-Public constructors validate their input: arities and coordinates must
-be `int`s (bools, floats and strings are refused) and pairs must have two
-entries, and build a new instance.  Enumeration and composition read the
-shared instances or build results on trusted `_unsafe` paths.
+Public constructors and families validate their input by the rules of
+clique.py, raising `KnownOperadError`: an arity by `row_width`, an arc
+(a pair (x, y) as its arc (x, y + 1)) by `arc_position`.  Enumeration
+and composition read shared instances or build on `_unsafe` paths.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from itertools import combinations, islice, product as iproduct
 from operator import add
 
 from . import ratfct, variants
-from .clique import Clique, arc_index, arcs_of, row_width
+from .clique import Clique, arc_index, arc_position, arcs_of, row_width
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
 from .operad import composable_pairs, partial_compose
 from .verify import _compose_block, _label_dtype, _star, slab_laws
@@ -70,16 +70,6 @@ _FIRST, _SECOND = pair_value(_D0_SQUARED, 1, 0), pair_value(_D0_SQUARED, 0, 1)
 
 
 # -- input boundary --------------------------------------------------------
-
-
-def _arity(value, what):
-    # `type(value) is int` refuses bools, floats and strings alike
-    if type(value) is not int:
-        raise KnownOperadError(f"{what} arity must be an integer, got {value!r}")
-    if value < 1:
-        raise KnownOperadError(f"{what} arity must be positive")
-    row_width(value, KnownOperadError)
-    return value
 
 
 def _coordinates(pairs):
@@ -105,12 +95,9 @@ def _pair_of(arity):
 
 
 def _mask(arity, pairs):
-    index = arc_index(arity)
     mask = 0
     for x, y in _coordinates(pairs):
-        if (x, y + 1) not in index:
-            raise KnownOperadError(f"pair ({x},{y}) outside arity {arity}")
-        mask |= 1 << index[(x, y + 1)]
+        mask |= 1 << arc_position(arity, (x, y + 1), KnownOperadError)
     return mask
 
 
@@ -278,8 +265,9 @@ class MultiTilde:
     __slots__ = ("arity", "mask")
 
     def __init__(self, arity, pairs):
-        self.arity = _arity(arity, "multi-tilde")
-        self.mask = _mask(self.arity, pairs)
+        row_width(arity, KnownOperadError)
+        self.arity = arity
+        self.mask = _mask(arity, pairs)
 
     @classmethod
     def _unsafe(cls, arity, mask):
@@ -350,6 +338,7 @@ def mt_compose(s, t, i):
 
 def all_multitildes(arity):
     """Every multi-tilde of the given arity (2^(n(n+1)/2) of them)."""
+    row_width(arity, KnownOperadError)
     values = _multitildes(arity)
     for mask in _masks(arity):
         yield MultiTilde._unsafe(arity, mask) if values is None else values[mask]
@@ -380,9 +369,10 @@ class DoubleMultiTilde:
     __slots__ = ("arity", "mask1", "mask2")
 
     def __init__(self, arity, pairs1, pairs2):
-        self.arity = _arity(arity, "multi-tilde")
-        self.mask1 = _mask(self.arity, pairs1)
-        self.mask2 = _mask(self.arity, pairs2)
+        row_width(arity, KnownOperadError)
+        self.arity = arity
+        self.mask1 = _mask(arity, pairs1)
+        self.mask2 = _mask(arity, pairs2)
 
     @classmethod
     def _unsafe(cls, arity, mask1, mask2):
@@ -437,6 +427,7 @@ def dmt_compose(s, t, i):
 
 
 def all_double_multitildes(arity):
+    row_width(arity, KnownOperadError)
     values, masks = _double_multitildes(arity), list(_masks(arity))
     for mask1 in masks:
         for mask2 in masks:
@@ -479,16 +470,16 @@ class ChordDiagram:
     __slots__ = ("arity", "mask")
 
     def __init__(self, arity, diagonals):
-        arity = _arity(arity, "diagram")
+        row_width(arity, KnownOperadError)
         diagonals = frozenset(_coordinates(diagonals))
         if arity == 1 and diagonals:
             raise KnownOperadError("the arity-1 diagram has no diagonals")
-        index = arc_index(arity)
         mask = variants._frame_mask(arity)
         for x, y in diagonals:
-            if (x, y) not in index or mask >> index[(x, y)] & 1:
+            k = arc_position(arity, (x, y), KnownOperadError)
+            if mask >> k & 1:
                 raise KnownOperadError(f"({x},{y}) is not a diagonal at arity {arity}")
-            mask |= 1 << index[(x, y)]
+            mask |= 1 << k
         if not variants._accepts(variants._gravity_rule, arity, mask):
             raise KnownOperadError(
                 f"diagonals {sorted(diagonals)} break the gravity condition: "
@@ -585,6 +576,7 @@ def gravity_diagrams(arity):
     """All gravity chord diagrams of an arity, by number of diagonals and
     then in lexicographic order of the chosen diagonals: the census walk of
     the `grav` rule, sorted."""
+    row_width(arity, KnownOperadError)
     family = _gravity_family(arity)
     if family is not None:
         return list(family.values())
@@ -603,9 +595,10 @@ def _sorted_diagrams(arity, masks):
 def gravity_cliques(magma, arity):
     """All cliques over a finite magma satisfying the gravity condition: each
     diagram's marked arcs take every non-unit labeling."""
+    diagrams = gravity_diagrams(arity)
     nonunit, width = list(magma.nonunit_elements()), len(arcs_of(arity))
     out = []
-    for diagram in gravity_diagrams(arity):
+    for diagram in diagrams:
         marked = [k for k in range(width) if diagram.mask >> k & 1]
         row = [magma.unit] * width
         for labeling in iproduct(nonunit, repeat=len(marked)):

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import add, attrgetter, getitem
 from typing import Callable, NamedTuple
 
-from .clique import Clique, CliqueError, arc_index, arcs_of, index_plan
+from .clique import Clique, CliqueError, arc_index, arcs_of, index_plan, row_width
 from .magma import pair_value, unpair_value
 
 
@@ -252,6 +252,7 @@ class LinComb(_Combination):
     _ERROR = CliqueError
 
     def __init__(self, magma, arity, terms=()):
+        row_width(arity)
         self.magma = magma
         self.arity = arity
         self.terms = self._validated(terms)

@@ -29,7 +29,7 @@ from itertools import accumulate, compress, product as iproduct
 from math import lcm
 from operator import add, attrgetter, neg
 
-from .clique import Clique, arcs_of, index_plan, relabel, row_width
+from .clique import Clique, arc_position, arcs_of, index_plan, relabel, row_width
 from .magma import MagmaError, MagmaMorphism, RankFunction, UnitaryMagma
 from .operad import (
     CompositionPlan, LinComb, _accumulate, _Combination, _exact, _from_rows,
@@ -52,16 +52,14 @@ class IntervalProduct:
     irreducible linear forms.  `powers`, the sorted ((x, y), exponent)
     pairs with a nonzero exponent, is a cached view of the row that
     printing and the term order of `RatElem` read.  The constructor adds
-    the exponents of a repeated interval, takes `int`s only, and refuses
-    a row over `MAX_TABLE_ENTRIES` entries before allocating it.
+    the exponents of a repeated interval, takes `int` exponents only, and
+    checks the arity and each interval [x, y) by the rules of clique.py,
+    `row_width` and `arc_position`, raising `RatFctError`.
     """
 
     __slots__ = ("arity", "row", "_powers", "_hash")
 
     def __init__(self, arity, powers):
-        # `type(value) is int` refuses bools, floats and strings alike
-        if type(arity) is not int or arity < 1:
-            raise RatFctError(f"arity must be a positive int, not {arity!r}")
         row = [0] * row_width(arity, RatFctError, "exponent")
         try:
             items = iter(powers.items() if isinstance(powers, dict) else powers)
@@ -76,10 +74,7 @@ class IntervalProduct:
                 raise RatFctError(f"{item!r} is not an ((x, y), exponent) pair") from None
             if type(exponent) is not int:
                 raise RatFctError(f"exponent {exponent!r} of {(x, y)} is not an int")
-            if not (type(x) is type(y) is int and 1 <= x < y <= arity + 1):
-                raise RatFctError(f"[{x},{y}) is not an interval at arity {arity}")
-            # arcs_of order: each x' < x comes first, with arity + 1 - x' arcs
-            row[(x - 1) * (2 * arity + 2 - x) // 2 + y - x - 1] += exponent
+            row[arc_position(arity, (x, y), RatFctError)] += exponent
         self.arity = arity
         self.row = tuple(row)
         self._powers = self._hash = None
@@ -135,6 +130,7 @@ class RatElem(_Combination):
     _ERROR = RatFctError
 
     def __init__(self, arity, terms=()):
+        row_width(arity, RatFctError, "exponent")
         self.arity = arity
         self.terms = self._validated(terms)
 

@@ -177,6 +177,20 @@ def test_verify_all_small(capsys):
         assert token in out
 
 
+def test_basic_basis_below_max_arity_three_is_injective(capsys):
+    # D:0 is not right cancelable, but a collision needs a composite of
+    # arity 3: at max arity 2 every right-composition map is injective
+    code, out, _ = run(capsys, "verify", "basic", "--magma", "D:0", "--max-arity", "2")
+    assert (code, out) == (0, "basic-basis: ok, 25 instances checked\n")
+    code, out, _ = run(capsys, "verify", "all", "--magma", "D:0", "--max-arity", "2")
+    assert code == 0 and "basic-basis: ok, 25 instances checked\n" in out
+
+
+def test_max_arity_zero_is_refused_by_the_arity_rule(capsys):
+    argv = ["sequence", "--variant", "nes", "--magma", "D:0", "--max-arity", "0"]
+    assert run(capsys, *argv) == (2, "", "error: arity must be positive, not 0\n")
+
+
 def test_vacuous_verdicts_say_so(capsys):
     # cro:1 and cro:2 have no non-member below arities 4 and 5
     vacuous = "ok (vacuous: nothing to check), 0 instances checked"

@@ -9,7 +9,7 @@ from cliqueops import (
     is_prime, is_triangle, is_white, partial_compose, reflect, relabel,
     rotate, split_along_diagonal,
 )
-from cliqueops.clique import nested_in, row_width
+from cliqueops.clique import arc_index, arc_position, nested_in, row_width
 
 from magma_strategies import D0, unitary_magmas
 
@@ -266,6 +266,93 @@ def test_oversized_arities_are_refused_before_allocating(make):
     assert peak < 1 << 20
     # the bound is the one interval products apply: arity 1447 fits it
     assert row_width(1447) == 1447 * 1448 // 2
+
+
+def _arity_entries():
+    """Each public entry that takes an arity, as (name, call, error class)."""
+    from cliqueops import enumeration as en, knownops as ko
+    from cliqueops.operad import LinComb
+    from cliqueops.ratfct import IntervalProduct, RatElem, RatFctError
+
+    K = ko.KnownOperadError
+    return [
+        ("Clique", lambda n: Clique(D0, n, (0, 0, 0)), CliqueError),
+        ("from_arcs", lambda n: Clique.from_arcs(D0, n, {}), CliqueError),
+        ("clique_from_json", lambda n: clique_from_json({"magma": "D:0", "arity": n}),
+         CliqueError),
+        ("LinComb", lambda n: LinComb(D0, n), CliqueError),
+        ("count_by_enumeration-whi", lambda n: en.count_by_enumeration("whi", D0, n),
+         CliqueError),
+        ("count_by_enumeration-nes", lambda n: en.count_by_enumeration("nes", D0, n),
+         CliqueError),
+        ("sequence_for", lambda n: en.sequence_for("nes", D0, n), CliqueError),
+        ("dim_formula", lambda n: en.dim_formula("whi", 2, n), CliqueError),
+        ("count_prime", lambda n: en.count_prime(D0, n), CliqueError),
+        ("count_white_prime", lambda n: en.count_white_prime(D0, n), CliqueError),
+        ("count_minimal_prime", lambda n: en.count_minimal_prime(D0, n), CliqueError),
+        ("MultiTilde", lambda n: ko.MultiTilde(n, ()), K),
+        ("DoubleMultiTilde", lambda n: ko.DoubleMultiTilde(n, (), ()), K),
+        ("ChordDiagram", lambda n: ko.ChordDiagram(n, ()), K),
+        ("all_multitildes", lambda n: next(ko.all_multitildes(n)), K),
+        ("all_double_multitildes", lambda n: next(ko.all_double_multitildes(n)), K),
+        ("gravity_diagrams", ko.gravity_diagrams, K),
+        ("gravity_cliques", lambda n: ko.gravity_cliques(D0, n), K),
+        ("lie_maximal", ko.lie_maximal, K),
+        ("IntervalProduct", lambda n: IntervalProduct(n, ()), RatFctError),
+        ("RatElem", RatElem, RatFctError),
+    ]
+
+
+@pytest.mark.parametrize("arity", [0, -1, 2.0, True, "2"], ids=repr)
+def test_every_arity_entry_applies_the_one_arity_rule(arity):
+    # (`generate_cliques` waits for iteration: test_enumeration covers it)
+    expected = "arity must be positive" if type(arity) is int else "arity must be an int"
+    for name, call, error in _arity_entries():
+        call(2)  # kept tables keyed by arity 2 now answer 2.0 too, unless refused first
+        with pytest.raises(error, match=expected):
+            call(arity)
+            pytest.fail(f"{name} took the arity {arity!r}")
+
+
+@pytest.mark.parametrize("arc", [5, (1, 2, 3), (True, 2), (1.5, 2), (9, 9), [1.0, 2.0]],
+                         ids=repr)
+def test_arc_readers_apply_the_one_arc_rule(d0, arc):
+    clique = Clique.from_arcs(d0, 2, {})
+    with pytest.raises(CliqueError, match="is not an arc at arity 2"):
+        Clique.from_arcs(d0, 2, {tuple(arc) if isinstance(arc, list) else arc: 1})
+    # label and with_label take x and y: a non-pair arrives as x with a good y
+    x, y = arc if isinstance(arc, (tuple, list)) and len(arc) == 2 else (arc, 3)
+    with pytest.raises(CliqueError, match="is not an arc at arity 2"):
+        clique.label(x, y)
+    with pytest.raises(CliqueError, match="is not an arc at arity 2"):
+        clique.is_solid(x, y)
+    with pytest.raises(CliqueError, match="is not an arc at arity 2"):
+        clique.with_label(x, y, 0)
+
+
+def test_arc_position_is_the_arc_index():
+    for arity in range(1, 13):
+        index = arc_index(arity)
+        assert [arc_position(arity, arc) for arc in arcs_of(arity)] == list(range(len(index)))
+        assert all(arc_position(arity, list(arc)) == k for arc, k in index.items())
+
+
+def test_clique_reader_at_the_arity_bound_builds_no_arc_table():
+    import time
+    import tracemalloc
+
+    tables = arcs_of.cache_info(), arc_index.cache_info()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        clique = clique_from_json({"magma": "D:0", "arity": 1447, "labels": {"1,2": "0"}})
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (clique.arity, clique.labels[0]) == (1447, D0.elem("0"))
+    assert (arcs_of.cache_info(), arc_index.cache_info()) == tables
+    assert elapsed < 1 and peak < 40 << 20
 
 
 def pairwise_nesting_free(clique):

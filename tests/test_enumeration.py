@@ -365,11 +365,16 @@ def test_enumeration_errors_wait_for_iteration(z):
     for kept in (False, True):
         assert (2 in magma._spaces) is kept
         calls = generate_cliques(z, 2), generate_cliques(magma, 0), generate_cliques(magma, -1)
+        # 2.0 and True hash as the kept arities 2 and 1, and are refused all the same
+        not_ints = [generate_cliques(magma, arity) for arity in (2.0, True, "2")]
         with pytest.raises(MagmaError, match="infinite magma"):
             next(calls[0])
         for below_one in calls[1:]:
             with pytest.raises(CliqueError, match="arity must be positive"):
                 next(below_one)
+        for not_int in not_ints:
+            with pytest.raises(CliqueError, match="arity must be an int"):
+                next(not_int)
         # two calls made before either is iterated yield one kept space's
         # instances, and every call after it is kept yields them again
         first, second = generate_cliques(magma, 2), generate_cliques(magma, 2)

@@ -15,7 +15,7 @@ from cliqueops.knownops import (
     all_double_multitildes, all_multitildes, gravity_diagrams, phi_dmt_inverse,
     phi_mt_inverse,
 )
-from cliqueops.magma import pair_value
+from cliqueops.magma import UnitaryMagma, pair_value
 from cliqueops.operad import composable_pairs
 
 
@@ -131,7 +131,7 @@ def test_dmt_is_componentwise_hadamard():
 def test_phi_dmt_display_and_exclusions(d0sq):
     dmt = DoubleMultiTilde(4, {(2, 2), (2, 3)}, {(1, 3), (1, 4), (2, 3)})
     clique = phi_dmt(dmt)
-    from cliqueops.magma import pair_value
+    from cliqueops.magma import UnitaryMagma, pair_value
 
     assert clique.label(2, 3) == pair_value(clique.magma, 1, 0)
     assert clique.label(2, 4) == pair_value(clique.magma, 1, 1)
@@ -408,6 +408,17 @@ def test_known_ops_totals(monkeypatch, max_arity, total, gravity):
     lambda: DoubleMultiTilde(2.0, [], []),
     lambda: DoubleMultiTilde(3, [[1, 2]], [[1]]),
     lambda: DoubleMultiTilde(3, [[1, True]], []),
+    # the arity and arc rules of clique.py, read by every constructor and family
+    lambda: MultiTilde(0, ()),
+    lambda: DoubleMultiTilde(-1, (), ()),
+    lambda: MultiTilde(3, [(2, 4)]),
+    lambda: ChordDiagram(4, [(1, 2)]),
+    lambda: ChordDiagram(4, [(2, 9)]),
+    lambda: list(all_multitildes(0)),
+    lambda: list(all_double_multitildes(-1)),
+    lambda: gravity_diagrams(2.0),
+    lambda: gravity_cliques(UnitaryMagma.zero_product(0), True),
+    lambda: lie_maximal("2"),
 ], ids=[
     "mt-float-arity", "mt-bool-arity", "mt-string-arity", "mt-float-coordinate",
     "mt-bool-coordinate", "mt-string-coordinate", "mt-triple", "mt-single",
@@ -417,6 +428,9 @@ def test_known_ops_totals(monkeypatch, max_arity, total, gravity):
     "json-float-arity", "json-bool-arity", "json-string-arity",
     "json-float-coordinate", "json-triple", "json-pairs-string",
     "dmt-json-float-arity", "dmt-json-single", "dmt-json-bool-coordinate",
+    "mt-arity-zero", "dmt-arity-negative", "mt-pair-outside", "chord-edge",
+    "chord-not-an-arc", "all-mt-arity-zero", "all-dmt-arity-negative",
+    "gravity-float-arity", "gravity-cliques-bool-arity", "lie-string-arity",
 ])
 def test_known_operad_input_boundary_is_strict(build):
     with pytest.raises(KnownOperadError):
