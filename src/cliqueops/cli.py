@@ -198,14 +198,13 @@ def cmd_sequence(args):
 
 
 def cmd_primes(args):
-    if args.max_size < 1:
-        raise UsageError(f"--max-size must be at least 1, not {args.max_size}")
     magma = parse_magma_spec(args.magma)
     # the largest size has the most patterns: refuse it before counting any
     enumeration._check_budget(
         2, enumeration._diagonal_count(args.max_size), "diagonal patterns",
         args.max_size, args.budget,
     )
+    row_width(args.max_size, UsageError)
     rows = []
     for n in range(1, args.max_size + 1):
         white = enumeration.count_white_prime(magma, n, budget=args.budget)

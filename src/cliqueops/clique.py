@@ -50,14 +50,20 @@ def row_width(arity, error=CliqueError, row="label"):
 
 
 def arc_position(arity, arc, error=CliqueError):
-    """The index of `arc` in `arcs_of(arity)`, from the arc alone.  The one
-    arc check: at an arity `row_width` passed, `error` refuses anything but
-    a pair (tuple or list) of `int`s x, y with 1 <= x < y <= arity + 1."""
+    """The index of `arc` in `arcs_of(arity)`, by `_arc_at`.  The one arc
+    check: at an arity `row_width` passed, `error` refuses anything but a
+    pair (tuple or list) of `int`s x, y with 1 <= x < y <= arity + 1."""
     if (not isinstance(arc, (tuple, list)) or len(arc) != 2
             or type(arc[0]) is not int or type(arc[1]) is not int
             or not 1 <= arc[0] < arc[1] <= arity + 1):
         raise error(f"{arc!r} is not an arc at arity {arity}")
-    x, y = arc
+    return _arc_at(arity, *arc)
+
+
+def _arc_at(arity, x, y):
+    """The index of the arc (x, y) in `arcs_of(arity)`, from the arc alone:
+    the one position rule.  Trusted: (x, y) comes from `arcs_of` or has
+    passed `arc_position`."""
     # arcs_of order: each x' < x comes first, with arity + 1 - x' arcs
     return (x - 1) * (2 * arity + 2 - x) // 2 + y - x - 1
 
@@ -71,24 +77,16 @@ def arcs_of(arity):
 
 
 @lru_cache(maxsize=None)
-def arc_index(arity):
-    return {arc: i for i, arc in enumerate(arcs_of(arity))}
-
-
-@lru_cache(maxsize=None)
 def diagonals_of(arity):
-    """Arcs that are neither edges (x, x+1) nor the base (1, arity+1)."""
-    return tuple(
-        (x, y) for (x, y) in arcs_of(arity)
-        if y != x + 1 and (x, y) != (1, arity + 1)
-    )
+    """The arcs that `arc_class` calls diagonals, in arc order."""
+    return tuple(arc for arc in arcs_of(arity) if arc_class(arity, *arc) == "diagonal")
 
 
 def arc_class(arity, x, y):
-    """Classify an arc as "base", "edge", or "diagonal" (derived, never stored)."""
-    if not (1 <= x < y <= arity + 1):
-        raise CliqueError(f"({x},{y}) is not an arc at arity {arity}")
-    if (x, y) == (1, arity + 1):
+    """Classify the arc (x, y) as "base" (1, arity+1), "edge" (x, x+1) or
+    "diagonal", derived, never stored; at arity 1 the one arc is the base.
+    Trusted: (x, y) is an arc, as `arc_position` checks."""
+    if x == 1 and y == arity + 1:
         return "base"
     if y == x + 1:
         return "edge"
@@ -161,14 +159,13 @@ class Clique:
 
     @property
     def base_label(self):
-        return self.labels[arc_index(self.arity)[(1, self.arity + 1)]]
+        return self.labels[_arc_at(self.arity, 1, self.arity + 1)]
 
     def edge_label(self, i):
-        if not 1 <= i <= self.arity:
-            raise CliqueError(f"no edge {i} at arity {self.arity}")
-        if self.arity == 1:
-            return self.magma.unit
-        return self.labels[arc_index(self.arity)[(i, i + 1)]]
+        """The label of the edge (i, i+1); at arity 1 that is the base."""
+        if type(i) is not int or not 1 <= i <= self.arity:  # the arc rule for (i, i+1)
+            raise CliqueError(f"no edge {i!r} at arity {self.arity}")
+        return self.labels[_arc_at(self.arity, i, i + 1)]
 
     def is_solid(self, x, y):
         return self.label(x, y) != self.magma.unit
@@ -453,17 +450,15 @@ def hamming(p, q):
 
 @lru_cache(maxsize=None)
 def _reflect_plan(arity):
-    index = arc_index(arity)
     return index_plan(
-        arity, (index[(arity - y + 2, arity - x + 2)] for (x, y) in arcs_of(arity)),
+        arity, (_arc_at(arity, arity - y + 2, arity - x + 2) for (x, y) in arcs_of(arity)),
     )
 
 
 @lru_cache(maxsize=None)
 def _rotate_plan(arity):
-    index = arc_index(arity)
     return index_plan(arity, (
-        index[(x + 1, y + 1)] if y <= arity else index[(1, x + 1)]
+        _arc_at(arity, x + 1, y + 1) if y <= arity else _arc_at(arity, 1, x + 1)
         for (x, y) in arcs_of(arity)
     ))
 
@@ -491,27 +486,34 @@ def relabel(clique, morphism):
 # -- factorization ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _split_plan(arity, x, y):
     """The outer and inner plans into `labels + (unit,)` for splitting along
-    the diagonal (x, y), and the indices of the diagonals crossing it."""
-    index = arc_index(arity)
+    the diagonal (x, y), and the indices of the diagonals crossing it.
+
+    (x, y) is checked by `arc_position` when its plans are built, and only
+    then: the cache is typed, so 2.0 and True never read the plans of 2
+    and 1.
+    """
+    arc_position(arity, (x, y))
+    if arc_class(arity, x, y) != "diagonal":
+        raise CliqueError(f"({x},{y}) is not a diagonal at arity {arity}")
     shift = y - x - 1
     outer_arity = arity + x - y + 1
     outer = index_plan(outer_arity, (
-        index[(z, t)] if t <= x
-        else index[(z, t + shift)] if z <= x
-        else index[(z + shift, t + shift)]
+        _arc_at(arity, z, t) if t <= x
+        else _arc_at(arity, z, t + shift) if z <= x
+        else _arc_at(arity, z + shift, t + shift)
         for (z, t) in arcs_of(outer_arity)
     ))
     inner_arity = y - x
-    unit = len(index)
+    unit = row_width(arity)
     inner = index_plan(inner_arity, (
-        unit if (z, t) == (1, inner_arity + 1) else index[(z + x - 1, t + x - 1)]
+        unit if (z, t) == (1, inner_arity + 1) else _arc_at(arity, z + x - 1, t + x - 1)
         for (z, t) in arcs_of(inner_arity)
     ))
     crossers = tuple(
-        index[d] for d in diagonals_of(arity) if crossing((x, y), d)
+        _arc_at(arity, *d) for d in diagonals_of(arity) if crossing((x, y), d)
     )
     return outer, inner, crossers
 
@@ -521,12 +523,13 @@ def split_along_diagonal(clique, diag):
 
     q has arity n + x - y + 1 and keeps everything outside the diagonal,
     with the diagonal's label moved to its edge x; r has arity y - x,
-    copies the inside, and gets a unit base.
+    copies the inside, and gets a unit base.  `diag` is an arc by the rule
+    of `arc_position`, else `CliqueError`.
     """
-    x, y = diag
     n = clique.arity
-    if arc_class(n, x, y) != "diagonal":
-        raise CliqueError(f"({x},{y}) is not a diagonal at arity {n}")
+    if not isinstance(diag, (tuple, list)) or len(diag) != 2:
+        raise CliqueError(f"{diag!r} is not an arc at arity {n}")
+    x, y = diag
     outer, inner, crossers = _split_plan(n, x, y)
     magma = clique.magma
     source = clique.labels + (magma.unit,)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .clique import (
-    Clique, CliqueError, _label_count, _power_exceeds, arc_index, arcs_of,
+    Clique, CliqueError, _arc_at, _label_count, _power_exceeds, arcs_of,
     clique_space_size, crossing, diagonals_of, is_nesting_free, row_width,
 )
 from .magma import has_nontrivial_unit_divisors
@@ -417,7 +417,6 @@ def dyck_decode(word):
     arity = vertex_count - 1
     labels = [word.magma.unit] * row_width(arity)
     starts = []  # start vertices waiting for an end, in order
-    index = arc_index(arity)
     letters = word.letters
     for vertex in range(1, vertex_count + 1):
         pair = letters[2 * vertex - 2] + letters[2 * vertex - 1]
@@ -429,7 +428,7 @@ def dyck_decode(word):
             src, lab = starts.pop(0)
             if vertex <= src:
                 raise CliqueError("arc closes before it opens")
-            labels[index[(src, vertex)]] = lab
+            labels[_arc_at(arity, src, vertex)] = lab
         if pair in ("aa", "ba"):
             starts.append((vertex, word.colors[2 * vertex]))
     if starts:

@@ -5,8 +5,10 @@ A multi-tilde of arity n is a set of pairs (x, y), 1 <= x <= y <= n.
 These pairs are in one-to-one correspondence with the arcs (x, y + 1) of
 the arity-n polygon, so a multi-tilde is stored as an int bitmask: bit k
 is set when the pair (x, y - 1) of arc k of `arcs_of(n)` belongs to it.
-A double multi-tilde is two such masks.  `pairs`, `pairs1` and `pairs2`
-decode the masks into frozensets on demand.
+A double multi-tilde is two such masks.  A pair's bit is the
+`arc_position` of its arc; `pairs`, `pairs1` and `pairs2` decode the
+masks into frozensets on demand, reading `arcs_of` with no table of
+their own.
 
 The composition of multi-tildes comes from the substitution rule of
 rational functions (`ratfct._reindex`: insert a block of m slots at slot
@@ -53,7 +55,7 @@ from itertools import combinations, islice, product as iproduct
 from operator import add
 
 from . import ratfct, variants
-from .clique import Clique, arc_index, arc_position, arcs_of, row_width
+from .clique import Clique, _arc_at, arc_position, arcs_of, row_width
 from .magma import UnitaryMagma, magma_product, pair_value, unpair_value
 from .operad import composable_pairs, partial_compose
 from .verify import _compose_block, _label_dtype, _star, slab_laws
@@ -88,12 +90,6 @@ def _coordinates(pairs):
 # -- bitmask encoding ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pair_of(arity):
-    """The pair (x, y - 1) of each arc (x, y), in arc order: bit k's pair."""
-    return tuple((x, y - 1) for x, y in arcs_of(arity))
-
-
 def _mask(arity, pairs):
     mask = 0
     for x, y in _coordinates(pairs):
@@ -102,8 +98,10 @@ def _mask(arity, pairs):
 
 
 def _pairs(arity, mask):
-    pairs = _pair_of(arity)
-    return frozenset(pairs[k] for k in range(mask.bit_length()) if mask >> k & 1)
+    arcs = arcs_of(arity)
+    return frozenset(
+        (arcs[k][0], arcs[k][1] - 1) for k in range(mask.bit_length()) if mask >> k & 1
+    )
 
 
 def _format_pairs(pairs):
@@ -304,9 +302,9 @@ def _compose_tables(n, m, i):
     """Bit-remap tables of s o_i t for arities n, m: arc k of s goes to the
     bit of the arc `ratfct._reindex` sends it to, and likewise for t."""
     outer, inner = ratfct._reindex(n, m, i)
-    index = arc_index(n + m - 1)
-    return (_chunk_tables([1 << index[outer[arc]] for arc in arcs_of(n)]),
-            _chunk_tables([1 << index[inner[arc]] for arc in arcs_of(m)]))
+    arity = n + m - 1
+    return (_chunk_tables([1 << _arc_at(arity, *outer[arc]) for arc in arcs_of(n)]),
+            _chunk_tables([1 << _arc_at(arity, *inner[arc]) for arc in arcs_of(m)]))
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +313,8 @@ def _composer(n, m, i):
     `remap(a, b)` is the composite of an outer mask a and an inner mask b
     through `_compose_tables`, two lookups when both sides fit one chunk
     (arity 3 or less), else the chunk loop of `_remap`."""
-    if not 1 <= i <= n:
-        raise KnownOperadError(f"index {i} out of range for arity {n}")
+    if type(i) is not int or not 1 <= i <= n:
+        raise KnownOperadError(f"index {i!r} out of range for arity {n}")
     outer, inner = _compose_tables(n, m, i)
     if len(outer) == 1 and len(inner) == 1:
         outer, inner = outer[0], inner[0]

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import add, attrgetter, getitem
 from typing import Callable, NamedTuple
 
-from .clique import Clique, CliqueError, arc_index, arcs_of, index_plan, row_width
+from .clique import Clique, CliqueError, _arc_at, arcs_of, index_plan, row_width
 from .magma import pair_value, unpair_value
 
 
@@ -52,27 +52,26 @@ def composition_plan(n, m, i):
     With P and Q the label counts of p and q, source index P + Q is the
     glued arc (i, i+m) and P + Q + 1 the unit of every new diagonal.
     """
-    if not 1 <= i <= n:
-        raise CliqueError(f"index {i} out of range for arity {n}")
-    src_p, src_q = arc_index(n), arc_index(m)
-    P, Q = len(src_p), len(src_q)
+    if type(i) is not int or not 1 <= i <= n:
+        raise CliqueError(f"index {i!r} out of range for arity {n}")
+    P, Q = row_width(n), row_width(m)
     plan = []
     for (x, y) in arcs_of(n + m - 1):
         if (x, y) == (i, i + m):
             plan.append(P + Q)
         elif y <= i:
-            plan.append(src_p[(x, y)])
+            plan.append(_arc_at(n, x, y))
         elif x <= i and i + m <= y:
-            plan.append(src_p[(x, y - m + 1)])
+            plan.append(_arc_at(n, x, y - m + 1))
         elif i + m <= x:
-            plan.append(src_p[(x - m + 1, y - m + 1)])
+            plan.append(_arc_at(n, x - m + 1, y - m + 1))
         elif i <= x and y <= i + m:
-            plan.append(P + src_q[(x - i + 1, y - i + 1)])
+            plan.append(P + _arc_at(m, x - i + 1, y - i + 1))
         else:
             plan.append(P + Q + 1)
     # at arity 1 the one arc (1, 2) is both the edge and the base
     return CompositionPlan(
-        *index_plan(n + m - 1, plan), src_p[(i, i + 1)], src_q[(1, m + 1)],
+        *index_plan(n + m - 1, plan), _arc_at(n, i, i + 1), _arc_at(m, 1, m + 1),
     )
 
 

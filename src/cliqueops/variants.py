@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate, compress
 from typing import Callable, NamedTuple
 
-from .clique import arc_class, arc_index, arcs_of, clique_space_size, crossing, nested_in
+from .clique import _arc_at, arc_class, arcs_of, clique_space_size, crossing, nested_in
 from .magma import has_nontrivial_unit_divisors
 from .operad import LinComb, composable_pairs, partial_compose_lin
 from .report import VerifyReport
@@ -201,15 +201,15 @@ def _gravity_tests(arity):
     holds, for each y > x'+1, the bit of (x', y) with the mask of the
     (x, y).  Every arc a test reads is a diagonal before (x', y') in arc
     order."""
-    index, diagonal = arc_index(arity), _diagonal_flags(arity)
     tests = []
-    for (xp, yp), is_diagonal in zip(arcs_of(arity), diagonal):
+    for (xp, yp), is_diagonal in zip(arcs_of(arity), _diagonal_flags(arity)):
         if not is_diagonal:
             tests.append(None)
             continue
-        left = {y: sum(1 << index[(x, y)] for x in range(1, xp)) for y in range(xp + 1, yp)}
+        left = {y: sum(1 << _arc_at(arity, x, y) for x in range(1, xp))
+                for y in range(xp + 1, yp)}
         tests.append((left[xp + 1], tuple(
-            (1 << index[(xp, y)], left[y]) for y in range(xp + 2, yp) if left[y]
+            (1 << _arc_at(arity, xp, y), left[y]) for y in range(xp + 2, yp) if left[y]
         )))
     return tuple(tests)
 

@@ -9,7 +9,7 @@ from cliqueops import (
     is_prime, is_triangle, is_white, partial_compose, reflect, relabel,
     rotate, split_along_diagonal,
 )
-from cliqueops.clique import arc_index, arc_position, nested_in, row_width
+from cliqueops.clique import _arc_at, _split_plan, arc_position, nested_in, row_width
 
 from magma_strategies import D0, unitary_magmas
 
@@ -314,8 +314,8 @@ def test_every_arity_entry_applies_the_one_arity_rule(arity):
             pytest.fail(f"{name} took the arity {arity!r}")
 
 
-@pytest.mark.parametrize("arc", [5, (1, 2, 3), (True, 2), (1.5, 2), (9, 9), [1.0, 2.0]],
-                         ids=repr)
+@pytest.mark.parametrize("arc", [5, (1, 2, 3), (True, 2), (1.5, 2), (9, 9), [1.0, 2.0],
+                                 (2.0, 4.0), (True, 3), (1, 3, 5), "ab"], ids=repr)
 def test_arc_readers_apply_the_one_arc_rule(d0, arc):
     clique = Clique.from_arcs(d0, 2, {})
     with pytest.raises(CliqueError, match="is not an arc at arity 2"):
@@ -328,20 +328,34 @@ def test_arc_readers_apply_the_one_arc_rule(d0, arc):
         clique.is_solid(x, y)
     with pytest.raises(CliqueError, match="is not an arc at arity 2"):
         clique.with_label(x, y, 0)
+    # edge_label(x) reads the arc (x, x + 1): no such x is an edge at arity 2
+    with pytest.raises(CliqueError, match="no edge"):
+        clique.edge_label(x)
+    # split plans check their diagonal as they are built, and are kept
+    square = Clique.from_arcs(d0, 4, {})
+    _split_plan.cache_clear()
+    with pytest.raises(CliqueError, match="is not an arc at arity 4"):
+        split_along_diagonal(square, arc)
+    # the kept plans of (1, 3) and (2, 4) answer neither (True, 3) nor (2.0, 4.0)
+    split_along_diagonal(square, (1, 3))
+    split_along_diagonal(square, (2, 4))
+    with pytest.raises(CliqueError, match="is not an arc at arity 4"):
+        split_along_diagonal(square, arc)
 
 
 def test_arc_position_is_the_arc_index():
     for arity in range(1, 13):
-        index = arc_index(arity)
+        index = {arc: k for k, arc in enumerate(arcs_of(arity))}
         assert [arc_position(arity, arc) for arc in arcs_of(arity)] == list(range(len(index)))
         assert all(arc_position(arity, list(arc)) == k for arc, k in index.items())
+        assert all(_arc_at(arity, *arc) == k for arc, k in index.items())
 
 
 def test_clique_reader_at_the_arity_bound_builds_no_arc_table():
     import time
     import tracemalloc
 
-    tables = arcs_of.cache_info(), arc_index.cache_info()
+    tables = arcs_of.cache_info()
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -351,7 +365,7 @@ def test_clique_reader_at_the_arity_bound_builds_no_arc_table():
     finally:
         tracemalloc.stop()
     assert (clique.arity, clique.labels[0]) == (1447, D0.elem("0"))
-    assert (arcs_of.cache_info(), arc_index.cache_info()) == tables
+    assert arcs_of.cache_info() == tables
     assert elapsed < 1 and peak < 40 << 20
 
 

@@ -10,7 +10,7 @@ from cliqueops import (
     lie_maximal, mt_compose, partial_compose, phi_dmt, phi_grav, phi_mt,
     unzip_clique,
 )
-from cliqueops.clique import arc_index, arcs_of
+from cliqueops.clique import arcs_of
 from cliqueops.knownops import (
     all_double_multitildes, all_multitildes, gravity_diagrams, phi_dmt_inverse,
     phi_mt_inverse,
@@ -462,7 +462,7 @@ def test_compose_tables_follow_the_shift_rules():
 
     for n in range(1, 9):
         for m in range(1, 10 - n):
-            index = arc_index(n + m - 1)
+            index = {arc: k for k, arc in enumerate(arcs_of(n + m - 1))}
             for i in range(1, n + 1):
                 outer, inner = knownops._compose_tables(n, m, i)
                 assert [knownops._remap(1 << k, outer) for k in range(len(arcs_of(n)))] == [
@@ -599,7 +599,8 @@ def _misread_gravity_at(arity):
     (x', y): a mutation of `variants._gravity_at`."""
     from cliqueops import variants
 
-    index, arcs = arc_index(arity), arcs_of(arity)
+    arcs = arcs_of(arity)
+    index = {arc: k for k, arc in enumerate(arcs)}
     diagonal = variants._diagonal_flags(arity)
 
     def admits(mask, comp, j):
